@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,281 +31,118 @@ class BackendError(RuntimeError):
     pass
 
 
-LE, GE, EQ = "<=", ">=", "=="
-_SENSES = (LE, GE, EQ)
-
-
-@dataclass
-class _Var:
-    name: str
-    lb: float
-    ub: float
-    obj: float
-    binary: bool
-
-
-@dataclass
-class _Row:
-    name: str
-    coeffs: dict            # var name -> coefficient
-    sense: str
-    rhs: float
-
-
 @dataclass(frozen=True)
 class SolveResult:
     status: SolveStatus
     objective: float | None
-    primal: dict            # var name -> value
-    dual: dict              # row name -> value (LP solves only)
+    x: np.ndarray | None          # column values
+    row_dual: np.ndarray | None   # per row (LP solves only)
     row_count: int
     solve_time: float
     message: str = ""
 
-    def value(self, name: str) -> float:
-        return self.primal[name]
 
+@dataclass(frozen=True)
+class LinearModel:
+    """``min c.x  s.t.  row_lo <= A x <= row_hi,  lb <= x <= ub``, with the
+    columns flagged in ``integral`` restricted to integers.
 
-class ModelHandle:
-    """A minimize-sense LP/MILP built incrementally from named variables and rows."""
-
-    def __init__(self, name: str = "model"):
-        self.name = name
-        self._vars: dict[str, _Var] = {}
-        self._rows: dict[str, _Row] = {}
-
-    # -- construction -----------------------------------------------------
-
-    def add_var(self, name: str, lb: float = 0.0, ub: float = np.inf,
-                obj: float = 0.0, binary: bool = False) -> str:
-        if name in self._vars:
-            raise BackendError(f"duplicate variable {name!r}")
-        if binary:
-            lb, ub = max(lb, 0.0), min(ub, 1.0)
-        self._vars[name] = _Var(name, lb, ub, obj, binary)
-        return name
-
-    def add_constr(self, name: str, coeffs: dict, sense: str, rhs: float) -> str:
-        if name in self._rows:
-            raise BackendError(f"duplicate constraint {name!r}")
-        if sense not in _SENSES:
-            raise BackendError(f"unknown sense {sense!r}")
-        for v in coeffs:
-            if v not in self._vars:
-                raise BackendError(f"constraint {name!r} references unknown variable {v!r}")
-        self._rows[name] = _Row(name, dict(coeffs), sense, float(rhs))
-        return name
-
-    def set_bounds(self, name: str, lb: float, ub: float) -> None:
-        var = self._vars[name]
-        var.lb, var.ub = lb, ub
-
-    def set_objective_coeff(self, name: str, obj: float) -> None:
-        self._vars[name].obj = float(obj)
-
-    def objective_coeffs(self) -> dict:
-        return {v.name: v.obj for v in self._vars.values() if v.obj != 0.0}
-
-    def has_var(self, name: str) -> bool:
-        return name in self._vars
-
-    @property
-    def var_names(self) -> list[str]:
-        return list(self._vars)
-
-    @property
-    def row_names(self) -> list[str]:
-        return list(self._rows)
+    A row with equal bounds is an equality; a row with an infinite bound is
+    a one-sided inequality.
+    """
+    c: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    integral: np.ndarray      # bool per column
+    A: sp.csr_matrix
+    row_lo: np.ndarray
+    row_hi: np.ndarray
 
     @property
     def row_count(self) -> int:
-        return len(self._rows)
+        return self.A.shape[0]
 
-    @property
-    def has_binaries(self) -> bool:
-        return any(v.binary for v in self._vars.values())
-
-    def copy(self) -> "ModelHandle":
-        m = ModelHandle(self.name)
-        for v in self._vars.values():
-            m._vars[v.name] = _Var(v.name, v.lb, v.ub, v.obj, v.binary)
-        for r in self._rows.values():
-            m._rows[r.name] = _Row(r.name, dict(r.coeffs), r.sense, r.rhs)
-        return m
-
-    def fixed_copy(self, fixed: dict, relax: bool = False) -> "ModelHandle":
-        """Copy with the given variables clamped via bound tightening.
+    def fixed(self, cols, values, relax: bool = False) -> "LinearModel":
+        """Copy with ``cols`` clamped to ``values`` via bound tightening
+        (integer columns are rounded first).
 
         With ``relax=True`` integrality flags are dropped (used to extract
         duals from a MILP solved at its optimal binary assignment).
         """
-        m = self.copy()
-        for name, val in fixed.items():
-            if name not in m._vars:
-                raise BackendError(f"cannot fix unknown variable {name!r}")
-            var = m._vars[name]
-            v = float(round(val)) if var.binary else float(val)
-            if v < var.lb - 1e-9 or v > var.ub + 1e-9:
-                raise BackendError(f"fixed value {v} for {name!r} violates bounds")
-            var.lb = var.ub = v
-        if relax:
-            for var in m._vars.values():
-                var.binary = False
-        return m
-
-    # -- matrix assembly --------------------------------------------------
-
-    def _assemble(self):
-        names = list(self._vars)
-        index = {n: i for i, n in enumerate(names)}
-        c = np.array([self._vars[n].obj for n in names])
-        lb = np.array([self._vars[n].lb for n in names])
-        ub = np.array([self._vars[n].ub for n in names])
-        integrality = np.array([1 if self._vars[n].binary else 0 for n in names])
-        data, ri, ci = [], [], []
-        row_lb, row_ub, row_names = [], [], []
-        for j, row in enumerate(self._rows.values()):
-            row_names.append(row.name)
-            for v, coef in row.coeffs.items():
-                ri.append(j)
-                ci.append(index[v])
-                data.append(coef)
-            if row.sense == LE:
-                row_lb.append(-np.inf)
-                row_ub.append(row.rhs)
-            elif row.sense == GE:
-                row_lb.append(row.rhs)
-                row_ub.append(np.inf)
-            else:
-                row_lb.append(row.rhs)
-                row_ub.append(row.rhs)
-        A = sp.csr_matrix((data, (ri, ci)), shape=(len(self._rows), len(names)))
-        return names, c, lb, ub, integrality, A, np.array(row_lb), np.array(row_ub), row_names
-
-    # -- export -----------------------------------------------------------
-
-    def to_lp_text(self) -> str:
-        """Industry-standard LP text format, for offline debugging."""
-        def term(coef, var):
-            sign = "+" if coef >= 0 else "-"
-            return f"{sign} {abs(coef):.12g} {var}"
-
-        lines = ["Minimize", " obj: " + " ".join(
-            term(v.obj, v.name) for v in self._vars.values() if v.obj != 0.0)]
-        lines.append("Subject To")
-        op = {LE: "<=", GE: ">=", EQ: "="}
-        for r in self._rows.values():
-            body = " ".join(term(c, v) for v, c in r.coeffs.items())
-            lines.append(f" {r.name}: {body} {op[r.sense]} {r.rhs:.12g}")
-        lines.append("Bounds")
-        for v in self._vars.values():
-            lo = "-inf" if np.isneginf(v.lb) else f"{v.lb:.12g}"
-            hi = "+inf" if np.isposinf(v.ub) else f"{v.ub:.12g}"
-            lines.append(f" {lo} <= {v.name} <= {hi}")
-        binaries = [v.name for v in self._vars.values() if v.binary]
-        if binaries:
-            lines.append("Binary")
-            lines.extend(f" {n}" for n in binaries)
-        lines.append("End")
-        return "\n".join(lines) + "\n"
+        v = np.where(self.integral[cols], np.round(values), values).astype(float)
+        bad = (v < self.lb[cols] - 1e-9) | (v > self.ub[cols] + 1e-9)
+        if bad.any():
+            raise BackendError(f"fixed values {v[bad]} of columns "
+                               f"{np.asarray(cols)[bad]} violate their bounds")
+        lb, ub = self.lb.copy(), self.ub.copy()
+        lb[cols] = ub[cols] = v
+        return replace(self, lb=lb, ub=ub,
+                       integral=np.zeros_like(self.integral) if relax else self.integral)
 
 
-_LINPROG_STATUS = {
-    0: SolveStatus.OPTIMAL,
-    2: SolveStatus.INFEASIBLE,
-    3: SolveStatus.UNBOUNDED,
-}
-
-_MILP_STATUS = {
+_STATUS = {
     0: SolveStatus.OPTIMAL,
     2: SolveStatus.INFEASIBLE,
     3: SolveStatus.UNBOUNDED,
 }
 
 
-def solve_lp(model: ModelHandle) -> SolveResult:
-    """Solve an LP to optimality, returning primal values and row duals."""
-    if model.has_binaries:
-        raise BackendError("solve_lp called on a model with integrality flags")
-    names, c, lb, ub, _, A, row_lb, row_ub, row_names = model._assemble()
-    t0 = time.perf_counter()
-
-    # linprog wants A_ub x <= b_ub and A_eq x = b_eq; split and track signs.
-    ub_rows, ub_rhs, ub_tags = [], [], []   # tag: +1 original <=, -1 original >=
-    eq_rows, eq_rhs, eq_names = [], [], []
-    for j, rname in enumerate(row_names):
-        if row_lb[j] == row_ub[j]:
-            eq_rows.append(j)
-            eq_rhs.append(row_lb[j])
-            eq_names.append(rname)
-        elif np.isneginf(row_lb[j]):
-            ub_rows.append(j)
-            ub_rhs.append(row_ub[j])
-            ub_tags.append((rname, 1.0))
-        else:
-            ub_rows.append(j)
-            ub_rhs.append(-row_lb[j])
-            ub_tags.append((rname, -1.0))
-
-    A_ub = A[ub_rows] if ub_rows else None
-    if A_ub is not None:
-        signs = np.array([s for _, s in ub_tags])
-        A_ub = sp.diags(signs) @ A_ub
-    A_eq = A[eq_rows] if eq_rows else None
-    bounds = list(zip(np.where(np.isneginf(lb), None, lb),
-                      np.where(np.isposinf(ub), None, ub)))
-    try:
-        res = linprog(c, A_ub=A_ub, b_ub=np.array(ub_rhs) if ub_rows else None,
-                      A_eq=A_eq, b_eq=np.array(eq_rhs) if eq_rows else None,
-                      bounds=bounds, method="highs")
-    except Exception as exc:  # backend failure, not a modeling outcome
-        return SolveResult(SolveStatus.ERROR, None, {}, {}, model.row_count,
-                           time.perf_counter() - t0, message=str(exc))
+def _result(res, model: LinearModel, t0: float, row_dual=None) -> SolveResult:
     elapsed = time.perf_counter() - t0
-    status = _LINPROG_STATUS.get(res.status, SolveStatus.ERROR)
+    status = _STATUS.get(res.status, SolveStatus.ERROR)
     if status is not SolveStatus.OPTIMAL:
-        return SolveResult(status, None, {}, {}, model.row_count, elapsed,
+        return SolveResult(status, None, None, None, model.row_count, elapsed,
                            message=getattr(res, "message", ""))
-
-    primal = dict(zip(names, res.x))
-    dual = {}
-    if eq_rows:
-        for rname, m in zip(eq_names, res.eqlin.marginals):
-            dual[rname] = float(m)
-    if ub_rows:
-        for (rname, sign), m in zip(ub_tags, res.ineqlin.marginals):
-            # marginal is dObj/dRHS of the <= form; undo the >= negation
-            dual[rname] = float(sign * m)
-    return SolveResult(SolveStatus.OPTIMAL, float(res.fun), primal, dual,
+    return SolveResult(SolveStatus.OPTIMAL, float(res.fun), res.x, row_dual,
                        model.row_count, elapsed)
 
 
-def solve_milp(model: ModelHandle, mip_gap: float = 1e-6,
-               fixed_vars: dict | None = None) -> SolveResult:
-    """Solve a MILP within the given relative gap.
+def _error(exc: Exception, model: LinearModel, t0: float) -> SolveResult:
+    # a backend failure, not a modeling outcome
+    return SolveResult(SolveStatus.ERROR, None, None, None, model.row_count,
+                       time.perf_counter() - t0, message=str(exc))
 
-    ``fixed_vars`` are clamped via bound tightening before the solve so the
-    row-count metric is unaffected.
-    """
-    work = model.fixed_copy(fixed_vars) if fixed_vars else model
-    names, c, lb, ub, integrality, A, row_lb, row_ub, _ = work._assemble()
+
+def solve_lp(model: LinearModel) -> SolveResult:
+    """Solve an LP to optimality, returning primal values and row duals."""
+    if model.integral.any():
+        raise BackendError("solve_lp called on a model with integrality flags")
     t0 = time.perf_counter()
-    constraints = LinearConstraint(A, row_lb, row_ub) if A.shape[0] else []
+
+    # linprog wants A_ub x <= b_ub and A_eq x = b_eq; >= rows are negated
+    eq_rows = np.flatnonzero(model.row_lo == model.row_hi)
+    ub_rows = np.flatnonzero(model.row_lo != model.row_hi)
+    le = np.isneginf(model.row_lo[ub_rows])
+    if np.isfinite(model.row_hi[ub_rows[~le]]).any():
+        raise BackendError("solve_lp called on a model with two-sided inequality rows")
+    signs = np.where(le, 1.0, -1.0)
+    b_ub = np.where(le, model.row_hi[ub_rows], -model.row_lo[ub_rows])
+    A_ub = sp.diags(signs) @ model.A[ub_rows] if ub_rows.size else None
+    A_eq = model.A[eq_rows] if eq_rows.size else None
     try:
-        res = milp(c=c, constraints=constraints,
-                   integrality=integrality,
-                   bounds=Bounds(lb, ub),
+        res = linprog(model.c, A_ub=A_ub, b_ub=b_ub if ub_rows.size else None,
+                      A_eq=A_eq, b_eq=model.row_lo[eq_rows] if eq_rows.size else None,
+                      bounds=np.column_stack((model.lb, model.ub)), method="highs")
+    except Exception as exc:
+        return _error(exc, model, t0)
+    row_dual = None
+    if res.status == 0:
+        row_dual = np.empty(model.row_count)
+        row_dual[eq_rows] = res.eqlin.marginals
+        # marginal is dObj/dRHS of the <= form; undo the >= negation
+        row_dual[ub_rows] = signs * res.ineqlin.marginals
+    return _result(res, model, t0, row_dual)
+
+
+def solve_milp(model: LinearModel, mip_gap: float = 1e-6) -> SolveResult:
+    """Solve a MILP within the given relative gap."""
+    t0 = time.perf_counter()
+    constraints = (LinearConstraint(model.A, model.row_lo, model.row_hi)
+                   if model.row_count else [])
+    try:
+        res = milp(c=model.c, constraints=constraints, integrality=model.integral,
+                   bounds=Bounds(model.lb, model.ub),
                    options={"mip_rel_gap": float(mip_gap), "presolve": True})
     except Exception as exc:
-        return SolveResult(SolveStatus.ERROR, None, {}, {}, model.row_count,
-                           time.perf_counter() - t0, message=str(exc))
-    elapsed = time.perf_counter() - t0
-    status = _MILP_STATUS.get(res.status, SolveStatus.ERROR)
-    if status is not SolveStatus.OPTIMAL:
-        msg = getattr(res, "message", "")
-        if status is SolveStatus.INFEASIBLE and fixed_vars:
-            msg += f" (with fixed variables: {sorted(fixed_vars)})"
-        return SolveResult(status, None, {}, {}, model.row_count, elapsed, message=msg)
-    primal = dict(zip(names, res.x))
-    return SolveResult(SolveStatus.OPTIMAL, float(res.fun), primal, {},
-                       model.row_count, elapsed)
+        return _error(exc, model, t0)
+    return _result(res, model, t0)

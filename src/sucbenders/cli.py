@@ -1,8 +1,8 @@
 """Command-line entry point: solve one method or compare several.
 
 Exit codes: 0 on convergence, 2 when the iteration limit is hit, 1 on input
-errors.  Reports are versioned JSON; traces are JSON-lines, one object per
-Benders iteration.
+or solver errors.  Reports are versioned JSON; traces are JSON-lines, one
+object per Benders iteration.
 """
 
 from __future__ import annotations
@@ -14,14 +14,19 @@ from dataclasses import dataclass
 
 import click
 
-from .backend import SolveStatus, solve_milp
+from .backend import BackendError, SolveStatus, solve_milp
 from .cuts import CutMode
 from .data import InstanceError, load_instance, load_scenarios
-from .engine import BendersConfig, RunStatus, run
-from .formulations import build_extensive, extract_first_stage
-from .outer import run_outer
+from .engine import BendersConfig, EngineError, RunStatus, run
+from .formulations import (ModelBuildError, SubproblemInfeasibleError,
+                           build_extensive)
+from .outer import OuterError, run_outer
 
 REPORT_SCHEMA_VERSION = 1
+
+# failures that end a command with "error: ..." and exit code 1
+_ERRORS = (InstanceError, OSError, ValueError, EngineError, OuterError,
+           SubproblemInfeasibleError, ModelBuildError, BackendError)
 
 METHODS = ("extensive", "single-cut", "multi-cut", "aggregated",
            "aggregated+consolidation", "outer")
@@ -121,8 +126,8 @@ def emit_comparison_table(reports: list, eps: float) -> tuple[str, dict]:
     if len(instances) != 1:
         raise InstanceError(f"mixed-instance reports: {sorted(instances)}")
     objs = [r.objective for r in reports if r.objective is not None]
-    ref = objs[0]
-    disagreement = any(abs(o - ref) > 2 * eps * max(1.0, abs(ref)) for o in objs)
+    disagreement = any(abs(o - objs[0]) > 2 * eps * max(1.0, abs(objs[0]))
+                       for o in objs)
     header = f"{'Method':28s} {'Exp. Cost [$]':>16s} {'Time [s]':>10s} {'# of rows':>10s}"
     lines = [header, "-" * len(header)]
     for r in reports:
@@ -212,7 +217,7 @@ def solve(method, **opts):
             with open(opts["report_path"], "w") as out:
                 json.dump(doc, out, indent=1)
         click.echo(json.dumps(doc))
-    except (InstanceError, OSError, ValueError) as exc:
+    except _ERRORS as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     sys.exit(0 if report.converged else 2)
@@ -236,7 +241,7 @@ def compare(methods, **opts):
             with open(opts["report_path"], "w") as out:
                 json.dump(doc, out, indent=1)
         click.echo(table)
-    except (InstanceError, OSError, ValueError) as exc:
+    except _ERRORS as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     sys.exit(0 if all(r.converged for r in reports) else 2)

@@ -11,8 +11,7 @@ whole cluster.
 from __future__ import annotations
 
 import enum
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,9 +102,6 @@ class CutPool:
             "consolidated_iters": list(self.consolidated_iters),
             "activity": {str(k): v for k, v in sorted(self.activity.items())},
         }
-
-    def snapshot_json(self) -> str:
-        return json.dumps(self.snapshot())
 
 
 def _make_cut(kind: CutKind, origin: int, tag: str, members, weights,

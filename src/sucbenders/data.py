@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -183,24 +183,6 @@ class SystemInstance:
         if seen != set(self.nodes):
             missing = sorted(set(self.nodes) - seen)
             raise ValidationError(f"network graph is not connected; unreachable nodes: {missing}")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "meta": {"name": self.name, "horizon": self.horizon, "ref_node": self.ref_node,
-                     "units": {"power": "MW", "cost": "$", "susceptance": "p.u."}},
-            "nodes": list(self.nodes),
-            "lines": [asdict(ln) | {"from": ln.from_node, "to": ln.to_node}
-                      for ln in self.lines],
-            "generators": [asdict(g) for g in self.generators],
-            "wind_farms": [asdict(w) for w in self.wind_farms],
-            "load": [{"node": n, "period": t, "mw": mw}
-                     for (n, t), mw in sorted(self.load.items())],
-            "shed_cost": self.shed_cost,
-        }
-
-    def save(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
 
 
 @dataclass(frozen=True)

@@ -20,17 +20,18 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import clustering
-from .backend import LE, SolveStatus, solve_lp, solve_milp
-from .cuts import (CutKind, CutMode, CutPool, adapt_cluster_count,
+from .backend import SolveStatus, solve_lp, solve_milp
+from .cuts import (CutMode, CutPool, adapt_cluster_count,
                    aggregate_and_add, make_full_aggregate_cut,
                    make_per_scenario_cuts, select_attributes,
                    track_and_consolidate)
 from .data import ScenarioSet, SystemInstance
 from .formulations import (FirstStageSolution, SubproblemResult, build_master,
                            default_theta_min, extract_first_stage,
-                           solve_subproblem)
+                           first_stage_layout, solve_subproblem)
 
 
 class EngineError(RuntimeError):
@@ -62,6 +63,7 @@ class BendersConfig:
     workers: int = 1
     # deterministic choice among alternate master optima: a pinned MILP picks
     # the binaries, then an LP with them fixed picks a unique continuous vertex
+    # (single-cut runs make this choice in the aggregated master layout)
     tie_break: bool = False
 
     def validate(self, n_scenarios: int) -> None:
@@ -121,14 +123,12 @@ class ConvergedSolution:
     iterations: int
 
 
-def compute_bounds(c_da: float, results: list, pi: dict,
-                   master_objective: float) -> tuple[float, float]:
-    """Upper-bound candidate C_DA + sum(pi * Q) and the master lower bound."""
+def compute_bounds(c_da: float, results: list, pi: dict) -> float:
+    """Upper-bound candidate C_DA + sum(pi * Q)."""
     missing = set(pi) - {r.scenario_id for r in results}
     if missing:
         raise EngineError(f"missing subproblem results for scenarios: {sorted(missing)}")
-    ub = c_da + sum(pi[r.scenario_id] * r.objective for r in results)
-    return float(ub), float(master_objective)
+    return float(c_da + sum(pi[r.scenario_id] * r.objective for r in results))
 
 
 def solve_subproblems(instance: SystemInstance, scenarios: ScenarioSet,
@@ -166,6 +166,7 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
     theta_min = (config.theta_min if config.theta_min is not None
                  else default_theta_min(instance))
     pi = dict(zip(scenarios.scenario_ids, scenarios.probabilities))
+    n_first = first_stage_layout(instance).n
     pool = CutPool()
     state = BendersState(cluster_count=config.initial_clusters)
     attr_cache: dict = {}
@@ -192,8 +193,17 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
         # away sub-tolerance solver noise to keep the reported bound monotone
         state.lower_bound = max(prev_lb, mres.objective)
         if config.tie_break:
+            # single-cut cuts are full aggregates; choosing the point in the
+            # aggregated layout makes it match the one-cluster aggregated run
+            # bit for bit (HiGHS vertices of two layouts of one LP differ by
+            # ~1e-10, and degenerate subproblem duals amplify that)
+            tied, tres = master, mres
+            if config.mode is CutMode.SINGLE:
+                tied = build_master(instance, scenarios, CutMode.AGGREGATED, pool,
+                                    theta_min, fixed_commitments=fixed_commitments)
+                tres = solve_milp(tied, mip_gap=config.mip_gap)
             x_hat = extract_first_stage(
-                instance, _tie_break_master(master, mres, config.mip_gap))
+                instance, _tie_break_master(tied, tres, n_first, config.mip_gap))
         else:
             x_hat = extract_first_stage(instance, mres)
 
@@ -208,7 +218,7 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
 
         results, max_sub_time = solve_subproblems(instance, scenarios, x_hat,
                                                   config.workers)
-        ub_candidate, _ = compute_bounds(x_hat.c_da, results, pi, mres.objective)
+        ub_candidate = compute_bounds(x_hat.c_da, results, pi)
         if ub_candidate < state.upper_bound:
             state.upper_bound = ub_candidate
             state.incumbent = x_hat
@@ -227,8 +237,8 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
         # consolidation needs the cut-row duals of the master just solved
         if (config.mode is CutMode.AGGREGATED and config.consolidate
                 and pool.row_contribution):
-            mu = _master_row_duals(master, mres)
-            track_and_consolidate(pool, mu, config.kappa)
+            track_and_consolidate(pool, _cut_duals(master, mres, pool.live_cuts()),
+                                  config.kappa)
 
         if config.mode is CutMode.MULTI:
             for cut in make_per_scenario_cuts(results, x_hat, nu):
@@ -248,15 +258,15 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
                              state.iteration)
 
 
-def _tie_break_master(master, mres, mip_gap: float):
+def _tie_break_master(master, mres, n_first: int, mip_gap: float):
     """Pick one master optimum deterministically when several are tied.
 
     The master's optimal first-stage point is generally not unique, and which
     vertex the solver returns depends on incidental matrix layout (e.g. one
     recourse variable vs one per scenario).  Pin the original objective
     within a 1e-9 relative slack of the master's reported objective and
-    minimize a fixed generic weighting of the first-stage columns instead;
-    the weights depend only on variable names.  Two steps:
+    minimize a fixed generic weighting of the first ``n_first`` (first-stage)
+    columns instead; the weights depend only on the column order.  Two steps:
 
     1. a MILP solve of the pinned problem chooses the binaries;
     2. an LP re-solve of the same pinned problem with those binaries fixed
@@ -269,32 +279,32 @@ def _tie_break_master(master, mres, mip_gap: float):
     modes select the same first-stage point, provided step 1 picks the same
     binaries.
     """
-    m = master.copy()
+    if mres.status is not SolveStatus.OPTIMAL:
+        raise EngineError(f"tie-break master solve failed: {mres.status.value} {mres.message}")
     slack = 1e-9 * max(1.0, abs(mres.objective))
-    m.add_constr("objective_pin", m.objective_coeffs(), LE,
-                 mres.objective + slack)
-    stage_one = sorted(n for n in m.var_names if not n.startswith("theta"))
-    weights = np.random.default_rng(2083).uniform(1.0, 2.0, len(stage_one))
-    for name in m.var_names:
-        m.set_objective_coeff(name, 0.0)
-    for name, w in zip(stage_one, weights):
-        m.set_objective_coeff(name, w)
-    res = solve_milp(m, mip_gap=mip_gap)
+    weights = np.zeros_like(master.c)
+    weights[:n_first] = np.random.default_rng(2083).uniform(1.0, 2.0, n_first)
+    pinned = replace(master, c=weights,
+                     A=sp.vstack([master.A, sp.csr_matrix(master.c)], format="csr"),
+                     row_lo=np.append(master.row_lo, -np.inf),
+                     row_hi=np.append(master.row_hi, mres.objective + slack))
+    res = solve_milp(pinned, mip_gap=mip_gap)
     if res.status is not SolveStatus.OPTIMAL:
         raise EngineError(f"tie-break re-solve failed: {res.status.value} {res.message}")
-    return _solve_with_binaries_fixed(m, res)
+    return _solve_with_binaries_fixed(pinned, res)
 
 
-def _master_row_duals(master, mres) -> dict:
-    """Duals of the master rows via an LP re-solve with binaries fixed."""
-    return _solve_with_binaries_fixed(master, mres).dual
+def _cut_duals(master, mres, cuts: list) -> dict:
+    """Duals of the master's cut rows (its last rows, in pool order), keyed
+    by row name, via an LP re-solve with binaries fixed."""
+    mu = _solve_with_binaries_fixed(master, mres).row_dual
+    return {c.row_name(): float(m) for c, m in zip(cuts, mu[len(mu) - len(cuts):])}
 
 
 def _solve_with_binaries_fixed(model, mres):
     """LP solve of ``model`` with its binaries fixed at their values in ``mres``."""
-    binaries = {n: mres.primal[n] for n in model.var_names
-                if model._vars[n].binary}
-    lres = solve_lp(model.fixed_copy(binaries, relax=True))
+    cols = np.flatnonzero(model.integral)
+    lres = solve_lp(model.fixed(cols, mres.x[cols], relax=True))
     if lres.status is not SolveStatus.OPTIMAL:
         raise EngineError(f"master LP re-solve failed: {lres.status.value} {lres.message}")
     return lres

@@ -1,9 +1,31 @@
 """Model builders: extensive form, Benders master (three cut modes), subproblems.
 
-Naming and indexing conventions used throughout the package:
+Every model made here is a ``backend.LinearModel`` whose columns and rows are
+laid out as follows:
 
 * generators/farms/lines/nodes keep instance order; periods run 1..T and map
   to array column t-1;
+* first-stage columns: u, y, z, p, r+, r- interleaved per (generator,
+  period), then w per (farm, period), f per (line, period) and delta per
+  (node, period).  ``first_stage_layout`` maps each family to an array of
+  column indices (|G| x T, |J| x T, |L| x T, |N| x T);
+* first-stage rows: per generator and period, min-up and min-down (after
+  the enforced initial periods), logic, exclusion, ramp-up, ramp-down,
+  p-min and p-max; then nodal balance per (node, period) and flow
+  definitions per (line, period);
+* the master appends its theta columns (one, or one per scenario), their
+  lower-bound rows, and one row per live cut in pool order; the extensive
+  form appends one recourse block per scenario;
+* a recourse block's columns are p+/p- interleaved per (generator, period),
+  spill per (farm, period), shed/angle interleaved per (node, period) and
+  flow per (line, period); its rows are the reserve-deployment limits
+  (up/down interleaved per (generator, period)), nodal balance per (node,
+  period) and flow definitions per (line, period).  Only the spill bounds
+  and the balance right-hand sides depend on the scenario;
+* a subproblem's columns are r+/r- interleaved, w and f (the "link" columns,
+  in first-stage order) followed by one recourse block; the rows fixing the
+  link columns come last, in column order, so their duals are the final
+  slice of the row duals;
 * constraints with a single variable and a constant right-hand side (reserve
   offer caps, wind capacity, flow capacity, spill/shed caps, the initial
   commitment pins) are imposed as variable bounds, not rows -- except the
@@ -16,12 +38,13 @@ Naming and indexing conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 
-from .backend import EQ, GE, LE, ModelHandle, SolveResult, SolveStatus, solve_lp
-from .cuts import Cut, CutKind, CutMode, CutPool
+from .backend import LinearModel, SolveResult, SolveStatus, solve_lp, solve_milp
+from .cuts import CutKind, CutMode, CutPool
 from .data import ScenarioSet, SystemInstance
 
 FEAS_TOL = 1e-6
@@ -33,51 +56,6 @@ class ModelBuildError(ValueError):
 
 class SubproblemInfeasibleError(RuntimeError):
     """Complete recourse guarantees feasibility; this signals a bug."""
-
-
-# -- variable/constraint name helpers -------------------------------------
-
-def vu(g, t):
-    return f"u[{g},{t}]"
-
-
-def vy(g, t):
-    return f"y[{g},{t}]"
-
-
-def vz(g, t):
-    return f"z[{g},{t}]"
-
-
-def vp(g, t):
-    return f"p[{g},{t}]"
-
-
-def vrp(g, t):
-    return f"rp[{g},{t}]"
-
-
-def vrm(g, t):
-    return f"rm[{g},{t}]"
-
-
-def vw(j, t):
-    return f"w[{j},{t}]"
-
-
-def vf(l, t):
-    return f"fhat[{l},{t}]"
-
-
-def vdelta(n, t):
-    return f"delta[{n},{t}]"
-
-
-def vtheta(omega):
-    return f"theta[{omega}]"
-
-
-THETA_SINGLE = "theta"
 
 
 @dataclass(frozen=True)
@@ -108,6 +86,123 @@ class SubproblemResult:
     lam_f: np.ndarray       # |L| x T
 
 
+@dataclass(frozen=True)
+class FirstStageLayout:
+    """Column index of every first-stage variable."""
+    u: np.ndarray        # |G| x T
+    y: np.ndarray
+    z: np.ndarray
+    p: np.ndarray
+    rp: np.ndarray
+    rm: np.ndarray
+    w: np.ndarray        # |J| x T
+    f: np.ndarray        # |L| x T
+    delta: np.ndarray    # |N| x T
+    n: int               # first-stage column count
+
+
+def _grid(start: int, n: int, T: int, k: int = 1) -> list[np.ndarray]:
+    """Indices ``start, start+1, ...`` of k families interleaved per
+    (entity, period), as k arrays of shape n x T."""
+    first = start + k * np.arange(n * T).reshape(n, T)
+    return [first + m for m in range(k)]
+
+
+def first_stage_layout(instance: SystemInstance) -> FirstStageLayout:
+    G, J, L, T = instance.n_gens, instance.n_farms, instance.n_lines, instance.horizon
+    u, y, z, p, rp, rm = _grid(0, G, T, 6)
+    [w] = _grid(6 * G * T, J, T)
+    [f] = _grid(6 * G * T + J * T, L, T)
+    [delta] = _grid(6 * G * T + (J + L) * T, instance.n_nodes, T)
+    return FirstStageLayout(u, y, z, p, rp, rm, w, f, delta,
+                            (6 * G + J + L + instance.n_nodes) * T)
+
+
+def _link_columns(instance: SystemInstance) -> list[np.ndarray]:
+    """Subproblem columns of r+, r-, w and f, numbered in ``_link`` order."""
+    G, J, L, T = instance.n_gens, instance.n_farms, instance.n_lines, instance.horizon
+    return _grid(0, G, T, 2) + _grid(2 * G * T, J, T) + _grid((2 * G + J) * T, L, T)
+
+
+def _link(rp, rm, w, f) -> np.ndarray:
+    """r+/r-/w/f blocks flattened in link-column order: r+/r- interleaved
+    per (generator, period), then w, then f."""
+    return np.concatenate([np.stack([rp, rm], axis=-1).ravel(), np.ravel(w), np.ravel(f)])
+
+
+def _col(values) -> np.ndarray:
+    """Per-entity values as a column that broadcasts over periods."""
+    return np.array(values, dtype=float).reshape(-1, 1)
+
+
+def _coo(entries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flatten (rows, cols, values) triples into COO arrays; rows and cols
+    of a triple share one shape, and its values broadcast to it."""
+    return (np.concatenate([r.ravel() for r, _, _ in entries]),
+            np.concatenate([c.ravel() for _, c, _ in entries]),
+            np.concatenate([(np.ones(r.shape) * v).ravel() for r, _, v in entries]))
+
+
+class _ModelDraft:
+    """Columns (cost, bounds, integrality) and COO rows of a model under
+    construction; columns default to cost 0 and bounds [0, inf)."""
+
+    def __init__(self, n_cols: int):
+        self.c = np.zeros(n_cols)
+        self.lb = np.zeros(n_cols)
+        self.ub = np.full(n_cols, np.inf)
+        self.integral = np.zeros(n_cols, dtype=bool)
+        self.i, self.j, self.v = [], [], []    # one row at a time
+        self.blocks = []                        # (i, j, v) arrays
+        self.lo, self.hi = [], []
+
+    def row(self, cols: list, vals: list, sense: str, rhs: float) -> None:
+        """Append ``sum(vals * x[cols]) sense rhs`` (sense '<=', '>=' or '==')."""
+        self.i += [len(self.lo)] * len(cols)
+        self.j += cols
+        self.v += vals
+        self.lo.append(-np.inf if sense == "<=" else float(rhs))
+        self.hi.append(np.inf if sense == ">=" else float(rhs))
+
+    def rows(self, i, j, v, lo, hi) -> None:
+        """Append rows given as COO arrays, ``i`` counted from the first new row."""
+        self.blocks.append((np.asarray(i) + len(self.lo), j, v))
+        self.lo += np.asarray(lo, dtype=float).tolist()
+        self.hi += np.asarray(hi, dtype=float).tolist()
+
+    def model(self) -> LinearModel:
+        i = np.concatenate([np.array(self.i, dtype=int)] + [b[0] for b in self.blocks])
+        j = np.concatenate([np.array(self.j, dtype=int)] + [b[1] for b in self.blocks])
+        v = np.concatenate([np.array(self.v, dtype=float)] + [b[2] for b in self.blocks])
+        A = sp.csr_matrix((v, (i, j)), shape=(len(self.lo), len(self.c)))
+        return LinearModel(self.c, self.lb, self.ub, self.integral, A,
+                           np.array(self.lo), np.array(self.hi))
+
+
+def _topology(instance: SystemInstance):
+    """Node index of each generator and farm, and of each line's ends."""
+    at = {n: k for k, n in enumerate(instance.nodes)}
+    return ([at[g.node] for g in instance.generators],
+            [at[w.node] for w in instance.wind_farms],
+            [at[ln.from_node] for ln in instance.lines],
+            [at[ln.to_node] for ln in instance.lines])
+
+
+def _bound_link(b: _ModelDraft, instance: SystemInstance, rp, rm, w, f) -> None:
+    """Reserve offer caps on r+/r-, farm capacity on w, line capacity on f."""
+    b.ub[rp] = _col([g.res_up_cap for g in instance.generators])
+    b.ub[rm] = _col([g.res_down_cap for g in instance.generators])
+    b.ub[w] = _col([farm.capacity for farm in instance.wind_farms])
+    cap = _col([ln.capacity for ln in instance.lines])
+    b.lb[f], b.ub[f] = -cap, cap
+
+
+def _angle_bounds(instance: SystemInstance) -> tuple[np.ndarray, np.ndarray]:
+    """Angles are free except at the reference node, where they are 0."""
+    free = np.array([n != instance.ref_node for n in instance.nodes]).reshape(-1, 1)
+    return np.where(free, -np.inf, 0.0), np.where(free, np.inf, 0.0)
+
+
 def day_ahead_cost(instance: SystemInstance, sol_p, sol_y, sol_rp, sol_rm) -> float:
     c = 0.0
     for i, g in enumerate(instance.generators):
@@ -120,106 +215,72 @@ def day_ahead_cost(instance: SystemInstance, sol_p, sol_y, sol_rp, sol_rm) -> fl
 
 # -- first stage -----------------------------------------------------------
 
-def _add_first_stage(model: ModelHandle, instance: SystemInstance,
-                     objective: bool = True) -> None:
+def _add_first_stage(b: _ModelDraft, instance: SystemInstance, X: FirstStageLayout) -> None:
     T = instance.horizon
-    for g in instance.generators:
-        for t in range(1, T + 1):
-            model.add_var(vu(g.id, t), binary=True)
-            model.add_var(vy(g.id, t), binary=True,
-                          obj=g.startup_cost if objective else 0.0)
-            model.add_var(vz(g.id, t), binary=True)
-            model.add_var(vp(g.id, t), lb=0.0,
-                          obj=g.energy_cost if objective else 0.0)
-            model.add_var(vrp(g.id, t), lb=0.0, ub=g.res_up_cap,
-                          obj=g.res_up_cost if objective else 0.0)
-            model.add_var(vrm(g.id, t), lb=0.0, ub=g.res_down_cap,
-                          obj=g.res_down_cost if objective else 0.0)
-            if t <= g.init_up_periods + g.init_down_periods:
-                model.set_bounds(vu(g.id, t), float(g.init_status), float(g.init_status))
-    for w in instance.wind_farms:
-        for t in range(1, T + 1):
-            model.add_var(vw(w.id, t), lb=0.0, ub=w.capacity)
-    for ln in instance.lines:
-        for t in range(1, T + 1):
-            model.add_var(vf(ln.id, t), lb=-ln.capacity, ub=ln.capacity)
-    for n in instance.nodes:
-        for t in range(1, T + 1):
-            free = n != instance.ref_node
-            model.add_var(vdelta(n, t), lb=-np.inf if free else 0.0,
-                          ub=np.inf if free else 0.0)
+    gens = instance.generators
 
-    for g in instance.generators:
+    def per_gen(attr):
+        return _col([getattr(g, attr) for g in gens])
+
+    for fam in (X.u, X.y, X.z):
+        b.integral[fam] = True
+        b.ub[fam] = 1.0
+    b.c[X.y] = per_gen("startup_cost")
+    b.c[X.p] = per_gen("energy_cost")
+    b.c[X.rp] = per_gen("res_up_cost")
+    b.c[X.rm] = per_gen("res_down_cost")
+    _bound_link(b, instance, X.rp, X.rm, X.w, X.f)
+    b.lb[X.delta], b.ub[X.delta] = _angle_bounds(instance)
+
+    for i, g in enumerate(gens):
+        u, y, z, p, rp, rm = (a[i].tolist() for a in (X.u, X.y, X.z, X.p, X.rp, X.rm))
         enforced = g.init_up_periods + g.init_down_periods
-        for t in range(1, T + 1):
-            if t > enforced:
-                coeffs = {vy(g.id, tp): 1.0
-                          for tp in range(max(1, t - g.min_up + 1), t + 1)}
-                coeffs[vu(g.id, t)] = coeffs.get(vu(g.id, t), 0.0) - 1.0
-                model.add_constr(f"minup[{g.id},{t}]", coeffs, LE, 0.0)
-                coeffs = {vz(g.id, tp): 1.0
-                          for tp in range(max(1, t - g.min_down + 1), t + 1)}
-                coeffs[vu(g.id, t)] = coeffs.get(vu(g.id, t), 0.0) + 1.0
-                model.add_constr(f"mindown[{g.id},{t}]", coeffs, LE, 1.0)
+        b.lb[u[:enforced]] = b.ub[u[:enforced]] = float(g.init_status)
+        for t in range(T):
+            if t >= enforced:
+                ups = y[max(0, t - g.min_up + 1):t + 1]
+                b.row(ups + [u[t]], [1.0] * len(ups) + [-1.0], "<=", 0.0)
+                downs = z[max(0, t - g.min_down + 1):t + 1]
+                b.row(downs + [u[t]], [1.0] * len(downs) + [1.0], "<=", 1.0)
             # start-up/shut-down transition; t=1 references the initial status
-            coeffs = {vy(g.id, t): 1.0, vz(g.id, t): -1.0, vu(g.id, t): -1.0}
-            rhs = -float(g.init_status)
-            if t > 1:
-                coeffs[vu(g.id, t - 1)] = 1.0
-                rhs = 0.0
-            model.add_constr(f"logic[{g.id},{t}]", coeffs, EQ, rhs)
-            model.add_constr(f"excl[{g.id},{t}]",
-                             {vy(g.id, t): 1.0, vz(g.id, t): 1.0}, LE, 1.0)
+            if t > 0:
+                b.row([y[t], z[t], u[t], u[t - 1]], [1.0, -1.0, -1.0, 1.0], "==", 0.0)
+            else:
+                b.row([y[t], z[t], u[t]], [1.0, -1.0, -1.0], "==", -float(g.init_status))
+            b.row([y[t], z[t]], [1.0, 1.0], "<=", 1.0)
 
             # ramping; initial power is u0 * p_min, initial reserves zero
-            up = {vp(g.id, t): 1.0, vrp(g.id, t): 1.0, vy(g.id, t): -g.ramp_up}
-            dn = {vp(g.id, t): -1.0, vrm(g.id, t): 1.0,
-                  vu(g.id, t): -g.ramp_down, vz(g.id, t): -g.ramp_down}
-            if t > 1:
-                up[vp(g.id, t - 1)] = -1.0
-                up[vrp(g.id, t - 1)] = -1.0
-                up[vu(g.id, t - 1)] = -g.ramp_up
-                up_rhs = 0.0
-                dn[vp(g.id, t - 1)] = 1.0
-                dn[vrm(g.id, t - 1)] = -1.0
-                dn_rhs = 0.0
+            if t > 0:
+                b.row([p[t], rp[t], y[t], p[t - 1], rp[t - 1], u[t - 1]],
+                      [1.0, 1.0, -g.ramp_up, -1.0, -1.0, -g.ramp_up], "<=", 0.0)
+                b.row([p[t], rm[t], u[t], z[t], p[t - 1], rm[t - 1]],
+                      [-1.0, 1.0, -g.ramp_down, -g.ramp_down, 1.0, -1.0], "<=", 0.0)
             else:
                 p0 = g.init_status * g.p_min
-                up_rhs = p0 + g.ramp_up * g.init_status
-                dn_rhs = -p0
-            model.add_constr(f"ramp_up[{g.id},{t}]", up, LE, up_rhs)
-            model.add_constr(f"ramp_dn[{g.id},{t}]", dn, LE, dn_rhs)
+                b.row([p[t], rp[t], y[t]], [1.0, 1.0, -g.ramp_up], "<=",
+                      p0 + g.ramp_up * g.init_status)
+                b.row([p[t], rm[t], u[t], z[t]],
+                      [-1.0, 1.0, -g.ramp_down, -g.ramp_down], "<=", -p0)
 
-            model.add_constr(f"pmin[{g.id},{t}]",
-                             {vp(g.id, t): 1.0, vrm(g.id, t): -1.0,
-                              vu(g.id, t): -g.p_min}, GE, 0.0)
-            pmax = {vp(g.id, t): 1.0, vrp(g.id, t): 1.0, vu(g.id, t): -g.p_max}
-            if t < T:
-                pmax[vz(g.id, t + 1)] = g.p_max - g.ramp_down
-            model.add_constr(f"pmax[{g.id},{t}]", pmax, LE, 0.0)
+            b.row([p[t], rm[t], u[t]], [1.0, -1.0, -g.p_min], ">=", 0.0)
+            if t < T - 1:
+                b.row([p[t], rp[t], u[t], z[t + 1]],
+                      [1.0, 1.0, -g.p_max, g.p_max - g.ramp_down], "<=", 0.0)
+            else:
+                b.row([p[t], rp[t], u[t]], [1.0, 1.0, -g.p_max], "<=", 0.0)
 
-    gens_at = {n: [g for g in instance.generators if g.node == n] for n in instance.nodes}
-    farms_at = {n: [w for w in instance.wind_farms if w.node == n] for n in instance.nodes}
-    out_at = {n: [ln for ln in instance.lines if ln.from_node == n] for n in instance.nodes}
-    in_at = {n: [ln for ln in instance.lines if ln.to_node == n] for n in instance.nodes}
-    for n in instance.nodes:
-        for t in range(1, T + 1):
-            coeffs: dict = {}
-            for g in gens_at[n]:
-                coeffs[vp(g.id, t)] = 1.0
-            for w in farms_at[n]:
-                coeffs[vw(w.id, t)] = 1.0
-            for ln in out_at[n]:
-                coeffs[vf(ln.id, t)] = coeffs.get(vf(ln.id, t), 0.0) - 1.0
-            for ln in in_at[n]:
-                coeffs[vf(ln.id, t)] = coeffs.get(vf(ln.id, t), 0.0) + 1.0
-            model.add_constr(f"balance[{n},{t}]", coeffs, EQ, instance.load_at(n, t))
-    for ln in instance.lines:
-        for t in range(1, T + 1):
-            model.add_constr(
-                f"flowdef[{ln.id},{t}]",
-                {vf(ln.id, t): 1.0, vdelta(ln.from_node, t): -ln.susceptance,
-                 vdelta(ln.to_node, t): ln.susceptance}, EQ, 0.0)
+    gen_at, farm_at, from_at, to_at = _topology(instance)
+    N, L = instance.n_nodes, instance.n_lines
+    [bal] = _grid(0, N, T)
+    [flow] = _grid(N * T, L, T)
+    susceptance = _col([ln.susceptance for ln in instance.lines])
+    load = np.array([[instance.load_at(n, t) for t in range(1, T + 1)]
+                     for n in instance.nodes])
+    rhs = np.concatenate([load.ravel(), np.zeros(L * T)])
+    b.rows(*_coo([(bal[gen_at], X.p, 1.0), (bal[farm_at], X.w, 1.0),
+                  (bal[from_at], X.f, -1.0), (bal[to_at], X.f, 1.0),
+                  (flow, X.f, 1.0), (flow, X.delta[from_at], -susceptance),
+                  (flow, X.delta[to_at], susceptance)]), rhs, rhs)
 
 
 def first_stage_row_count(instance: SystemInstance) -> int:
@@ -242,203 +303,144 @@ def second_stage_row_count(instance: SystemInstance) -> int:
 
 # -- second stage ----------------------------------------------------------
 
-def _add_second_stage(model: ModelHandle, instance: SystemInstance,
-                      scenarios: ScenarioSet, omega: str,
-                      prob_weight: float) -> None:
-    """Recourse variables/constraints for one scenario.
+def _recourse_size(instance: SystemInstance) -> int:
+    return instance.horizon * (2 * instance.n_gens + instance.n_farms
+                               + 2 * instance.n_nodes + instance.n_lines)
+
+
+def _add_second_stage(b: _ModelDraft, instance: SystemInstance, scenarios: ScenarioSet,
+                      omega: str, prob_weight: float, link, start: int) -> None:
+    """Recourse columns (numbered from ``start``) and rows for one scenario.
 
     ``prob_weight`` scales the recourse objective terms (pi_omega in the
-    extensive form, 1.0 in a standalone subproblem).  Shares the first-stage
-    variable names rp/rm/w/fhat, which must already exist in the model.
+    extensive form, 1.0 in a standalone subproblem).  ``link`` holds the
+    column indices of r+, r-, w and f, which the block shares with the
+    first stage.
     """
-    T = instance.horizon
-    s = omega
-    for g in instance.generators:
-        for t in range(1, T + 1):
-            model.add_var(f"pp[{g.id},{t},{s}]", lb=0.0,
-                          obj=prob_weight * g.deploy_up_price)
-            model.add_var(f"pm[{g.id},{t},{s}]", lb=0.0,
-                          obj=-prob_weight * g.deploy_down_price)
-    for w in instance.wind_farms:
-        for t in range(1, T + 1):
-            model.add_var(f"spill[{w.id},{t},{s}]", lb=0.0,
-                          ub=scenarios.value(s, w.id, t))
-    for n in instance.nodes:
-        for t in range(1, T + 1):
-            model.add_var(f"shed[{n},{t},{s}]", lb=0.0, ub=instance.load_at(n, t),
-                          obj=prob_weight * instance.shed_cost)
-            free = n != instance.ref_node
-            model.add_var(f"dtil[{n},{t},{s}]", lb=-np.inf if free else 0.0,
-                          ub=np.inf if free else 0.0)
-    for ln in instance.lines:
-        for t in range(1, T + 1):
-            model.add_var(f"ftil[{ln.id},{t},{s}]", lb=-ln.capacity, ub=ln.capacity)
+    gens, farms, lines = instance.generators, instance.wind_farms, instance.lines
+    G, J, N, L, T = (instance.n_gens, instance.n_farms, instance.n_nodes,
+                     instance.n_lines, instance.horizon)
+    rp, rm, w, f = link
+    pp, pm = _grid(start, G, T, 2)
+    [spill] = _grid(start + 2 * G * T, J, T)
+    shed, dtil = _grid(start + (2 * G + J) * T, N, T, 2)
+    [ftil] = _grid(start + (2 * G + J + 2 * N) * T, L, T)
 
-    for g in instance.generators:
-        for t in range(1, T + 1):
-            model.add_constr(f"resup[{g.id},{t},{s}]",
-                             {f"pp[{g.id},{t},{s}]": 1.0, vrp(g.id, t): -1.0}, LE, 0.0)
-            model.add_constr(f"resdn[{g.id},{t},{s}]",
-                             {f"pm[{g.id},{t},{s}]": 1.0, vrm(g.id, t): -1.0}, LE, 0.0)
-    gens_at = {n: [g for g in instance.generators if g.node == n] for n in instance.nodes}
-    farms_at = {n: [w for w in instance.wind_farms if w.node == n] for n in instance.nodes}
-    out_at = {n: [ln for ln in instance.lines if ln.from_node == n] for n in instance.nodes}
-    in_at = {n: [ln for ln in instance.lines if ln.to_node == n] for n in instance.nodes}
-    for n in instance.nodes:
-        for t in range(1, T + 1):
-            coeffs: dict = {f"shed[{n},{t},{s}]": 1.0}
-            rhs = 0.0
-            for g in gens_at[n]:
-                coeffs[f"pp[{g.id},{t},{s}]"] = 1.0
-                coeffs[f"pm[{g.id},{t},{s}]"] = -1.0
-            for w in farms_at[n]:
-                rhs -= scenarios.value(s, w.id, t)
-                coeffs[vw(w.id, t)] = -1.0
-                coeffs[f"spill[{w.id},{t},{s}]"] = -1.0
-            for ln in out_at[n]:
-                coeffs[f"ftil[{ln.id},{t},{s}]"] = coeffs.get(f"ftil[{ln.id},{t},{s}]", 0.0) - 1.0
-                coeffs[vf(ln.id, t)] = coeffs.get(vf(ln.id, t), 0.0) + 1.0
-            for ln in in_at[n]:
-                coeffs[f"ftil[{ln.id},{t},{s}]"] = coeffs.get(f"ftil[{ln.id},{t},{s}]", 0.0) + 1.0
-                coeffs[vf(ln.id, t)] = coeffs.get(vf(ln.id, t), 0.0) - 1.0
-            model.add_constr(f"balance2[{n},{t},{s}]", coeffs, EQ, rhs)
-    for ln in instance.lines:
-        for t in range(1, T + 1):
-            model.add_constr(
-                f"flowdef2[{ln.id},{t},{s}]",
-                {f"ftil[{ln.id},{t},{s}]": 1.0,
-                 f"dtil[{ln.from_node},{t},{s}]": -ln.susceptance,
-                 f"dtil[{ln.to_node},{t},{s}]": ln.susceptance}, EQ, 0.0)
+    b.c[pp] = prob_weight * _col([g.deploy_up_price for g in gens])
+    b.c[pm] = -prob_weight * _col([g.deploy_down_price for g in gens])
+    b.c[shed] = prob_weight * instance.shed_cost
+    wind = np.array([[scenarios.value(omega, farm.id, t) for t in range(1, T + 1)]
+                     for farm in farms]).reshape(J, T)
+    b.ub[spill] = wind
+    b.ub[shed] = [[instance.load_at(n, t) for t in range(1, T + 1)]
+                  for n in instance.nodes]
+    b.lb[dtil], b.ub[dtil] = _angle_bounds(instance)
+    cap = _col([ln.capacity for ln in lines])
+    b.lb[ftil], b.ub[ftil] = -cap, cap
+
+    gen_at, farm_at, from_at, to_at = _topology(instance)
+    up, dn = _grid(0, G, T, 2)
+    [bal] = _grid(2 * G * T, N, T)
+    [flow] = _grid((2 * G + N) * T, L, T)
+    susceptance = _col([ln.susceptance for ln in lines])
+    rhs = np.zeros((N, T))            # minus the realized wind at each node
+    for j, k in enumerate(farm_at):
+        rhs[k] -= wind[j]
+    b.rows(*_coo([(up, pp, 1.0), (up, rp, -1.0), (dn, pm, 1.0), (dn, rm, -1.0),
+                  (bal, shed, 1.0), (bal[gen_at], pp, 1.0), (bal[gen_at], pm, -1.0),
+                  (bal[farm_at], w, -1.0), (bal[farm_at], spill, -1.0),
+                  (bal[from_at], ftil, -1.0), (bal[from_at], f, 1.0),
+                  (bal[to_at], ftil, 1.0), (bal[to_at], f, -1.0),
+                  (flow, ftil, 1.0), (flow, dtil[from_at], -susceptance),
+                  (flow, dtil[to_at], susceptance)]),
+           np.concatenate([np.full(2 * G * T, -np.inf), rhs.ravel(), np.zeros(L * T)]),
+           np.concatenate([np.zeros(2 * G * T), rhs.ravel(), np.zeros(L * T)]))
 
 
 # -- public builders -------------------------------------------------------
 
-def build_extensive(instance: SystemInstance, scenarios: ScenarioSet) -> ModelHandle:
+def build_extensive(instance: SystemInstance, scenarios: ScenarioSet) -> LinearModel:
     """One MILP with the first stage and all scenario recourse blocks."""
-    model = ModelHandle(f"{instance.name}-extensive")
-    _add_first_stage(model, instance)
-    for omega, pi in zip(scenarios.scenario_ids, scenarios.probabilities):
-        _add_second_stage(model, instance, scenarios, omega, pi)
-    return model
+    X = first_stage_layout(instance)
+    size = _recourse_size(instance)
+    b = _ModelDraft(X.n + scenarios.n_scenarios * size)
+    _add_first_stage(b, instance, X)
+    for k, (omega, pi) in enumerate(zip(scenarios.scenario_ids, scenarios.probabilities)):
+        _add_second_stage(b, instance, scenarios, omega, pi,
+                          (X.rp, X.rm, X.w, X.f), X.n + k * size)
+    return b.model()
 
 
 def build_master(instance: SystemInstance, scenarios: ScenarioSet, mode: CutMode,
                  pool: CutPool, theta_min: float,
-                 fixed_commitments: dict | None = None) -> ModelHandle:
+                 fixed_commitments: dict | None = None) -> LinearModel:
     """Benders master MILP for the given cut mode and pool state.
 
     ``fixed_commitments`` maps (generator id, period) to 0/1 and is applied
     by bound tightening on the u variables.
     """
-    model = ModelHandle(f"{instance.name}-master-{mode.value}")
-    _add_first_stage(model, instance)
+    X = first_stage_layout(instance)
+    ids = scenarios.scenario_ids
+    n_theta = 1 if mode is CutMode.SINGLE else len(ids)
+    b = _ModelDraft(X.n + n_theta)
+    _add_first_stage(b, instance, X)
     if fixed_commitments:
+        gen = {g.id: i for i, g in enumerate(instance.generators)}
         for (g, t), val in fixed_commitments.items():
-            model.set_bounds(vu(g, t), float(val), float(val))
+            b.lb[X.u[gen[g], t - 1]] = b.ub[X.u[gen[g], t - 1]] = float(val)
 
-    if mode is CutMode.SINGLE:
-        model.add_var(THETA_SINGLE, lb=-np.inf, obj=1.0)
-        model.add_constr("theta_lb", {THETA_SINGLE: 1.0}, GE, theta_min)
-    else:
-        for omega, pi in zip(scenarios.scenario_ids, scenarios.probabilities):
-            model.add_var(vtheta(omega), lb=-np.inf, obj=pi)
-            model.add_constr(f"theta_lb[{omega}]", {vtheta(omega): 1.0}, GE, theta_min)
+    theta = X.n + np.arange(n_theta)
+    b.lb[theta] = -np.inf
+    b.c[theta] = 1.0 if mode is CutMode.SINGLE else scenarios.probabilities
+    b.rows(np.arange(n_theta), theta, np.ones(n_theta), np.full(n_theta, theta_min),
+           np.full(n_theta, np.inf))
 
+    link = _link(X.rp, X.rm, X.w, X.f)
+    theta_of = {} if mode is CutMode.SINGLE else dict(zip(ids, theta.tolist()))
     for cut in pool.live_cuts():
-        _materialize_cut(model, instance, scenarios, mode, cut)
-    return model
-
-
-def _cut_var_terms(instance: SystemInstance, cut: Cut) -> tuple[dict, float]:
-    """Linear terms of Theta(x) over master variables, plus the constant part."""
-    T = instance.horizon
-    coeffs: dict = {}
-    const = cut.intercept
-    for i, g in enumerate(instance.generators):
-        for t in range(1, T + 1):
-            for lam, anchor, name in (
-                (cut.lam_rp, cut.anchor_rp, vrp(g.id, t)),
-                (cut.lam_rm, cut.anchor_rm, vrm(g.id, t)),
-            ):
-                c = lam[i, t - 1]
-                if c != 0.0:
-                    coeffs[name] = coeffs.get(name, 0.0) + c
-                const -= c * anchor[i, t - 1]
-    for j, w in enumerate(instance.wind_farms):
-        for t in range(1, T + 1):
-            c = cut.lam_w[j, t - 1]
-            if c != 0.0:
-                coeffs[vw(w.id, t)] = coeffs.get(vw(w.id, t), 0.0) + c
-            const -= c * cut.anchor_w[j, t - 1]
-    for k, ln in enumerate(instance.lines):
-        for t in range(1, T + 1):
-            c = cut.lam_f[k, t - 1]
-            if c != 0.0:
-                coeffs[vf(ln.id, t)] = coeffs.get(vf(ln.id, t), 0.0) + c
-            const -= c * cut.anchor_f[k, t - 1]
-    return coeffs, const
-
-
-def _materialize_cut(model: ModelHandle, instance: SystemInstance,
-                     scenarios: ScenarioSet, mode: CutMode, cut: Cut) -> None:
-    all_ids = set(scenarios.scenario_ids)
-    if not set(cut.members).issubset(all_ids):
-        raise ModelBuildError(f"cut {cut.row_name()} references unknown scenarios")
-    coeffs, const = _cut_var_terms(instance, cut)
-    # row: theta terms - lambda . x >= intercept - lambda . anchor
-    row = {v: -c for v, c in coeffs.items()}
-    if mode is CutMode.SINGLE:
-        if cut.kind is CutKind.PER_SCENARIO or set(cut.members) != all_ids:
-            raise ModelBuildError(
-                "single-cut master requires fully aggregated cuts "
-                f"(got {cut.kind.value} cut {cut.row_name()})")
-        row[THETA_SINGLE] = 1.0
-    elif cut.kind is CutKind.PER_SCENARIO:
-        if mode is not CutMode.MULTI:
-            raise ModelBuildError("per-scenario cuts require the multi-cut master")
-        row[vtheta(cut.members[0])] = 1.0
-    else:
-        if mode is not CutMode.AGGREGATED:
-            raise ModelBuildError(
-                f"{cut.kind.value} cut {cut.row_name()} requires the aggregated master")
-        for omega, pi in cut.theta_weights.items():
-            row[vtheta(omega)] = row.get(vtheta(omega), 0.0) + pi
-    model.add_constr(cut.row_name(), row, GE, const)
+        if not set(cut.members).issubset(ids):
+            raise ModelBuildError(f"cut {cut.row_name()} references unknown scenarios")
+        if mode is CutMode.SINGLE:
+            if cut.kind is CutKind.PER_SCENARIO or set(cut.members) != set(ids):
+                raise ModelBuildError(
+                    "single-cut master requires fully aggregated cuts "
+                    f"(got {cut.kind.value} cut {cut.row_name()})")
+            weights = {int(theta[0]): 1.0}
+        elif cut.kind is CutKind.PER_SCENARIO:
+            if mode is not CutMode.MULTI:
+                raise ModelBuildError("per-scenario cuts require the multi-cut master")
+            weights = {theta_of[cut.members[0]]: 1.0}
+        else:
+            if mode is not CutMode.AGGREGATED:
+                raise ModelBuildError(
+                    f"{cut.kind.value} cut {cut.row_name()} requires the aggregated master")
+            weights = {theta_of[omega]: pi for omega, pi in cut.theta_weights.items()}
+        # row: theta terms - lambda . x >= intercept - lambda . anchor; the
+        # rhs is summed term by term in link order (a dot product rounds
+        # differently and shifts the iterates recorded on the fixtures)
+        lam = _link(cut.lam_rp, cut.lam_rm, cut.lam_w, cut.lam_f)
+        anchor = _link(cut.anchor_rp, cut.anchor_rm, cut.anchor_w, cut.anchor_f)
+        rhs = np.subtract.accumulate(np.concatenate([[cut.intercept], lam * anchor]))[-1]
+        nz = np.flatnonzero(lam)
+        b.rows(np.zeros(len(nz) + len(weights), dtype=int),
+               np.concatenate([link[nz], list(weights)]),
+               np.concatenate([-lam[nz], list(weights.values())]), [rhs], [np.inf])
+    return b.model()
 
 
 def build_subproblem(instance: SystemInstance, scenarios: ScenarioSet, omega: str,
-                     x_hat: FirstStageSolution) -> ModelHandle:
+                     x_hat: FirstStageSolution) -> LinearModel:
     """Per-scenario recourse LP with equality fixings of r+/r-/w/fhat."""
-    model = ModelHandle(f"{instance.name}-sub-{omega}")
-    T = instance.horizon
-    for i, g in enumerate(instance.generators):
-        for t in range(1, T + 1):
-            model.add_var(vrp(g.id, t), lb=0.0, ub=g.res_up_cap)
-            model.add_var(vrm(g.id, t), lb=0.0, ub=g.res_down_cap)
-    for w in instance.wind_farms:
-        for t in range(1, T + 1):
-            model.add_var(vw(w.id, t), lb=0.0, ub=w.capacity)
-    for ln in instance.lines:
-        for t in range(1, T + 1):
-            model.add_var(vf(ln.id, t), lb=-ln.capacity, ub=ln.capacity)
-    _add_second_stage(model, instance, scenarios, omega, 1.0)
+    link = _link_columns(instance)
+    n_link = sum(cols.size for cols in link)
+    b = _ModelDraft(n_link + _recourse_size(instance))
+    _bound_link(b, instance, *link)
+    _add_second_stage(b, instance, scenarios, omega, 1.0, link, n_link)
     # first-stage values can sit a solver tolerance outside the variable box
     # (e.g. a flow at capacity + 1e-9); clamp so the fixing row stays feasible
-    for i, g in enumerate(instance.generators):
-        for t in range(1, T + 1):
-            model.add_constr(f"fix_rp[{g.id},{t}]", {vrp(g.id, t): 1.0}, EQ,
-                             min(max(x_hat.r_plus[i, t - 1], 0.0), g.res_up_cap))
-            model.add_constr(f"fix_rm[{g.id},{t}]", {vrm(g.id, t): 1.0}, EQ,
-                             min(max(x_hat.r_minus[i, t - 1], 0.0), g.res_down_cap))
-    for j, w in enumerate(instance.wind_farms):
-        for t in range(1, T + 1):
-            model.add_constr(f"fix_w[{w.id},{t}]", {vw(w.id, t): 1.0}, EQ,
-                             min(max(x_hat.w[j, t - 1], 0.0), w.capacity))
-    for k, ln in enumerate(instance.lines):
-        for t in range(1, T + 1):
-            model.add_constr(f"fix_f[{ln.id},{t}]", {vf(ln.id, t): 1.0}, EQ,
-                             min(max(x_hat.f[k, t - 1], -ln.capacity), ln.capacity))
-    return model
+    fix = np.clip(_link(*x_hat.cut_point()), b.lb[:n_link], b.ub[:n_link])
+    b.rows(np.arange(n_link), np.arange(n_link), np.ones(n_link), fix, fix)
+    return b.model()
 
 
 def solve_subproblem(instance: SystemInstance, scenarios: ScenarioSet, omega: str,
@@ -449,97 +451,49 @@ def solve_subproblem(instance: SystemInstance, scenarios: ScenarioSet, omega: st
         raise SubproblemInfeasibleError(
             f"subproblem for scenario {omega} returned {res.status.value}; "
             "complete recourse should make this impossible")
-    T = instance.horizon
-    lam_rp = np.array([[res.dual[f"fix_rp[{g.id},{t}]"] for t in range(1, T + 1)]
-                       for g in instance.generators])
-    lam_rm = np.array([[res.dual[f"fix_rm[{g.id},{t}]"] for t in range(1, T + 1)]
-                       for g in instance.generators])
-    lam_w = np.array([[res.dual[f"fix_w[{w.id},{t}]"] for t in range(1, T + 1)]
-                      for w in instance.wind_farms])
-    lam_f = np.array([[res.dual[f"fix_f[{ln.id},{t}]"] for t in range(1, T + 1)]
-                      for ln in instance.lines])
-    return SubproblemResult(omega, res.objective, lam_rp, lam_rm, lam_w, lam_f)
-
-
-def evaluate_cut(cut: Cut, x: FirstStageSolution) -> float:
-    """Theta(x): the cut's estimate of (probability-weighted) recourse cost at x."""
-    return cut.evaluate(*x.cut_point())
+    # the fixing rows come last, one per link column and in column order
+    link = _link_columns(instance)
+    lam = res.row_dual[model.row_count - sum(cols.size for cols in link):]
+    return SubproblemResult(omega, res.objective, *(lam[cols] for cols in link))
 
 
 # -- solution extraction ---------------------------------------------------
 
 def extract_first_stage(instance: SystemInstance, result: SolveResult) -> FirstStageSolution:
-    T = instance.horizon
-    val = result.primal.__getitem__
-
-    def grid(namer, items):
-        return np.array([[val(namer(x.id, t)) for t in range(1, T + 1)] for x in items]) \
-            if items else np.zeros((0, T))
-
-    u = np.rint(grid(vu, instance.generators))
-    y = np.rint(grid(vy, instance.generators))
-    z = np.rint(grid(vz, instance.generators))
-    p = grid(vp, instance.generators)
-    rp = grid(vrp, instance.generators)
-    rm = grid(vrm, instance.generators)
-    w = grid(vw, instance.wind_farms)
-    f = grid(vf, instance.lines)
-    delta = np.array([[val(vdelta(n, t)) for t in range(1, T + 1)]
-                      for n in instance.nodes])
+    X = first_stage_layout(instance)
+    x = result.x
+    u, y, z = np.rint(x[X.u]), np.rint(x[X.y]), np.rint(x[X.z])
+    p, rp, rm = x[X.p], x[X.rp], x[X.rm]
     c_da = day_ahead_cost(instance, p, y, rp, rm)
-    return FirstStageSolution(u, y, z, p, rp, rm, w, f, delta, c_da)
+    return FirstStageSolution(u, y, z, p, rp, rm, x[X.w], x[X.f], x[X.delta], c_da)
+
+
+def _first_stage_model(instance: SystemInstance) -> tuple[LinearModel, FirstStageLayout]:
+    X = first_stage_layout(instance)
+    b = _ModelDraft(X.n)
+    _add_first_stage(b, instance, X)
+    return b.model(), X
 
 
 def first_stage_violation(instance: SystemInstance, sol: FirstStageSolution) -> float:
     """Max constraint violation of the day-ahead block; <= FEAS_TOL when feasible."""
-    model = ModelHandle("check")
-    _add_first_stage(model, instance)
-    values: dict[str, float] = {}
-    T = instance.horizon
-    for i, g in enumerate(instance.generators):
-        for t in range(1, T + 1):
-            values[vu(g.id, t)] = sol.u[i, t - 1]
-            values[vy(g.id, t)] = sol.y[i, t - 1]
-            values[vz(g.id, t)] = sol.z[i, t - 1]
-            values[vp(g.id, t)] = sol.p[i, t - 1]
-            values[vrp(g.id, t)] = sol.r_plus[i, t - 1]
-            values[vrm(g.id, t)] = sol.r_minus[i, t - 1]
-    for j, w in enumerate(instance.wind_farms):
-        for t in range(1, T + 1):
-            values[vw(w.id, t)] = sol.w[j, t - 1]
-    for k, ln in enumerate(instance.lines):
-        for t in range(1, T + 1):
-            values[vf(ln.id, t)] = sol.f[k, t - 1]
-    for m, n in enumerate(instance.nodes):
-        for t in range(1, T + 1):
-            values[vdelta(n, t)] = sol.delta[m, t - 1]
-    worst = 0.0
-    for row in model._rows.values():
-        lhs = sum(c * values[v] for v, c in row.coeffs.items())
-        if row.sense == LE:
-            worst = max(worst, lhs - row.rhs)
-        elif row.sense == GE:
-            worst = max(worst, row.rhs - lhs)
-        else:
-            worst = max(worst, abs(lhs - row.rhs))
-    for var in model._vars.values():
-        x = values.get(var.name)
-        if x is None:
-            continue
-        worst = max(worst, var.lb - x, x - var.ub)
-    return float(worst)
+    model, X = _first_stage_model(instance)
+    x = np.empty(X.n)
+    for cols, vals in ((X.u, sol.u), (X.y, sol.y), (X.z, sol.z), (X.p, sol.p),
+                       (X.rp, sol.r_plus), (X.rm, sol.r_minus), (X.w, sol.w),
+                       (X.f, sol.f), (X.delta, sol.delta)):
+        x[cols] = vals
+    ax = model.A @ x
+    return float(max(0.0, np.max(model.row_lo - ax, initial=0.0),
+                     np.max(ax - model.row_hi, initial=0.0),
+                     np.max(model.lb - x), np.max(x - model.ub)))
 
 
 def sample_feasible_first_stage(instance: SystemInstance, rng: np.random.Generator,
                                 mip_gap: float = 1e-6) -> FirstStageSolution:
     """A random feasible day-ahead point, via a randomized-objective MILP solve."""
-    from .backend import solve_milp
-
-    model = ModelHandle("sample")
-    _add_first_stage(model, instance, objective=False)
-    for name in model.var_names:
-        model._vars[name].obj = float(rng.uniform(-1.0, 1.0))
-    res = solve_milp(model, mip_gap=mip_gap)
+    model, X = _first_stage_model(instance)
+    res = solve_milp(replace(model, c=rng.uniform(-1.0, 1.0, X.n)), mip_gap=mip_gap)
     if res.status is not SolveStatus.OPTIMAL:
         raise ModelBuildError(f"first-stage sampling solve returned {res.status.value}")
     return extract_first_stage(instance, res)

@@ -13,11 +13,10 @@ all completed subsets fixed by bound tightening.
 from __future__ import annotations
 
 import enum
-import json
 import math
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,9 +79,6 @@ class OuterResult:
             "T1": self.t1, "T2": self.t2,
             "fixed_count": len(self.fixed), "free_count": free,
         }
-
-    def summary_json(self, instance: SystemInstance) -> str:
-        return json.dumps(self.summary(instance))
 
 
 def plan_from_assignment(scenarios: ScenarioSet, assignment: ClusterAssignment,

@@ -22,7 +22,6 @@ from sucbenders.data import ScenarioSet
 from sucbenders.engine import BendersConfig, RunStatus, run, solve_subproblems
 from sucbenders.formulations import (SubproblemResult, build_extensive,
                                      build_master, default_theta_min,
-                                     evaluate_cut,
                                      sample_feasible_first_stage,
                                      solve_subproblem)
 from sucbenders.outer import SubsetStatus, run_outer
@@ -132,7 +131,7 @@ def test_criterion_03_cut_tightness_and_validity(suite, toy_a, med_b):
                 expected = sum(pi[om] * q[om] for om in cut.members)
             else:
                 expected = q[cut.members[0]]
-            got = evaluate_cut(cut, _anchor_point(cut))
+            got = cut.evaluate(*_anchor_point(cut).cut_point())
             assert abs(got - expected) <= 1e-6, \
                 f"{tag}: cut {cut.row_name()} not tight at anchor"
 
@@ -146,7 +145,7 @@ def test_criterion_03_cut_tightness_and_validity(suite, toy_a, med_b):
                     truth = sum(pi[om] * q[om] for om in cut.members)
                 else:
                     truth = q[cut.members[0]]
-                assert evaluate_cut(cut, x) <= truth + 1e-6, \
+                assert cut.evaluate(*x.cut_point()) <= truth + 1e-6, \
                     f"{tag}: cut {cut.row_name()} over-estimates"
 
 

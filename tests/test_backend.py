@@ -2,154 +2,130 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from sucbenders.backend import (EQ, GE, LE, BackendError, ModelHandle,
-                                SolveStatus, solve_lp, solve_milp)
+from sucbenders.backend import (BackendError, LinearModel, SolveStatus,
+                                solve_lp, solve_milp)
+
+INF = np.inf
+
+
+def model(c, rows=(), lo=(), hi=(), lb=None, ub=None, integral=None):
+    """``min c.x`` over dense constraint ``rows`` with bounds ``lo``/``hi``."""
+    n = len(c)
+    return LinearModel(np.asarray(c, dtype=float),
+                       np.zeros(n) if lb is None else np.asarray(lb, dtype=float),
+                       np.full(n, INF) if ub is None else np.asarray(ub, dtype=float),
+                       np.zeros(n, dtype=bool) if integral is None else np.asarray(integral),
+                       sp.csr_matrix(np.reshape(np.asarray(rows, dtype=float), (len(lo), n))),
+                       np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
 
 
 def test_fixing_constraint_dual_is_value_function_slope():
-    m = ModelHandle()
-    m.add_var("x", lb=-np.inf, obj=1.0)
-    m.add_constr("fix", {"x": 1.0}, EQ, 3.0)
-    res = solve_lp(m)
+    res = solve_lp(model([1.0], [[1.0]], [3.0], [3.0], lb=[-INF]))
     assert res.status is SolveStatus.OPTIMAL
     assert res.objective == pytest.approx(3.0)
-    assert res.dual["fix"] == pytest.approx(1.0)
+    assert res.row_dual[0] == pytest.approx(1.0)
 
 
 def test_zero_objective_zero_dual():
-    m = ModelHandle()
-    m.add_var("x", lb=-np.inf)
-    m.add_constr("fix", {"x": 1.0}, EQ, 3.0)
-    res = solve_lp(m)
+    res = solve_lp(model([0.0], [[1.0]], [3.0], [3.0], lb=[-INF]))
     assert res.objective == pytest.approx(0.0)
-    assert res.dual["fix"] == pytest.approx(0.0)
+    assert res.row_dual[0] == pytest.approx(0.0)
 
 
 def test_unbounded_status():
-    m = ModelHandle()
-    m.add_var("x", lb=-np.inf, obj=-1.0)
-    assert solve_lp(m).status is SolveStatus.UNBOUNDED
+    assert solve_lp(model([-1.0], lb=[-INF])).status is SolveStatus.UNBOUNDED
 
 
 def test_infeasible_status():
-    m = ModelHandle()
-    m.add_var("x", lb=0.0, ub=1.0, obj=1.0)
-    m.add_constr("c", {"x": 1.0}, GE, 2.0)
+    m = model([1.0], [[1.0]], [2.0], [INF], ub=[1.0])
     assert solve_lp(m).status is SolveStatus.INFEASIBLE
 
 
 def test_ge_row_dual_sign():
     # min x s.t. x >= 4: raising the rhs raises the optimum, dual must be +1
-    m = ModelHandle()
-    m.add_var("x", lb=0.0, obj=1.0)
-    m.add_constr("floor", {"x": 1.0}, GE, 4.0)
-    res = solve_lp(m)
-    assert res.dual["floor"] == pytest.approx(1.0)
+    res = solve_lp(model([1.0], [[1.0]], [4.0], [INF]))
+    assert res.row_dual[0] == pytest.approx(1.0)
 
 
 def test_le_row_dual_sign():
     # max x (= min -x) s.t. x <= 5: dual dObj/dRHS = -1
-    m = ModelHandle()
-    m.add_var("x", lb=0.0, obj=-1.0)
-    m.add_constr("cap", {"x": 1.0}, LE, 5.0)
-    res = solve_lp(m)
-    assert res.dual["cap"] == pytest.approx(-1.0)
+    res = solve_lp(model([-1.0], [[1.0]], [-INF], [5.0]))
+    assert res.row_dual[0] == pytest.approx(-1.0)
+
+
+def test_duals_follow_row_order_across_senses():
+    # min a + 2b + 3c s.t. c <= 5 (slack), a >= 1, b = 2: the duals must land
+    # on their own rows although the adapter splits rows by sense
+    res = solve_lp(model([1.0, 2.0, 3.0], [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+                         [-INF, 1.0, 2.0], [5.0, INF, 2.0]))
+    np.testing.assert_allclose(res.row_dual, [0.0, 1.0, 2.0], atol=1e-12)
 
 
 def test_finite_difference_matches_dual():
     # Q(x_hat) = min 2a + 3b s.t. a + b >= 10, a = x_hat; slope wrt x_hat
     def q(x_hat):
-        m = ModelHandle()
-        m.add_var("a", lb=0.0, obj=2.0)
-        m.add_var("b", lb=0.0, obj=3.0)
-        m.add_constr("cover", {"a": 1.0, "b": 1.0}, GE, 10.0)
-        m.add_constr("fix", {"a": 1.0}, EQ, x_hat)
-        return solve_lp(m)
+        return solve_lp(model([2.0, 3.0], [[1.0, 1.0], [1.0, 0.0]],
+                              [10.0, x_hat], [INF, x_hat]))
 
     h = 1e-4
     base = q(4.0)
     bumped = q(4.0 + h)
     fd = (bumped.objective - base.objective) / h
-    assert abs(fd - base.dual["fix"]) <= 1e-3
+    assert abs(fd - base.row_dual[1]) <= 1e-3
 
 
 def test_milp_unconstrained_binary():
-    m = ModelHandle()
-    m.add_var("x", obj=1.0, binary=True)
+    m = model([1.0], ub=[1.0], integral=[True])
     assert solve_milp(m).objective == pytest.approx(0.0)
 
 
 def test_milp_fixed_vars_dominate():
-    m = ModelHandle()
-    m.add_var("x", obj=1.0, binary=True)
-    res = solve_milp(m, fixed_vars={"x": 1})
+    m = model([1.0], ub=[1.0], integral=[True])
+    res = solve_milp(m.fixed([0], [1.0]))
     assert res.objective == pytest.approx(1.0)
     assert res.row_count == 0  # fixing adds no rows
 
 
-def test_milp_infeasible_after_fixing_echoes_vars():
-    m = ModelHandle()
-    m.add_var("x", obj=1.0, binary=True)
-    m.add_constr("c", {"x": 1.0}, LE, 0.0)
-    res = solve_milp(m, fixed_vars={"x": 1})
-    assert res.status is SolveStatus.INFEASIBLE
-    assert "x" in res.message
+def test_fixing_outside_the_bounds_is_rejected():
+    m = model([1.0, 1.0], ub=[1.0, 5.0], integral=[True, False])
+    with pytest.raises(BackendError):
+        m.fixed([1], [6.0])
+    with pytest.raises(BackendError):
+        m.fixed([0], [2.0])
+    assert m.fixed([0], [0.9999]).lb[0] == 1.0   # integer columns are rounded
 
 
 def test_solve_lp_rejects_binaries():
-    m = ModelHandle()
-    m.add_var("x", binary=True)
     with pytest.raises(BackendError):
-        solve_lp(m)
+        solve_lp(model([0.0], ub=[1.0], integral=[True]))
 
 
-def test_duplicate_names_rejected():
-    m = ModelHandle()
-    m.add_var("x")
+def test_solve_lp_rejects_two_sided_rows():
     with pytest.raises(BackendError):
-        m.add_var("x")
-    m.add_constr("c", {"x": 1.0}, LE, 1.0)
-    with pytest.raises(BackendError):
-        m.add_constr("c", {"x": 1.0}, LE, 2.0)
-
-
-def test_unknown_variable_in_row_rejected():
-    m = ModelHandle()
-    with pytest.raises(BackendError):
-        m.add_constr("c", {"nope": 1.0}, LE, 1.0)
+        solve_lp(model([1.0], [[1.0]], [1.0], [2.0]))
 
 
 def test_determinism_across_repeat_solves():
     def build():
         rng = np.random.default_rng(7)
-        m = ModelHandle()
-        for i in range(20):
-            m.add_var(f"x{i}", lb=0.0, ub=10.0, obj=float(rng.uniform(-1, 1)))
-        for j in range(10):
-            coeffs = {f"x{i}": float(rng.uniform(-1, 1)) for i in range(20)}
-            m.add_constr(f"r{j}", coeffs, LE, float(rng.uniform(1, 5)))
-        return m
+        c = rng.uniform(-1, 1, 20)
+        rows = rng.uniform(-1, 1, (10, 20))
+        return model(c, rows, np.full(10, -INF), rng.uniform(1, 5, 10),
+                     ub=np.full(20, 10.0))
 
     first = solve_lp(build())
     for _ in range(3):
         again = solve_lp(build())
         assert again.objective == first.objective
-        assert all(again.primal[k] == first.primal[k] for k in first.primal)
-
-
-def test_lp_text_export_contains_sections():
-    m = ModelHandle()
-    m.add_var("x", lb=0.0, ub=2.0, obj=1.0, binary=True)
-    m.add_constr("c", {"x": 1.0}, LE, 1.0)
-    text = m.to_lp_text()
-    for section in ("Minimize", "Subject To", "Bounds", "Binary", "End"):
-        assert section in text
+        assert np.array_equal(again.x, first.x)
+        assert np.array_equal(again.row_dual, first.row_dual)
 
 
 def test_fixed_copy_relax_drops_integrality():
-    m = ModelHandle()
-    m.add_var("x", obj=1.0, binary=True)
-    relaxed = m.fixed_copy({"x": 1}, relax=True)
-    assert not relaxed.has_binaries
+    m = model([1.0], ub=[1.0], integral=[True])
+    relaxed = m.fixed([0], [1.0], relax=True)
+    assert not relaxed.integral.any()
+    assert m.integral.all()              # the original is untouched
     assert solve_lp(relaxed).objective == pytest.approx(1.0)

@@ -96,6 +96,22 @@ def test_compare_subset_of_methods(tmp_path):
     assert len(doc["reports"]) == 2
 
 
+def test_solve_outer_subset_count_out_of_range_exits_one():
+    # toy-a has 3 scenarios, so 5 subsets cannot be formed
+    res = _invoke(["solve", *TOY, "--method", "outer", "--subsets", "5"])
+    assert res.exit_code == 1
+    assert "error:" in res.output and "subset count" in res.output
+
+
+def test_compare_without_a_converged_objective_exits_two(tmp_path):
+    report = tmp_path / "cmp.json"
+    res = _invoke(["compare", *TOY, "--methods", "single-cut,multi-cut",
+                   "--max-iters", "1", "--report", str(report)])
+    assert res.exit_code == 2
+    assert res.output.count("n/a") == 2
+    assert json.loads(report.read_text())["disagreement"] is False
+
+
 def test_compare_unknown_method_exits_one():
     res = _invoke(["compare", *TOY, "--methods", "magic"])
     assert res.exit_code == 1
@@ -117,6 +133,13 @@ def test_comparison_table_flags_disagreement():
         eps)
     assert "WARNING" in bad
     assert doc["disagreement"] is True
+
+
+def test_comparison_table_without_objectives_reports_no_disagreement():
+    table, doc = emit_comparison_table(
+        [_report("single-cut", objective=None), _report(objective=None)], 1e-6)
+    assert "WARNING" not in table and table.count("n/a") == 2
+    assert doc["disagreement"] is False
 
 
 def test_comparison_table_rejects_short_or_mixed_input():

@@ -9,8 +9,7 @@ from sucbenders.cuts import (CutKind, CutPool, adapt_cluster_count,
                              aggregate_and_add, make_full_aggregate_cut,
                              make_per_scenario_cuts, normalize_duals,
                              select_attributes, track_and_consolidate)
-from sucbenders.formulations import (FirstStageSolution, SubproblemResult,
-                                     evaluate_cut)
+from sucbenders.formulations import FirstStageSolution, SubproblemResult
 
 
 def _result(scenario, q, seed, shape_g=(2, 3), shape_w=(1, 3), shape_f=(1, 3)):
@@ -108,8 +107,9 @@ def test_aggregate_row_is_weighted_sum_of_rows():
     merged = make_full_aggregate_cut([r1, r2], pi, anchor, 1)
     for seed in range(5):
         pt = _x(seed=seed + 2)
-        lhs = evaluate_cut(merged, pt)
-        rhs = 0.5 * evaluate_cut(singles[0], pt) + 0.5 * evaluate_cut(singles[1], pt)
+        point = pt.cut_point()
+        lhs = merged.evaluate(*point)
+        rhs = 0.5 * singles[0].evaluate(*point) + 0.5 * singles[1].evaluate(*point)
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
@@ -141,9 +141,9 @@ def test_aggregation_dominance_random_points():
     merged = make_full_aggregate_cut(results, pi, anchor, 1)
     for seed in range(10):
         pt = _x(seed=seed + 31)
-        theta = [evaluate_cut(c, pt) for c in singles]  # tightest feasible theta
+        theta = [c.evaluate(*pt.cut_point()) for c in singles]  # tightest feasible theta
         agg_lhs = sum(pi[c.members[0]] * th for c, th in zip(singles, theta))
-        assert agg_lhs >= evaluate_cut(merged, pt) - 1e-9
+        assert agg_lhs >= merged.evaluate(*pt.cut_point()) - 1e-9
 
 
 # -- consolidation ------------------------------------------------------------
@@ -198,8 +198,8 @@ def test_consolidated_cut_preserves_weighted_sum():
     merged = pool.live_cuts()[0]
     for seed in range(5):
         pt = _x(seed=seed + 50)
-        assert evaluate_cut(merged, pt) == pytest.approx(
-            sum(evaluate_cut(c, pt) for c in before), abs=1e-9)
+        assert merged.evaluate(*pt.cut_point()) == pytest.approx(
+            sum(c.evaluate(*pt.cut_point()) for c in before), abs=1e-9)
 
 
 def test_pool_snapshot_shape():
@@ -207,7 +207,6 @@ def test_pool_snapshot_shape():
     snap = pool.snapshot()
     assert snap["cuts_by_kind"] == {"cluster-aggregate": 2}
     assert snap["consolidated_iters"] == []
-    assert pool.snapshot_json()
 
 
 # -- adaptive cluster count ----------------------------------------------------

@@ -97,14 +97,6 @@ def test_missing_period_rejected(toy_a, tmp_path):
         load_scenarios(path, inst)
 
 
-def test_round_trip(toy_a, tmp_path):
-    inst, _ = toy_a
-    path = tmp_path / "roundtrip.json"
-    inst.save(path)
-    again = load_instance(path)
-    assert again == inst
-
-
 def test_restrict_renormalizes(toy_a):
     _, scen = toy_a
     sub = scen.restrict(["s1", "s3"])

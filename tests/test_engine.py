@@ -13,6 +13,7 @@ from sucbenders.engine import (BendersConfig, EngineError, RunStatus,
                                solve_subproblems)
 from sucbenders.formulations import (build_extensive, build_master,
                                      default_theta_min, extract_first_stage,
+                                     first_stage_layout,
                                      sample_feasible_first_stage)
 
 
@@ -24,19 +25,17 @@ class _Stub:
 
 def test_compute_bounds_formula():
     results = [_Stub("s1", 10.0), _Stub("s2", 30.0)]
-    ub, lb = compute_bounds(100.0, results, {"s1": 0.5, "s2": 0.5}, 90.0)
-    assert (ub, lb) == (120.0, 90.0)
+    assert compute_bounds(100.0, results, {"s1": 0.5, "s2": 0.5}) == 120.0
 
 
 def test_compute_bounds_zero_recourse():
     results = [_Stub("s1", 0.0)]
-    ub, _ = compute_bounds(100.0, results, {"s1": 1.0}, 50.0)
-    assert ub == 100.0
+    assert compute_bounds(100.0, results, {"s1": 1.0}) == 100.0
 
 
 def test_compute_bounds_missing_scenario():
     with pytest.raises(EngineError, match="s2"):
-        compute_bounds(0.0, [_Stub("s1", 1.0)], {"s1": 0.5, "s2": 0.5}, 0.0)
+        compute_bounds(0.0, [_Stub("s1", 1.0)], {"s1": 0.5, "s2": 0.5})
 
 
 def test_config_validation():
@@ -163,13 +162,13 @@ def test_tie_break_point_is_the_same_across_equivalent_masters(toy_a):
     sol = run(inst, scen, BendersConfig(mode=CutMode.SINGLE, tie_break=True,
                                         max_iters=5))
     theta_min = default_theta_min(inst)
+    n_first = first_stage_layout(inst).n
     points = []
     for mode in (CutMode.SINGLE, CutMode.AGGREGATED):
         master = build_master(inst, scen, mode, sol.pool, theta_min)
         mres = solve_milp(master)
-        tied = _tie_break_master(master, mres, mip_gap=1e-6)
-        original = sum(c * tied.primal[n]
-                       for n, c in master.objective_coeffs().items())
+        tied = _tie_break_master(master, mres, n_first, mip_gap=1e-6)
+        original = float(master.c @ tied.x)
         slack = 1e-9 * max(1.0, abs(mres.objective))
         # 1e-12 absorbs the rounding of the summed objective
         assert abs(original - mres.objective) <= slack + 1e-12

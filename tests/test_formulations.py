@@ -1,22 +1,23 @@
 """Model builders: row census, hand LP oracles, enumeration oracle, cuts."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 from sucbenders.backend import SolveStatus, solve_lp, solve_milp
-from sucbenders.cuts import Cut, CutKind, CutMode, CutPool
+from sucbenders.cuts import (Cut, CutKind, CutMode, CutPool,
+                             make_full_aggregate_cut, make_per_scenario_cuts)
 from sucbenders.data import ScenarioSet
 from sucbenders.formulations import (FirstStageSolution, build_extensive,
                                      build_master, build_subproblem,
-                                     default_theta_min, evaluate_cut,
-                                     extract_first_stage,
+                                     default_theta_min, extract_first_stage,
+                                     first_stage_layout,
                                      first_stage_row_count,
                                      first_stage_violation,
                                      sample_feasible_first_stage,
-                                     second_stage_row_count, solve_subproblem,
-                                     vu)
+                                     second_stage_row_count, solve_subproblem)
 
 # -- row census --------------------------------------------------------------
 # toy-a by hand: per generator (no enforced initial periods)
@@ -112,6 +113,30 @@ def test_complete_recourse_on_random_points(toy_a):
             solve_subproblem(inst, scen, omega, x)  # raises if not optimal
 
 
+def test_first_stage_violation_sees_each_kind_of_constraint(toy_a):
+    # break, one at a time, a <= row (p-max), a >= row (p-min), an equality
+    # row (logic) and a column bound (r+ >= 0 in the last period, where
+    # lowering r+ loosens every row it enters) of a feasible point
+    inst, _ = toy_a
+    x = sample_feasible_first_stage(inst, np.random.default_rng(21))
+    assert first_stage_violation(inst, x) <= 1e-6
+    g = inst.generators[0]
+
+    def bumped(name, idx, value):
+        arr = getattr(x, name).copy()
+        arr[idx] = value
+        return dataclasses.replace(x, **{name: arr})
+
+    broken = {
+        "p-max": bumped("p", (0, 0), g.p_max * x.u[0, 0] + 1.0),
+        "p-min": bumped("r_minus", (0, 0), x.r_minus[0, 0] + x.p[0, 0] + 1.0),
+        "logic": bumped("y", (0, 1), x.y[0, 1] + 0.5),
+        "bound": bumped("r_plus", (0, inst.horizon - 1), -1.0),
+    }
+    for kind, point in broken.items():
+        assert first_stage_violation(inst, point) > 1e-3, kind
+
+
 # -- enumeration oracle ------------------------------------------------------
 
 def enumeration_oracle(inst, scen) -> float:
@@ -122,12 +147,10 @@ def enumeration_oracle(inst, scen) -> float:
     pattern and the minimum over patterns equals the MILP optimum.
     """
     model = build_extensive(inst, scen)
-    gens_t = [(g.id, t) for g in inst.generators for t in range(1, inst.horizon + 1)]
+    u = first_stage_layout(inst).u.ravel()
     best = np.inf
-    for bits in itertools.product((0.0, 1.0), repeat=len(gens_t)):
-        fixed = {vu(g, t): b for (g, t), b in zip(gens_t, bits)}
-        lp = model.fixed_copy(fixed, relax=True)
-        res = solve_lp(lp)
+    for bits in itertools.product((0.0, 1.0), repeat=len(u)):
+        res = solve_lp(model.fixed(u, np.array(bits), relax=True))
         if res.status is SolveStatus.OPTIMAL and res.objective < best:
             best = res.objective
     return float(best)
@@ -140,7 +163,7 @@ def test_extensive_matches_enumeration_oracle(toy_a):
     assert milp.objective == pytest.approx(oracle, abs=1e-5)
 
 
-# -- evaluate_cut ------------------------------------------------------------
+# -- cut evaluation ----------------------------------------------------------
 
 def _zero_cut(inst, intercept=7.0, lam_rp=None):
     shape_g = (inst.n_gens, inst.horizon)
@@ -168,7 +191,7 @@ def test_zero_dual_cut_is_constant(toy_a):
     inst, _ = toy_a
     cut = _zero_cut(inst)
     x = _point(inst, np.full((inst.n_gens, inst.horizon), 3.0))
-    assert evaluate_cut(cut, x) == pytest.approx(7.0)
+    assert cut.evaluate(*x.cut_point()) == pytest.approx(7.0)
 
 
 def test_single_dual_linear_term(toy_a):
@@ -178,7 +201,7 @@ def test_single_dual_linear_term(toy_a):
     cut = _zero_cut(inst, lam_rp=lam)
     x = _point(inst, np.zeros((inst.n_gens, inst.horizon)))
     x.r_plus[0, 0] = 5.0  # 5 above the zero anchor
-    assert evaluate_cut(cut, x) == pytest.approx(7.0 + 10.0)
+    assert cut.evaluate(*x.cut_point()) == pytest.approx(7.0 + 10.0)
 
 
 def test_cut_tight_at_anchor(toy_a):
@@ -189,10 +212,41 @@ def test_cut_tight_at_anchor(toy_a):
     cut = Cut(CutKind.PER_SCENARIO, 1, ("s2",), {}, sub.objective,
               sub.lam_rp, sub.lam_rm, sub.lam_w, sub.lam_f,
               *(a.copy() for a in x.cut_point()), tag="s2")
-    assert evaluate_cut(cut, x) == pytest.approx(sub.objective, abs=1e-9)
+    assert cut.evaluate(*x.cut_point()) == pytest.approx(sub.objective, abs=1e-9)
+
+
+def test_master_cut_rows_read_back_as_the_cuts(toy_a):
+    # a cut row is "theta terms - lambda . x >= rhs", so rhs minus its
+    # first-stage part is Theta(x) at any x, and its theta part carries the
+    # member scenarios with the master's weights
+    inst, scen = toy_a
+    ids = scen.scenario_ids
+    rng = np.random.default_rng(8)
+    anchor = sample_feasible_first_stage(inst, rng)
+    results = [solve_subproblem(inst, scen, om, anchor) for om in ids]
+    per_scenario = make_per_scenario_cuts(results, anchor, 1)
+    full = make_full_aggregate_cut(results, dict(zip(ids, scen.probabilities)), anchor, 1)
+    X = first_stage_layout(inst)
+    x = rng.uniform(-5.0, 5.0, X.n)
+    point = (x[X.rp], x[X.rm], x[X.w], x[X.f])
+    for mode, cuts, thetas in (
+            (CutMode.MULTI, per_scenario,
+             [[float(om == c.members[0]) for om in ids] for c in per_scenario]),
+            (CutMode.SINGLE, [full], [[1.0]]),
+            (CutMode.AGGREGATED, [full], [list(scen.probabilities)])):
+        pool = CutPool()
+        for cut in cuts:
+            pool.add(cut)
+        master = build_master(inst, scen, mode, pool, default_theta_min(inst))
+        first = master.row_count - len(cuts)
+        for k, (cut, theta) in enumerate(zip(cuts, thetas)):
+            row = master.A[first + k].toarray().ravel()
+            assert master.row_lo[first + k] - row[:X.n] @ x == \
+                pytest.approx(cut.evaluate(*point), rel=1e-12, abs=1e-9)
+            assert row[X.n:].tolist() == theta
 
 
 def test_subproblem_has_no_binaries(toy_a):
     inst, scen = toy_a
     x = sample_feasible_first_stage(inst, np.random.default_rng(5))
-    assert not build_subproblem(inst, scen, "s1", x).has_binaries
+    assert not build_subproblem(inst, scen, "s1", x).integral.any()
