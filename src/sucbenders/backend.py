@@ -18,6 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+# scipy's bundled HiGHS bindings (scipy >= 1.15); a private API, used only here
+from scipy.optimize._highspy import _core as highs
 
 
 class SolveStatus(enum.Enum):
@@ -103,35 +105,156 @@ def _error(exc: Exception, model: LinearModel, t0: float) -> SolveResult:
                        time.perf_counter() - t0, message=str(exc))
 
 
+class _RowSplit:
+    """A model's rows as ``linprog`` takes them: the inequality rows in model
+    order (>= rows negated into <= form), then the equality rows.
+
+    HiGHS reports the marginal of each row as dObj/dRHS of that form, so
+    ``row_dual`` undoes the >= negation and returns duals in model row order.
+    """
+
+    def __init__(self, model: LinearModel):
+        if model.integral.any():
+            raise BackendError("LP solve called on a model with integrality flags")
+        self.eq = np.flatnonzero(model.row_lo == model.row_hi)
+        self.ineq = np.flatnonzero(model.row_lo != model.row_hi)
+        le = np.isneginf(model.row_lo[self.ineq])
+        if np.isfinite(model.row_hi[self.ineq[~le]]).any():
+            raise BackendError("LP solve called on a model with two-sided inequality rows")
+        self.sign = np.where(le, 1.0, -1.0)
+
+    def blocks(self, model: LinearModel):
+        """``A_ub, b_ub, A_eq, b_eq``, each None when it has no rows."""
+        ineq, eq = self.ineq, self.eq
+        return (sp.diags(self.sign) @ model.A[ineq] if ineq.size else None,
+                self.b_ub(model.row_lo[ineq], model.row_hi[ineq]) if ineq.size else None,
+                model.A[eq] if eq.size else None,
+                model.row_lo[eq] if eq.size else None)
+
+    def b_ub(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Right-hand sides in <= form of inequality rows with bounds lo/hi."""
+        return np.where(self.sign > 0, hi, -lo)
+
+    def row_dual(self, marginals: np.ndarray) -> np.ndarray:
+        """Model-order duals from the marginals of the stacked rows."""
+        dual = np.empty(self.ineq.size + self.eq.size)
+        dual[self.eq] = marginals[self.ineq.size:]
+        dual[self.ineq] = self.sign * marginals[:self.ineq.size]
+        return dual
+
+
 def solve_lp(model: LinearModel) -> SolveResult:
     """Solve an LP to optimality, returning primal values and row duals."""
-    if model.integral.any():
-        raise BackendError("solve_lp called on a model with integrality flags")
+    rows = _RowSplit(model)
     t0 = time.perf_counter()
-
-    # linprog wants A_ub x <= b_ub and A_eq x = b_eq; >= rows are negated
-    eq_rows = np.flatnonzero(model.row_lo == model.row_hi)
-    ub_rows = np.flatnonzero(model.row_lo != model.row_hi)
-    le = np.isneginf(model.row_lo[ub_rows])
-    if np.isfinite(model.row_hi[ub_rows[~le]]).any():
-        raise BackendError("solve_lp called on a model with two-sided inequality rows")
-    signs = np.where(le, 1.0, -1.0)
-    b_ub = np.where(le, model.row_hi[ub_rows], -model.row_lo[ub_rows])
-    A_ub = sp.diags(signs) @ model.A[ub_rows] if ub_rows.size else None
-    A_eq = model.A[eq_rows] if eq_rows.size else None
+    A_ub, b_ub, A_eq, b_eq = rows.blocks(model)
     try:
-        res = linprog(model.c, A_ub=A_ub, b_ub=b_ub if ub_rows.size else None,
-                      A_eq=A_eq, b_eq=model.row_lo[eq_rows] if eq_rows.size else None,
+        res = linprog(model.c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
                       bounds=np.column_stack((model.lb, model.ub)), method="highs")
     except Exception as exc:
         return _error(exc, model, t0)
     row_dual = None
     if res.status == 0:
-        row_dual = np.empty(model.row_count)
-        row_dual[eq_rows] = res.eqlin.marginals
-        # marginal is dObj/dRHS of the <= form; undo the >= negation
-        row_dual[ub_rows] = signs * res.ineqlin.marginals
+        row_dual = rows.row_dual(np.concatenate([res.ineqlin.marginals,
+                                                 res.eqlin.marginals]))
     return _result(res, model, t0, row_dual)
+
+
+_HIGHS_STATUS = {
+    highs.HighsModelStatus.kOptimal: SolveStatus.OPTIMAL,
+    highs.HighsModelStatus.kInfeasible: SolveStatus.INFEASIBLE,
+    highs.HighsModelStatus.kUnbounded: SolveStatus.UNBOUNDED,
+}
+
+
+class LPSolver:
+    """One LP held in a persistent HiGHS instance and re-solved after bound
+    changes.
+
+    The model is passed once, in the row layout and with the options that
+    ``solve_lp`` gives ``linprog`` (presolve on, dual simplex, output off).
+    Every solve starts cold on the same matrix, so its results equal those
+    of ``solve_lp`` on a model with the same bounds, bit for bit.  One
+    instance must not be solved from two threads at once; ``run`` releases
+    the interpreter lock, so solvers in different threads run in parallel.
+    """
+
+    def __init__(self, model: LinearModel):
+        self.row_count = model.row_count
+        self._rows = rows = _RowSplit(model)
+        A_ub, b_ub, A_eq, b_eq = rows.blocks(model)
+        n = model.c.size
+        # the matrix exactly as linprog assembles it (COO blocks, stacked, CSC)
+        A = sp.csc_array(sp.vstack([sp.coo_array((0, n) if B is None else B, dtype=float)
+                                    for B in (A_ub, A_eq)]))
+        # stacked position of each model row, and its current bounds there
+        self._pos = np.empty(self.row_count, dtype=np.int64)
+        self._pos[np.concatenate([rows.ineq, rows.eq])] = np.arange(self.row_count)
+        self._lo = np.concatenate([np.full(rows.ineq.size, -np.inf), model.row_lo[rows.eq]])
+        self._hi = np.concatenate([rows.b_ub(model.row_lo[rows.ineq], model.row_hi[rows.ineq]),
+                                   model.row_hi[rows.eq]])
+        lp = highs.HighsLp()
+        lp.num_col_, lp.num_row_ = n, self.row_count
+        lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = n, self.row_count
+        lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = \
+            A.indptr, A.indices, A.data
+        lp.col_cost_, lp.col_lower_, lp.col_upper_ = model.c, model.lb, model.ub
+        lp.row_lower_, lp.row_upper_ = self._lo, self._hi
+        self._highs = highs._Highs()
+        for option, value in (("output_flag", False), ("log_to_console", False),
+                              ("presolve", "on"), ("simplex_strategy",
+                              int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual))):
+            self._highs.setOptionValue(option, value)
+        if self._highs.passModel(lp) == highs.HighsStatus.kError:
+            raise BackendError("HiGHS rejected the LP")
+
+    def solve(self, cols=(), lb=(), ub=(), rows=(), row_lo=(), row_hi=()) -> SolveResult:
+        """Set the bounds of columns ``cols`` and rows ``rows`` (model
+        indices) and solve from scratch; every other bound keeps its value
+        from the previous solve.  A row keeps its sense: an equality stays
+        an equality, and a one-sided row keeps its infinite side."""
+        t0 = time.perf_counter()
+        cols = np.asarray(cols, dtype=np.int32)
+        if cols.size:
+            self._highs.changeColsBounds(cols.size, cols, np.asarray(lb, dtype=float),
+                                         np.asarray(ub, dtype=float))
+        self._change_rows(np.asarray(rows, dtype=np.int64), np.asarray(row_lo, dtype=float),
+                          np.asarray(row_hi, dtype=float))
+        self._highs.clearSolver()
+        if self._highs.run() == highs.HighsStatus.kError:
+            return self._failed(t0, "HiGHS run failed")
+        model_status = self._highs.getModelStatus()
+        status = _HIGHS_STATUS.get(model_status, SolveStatus.ERROR)
+        if status is not SolveStatus.OPTIMAL:
+            return self._failed(t0, self._highs.modelStatusToString(model_status), status)
+        solution = self._highs.getSolution()
+        return SolveResult(SolveStatus.OPTIMAL,
+                           float(self._highs.getInfo().objective_function_value),
+                           np.array(solution.col_value),
+                           self._rows.row_dual(np.array(solution.row_dual)),
+                           self.row_count, time.perf_counter() - t0)
+
+    def _change_rows(self, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+        if not rows.size:
+            return
+        pos = self._pos[rows]
+        is_eq = pos >= self._rows.ineq.size
+        sign = np.ones(rows.size)
+        sign[~is_eq] = self._rows.sign[pos[~is_eq]]
+        if ((lo == hi) != is_eq).any() or np.isfinite(np.where(sign > 0, lo, hi)[~is_eq]).any():
+            raise BackendError("a bound change may not change the sense of a row")
+        new_lo = np.where(is_eq, lo, -np.inf)
+        new_hi = np.where(sign > 0, hi, -lo)
+        changed = np.flatnonzero((new_lo != self._lo[pos]) | (new_hi != self._hi[pos]))
+        for k in changed:
+            self._highs.changeRowBounds(int(pos[k]), float(new_lo[k]), float(new_hi[k]))
+        self._lo[pos], self._hi[pos] = new_lo, new_hi
+
+    def _failed(self, t0: float, message: str,
+                status: SolveStatus = SolveStatus.ERROR) -> SolveResult:
+        return SolveResult(status, None, None, None, self.row_count,
+                           time.perf_counter() - t0, message=message)
 
 
 def solve_milp(model: LinearModel, mip_gap: float = 1e-6) -> SolveResult:

@@ -29,9 +29,9 @@ from .cuts import (CutMode, CutPool, adapt_cluster_count,
                    make_per_scenario_cuts, select_attributes,
                    track_and_consolidate)
 from .data import ScenarioSet, SystemInstance
-from .formulations import (FirstStageSolution, SubproblemResult, build_master,
-                           default_theta_min, extract_first_stage,
-                           first_stage_layout, solve_subproblem)
+from .formulations import (FirstStageSolution, RecourseSolver, SubproblemResult,
+                           build_master, default_theta_min, extract_first_stage,
+                           first_stage_layout, recourse_template, solve_subproblem)
 
 
 class EngineError(RuntimeError):
@@ -90,14 +90,14 @@ class IterationRecord:
     clusters: int
     master_rows: int
     master_time: float
-    max_sub_time: float
+    sub_time: float           # wall time of the subproblem phase
 
     def trace_line(self) -> str:
         gap = self.upper_bound - self.lower_bound
         return json.dumps({
             "iter": self.iteration, "lb": self.lower_bound, "ub": self.upper_bound,
             "gap": gap, "clusters": self.clusters, "master_rows": self.master_rows,
-            "master_time_s": self.master_time, "max_sub_time_s": self.max_sub_time,
+            "master_time_s": self.master_time, "sub_time_s": self.sub_time,
         })
 
 
@@ -131,23 +131,41 @@ def compute_bounds(c_da: float, results: list, pi: dict) -> float:
     return float(c_da + sum(pi[r.scenario_id] * r.objective for r in results))
 
 
-def solve_subproblems(instance: SystemInstance, scenarios: ScenarioSet,
-                      x_hat: FirstStageSolution, workers: int = 1
-                      ) -> tuple[list[SubproblemResult], float]:
-    """All scenario recourse LPs at x_hat; returns (results, max solve time)."""
-    def one(omega):
-        t0 = time.perf_counter()
-        res = solve_subproblem(instance, scenarios, omega, x_hat)
-        return res, time.perf_counter() - t0
+def recourse_solvers(instance: SystemInstance, scenarios: ScenarioSet,
+                     workers: int) -> list[RecourseSolver]:
+    """One persistent recourse LP per worker, over one shared template."""
+    template = recourse_template(instance, scenarios)
+    return [RecourseSolver(template)
+            for _ in range(min(max(workers, 1), scenarios.n_scenarios))]
 
-    if workers <= 1:
-        pairs = [one(s) for s in scenarios.scenario_ids]
+
+def solve_subproblems(instance: SystemInstance, scenarios: ScenarioSet,
+                      x_hat: FirstStageSolution, workers: int = 1,
+                      solvers: list[RecourseSolver] | None = None
+                      ) -> tuple[list[SubproblemResult], float]:
+    """All scenario recourse LPs at x_hat; returns (results in scenario
+    order, phase wall time).
+
+    Each solver takes one contiguous chunk of scenarios in its own thread;
+    HiGHS releases the interpreter lock while it solves, so the chunks run
+    in parallel.  Without ``solvers``, ``workers`` of them are built here
+    (``recourse_solvers``); a run builds them once and passes them in.
+    """
+    t0 = time.perf_counter()
+    if solvers is None:
+        solvers = recourse_solvers(instance, scenarios, workers)
+    ids = scenarios.scenario_ids
+
+    def solve_chunk(solver, chunk):
+        return [solve_subproblem(instance, scenarios, ids[k], x_hat, solver) for k in chunk]
+
+    chunks = np.array_split(np.arange(len(ids)), len(solvers))
+    if len(solvers) == 1:
+        parts = [solve_chunk(solvers[0], chunks[0])]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pairs = list(pool.map(one, scenarios.scenario_ids))
-    results = [p[0] for p in pairs]
-    max_time = max(p[1] for p in pairs)
-    return results, max_time
+        with ThreadPoolExecutor(max_workers=len(solvers)) as pool:
+            parts = list(pool.map(solve_chunk, solvers, chunks))
+    return [r for part in parts for r in part], time.perf_counter() - t0
 
 
 def _cluster(method: str, features: np.ndarray, k: int):
@@ -171,6 +189,7 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
     state = BendersState(cluster_count=config.initial_clusters)
     attr_cache: dict = {}
     t_start = time.perf_counter()
+    solvers = recourse_solvers(instance, scenarios, config.workers)
     status = RunStatus.NOT_CONVERGED
     final_rows = 0
 
@@ -216,8 +235,8 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
                 state.lower_bound - prev_lb, ref_ub, state.cluster_count,
                 config.alpha, config.zeta, config.rho, scenarios.n_scenarios)
 
-        results, max_sub_time = solve_subproblems(instance, scenarios, x_hat,
-                                                  config.workers)
+        results, sub_time = solve_subproblems(instance, scenarios, x_hat,
+                                              solvers=solvers)
         ub_candidate = compute_bounds(x_hat.c_da, results, pi)
         if ub_candidate < state.upper_bound:
             state.upper_bound = ub_candidate
@@ -225,7 +244,7 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
 
         record = IterationRecord(nu, state.lower_bound, state.upper_bound,
                                  ub_candidate, state.cluster_count,
-                                 mres.row_count, mres.solve_time, max_sub_time)
+                                 mres.row_count, mres.solve_time, sub_time)
         state.history.append(record)
         if trace is not None:
             trace(record.trace_line())

@@ -43,7 +43,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .backend import LinearModel, SolveResult, SolveStatus, solve_lp, solve_milp
+# solve_lp is no longer called here; it stays bound because bench/layers.py
+# wraps formulations.solve_lp by name
+from .backend import (LinearModel, LPSolver, SolveResult, SolveStatus,  # noqa: F401
+                      solve_lp, solve_milp)
 from .cuts import CutKind, CutMode, CutPool
 from .data import ScenarioSet, SystemInstance
 
@@ -308,6 +311,31 @@ def _recourse_size(instance: SystemInstance) -> int:
                                + 2 * instance.n_nodes + instance.n_lines)
 
 
+def _recourse_columns(instance: SystemInstance, start: int) -> list[np.ndarray]:
+    """Columns of a recourse block numbered from ``start``: p+, p-, spill,
+    shed, angle and flow."""
+    G, J, N, L, T = (instance.n_gens, instance.n_farms, instance.n_nodes,
+                     instance.n_lines, instance.horizon)
+    return (_grid(start, G, T, 2) + _grid(start + 2 * G * T, J, T)
+            + _grid(start + (2 * G + J) * T, N, T, 2)
+            + _grid(start + (2 * G + J + 2 * N) * T, L, T))
+
+
+def _recourse_rows(instance: SystemInstance) -> list[np.ndarray]:
+    """Rows of a recourse block counted from its first row: reserve
+    deployment up and down, nodal balance and flow definition."""
+    G, N, L, T = instance.n_gens, instance.n_nodes, instance.n_lines, instance.horizon
+    return _grid(0, G, T, 2) + _grid(2 * G * T, N, T) + _grid((2 * G + N) * T, L, T)
+
+
+def _balance_rhs(instance: SystemInstance, farm_at, wind: np.ndarray) -> np.ndarray:
+    """Nodal balance right-hand sides: minus the realized wind at each node."""
+    rhs = np.zeros((instance.n_nodes, instance.horizon))
+    for j, k in enumerate(farm_at):
+        rhs[k] -= wind[j]
+    return rhs
+
+
 def _add_second_stage(b: _ModelDraft, instance: SystemInstance, scenarios: ScenarioSet,
                       omega: str, prob_weight: float, link, start: int) -> None:
     """Recourse columns (numbered from ``start``) and rows for one scenario.
@@ -318,19 +346,15 @@ def _add_second_stage(b: _ModelDraft, instance: SystemInstance, scenarios: Scena
     first stage.
     """
     gens, farms, lines = instance.generators, instance.wind_farms, instance.lines
-    G, J, N, L, T = (instance.n_gens, instance.n_farms, instance.n_nodes,
-                     instance.n_lines, instance.horizon)
+    G, L, T = instance.n_gens, instance.n_lines, instance.horizon
     rp, rm, w, f = link
-    pp, pm = _grid(start, G, T, 2)
-    [spill] = _grid(start + 2 * G * T, J, T)
-    shed, dtil = _grid(start + (2 * G + J) * T, N, T, 2)
-    [ftil] = _grid(start + (2 * G + J + 2 * N) * T, L, T)
+    pp, pm, spill, shed, dtil, ftil = _recourse_columns(instance, start)
 
     b.c[pp] = prob_weight * _col([g.deploy_up_price for g in gens])
     b.c[pm] = -prob_weight * _col([g.deploy_down_price for g in gens])
     b.c[shed] = prob_weight * instance.shed_cost
     wind = np.array([[scenarios.value(omega, farm.id, t) for t in range(1, T + 1)]
-                     for farm in farms]).reshape(J, T)
+                     for farm in farms]).reshape(instance.n_farms, T)
     b.ub[spill] = wind
     b.ub[shed] = [[instance.load_at(n, t) for t in range(1, T + 1)]
                   for n in instance.nodes]
@@ -339,13 +363,9 @@ def _add_second_stage(b: _ModelDraft, instance: SystemInstance, scenarios: Scena
     b.lb[ftil], b.ub[ftil] = -cap, cap
 
     gen_at, farm_at, from_at, to_at = _topology(instance)
-    up, dn = _grid(0, G, T, 2)
-    [bal] = _grid(2 * G * T, N, T)
-    [flow] = _grid((2 * G + N) * T, L, T)
+    up, dn, bal, flow = _recourse_rows(instance)
     susceptance = _col([ln.susceptance for ln in lines])
-    rhs = np.zeros((N, T))            # minus the realized wind at each node
-    for j, k in enumerate(farm_at):
-        rhs[k] -= wind[j]
+    rhs = _balance_rhs(instance, farm_at, wind)
     b.rows(*_coo([(up, pp, 1.0), (up, rp, -1.0), (dn, pm, 1.0), (dn, rm, -1.0),
                   (bal, shed, 1.0), (bal[gen_at], pp, 1.0), (bal[gen_at], pm, -1.0),
                   (bal[farm_at], w, -1.0), (bal[farm_at], spill, -1.0),
@@ -429,32 +449,86 @@ def build_master(instance: SystemInstance, scenarios: ScenarioSet, mode: CutMode
 
 
 def build_subproblem(instance: SystemInstance, scenarios: ScenarioSet, omega: str,
-                     x_hat: FirstStageSolution) -> LinearModel:
-    """Per-scenario recourse LP with equality fixings of r+/r-/w/fhat."""
+                     x_hat: FirstStageSolution | None) -> LinearModel:
+    """Per-scenario recourse LP with equality fixings of r+/r-/w/fhat
+    (fixed at 0 when ``x_hat`` is None)."""
     link = _link_columns(instance)
     n_link = sum(cols.size for cols in link)
     b = _ModelDraft(n_link + _recourse_size(instance))
     _bound_link(b, instance, *link)
     _add_second_stage(b, instance, scenarios, omega, 1.0, link, n_link)
-    # first-stage values can sit a solver tolerance outside the variable box
-    # (e.g. a flow at capacity + 1e-9); clamp so the fixing row stays feasible
-    fix = np.clip(_link(*x_hat.cut_point()), b.lb[:n_link], b.ub[:n_link])
+    fix = np.zeros(n_link) if x_hat is None else _fixing_rhs(b.lb, b.ub, x_hat)
     b.rows(np.arange(n_link), np.arange(n_link), np.ones(n_link), fix, fix)
     return b.model()
 
 
+def _fixing_rhs(lb: np.ndarray, ub: np.ndarray, x_hat: FirstStageSolution) -> np.ndarray:
+    # first-stage values can sit a solver tolerance outside the variable box
+    # (e.g. a flow at capacity + 1e-9); clamp so the fixing row stays feasible
+    link = _link(*x_hat.cut_point())
+    return np.clip(link, lb[:link.size], ub[:link.size])
+
+
+@dataclass(frozen=True)
+class RecourseTemplate:
+    """The subproblem LP of one instance and scenario set, built once.
+
+    Scenarios and first-stage points differ only in the spill upper bounds,
+    the balance right-hand sides and the fixing right-hand sides, so a
+    subproblem is the template's model with those three parts replaced.
+    """
+    model: LinearModel
+    link: list               # subproblem columns of r+, r-, w and f
+    spill: np.ndarray        # spill columns, |J| x T
+    balance: np.ndarray      # balance rows, |N| x T
+    fixing: np.ndarray       # fixing rows, one per link column
+    farm_at: list            # node index of each farm
+    wind: dict               # scenario id -> |J| x T realizations
+
+
+def recourse_template(instance: SystemInstance, scenarios: ScenarioSet) -> RecourseTemplate:
+    """The template of ``instance`` and ``scenarios``, from one ``build_subproblem``."""
+    link = _link_columns(instance)
+    n_link = sum(cols.size for cols in link)
+    model = build_subproblem(instance, scenarios, scenarios.scenario_ids[0], None)
+    wind = scenarios.wind_matrix(instance).reshape(-1, instance.n_farms, instance.horizon)
+    return RecourseTemplate(model, link, _recourse_columns(instance, n_link)[2],
+                            _recourse_rows(instance)[2],
+                            np.arange(model.row_count - n_link, model.row_count),
+                            _topology(instance)[1], dict(zip(scenarios.scenario_ids, wind)))
+
+
+class RecourseSolver:
+    """A template's LP held by a persistent ``backend.LPSolver``.  Not for
+    concurrent use: each worker thread owns one."""
+
+    def __init__(self, template: RecourseTemplate):
+        self.template = template
+        self.lp = LPSolver(template.model)
+
+
 def solve_subproblem(instance: SystemInstance, scenarios: ScenarioSet, omega: str,
-                     x_hat: FirstStageSolution) -> SubproblemResult:
-    model = build_subproblem(instance, scenarios, omega, x_hat)
-    res = solve_lp(model)
+                     x_hat: FirstStageSolution,
+                     solver: RecourseSolver | None = None) -> SubproblemResult:
+    """Recourse cost of ``omega`` at ``x_hat`` and the duals of the fixings.
+
+    ``solver`` must hold the template of ``instance`` and ``scenarios``; a
+    one-shot call builds its own.
+    """
+    if solver is None:
+        solver = RecourseSolver(recourse_template(instance, scenarios))
+    t, model = solver.template, solver.template.model
+    wind = t.wind[omega]
+    rhs = np.concatenate([_balance_rhs(instance, t.farm_at, wind).ravel(),
+                          _fixing_rhs(model.lb, model.ub, x_hat)])
+    res = solver.lp.solve(t.spill.ravel(), model.lb[t.spill.ravel()], wind.ravel(),
+                          np.concatenate([t.balance.ravel(), t.fixing]), rhs, rhs)
     if res.status is not SolveStatus.OPTIMAL:
         raise SubproblemInfeasibleError(
             f"subproblem for scenario {omega} returned {res.status.value}; "
             "complete recourse should make this impossible")
-    # the fixing rows come last, one per link column and in column order
-    link = _link_columns(instance)
-    lam = res.row_dual[model.row_count - sum(cols.size for cols in link):]
-    return SubproblemResult(omega, res.objective, *(lam[cols] for cols in link))
+    lam = res.row_dual[t.fixing]
+    return SubproblemResult(omega, res.objective, *(lam[cols] for cols in t.link))
 
 
 # -- solution extraction ---------------------------------------------------

@@ -1,11 +1,16 @@
 """LP/MILP adapter: statuses, dual-sign convention, determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sucbenders.backend import (BackendError, LinearModel, SolveStatus,
+from sucbenders.backend import (BackendError, LinearModel, LPSolver, SolveStatus,
                                 solve_lp, solve_milp)
+from sucbenders.formulations import (RecourseSolver, build_subproblem,
+                                     recourse_template, sample_feasible_first_stage,
+                                     solve_subproblem)
 
 INF = np.inf
 
@@ -129,3 +134,96 @@ def test_fixed_copy_relax_drops_integrality():
     assert not relaxed.integral.any()
     assert m.integral.all()              # the original is untouched
     assert solve_lp(relaxed).objective == pytest.approx(1.0)
+
+
+def _bounds_around(rows, x, sense, slack):
+    """Row bounds that ``x`` meets: <= rows (sense 0) and >= rows (sense 1)
+    ``slack`` away from ``rows @ x``, = rows (sense 2) on it."""
+    ax = rows @ x
+    lo = np.where(sense == 0, -INF, np.where(sense == 1, ax - slack, ax))
+    hi = np.where(sense == 0, ax + slack, np.where(sense == 1, INF, ax))
+    return lo, hi
+
+
+def _mixed_senses():
+    """A bounded LP whose rows interleave <=, >= and = senses, with the row
+    matrix, the senses and a point inside the box that meets every row."""
+    rng = np.random.default_rng(3)
+    n = 12
+    x0 = rng.uniform(1.0, 9.0, n)
+    rows = rng.uniform(-1.0, 1.0, (9, n))
+    sense = np.array([0, 1, 2] * 3)
+    lo, hi = _bounds_around(rows, x0, sense, 2.0)
+    return (model(rng.uniform(-1.0, 1.0, n), rows, lo, hi, ub=np.full(n, 10.0)),
+            rows, sense, x0)
+
+
+def _assert_same(got, want):
+    assert got.status is want.status is SolveStatus.OPTIMAL
+    assert got.objective == want.objective
+    assert np.array_equal(got.x, want.x)
+    assert np.array_equal(got.row_dual, want.row_dual)
+
+
+def test_lp_solver_matches_solve_lp_bit_for_bit():
+    m, _, _, _ = _mixed_senses()
+    _assert_same(LPSolver(m).solve(), solve_lp(m))
+
+
+def test_lp_solver_matches_solve_lp_after_bound_changes_in_any_order():
+    # every step sets the same columns and rows, so the model it solves does
+    # not depend on the steps before it
+    m, rows, sense, x0 = _mixed_senses()
+    rng = np.random.default_rng(4)
+    cols = np.array([0, 5, 7])
+    steps = []
+    for _ in range(4):
+        x1 = x0 + rng.uniform(-0.5, 0.5, x0.size)
+        steps.append((x1[cols] - 0.5, x1[cols] + rng.uniform(0.5, 3.0, cols.size),
+                      *_bounds_around(rows, x1, sense, rng.uniform(0.0, 2.0, sense.size))))
+    objectives = set()
+    for order in (steps, steps[::-1]):
+        solver = LPSolver(m)
+        for lb, ub, lo, hi in order:
+            want_lb, want_ub = m.lb.copy(), m.ub.copy()
+            want_lb[cols], want_ub[cols] = lb, ub
+            want = solve_lp(replace(m, lb=want_lb, ub=want_ub, row_lo=lo, row_hi=hi))
+            _assert_same(solver.solve(cols, lb, ub, np.arange(sense.size), lo, hi), want)
+            objectives.add(want.objective)
+    assert len(objectives) == len(steps)
+
+
+def test_lp_solver_recovers_from_infeasible_bounds():
+    m = model([1.0, 1.0], [[1.0, 1.0]], [2.0], [INF], ub=[5.0, 5.0])
+    solver = LPSolver(m)
+    assert solver.solve([0, 1], [0.0, 0.0], [0.5, 0.5]).status is SolveStatus.INFEASIBLE
+    res = solver.solve([0, 1], [0.0, 0.0], [5.0, 5.0])
+    assert res.status is SolveStatus.OPTIMAL
+    assert res.objective == pytest.approx(2.0)
+
+
+def test_lp_solver_rejects_a_change_of_row_sense():
+    m, _, _, _ = _mixed_senses()
+    solver = LPSolver(m)
+    with pytest.raises(BackendError):
+        solver.solve(rows=[2], row_lo=[0.0], row_hi=[1.0])      # = row made two-sided
+    with pytest.raises(BackendError):
+        solver.solve(rows=[0], row_lo=[1.0], row_hi=[1.0])      # <= row made =
+    with pytest.raises(BackendError):
+        solver.solve(rows=[1], row_lo=[-INF], row_hi=[1.0])     # >= row made <=
+
+
+def test_recourse_template_solve_matches_a_model_built_from_scratch(med_b):
+    inst, scen = med_b
+    x = sample_feasible_first_stage(inst, np.random.default_rng(21))
+    solver = RecourseSolver(recourse_template(inst, scen))
+    n_link = sum(cols.size for cols in solver.template.link)
+    for omega in scen.scenario_ids[3:6]:
+        model = build_subproblem(inst, scen, omega, x)
+        want = solve_lp(model)
+        got = solve_subproblem(inst, scen, omega, x, solver)
+        assert got.objective == want.objective
+        lam = want.row_dual[model.row_count - n_link:]
+        for cols, block in zip(solver.template.link,
+                               (got.lam_rp, got.lam_rm, got.lam_w, got.lam_f)):
+            assert np.array_equal(block, lam[cols])

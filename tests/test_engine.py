@@ -85,15 +85,18 @@ def test_single_scenario_modes_identical(toy_a):
 
 
 def test_subproblem_worker_count_invariance(toy_a):
+    # every solve starts cold, so the chunking cannot change a bit; 8
+    # workers exceed toy-a's 3 scenarios
     inst, scen = toy_a
     x = sample_feasible_first_stage(inst, np.random.default_rng(13))
     serial, _ = solve_subproblems(inst, scen, x, workers=1)
-    threaded, _ = solve_subproblems(inst, scen, x, workers=8)
-    assert [r.scenario_id for r in serial] == [r.scenario_id for r in threaded]
-    for a, b in zip(serial, threaded):
-        assert a.objective == pytest.approx(b.objective, abs=1e-9)
-        assert np.allclose(a.lam_rp, b.lam_rp, atol=1e-9)
-        assert np.allclose(a.lam_w, b.lam_w, atol=1e-9)
+    for workers in (2, 8):
+        threaded, _ = solve_subproblems(inst, scen, x, workers=workers)
+        assert [r.scenario_id for r in threaded] == list(scen.scenario_ids)
+        for a, b in zip(serial, threaded):
+            assert a.objective == b.objective
+            for block in ("lam_rp", "lam_rm", "lam_w", "lam_f"):
+                assert np.array_equal(getattr(a, block), getattr(b, block))
 
 
 def test_exactly_one_result_per_scenario(toy_a):
@@ -127,7 +130,7 @@ def test_trace_lines_are_json_with_stable_keys(toy_a):
     run(inst, scen, BendersConfig(mode=CutMode.AGGREGATED), trace=lines.append)
     docs = [json.loads(line) for line in lines]
     keys = {"iter", "lb", "ub", "gap", "clusters", "master_rows",
-            "master_time_s", "max_sub_time_s"}
+            "master_time_s", "sub_time_s"}
     assert all(set(d) == keys for d in docs)
     assert [d["iter"] for d in docs] == list(range(1, len(docs) + 1))
 
