@@ -107,39 +107,41 @@ def _error(exc: Exception, model: LinearModel, t0: float) -> SolveResult:
 
 class _RowSplit:
     """A model's rows as ``linprog`` takes them: the inequality rows in model
-    order (>= rows negated into <= form), then the equality rows.
+    order, >= rows negated into <= form, then the equality rows.
 
-    HiGHS reports the marginal of each row as dObj/dRHS of that form, so
+    HiGHS reports each row's marginal as dObj/dRHS of that stacked form, so
     ``row_dual`` undoes the >= negation and returns duals in model row order.
     """
 
     def __init__(self, model: LinearModel):
         if model.integral.any():
             raise BackendError("LP solve called on a model with integrality flags")
-        self.eq = np.flatnonzero(model.row_lo == model.row_hi)
-        self.ineq = np.flatnonzero(model.row_lo != model.row_hi)
-        le = np.isneginf(model.row_lo[self.ineq])
-        if np.isfinite(model.row_hi[self.ineq[~le]]).any():
+        eq = model.row_lo == model.row_hi
+        ge = ~eq & ~np.isneginf(model.row_lo)
+        if np.isfinite(model.row_hi[ge]).any():
             raise BackendError("LP solve called on a model with two-sided inequality rows")
-        self.sign = np.where(le, 1.0, -1.0)
+        self.ineq, self.eq = np.flatnonzero(~eq), np.flatnonzero(eq)
+        self.order = np.concatenate([self.ineq, self.eq])   # model row of each stacked row
+        self.sign = np.where(ge, -1.0, 1.0)                  # per model row
 
     def blocks(self, model: LinearModel):
         """``A_ub, b_ub, A_eq, b_eq``, each None when it has no rows."""
         ineq, eq = self.ineq, self.eq
-        return (sp.diags(self.sign) @ model.A[ineq] if ineq.size else None,
-                self.b_ub(model.row_lo[ineq], model.row_hi[ineq]) if ineq.size else None,
+        b_ub = self.stacked(ineq, model.row_lo[ineq], model.row_hi[ineq])[1]
+        return (sp.diags(self.sign[ineq]) @ model.A[ineq] if ineq.size else None,
+                b_ub if ineq.size else None,
                 model.A[eq] if eq.size else None,
                 model.row_lo[eq] if eq.size else None)
 
-    def b_ub(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Right-hand sides in <= form of inequality rows with bounds lo/hi."""
-        return np.where(self.sign > 0, hi, -lo)
+    def stacked(self, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        """Stacked-form (lower, upper) bounds of model rows ``rows``, given
+        their bounds ``lo``/``hi`` in model form."""
+        return np.where(lo == hi, lo, -np.inf), np.where(self.sign[rows] > 0, hi, -lo)
 
     def row_dual(self, marginals: np.ndarray) -> np.ndarray:
         """Model-order duals from the marginals of the stacked rows."""
-        dual = np.empty(self.ineq.size + self.eq.size)
-        dual[self.eq] = marginals[self.ineq.size:]
-        dual[self.ineq] = self.sign * marginals[:self.ineq.size]
+        dual = np.empty_like(marginals)
+        dual[self.order] = self.sign[self.order] * marginals
         return dual
 
 
@@ -182,17 +184,16 @@ class LPSolver:
     def __init__(self, model: LinearModel):
         self.row_count = model.row_count
         self._rows = rows = _RowSplit(model)
-        A_ub, b_ub, A_eq, b_eq = rows.blocks(model)
+        A_ub, _, A_eq, _ = rows.blocks(model)
         n = model.c.size
         # the matrix exactly as linprog assembles it (COO blocks, stacked, CSC)
         A = sp.csc_array(sp.vstack([sp.coo_array((0, n) if B is None else B, dtype=float)
                                     for B in (A_ub, A_eq)]))
-        # stacked position of each model row, and its current bounds there
+        # stacked position of each model row, and the current stacked bounds
         self._pos = np.empty(self.row_count, dtype=np.int64)
-        self._pos[np.concatenate([rows.ineq, rows.eq])] = np.arange(self.row_count)
-        self._lo = np.concatenate([np.full(rows.ineq.size, -np.inf), model.row_lo[rows.eq]])
-        self._hi = np.concatenate([rows.b_ub(model.row_lo[rows.ineq], model.row_hi[rows.ineq]),
-                                   model.row_hi[rows.eq]])
+        self._pos[rows.order] = np.arange(self.row_count)
+        self._lo, self._hi = rows.stacked(rows.order, model.row_lo[rows.order],
+                                          model.row_hi[rows.order])
         lp = highs.HighsLp()
         lp.num_col_, lp.num_row_ = n, self.row_count
         lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = n, self.row_count
@@ -239,13 +240,11 @@ class LPSolver:
         if not rows.size:
             return
         pos = self._pos[rows]
-        is_eq = pos >= self._rows.ineq.size
-        sign = np.ones(rows.size)
-        sign[~is_eq] = self._rows.sign[pos[~is_eq]]
-        if ((lo == hi) != is_eq).any() or np.isfinite(np.where(sign > 0, lo, hi)[~is_eq]).any():
+        one_sided = pos < self._rows.ineq.size
+        dropped = np.where(self._rows.sign[rows] > 0, lo, -hi)   # must stay -inf
+        if ((lo != hi) != one_sided).any() or not np.isneginf(dropped[one_sided]).all():
             raise BackendError("a bound change may not change the sense of a row")
-        new_lo = np.where(is_eq, lo, -np.inf)
-        new_hi = np.where(sign > 0, hi, -lo)
+        new_lo, new_hi = self._rows.stacked(rows, lo, hi)
         changed = np.flatnonzero((new_lo != self._lo[pos]) | (new_hi != self._hi[pos]))
         for k in changed:
             self._highs.changeRowBounds(int(pos[k]), float(new_lo[k]), float(new_hi[k]))

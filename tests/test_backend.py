@@ -1,4 +1,5 @@
-"""LP/MILP adapter: statuses, dual-sign convention, determinism."""
+"""LP/MILP adapter: statuses, dual-sign convention, determinism, and the
+persistent LP solver against the one-shot solve."""
 
 from dataclasses import replace
 
