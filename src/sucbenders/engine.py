@@ -1,13 +1,22 @@
 """Benders iteration driver: master solve, parallel subproblems, bounds,
 convergence, and cut-pool updates.
 
-Per iteration: solve the master MILP, read the lower bound and the candidate
+Per iteration: solve the master, read the lower bound and the candidate
 first-stage point, solve all scenario subproblems in parallel, update the
-upper bound, test convergence, then add cuts per the configured mode.  In
-aggregated mode the cluster count is adapted from the lower-bound delta
-before the new cuts are generated, and consolidation (when enabled) is
-driven by cut-row duals taken from an LP re-solve of the master with the
-binaries fixed at their optimal values.
+upper bound, test convergence, then add cuts per the configured mode.
+
+A run has two phases on one cut pool (McDaniel & Devine 1977).  The LP
+phase solves the master with its integrality relaxed: its optimum is a
+lower bound, cuts are taken at the LP point, and no upper bound is taken
+from a fractional point; it ends once the LP gap (first-stage cost and
+expected recourse at the LP point, minus the bound) is within ``eps``.  The
+MILP phase then solves the master MILP until the upper and lower bounds
+meet.  In aggregated mode the LP phase cuts at |Omega| singleton clusters
+unless the count is pinned (``adaptive=False``); in the MILP phase the
+cluster count is adapted from the lower-bound delta before the new cuts are
+generated.  Consolidation (when enabled) is driven by cut-row duals: those
+of the LP master, or of an LP re-solve of the MILP master with the binaries
+fixed at their optimal values.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ import scipy.sparse as sp
 
 from . import clustering
 from .backend import SolveStatus, solve_lp, solve_milp
-from .cuts import (CutMode, CutPool, adapt_cluster_count,
+from .cuts import (CutKind, CutMode, CutPool, adapt_cluster_count,
                    aggregate_and_add, make_full_aggregate_cut,
                    make_per_scenario_cuts, select_attributes,
                    track_and_consolidate)
@@ -55,15 +64,17 @@ class BendersConfig:
     zeta: float = 0.75                # dead-band width fraction
     rho: int = 5                      # cluster increment
     kappa: int = 5                    # consolidation inactivity threshold
-    initial_clusters: int = 1
-    adaptive: bool = True             # dead-band control of the cluster count
+    initial_clusters: int = 1         # the pinned count when adaptive is off
+    # dead-band control of the cluster count in the MILP phase, from |Omega|
+    adaptive: bool = True
     clustering_method: str = "hierarchical"   # or "kmeans"
     attribute: str = "duals"          # or "objective", "wind"
     consolidate: bool = False
     workers: int = 1
     # deterministic choice among alternate master optima: a pinned MILP picks
     # the binaries, then an LP with them fixed picks a unique continuous vertex
-    # (single-cut runs make this choice in the aggregated master layout)
+    # (in the LP phase only the pinned LP; single-cut and multi-cut runs make
+    # this choice in the aggregated master layout)
     tie_break: bool = False
 
     def validate(self, n_scenarios: int) -> None:
@@ -84,19 +95,24 @@ class BendersConfig:
 @dataclass
 class IterationRecord:
     iteration: int
+    phase: str                # "lp" or "milp"
     lower_bound: float
     upper_bound: float        # best so far
-    ub_candidate: float
+    ub_candidate: float | None   # None in the LP phase
     clusters: int
     master_rows: int
     master_time: float
     sub_time: float           # wall time of the subproblem phase
 
     def trace_line(self) -> str:
-        gap = self.upper_bound - self.lower_bound
+        # strict JSON: an infinite bound or gap is written as null
+        def finite(v):
+            return v if np.isfinite(v) else None
         return json.dumps({
-            "iter": self.iteration, "lb": self.lower_bound, "ub": self.upper_bound,
-            "gap": gap, "clusters": self.clusters, "master_rows": self.master_rows,
+            "iter": self.iteration, "phase": self.phase, "lb": finite(self.lower_bound),
+            "ub": finite(self.upper_bound),
+            "gap": finite(self.upper_bound - self.lower_bound),
+            "clusters": self.clusters, "master_rows": self.master_rows,
             "master_time_s": self.master_time, "sub_time_s": self.sub_time,
         })
 
@@ -179,19 +195,32 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
         fixed_commitments: dict | None = None,
         trace: Callable[[str], None] | None = None,
         should_stop: Callable[[], bool] | None = None) -> ConvergedSolution:
-    """Iterate the decomposition to convergence |ub - lb| <= eps."""
+    """Iterate the LP phase until its gap is within eps, then the MILP phase
+    to convergence |ub - lb| <= eps; ``max_iters`` counts both."""
     config.validate(scenarios.n_scenarios)
     theta_min = (config.theta_min if config.theta_min is not None
                  else default_theta_min(instance))
     pi = dict(zip(scenarios.scenario_ids, scenarios.probabilities))
     n_first = first_stage_layout(instance).n
     pool = CutPool()
-    state = BendersState(cluster_count=config.initial_clusters)
+    # with the controller on, the LP phase cuts at |Omega| singleton clusters
+    # and the controller starts from there in the MILP phase
+    state = BendersState(cluster_count=(
+        scenarios.n_scenarios if config.mode is CutMode.AGGREGATED and config.adaptive
+        else config.initial_clusters))
     attr_cache: dict = {}
     t_start = time.perf_counter()
     solvers = recourse_solvers(instance, scenarios, config.workers)
     status = RunStatus.NOT_CONVERGED
     final_rows = 0
+    lp_phase = True
+
+    def master_of(mode, cuts):
+        """The master of ``mode`` over ``cuts``, relaxed in the LP phase."""
+        master = build_master(instance, scenarios, mode, cuts, theta_min,
+                              fixed_commitments=fixed_commitments)
+        return (replace(master, integral=np.zeros_like(master.integral)) if lp_phase
+                else master)
 
     for nu in range(1, config.max_iters + 1):
         if should_stop is not None and should_stop():
@@ -199,36 +228,35 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
             break
         state.iteration = nu
 
-        master = build_master(instance, scenarios, config.mode, pool, theta_min,
-                              fixed_commitments=fixed_commitments)
-        mres = solve_milp(master, mip_gap=config.mip_gap)
+        master = master_of(config.mode, pool)
+        mres = _solve_master(master, config.mip_gap)
         if mres.status is not SolveStatus.OPTIMAL:
             raise EngineError(
                 f"master solve failed at iteration {nu}: {mres.status.value} "
                 f"{mres.message}")
         final_rows = mres.row_count
         prev_lb = state.lower_bound
-        # the master only gains rows, so its optimum cannot decrease; clamp
-        # away sub-tolerance solver noise to keep the reported bound monotone
+        # the master only gains rows (and integrality), so its optimum cannot
+        # decrease; clamp away sub-tolerance solver noise to keep the
+        # reported bound monotone
         state.lower_bound = max(prev_lb, mres.objective)
+        point = mres
         if config.tie_break:
-            # single-cut cuts are full aggregates; choosing the point in the
-            # aggregated layout makes it match the one-cluster aggregated run
-            # bit for bit (HiGHS vertices of two layouts of one LP differ by
-            # ~1e-10, and degenerate subproblem duals amplify that)
+            # single-cut and multi-cut runs choose their point in the
+            # aggregated layout, where their cuts are rows of the one-cluster
+            # and the |Omega|-cluster aggregated runs bit for bit (HiGHS
+            # vertices of two layouts of one LP differ by ~1e-10, and
+            # degenerate subproblem duals amplify that)
             tied, tres = master, mres
-            if config.mode is CutMode.SINGLE:
-                tied = build_master(instance, scenarios, CutMode.AGGREGATED, pool,
-                                    theta_min, fixed_commitments=fixed_commitments)
-                tres = solve_milp(tied, mip_gap=config.mip_gap)
-            x_hat = extract_first_stage(
-                instance, _tie_break_master(tied, tres, n_first, config.mip_gap))
-        else:
-            x_hat = extract_first_stage(instance, mres)
+            if config.mode is not CutMode.AGGREGATED:
+                tied = master_of(CutMode.AGGREGATED, _aggregated_layout(pool, pi))
+                tres = _solve_master(tied, config.mip_gap)
+            point = _tie_break_master(tied, tres, n_first, config.mip_gap)
+        x_hat = extract_first_stage(instance, point)
 
         # adapt the cluster count from the lower-bound delta before this
         # iteration's cuts are generated
-        if (config.mode is CutMode.AGGREGATED and config.adaptive
+        if (config.mode is CutMode.AGGREGATED and config.adaptive and not lp_phase
                 and nu >= 2 and np.isfinite(prev_lb)):
             ref_ub = state.upper_bound if np.isfinite(state.upper_bound) else state.lower_bound
             state.cluster_count = adapt_cluster_count(
@@ -237,21 +265,33 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
 
         results, sub_time = solve_subproblems(instance, scenarios, x_hat,
                                               solvers=solvers)
-        ub_candidate = compute_bounds(x_hat.c_da, results, pi)
-        if ub_candidate < state.upper_bound:
-            state.upper_bound = ub_candidate
-            state.incumbent = x_hat
+        if lp_phase:
+            # a fractional point gives no upper bound; the LP gap takes the
+            # first-stage cost from the master's columns (x_hat rounds u, y, z)
+            ub_candidate = None
+            gap = compute_bounds(float(master.c[:n_first] @ point.x[:n_first]),
+                                 results, pi) - state.lower_bound
+        else:
+            ub_candidate = compute_bounds(x_hat.c_da, results, pi)
+            if ub_candidate < state.upper_bound:
+                state.upper_bound = ub_candidate
+                state.incumbent = x_hat
+            gap = abs(state.upper_bound - state.lower_bound)
 
-        record = IterationRecord(nu, state.lower_bound, state.upper_bound,
-                                 ub_candidate, state.cluster_count,
+        record = IterationRecord(nu, "lp" if lp_phase else "milp", state.lower_bound,
+                                 state.upper_bound, ub_candidate, state.cluster_count,
                                  mres.row_count, mres.solve_time, sub_time)
         state.history.append(record)
         if trace is not None:
             trace(record.trace_line())
 
-        if abs(state.upper_bound - state.lower_bound) <= config.eps:
-            status = RunStatus.CONVERGED
-            break
+        if gap <= config.eps:
+            if not lp_phase:
+                status = RunStatus.CONVERGED
+                break
+            # the LP master is exact at its optimum: go on with the MILP
+            lp_phase = False
+            continue
 
         # consolidation needs the cut-row duals of the master just solved
         if (config.mode is CutMode.AGGREGATED and config.consolidate
@@ -277,6 +317,31 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
                              state.iteration)
 
 
+def _solve_master(model, mip_gap: float):
+    """MILP solve of a master with integer columns, LP solve of a relaxed one."""
+    return solve_milp(model, mip_gap=mip_gap) if model.integral.any() else solve_lp(model)
+
+
+def _aggregated_layout(pool: CutPool, pi: dict) -> CutPool:
+    """``pool``'s cuts as rows of the aggregated master.
+
+    A full aggregate cut already is one; a per-scenario cut becomes the
+    singleton aggregate that an |Omega|-cluster aggregated run makes from the
+    same subproblem result, scaled by pi bit for bit (``_make_cut`` sums
+    ``0.0 + pi * Q`` and ``0 + pi * lambda``).
+    """
+    out = CutPool()
+    for cut in pool.live_cuts():
+        if cut.kind is CutKind.PER_SCENARIO:
+            (omega,) = cut.members
+            w = pi[omega]
+            cut = replace(cut, kind=CutKind.CLUSTER_AGGREGATE, theta_weights={omega: w},
+                          intercept=w * cut.intercept, lam_rp=w * cut.lam_rp,
+                          lam_rm=w * cut.lam_rm, lam_w=w * cut.lam_w, lam_f=w * cut.lam_f)
+        out.add(cut)
+    return out
+
+
 def _tie_break_master(master, mres, n_first: int, mip_gap: float):
     """Pick one master optimum deterministically when several are tied.
 
@@ -296,7 +361,8 @@ def _tie_break_master(master, mres, n_first: int, mip_gap: float):
     So among the points whose original objective lies within the pin slack
     of the master's reported objective, equivalent masters in different cut
     modes select the same first-stage point, provided step 1 picks the same
-    binaries.
+    binaries.  A relaxed (LP-phase) master has no binaries, so step 2 alone
+    chooses its point.
     """
     if mres.status is not SolveStatus.OPTIMAL:
         raise EngineError(f"tie-break master solve failed: {mres.status.value} {mres.message}")
@@ -307,21 +373,27 @@ def _tie_break_master(master, mres, n_first: int, mip_gap: float):
                      A=sp.vstack([master.A, sp.csr_matrix(master.c)], format="csr"),
                      row_lo=np.append(master.row_lo, -np.inf),
                      row_hi=np.append(master.row_hi, mres.objective + slack))
-    res = solve_milp(pinned, mip_gap=mip_gap)
-    if res.status is not SolveStatus.OPTIMAL:
-        raise EngineError(f"tie-break re-solve failed: {res.status.value} {res.message}")
+    res = mres
+    if master.integral.any():
+        res = solve_milp(pinned, mip_gap=mip_gap)
+        if res.status is not SolveStatus.OPTIMAL:
+            raise EngineError(f"tie-break re-solve failed: {res.status.value} {res.message}")
     return _solve_with_binaries_fixed(pinned, res)
 
 
 def _cut_duals(master, mres, cuts: list) -> dict:
     """Duals of the master's cut rows (its last rows, in pool order), keyed
-    by row name, via an LP re-solve with binaries fixed."""
-    mu = _solve_with_binaries_fixed(master, mres).row_dual
+    by row name: an LP master's own, a MILP master's from an LP re-solve with
+    binaries fixed."""
+    if master.integral.any():
+        mres = _solve_with_binaries_fixed(master, mres)
+    mu = mres.row_dual
     return {c.row_name(): float(m) for c, m in zip(cuts, mu[len(mu) - len(cuts):])}
 
 
 def _solve_with_binaries_fixed(model, mres):
-    """LP solve of ``model`` with its binaries fixed at their values in ``mres``."""
+    """LP solve of ``model`` with its binaries (if any) fixed at their values
+    in ``mres``."""
     cols = np.flatnonzero(model.integral)
     lres = solve_lp(model.fixed(cols, mres.x[cols], relax=True))
     if lres.status is not SolveStatus.OPTIMAL:

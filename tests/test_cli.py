@@ -75,6 +75,20 @@ def test_trace_file_is_json_lines(tmp_path):
         assert {"iter", "lb", "ub", "gap"} <= set(doc)
 
 
+def test_trace_file_is_strict_json(tmp_path):
+    # the LP phase has no upper bound yet; it must read null, not Infinity
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    trace = tmp_path / "trace.jsonl"
+    res = _invoke(["solve", *TOY, "--method", "multi-cut", "--trace", str(trace)])
+    assert res.exit_code == 0
+    docs = [json.loads(line, parse_constant=reject)
+            for line in trace.read_text().strip().splitlines()]
+    assert docs[0]["phase"] == "lp" and docs[0]["ub"] is None and docs[0]["gap"] is None
+    assert docs[-1]["phase"] == "milp" and docs[-1]["gap"] <= 1e-6
+
+
 def test_outer_report_carries_t1_t2(tmp_path):
     report = tmp_path / "outer.json"
     res = _invoke(["solve", *TOY, "--method", "outer", "--subsets", "2",

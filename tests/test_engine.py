@@ -2,18 +2,20 @@
 
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from sucbenders.backend import solve_milp
-from sucbenders.cuts import CutMode
+from sucbenders.backend import solve_lp, solve_milp
+from sucbenders.cuts import (CutMode, CutPool, aggregate_and_add,
+                             make_per_scenario_cuts)
 from sucbenders.engine import (BendersConfig, EngineError, RunStatus,
-                               _tie_break_master, compute_bounds, run,
-                               solve_subproblems)
-from sucbenders.formulations import (build_extensive, build_master,
+                               _aggregated_layout, _tie_break_master,
+                               compute_bounds, run, solve_subproblems)
+from sucbenders.formulations import (FEAS_TOL, build_extensive, build_master,
                                      default_theta_min, extract_first_stage,
-                                     first_stage_layout,
+                                     first_stage_layout, first_stage_violation,
                                      sample_feasible_first_stage)
 
 
@@ -113,6 +115,8 @@ def test_iteration_limit_reports_not_converged(toy_a):
     assert sol.objective is None
     assert sol.iterations == 2
     assert len(sol.state.history) == 2   # full state carried out
+    assert [r.phase for r in sol.state.history] == ["lp", "lp"]
+    assert sol.first_stage is None
 
 
 def test_cancellation_between_iterations(toy_a):
@@ -129,7 +133,7 @@ def test_trace_lines_are_json_with_stable_keys(toy_a):
     lines = []
     run(inst, scen, BendersConfig(mode=CutMode.AGGREGATED), trace=lines.append)
     docs = [json.loads(line) for line in lines]
-    keys = {"iter", "lb", "ub", "gap", "clusters", "master_rows",
+    keys = {"iter", "phase", "lb", "ub", "gap", "clusters", "master_rows",
             "master_time_s", "sub_time_s"}
     assert all(set(d) == keys for d in docs)
     assert [d["iter"] for d in docs] == list(range(1, len(docs) + 1))
@@ -159,11 +163,11 @@ def test_tie_break_point_is_the_same_across_equivalent_masters(toy_a):
     # the single-cut pool renders as "theta >= ..." in the single-cut master
     # and as "sum pi_w theta_w >= ..." in the aggregated master; both masters
     # have the same optima, so the tie-break must return the same point.
-    # Five cuts give the iteration-6 master, where the MIP incumbents of the
-    # two layouts lie about 2e-6 apart.
+    # Fourteen LP-phase cuts give a master where the pinned MILP alone (the
+    # tie-break without its LP step) returns points 1.9e-7 apart.
     inst, scen = toy_a
     sol = run(inst, scen, BendersConfig(mode=CutMode.SINGLE, tie_break=True,
-                                        max_iters=5))
+                                        max_iters=14))
     theta_min = default_theta_min(inst)
     n_first = first_stage_layout(inst).n
     points = []
@@ -181,3 +185,97 @@ def test_tie_break_point_is_the_same_across_equivalent_masters(toy_a):
         np.testing.assert_allclose(getattr(aggregated, f.name),
                                    getattr(single, f.name), rtol=0, atol=1e-9,
                                    err_msg=f.name)
+
+
+def _phases(sol):
+    return [r.phase for r in sol.state.history]
+
+
+@pytest.mark.parametrize("mode", list(CutMode))
+def test_lp_phase_comes_first_and_gives_no_upper_bound(toy_a, mode):
+    inst, scen = toy_a
+    sol = run(inst, scen, BendersConfig(mode=mode))
+    assert sol.status is RunStatus.CONVERGED
+    phases = _phases(sol)
+    n_lp = phases.count("lp")
+    assert n_lp >= 1 and phases == ["lp"] * n_lp + ["milp"] * (len(phases) - n_lp)
+    for rec in sol.state.history[:n_lp]:
+        assert rec.ub_candidate is None and rec.upper_bound == np.inf
+    assert all(rec.ub_candidate is not None for rec in sol.state.history[n_lp:])
+
+
+@pytest.mark.parametrize("mode", list(CutMode))
+def test_incumbent_is_integral_and_from_the_milp_phase(toy_a, mode):
+    inst, scen = toy_a
+    sol = run(inst, scen, BendersConfig(mode=mode))
+    x = sol.first_stage
+    for block in (x.u, x.y, x.z):
+        assert np.isin(block, (0.0, 1.0)).all()
+    assert first_stage_violation(inst, x) <= FEAS_TOL
+    milp = [r for r in sol.state.history if r.phase == "milp"]
+    assert sol.objective == min(r.ub_candidate for r in milp)
+
+
+@pytest.mark.parametrize("mode", list(CutMode))
+def test_lower_bound_is_monotone_across_the_phase_switch(toy_a, mode):
+    inst, scen = toy_a
+    oracle = solve_milp(build_extensive(inst, scen)).objective
+    eps = 1e-6
+    sol = run(inst, scen, BendersConfig(mode=mode, eps=eps))
+    lbs = [r.lower_bound for r in sol.state.history]
+    assert "milp" in _phases(sol)
+    assert all(b >= a for a, b in zip(lbs, lbs[1:]))
+    assert max(lbs) <= oracle + eps
+
+
+def test_lp_phase_cluster_count(toy_a):
+    # the controller's runs cut at |Omega| singleton clusters until the MILP
+    # phase; a pinned count holds in both phases
+    inst, scen = toy_a
+    n = scen.n_scenarios
+    adaptive = run(inst, scen, BendersConfig(mode=CutMode.AGGREGATED, adaptive=True))
+    lp = [r for r in adaptive.state.history if r.phase == "lp"]
+    assert lp and all(r.clusters == n for r in lp)
+    for r in lp[:-1]:                # the last LP iteration adds no cuts
+        assert len(adaptive.pool.cuts_by_iter[r.iteration]) == n
+    pinned = run(inst, scen, BendersConfig(mode=CutMode.AGGREGATED, adaptive=False,
+                                           initial_clusters=2))
+    assert "lp" in _phases(pinned) and "milp" in _phases(pinned)
+    assert all(r.clusters == 2 for r in pinned.state.history)
+    assert all(len(cuts) == 2 for cuts in pinned.pool.cuts_by_iter.values())
+
+
+def test_multi_cut_tie_break_layout_is_the_full_aggregated_master(toy_a):
+    # per-scenario cuts rendered as singleton aggregates scaled by pi are the
+    # rows that an |Omega|-cluster aggregated run makes from the same
+    # subproblem results, bit for bit, so both runs' tie-breaks see one model
+    inst, scen = toy_a
+    pi = dict(zip(scen.scenario_ids, scen.probabilities))
+    sol = run(inst, scen, BendersConfig(mode=CutMode.MULTI, tie_break=True, max_iters=5))
+    multi_pool, agg_pool = CutPool(), CutPool()
+    for nu, cuts in sorted(sol.pool.cuts_by_iter.items()):
+        c = cuts[0]
+        anchor = SimpleNamespace(cut_point=lambda c=c: (c.anchor_rp, c.anchor_rm,
+                                                        c.anchor_w, c.anchor_f))
+        results, _ = solve_subproblems(inst, scen, anchor)
+        for cut in make_per_scenario_cuts(results, anchor, nu):
+            multi_pool.add(cut)
+        aggregate_and_add(agg_pool, results, anchor, pi, range(len(results)), nu)
+    assert multi_pool.row_contribution == agg_pool.row_contribution > 0
+    theta_min = default_theta_min(inst)
+    n_first = first_stage_layout(inst).n
+    rendered = build_master(inst, scen, CutMode.AGGREGATED,
+                            _aggregated_layout(multi_pool, pi), theta_min)
+    aggregated = build_master(inst, scen, CutMode.AGGREGATED, agg_pool, theta_min)
+    for f in ("c", "lb", "ub", "integral", "row_lo", "row_hi"):
+        assert np.array_equal(getattr(rendered, f), getattr(aggregated, f)), f
+    for f in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(rendered.A, f), getattr(aggregated.A, f)), f
+    for relax in (False, True):
+        points = []
+        for master in (rendered, aggregated):
+            if relax:
+                master = dataclasses.replace(master, integral=np.zeros_like(master.integral))
+            mres = solve_lp(master) if relax else solve_milp(master)
+            points.append(_tie_break_master(master, mres, n_first, mip_gap=1e-6).x)
+        assert np.array_equal(*points)
