@@ -1,12 +1,27 @@
-"""Solver-agnostic LP/MILP layer on top of scipy's HiGHS bindings.
+"""Solver-agnostic LP/MILP layer on one persistent HiGHS loader.
+
+Every solve goes through ``HighsSolver``, which holds one model in a
+``_Highs`` instance of scipy's bundled HiGHS bindings.  ``solve_lp`` and
+``solve_milp`` solve a fresh instance once; the scenario subproblems keep
+one instance per worker and re-solve it after bound changes.
 
 The dual convention is pinned here: for an LP solved to optimality, the dual
 value reported for a constraint is the derivative of the optimal objective
 with respect to that constraint's right-hand side.  For an equality fixing
 constraint ``x = x_hat`` with multiplier ``lam`` this gives the subgradient
-inequality ``Q(x) >= Q(x_hat) + lam * (x - x_hat)``.  HiGHS marginals already
-follow this convention for equality and <= rows; >= rows are solved in
-negated <= form, so their marginals are negated back in the adapter.
+inequality ``Q(x) >= Q(x_hat) + lam * (x - x_hat)``.  HiGHS row duals follow
+this convention for every row it holds; a row that the loader negated is
+negated back.
+
+Each entry point passes rows in the layout that ``scipy.optimize`` used to
+give HiGHS, because HiGHS's iterates depend on the layout and the Benders
+runs' iterates, cuts and row counts depend on those:
+
+* LPs take ``linprog``'s stacked form: the inequality rows in model order,
+  >= rows negated into <= rows, then the equality rows;
+* MILPs take ``milp``'s native two-sided rows, in model order.
+
+Both run with presolve on, the dual simplex and output off.
 """
 
 from __future__ import annotations
@@ -17,7 +32,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+# bench/layers.py wraps backend.linprog and backend.milp by name; nothing
+# here calls them
+from scipy.optimize import linprog, milp  # noqa: F401
 # scipy's bundled HiGHS bindings (scipy >= 1.15); a private API, used only here
 from scipy.optimize._highspy import _core as highs
 
@@ -82,118 +99,92 @@ class LinearModel:
                        integral=np.zeros_like(self.integral) if relax else self.integral)
 
 
-_STATUS = {
-    0: SolveStatus.OPTIMAL,
-    2: SolveStatus.INFEASIBLE,
-    3: SolveStatus.UNBOUNDED,
-}
-
-
-def _result(res, model: LinearModel, t0: float, row_dual=None) -> SolveResult:
-    elapsed = time.perf_counter() - t0
-    status = _STATUS.get(res.status, SolveStatus.ERROR)
-    if status is not SolveStatus.OPTIMAL:
-        return SolveResult(status, None, None, None, model.row_count, elapsed,
-                           message=getattr(res, "message", ""))
-    return SolveResult(SolveStatus.OPTIMAL, float(res.fun), res.x, row_dual,
-                       model.row_count, elapsed)
-
-
-def _error(exc: Exception, model: LinearModel, t0: float) -> SolveResult:
-    # a backend failure, not a modeling outcome
-    return SolveResult(SolveStatus.ERROR, None, None, None, model.row_count,
-                       time.perf_counter() - t0, message=str(exc))
-
-
-class _RowSplit:
-    """A model's rows as ``linprog`` takes them: the inequality rows in model
-    order, >= rows negated into <= form, then the equality rows.
-
-    HiGHS reports each row's marginal as dObj/dRHS of that stacked form, so
-    ``row_dual`` undoes the >= negation and returns duals in model row order.
-    """
-
-    def __init__(self, model: LinearModel):
-        if model.integral.any():
-            raise BackendError("LP solve called on a model with integrality flags")
-        eq = model.row_lo == model.row_hi
-        ge = ~eq & ~np.isneginf(model.row_lo)
-        if np.isfinite(model.row_hi[ge]).any():
-            raise BackendError("LP solve called on a model with two-sided inequality rows")
-        self.ineq, self.eq = np.flatnonzero(~eq), np.flatnonzero(eq)
-        self.order = np.concatenate([self.ineq, self.eq])   # model row of each stacked row
-        self.sign = np.where(ge, -1.0, 1.0)                  # per model row
-
-    def blocks(self, model: LinearModel):
-        """``A_ub, b_ub, A_eq, b_eq``, each None when it has no rows."""
-        ineq, eq = self.ineq, self.eq
-        b_ub = self.stacked(ineq, model.row_lo[ineq], model.row_hi[ineq])[1]
-        return (sp.diags(self.sign[ineq]) @ model.A[ineq] if ineq.size else None,
-                b_ub if ineq.size else None,
-                model.A[eq] if eq.size else None,
-                model.row_lo[eq] if eq.size else None)
-
-    def stacked(self, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-        """Stacked-form (lower, upper) bounds of model rows ``rows``, given
-        their bounds ``lo``/``hi`` in model form."""
-        return np.where(lo == hi, lo, -np.inf), np.where(self.sign[rows] > 0, hi, -lo)
-
-    def row_dual(self, marginals: np.ndarray) -> np.ndarray:
-        """Model-order duals from the marginals of the stacked rows."""
-        dual = np.empty_like(marginals)
-        dual[self.order] = self.sign[self.order] * marginals
-        return dual
-
-
-def solve_lp(model: LinearModel) -> SolveResult:
-    """Solve an LP to optimality, returning primal values and row duals."""
-    rows = _RowSplit(model)
-    t0 = time.perf_counter()
-    A_ub, b_ub, A_eq, b_eq = rows.blocks(model)
-    try:
-        res = linprog(model.c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                      bounds=np.column_stack((model.lb, model.ub)), method="highs")
-    except Exception as exc:
-        return _error(exc, model, t0)
-    row_dual = None
-    if res.status == 0:
-        row_dual = rows.row_dual(np.concatenate([res.ineqlin.marginals,
-                                                 res.eqlin.marginals]))
-    return _result(res, model, t0, row_dual)
-
-
 _HIGHS_STATUS = {
     highs.HighsModelStatus.kOptimal: SolveStatus.OPTIMAL,
     highs.HighsModelStatus.kInfeasible: SolveStatus.INFEASIBLE,
     highs.HighsModelStatus.kUnbounded: SolveStatus.UNBOUNDED,
 }
 
+_OPTIONS = (("output_flag", False), ("log_to_console", False), ("presolve", "on"),
+            ("simplex_strategy",
+             int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)))
 
-class LPSolver:
-    """One LP held in a persistent HiGHS instance and re-solved after bound
-    changes.
 
-    The model is passed once, in the row layout and with the options that
-    ``solve_lp`` gives ``linprog`` (presolve on, dual simplex, output off).
-    Every solve starts cold on the same matrix, so its results equal those
-    of ``solve_lp`` on a model with the same bounds, bit for bit.  One
-    instance must not be solved from two threads at once; ``run`` releases
-    the interpreter lock, so solvers in different threads run in parallel.
+class _RowLayout:
+    """Where each model row sits in HiGHS, and its sign there.
+
+    Native: model row i is HiGHS row i.  Stacked: the inequality rows in
+    model order, >= rows negated, then the equality rows.  HiGHS reports
+    each row's dual as dObj/dRHS of the row it holds, so ``row_dual`` undoes
+    the negation and returns duals in model row order.
     """
 
-    def __init__(self, model: LinearModel):
+    def __init__(self, model: LinearModel, stacked: bool):
+        n = model.row_count
+        self.stacked = stacked
+        self.order = np.arange(n)             # model row of each HiGHS row
+        self.sign = np.ones(n)                # per model row
+        self.n_ineq = 0
+        if stacked:
+            if model.integral.any():
+                raise BackendError("LP solve called on a model with integrality flags")
+            eq = model.row_lo == model.row_hi
+            ge = ~eq & ~np.isneginf(model.row_lo)
+            if np.isfinite(model.row_hi[ge]).any():
+                raise BackendError("LP solve called on a model with two-sided inequality rows")
+            self.order = np.concatenate([np.flatnonzero(~eq), np.flatnonzero(eq)])
+            self.sign = np.where(ge, -1.0, 1.0)
+            self.n_ineq = n - int(eq.sum())
+        self.pos = np.argsort(self.order)     # HiGHS row of each model row
+
+    def matrix(self, A: sp.csr_matrix) -> sp.csc_array:
+        if not self.stacked:
+            return sp.csc_array(A)
+        return sp.csc_array((sp.diags(self.sign) @ A)[self.order])
+
+    def bounds(self, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        """HiGHS (lower, upper) bounds of model rows ``rows`` with model
+        bounds ``lo``/``hi``."""
+        neg = self.sign[rows] < 0
+        return np.where(neg, -hi, lo), np.where(neg, -lo, hi)
+
+    def row_dual(self, duals: np.ndarray) -> np.ndarray:
+        """Model-order duals from the duals of the HiGHS rows."""
+        return self.sign * duals[self.pos]
+
+
+def _check_finite(model: LinearModel) -> None:
+    """Reject what HiGHS would not: it solves a model with a NaN or
+    infinite cost to "optimal"."""
+    if not (np.isfinite(model.c).all() and np.isfinite(model.A.data).all()):
+        raise BackendError("model has a non-finite cost or matrix entry")
+    if any(np.isnan(b).any() for b in (model.lb, model.ub, model.row_lo, model.row_hi)):
+        raise BackendError("model has a NaN bound")
+
+
+class HighsSolver:
+    """One model held in a persistent HiGHS instance and re-solved after
+    bound changes.
+
+    With ``mip_gap`` None the model must be an LP, passed in the stacked
+    layout and solved for row duals; otherwise it is a MILP, passed with
+    native rows and solved within that relative gap.  Every solve starts
+    cold on the same matrix, so its results equal those of a fresh instance
+    on a model with the same bounds, bit for bit.  One instance must not be
+    solved from two threads at once; ``run`` releases the interpreter lock,
+    so solvers in different threads run in parallel.
+    """
+
+    def __init__(self, model: LinearModel, mip_gap: float | None = None):
+        _check_finite(model)
         self.row_count = model.row_count
-        self._rows = rows = _RowSplit(model)
-        A_ub, _, A_eq, _ = rows.blocks(model)
+        self._mip = mip_gap is not None
+        self._rows = rows = _RowLayout(model, stacked=not self._mip)
+        # the current bounds of the HiGHS rows
+        self._lo, self._hi = rows.bounds(rows.order, model.row_lo[rows.order],
+                                         model.row_hi[rows.order])
+        A = rows.matrix(model.A)
         n = model.c.size
-        # the matrix exactly as linprog assembles it (COO blocks, stacked, CSC)
-        A = sp.csc_array(sp.vstack([sp.coo_array((0, n) if B is None else B, dtype=float)
-                                    for B in (A_ub, A_eq)]))
-        # stacked position of each model row, and the current stacked bounds
-        self._pos = np.empty(self.row_count, dtype=np.int64)
-        self._pos[rows.order] = np.arange(self.row_count)
-        self._lo, self._hi = rows.stacked(rows.order, model.row_lo[rows.order],
-                                          model.row_hi[rows.order])
         lp = highs.HighsLp()
         lp.num_col_, lp.num_row_ = n, self.row_count
         lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = n, self.row_count
@@ -203,18 +194,21 @@ class LPSolver:
         lp.col_cost_, lp.col_lower_, lp.col_upper_ = model.c, model.lb, model.ub
         lp.row_lower_, lp.row_upper_ = self._lo, self._hi
         self._highs = highs._Highs()
-        for option, value in (("output_flag", False), ("log_to_console", False),
-                              ("presolve", "on"), ("simplex_strategy",
-                              int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual))):
+        options = _OPTIONS
+        if self._mip:
+            lp.integrality_ = [highs.HighsVarType(int(i)) for i in model.integral]
+            options += (("mip_rel_gap", float(mip_gap)),)
+        for option, value in options:
             self._highs.setOptionValue(option, value)
         if self._highs.passModel(lp) == highs.HighsStatus.kError:
-            raise BackendError("HiGHS rejected the LP")
+            raise BackendError("HiGHS rejected the model")
 
     def solve(self, cols=(), lb=(), ub=(), rows=(), row_lo=(), row_hi=()) -> SolveResult:
         """Set the bounds of columns ``cols`` and rows ``rows`` (model
         indices) and solve from scratch; every other bound keeps its value
-        from the previous solve.  A row keeps its sense: an equality stays
-        an equality, and a one-sided row keeps its infinite side."""
+        from the previous solve.  In the stacked layout a row keeps its
+        sense: an equality stays an equality, and a one-sided row keeps its
+        infinite side."""
         t0 = time.perf_counter()
         cols = np.asarray(cols, dtype=np.int32)
         if cols.size:
@@ -233,18 +227,20 @@ class LPSolver:
         return SolveResult(SolveStatus.OPTIMAL,
                            float(self._highs.getInfo().objective_function_value),
                            np.array(solution.col_value),
+                           None if self._mip else
                            self._rows.row_dual(np.array(solution.row_dual)),
                            self.row_count, time.perf_counter() - t0)
 
     def _change_rows(self, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
         if not rows.size:
             return
-        pos = self._pos[rows]
-        one_sided = pos < self._rows.ineq.size
-        dropped = np.where(self._rows.sign[rows] > 0, lo, -hi)   # must stay -inf
-        if ((lo != hi) != one_sided).any() or not np.isneginf(dropped[one_sided]).all():
-            raise BackendError("a bound change may not change the sense of a row")
-        new_lo, new_hi = self._rows.stacked(rows, lo, hi)
+        pos = self._rows.pos[rows]
+        new_lo, new_hi = self._rows.bounds(rows, lo, hi)
+        if self._rows.stacked:
+            one_sided = pos < self._rows.n_ineq
+            if not (np.isneginf(new_lo[one_sided]).all()
+                    and (lo == hi)[~one_sided].all()):
+                raise BackendError("a bound change may not change the sense of a row")
         changed = np.flatnonzero((new_lo != self._lo[pos]) | (new_hi != self._hi[pos]))
         for k in changed:
             self._highs.changeRowBounds(int(pos[k]), float(new_lo[k]), float(new_hi[k]))
@@ -256,15 +252,11 @@ class LPSolver:
                            time.perf_counter() - t0, message=message)
 
 
+def solve_lp(model: LinearModel) -> SolveResult:
+    """Solve an LP to optimality, returning primal values and row duals."""
+    return HighsSolver(model).solve()
+
+
 def solve_milp(model: LinearModel, mip_gap: float = 1e-6) -> SolveResult:
     """Solve a MILP within the given relative gap."""
-    t0 = time.perf_counter()
-    constraints = (LinearConstraint(model.A, model.row_lo, model.row_hi)
-                   if model.row_count else [])
-    try:
-        res = milp(c=model.c, constraints=constraints, integrality=model.integral,
-                   bounds=Bounds(model.lb, model.ub),
-                   options={"mip_rel_gap": float(mip_gap), "presolve": True})
-    except Exception as exc:
-        return _error(exc, model, t0)
-    return _result(res, model, t0)
+    return HighsSolver(model, mip_gap=mip_gap).solve()

@@ -8,8 +8,10 @@ object per Benders iteration.
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import click
@@ -75,7 +77,6 @@ def _config_from_options(opts: dict) -> BendersConfig:
         eps=opts["eps"], mip_gap=opts["mip_gap"], theta_min=opts["theta_min"],
         max_iters=opts["max_iters"], alpha=opts["alpha"], zeta=opts["zeta"],
         rho=opts["rho"], kappa=opts["kappa"],
-        initial_clusters=opts["init_clusters"],
         clustering_method=opts["clustering"], attribute=opts["attribute"],
         consolidate=opts["consolidate"], workers=opts["workers"],
     )
@@ -86,7 +87,7 @@ def execute_method(method: str, instance, scenarios, opts: dict,
     config = _config_from_options(opts)
     cfg_echo = {k: opts[k] for k in
                 ("eps", "mip_gap", "theta_min", "zeta", "rho", "alpha", "kappa",
-                 "init_clusters", "clustering", "attribute", "consolidate",
+                 "clustering", "attribute", "consolidate",
                  "subsets", "gamma", "workers", "max_iters")}
     if method == "extensive":
         t0 = time.perf_counter()
@@ -160,7 +161,6 @@ def _common_options(f):
         click.option("--rho", type=int, default=5, show_default=True),
         click.option("--alpha", type=float, default=0.01, show_default=True),
         click.option("--kappa", type=int, default=5, show_default=True),
-        click.option("--init-clusters", type=int, default=1, show_default=True),
         click.option("--clustering", type=click.Choice(["hierarchical", "kmeans"]),
                      default="hierarchical", show_default=True),
         click.option("--attribute", type=click.Choice(["duals", "objective", "wind"]),
@@ -191,6 +191,22 @@ def _load(opts):
     return instance, scenarios
 
 
+@contextmanager
+def _stdout_to_stderr():
+    """Point file descriptor 1 at stderr for the duration, so that output
+    written straight to it (HiGHS has a raw print that no option silences)
+    cannot mix into the report on stdout."""
+    sys.stdout.flush()
+    saved = os.dup(1)
+    os.dup2(2, 1)
+    try:
+        yield
+    finally:
+        sys.stdout.flush()
+        os.dup2(saved, 1)
+        os.close(saved)
+
+
 def _trace_sink(path):
     if path is None:
         return None, None
@@ -207,7 +223,8 @@ def solve(method, **opts):
         instance, scenarios = _load(opts)
         fh, sink = _trace_sink(opts["trace_path"])
         try:
-            report = execute_method(method, instance, scenarios, opts, sink)
+            with _stdout_to_stderr():
+                report = execute_method(method, instance, scenarios, opts, sink)
         finally:
             if fh:
                 fh.close()

@@ -53,13 +53,6 @@ class Cut:
             return f"cons[{self.origin_iter}]"
         return f"cut[{self.origin_iter},{self.tag}]"
 
-    @property
-    def weight(self) -> float:
-        """Total probability mass of the member scenarios."""
-        if self.kind is CutKind.PER_SCENARIO:
-            return 1.0
-        return float(sum(self.theta_weights.values()))
-
     def evaluate(self, r_plus, r_minus, w, f) -> float:
         val = self.intercept
         val += float(np.sum(self.lam_rp * (r_plus - self.anchor_rp)))
@@ -92,16 +85,6 @@ class CutPool:
         self.cuts_by_iter.setdefault(cut.origin_iter, []).append(cut)
         if cut.kind is CutKind.CLUSTER_AGGREGATE:
             self.activity.setdefault(cut.origin_iter, 0)
-
-    def snapshot(self) -> dict:
-        counts: dict[str, int] = {}
-        for cut in self.live_cuts():
-            counts[cut.kind.value] = counts.get(cut.kind.value, 0) + 1
-        return {
-            "cuts_by_kind": counts,
-            "consolidated_iters": list(self.consolidated_iters),
-            "activity": {str(k): v for k, v in sorted(self.activity.items())},
-        }
 
 
 def _make_cut(kind: CutKind, origin: int, tag: str, members, weights,

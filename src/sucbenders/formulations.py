@@ -45,7 +45,7 @@ import scipy.sparse as sp
 
 # solve_lp is no longer called here; it stays bound because bench/layers.py
 # wraps formulations.solve_lp by name
-from .backend import (LinearModel, LPSolver, SolveResult, SolveStatus,  # noqa: F401
+from .backend import (HighsSolver, LinearModel, SolveResult, SolveStatus,  # noqa: F401
                       solve_lp, solve_milp)
 from .cuts import CutKind, CutMode, CutPool
 from .data import ScenarioSet, SystemInstance
@@ -499,12 +499,12 @@ def recourse_template(instance: SystemInstance, scenarios: ScenarioSet) -> Recou
 
 
 class RecourseSolver:
-    """A template's LP held by a persistent ``backend.LPSolver``.  Not for
+    """A template's LP held by a persistent ``backend.HighsSolver``.  Not for
     concurrent use: each worker thread owns one."""
 
     def __init__(self, template: RecourseTemplate):
         self.template = template
-        self.lp = LPSolver(template.model)
+        self.lp = HighsSolver(template.model)
 
 
 def solve_subproblem(instance: SystemInstance, scenarios: ScenarioSet, omega: str,

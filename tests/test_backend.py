@@ -1,17 +1,24 @@
-"""LP/MILP adapter: statuses, dual-sign convention, determinism, and the
-persistent LP solver against the one-shot solve."""
+"""LP/MILP adapter: statuses, dual-sign convention, determinism, input
+checks, the row layouts against scipy's own HiGHS entry points, and the
+persistent solver against the one-shot solve."""
 
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
-from sucbenders.backend import (BackendError, LinearModel, LPSolver, SolveStatus,
+import sucbenders
+from sucbenders.backend import (BackendError, HighsSolver, LinearModel, SolveStatus,
                                 solve_lp, solve_milp)
-from sucbenders.formulations import (RecourseSolver, build_subproblem,
-                                     recourse_template, sample_feasible_first_stage,
-                                     solve_subproblem)
+from sucbenders.cuts import CutMode
+from sucbenders.engine import BendersConfig, run
+from sucbenders.formulations import (RecourseSolver, build_master, build_subproblem,
+                                     default_theta_min, recourse_template,
+                                     sample_feasible_first_stage, solve_subproblem)
 
 INF = np.inf
 
@@ -113,6 +120,36 @@ def test_solve_lp_rejects_two_sided_rows():
         solve_lp(model([1.0], [[1.0]], [1.0], [2.0]))
 
 
+def _bad_model(case: str, integral: bool) -> LinearModel:
+    """A feasible two-column model with one entry made NaN or infinite."""
+    m = model([1.0, 1.0], [[1.0, 1.0]], [1.0], [INF], ub=[5.0, 5.0],
+              integral=[integral, False])
+    bad = {"nan cost": dict(c=np.array([np.nan, 1.0])),
+           "inf cost": dict(c=np.array([-INF, 1.0])),
+           "nan column lb": dict(lb=np.array([np.nan, 0.0])),
+           "nan column ub": dict(ub=np.array([5.0, np.nan])),
+           "nan row lo": dict(row_lo=np.array([np.nan])),
+           "nan row hi": dict(row_hi=np.array([np.nan]))}
+    if case in bad:
+        return replace(m, **bad[case])
+    A = m.A.copy()
+    A.data[0] = np.nan if case == "nan matrix entry" else INF
+    return replace(m, A=A)
+
+
+@pytest.mark.parametrize("solve", [solve_lp, solve_milp], ids=["lp", "milp"])
+@pytest.mark.parametrize("case", ["nan cost", "inf cost", "nan column lb", "nan column ub",
+                                  "nan row lo", "nan row hi", "nan matrix entry",
+                                  "inf matrix entry"])
+def test_non_finite_input_is_never_solved(solve, case):
+    m = _bad_model(case, integral=solve is solve_milp)
+    try:
+        res = solve(m)
+    except BackendError:
+        return
+    assert res.status is SolveStatus.ERROR
+
+
 def test_determinism_across_repeat_solves():
     def build():
         rng = np.random.default_rng(7)
@@ -166,9 +203,38 @@ def _assert_same(got, want):
     assert np.array_equal(got.row_dual, want.row_dual)
 
 
-def test_lp_solver_matches_solve_lp_bit_for_bit():
-    m, _, _, _ = _mixed_senses()
-    _assert_same(LPSolver(m).solve(), solve_lp(m))
+def test_solve_lp_matches_linprog_bit_for_bit():
+    # solve_lp passes linprog's stacked layout: <= rows, >= rows negated,
+    # then = rows; the duals come back in model row order
+    m, _, sense, _ = _mixed_senses()
+    ineq, eq = np.flatnonzero(sense < 2), np.flatnonzero(sense == 2)
+    sign = np.where(sense == 1, -1.0, 1.0)
+    want = linprog(m.c, A_ub=sp.diags(sign[ineq]) @ m.A[ineq],
+                   b_ub=np.where(sense == 1, -m.row_lo, m.row_hi)[ineq],
+                   A_eq=m.A[eq], b_eq=m.row_lo[eq],
+                   bounds=np.column_stack((m.lb, m.ub)), method="highs")
+    got = solve_lp(m)
+    assert got.status is SolveStatus.OPTIMAL and want.status == 0
+    assert got.objective == want.fun
+    assert np.array_equal(got.x, want.x)
+    assert np.array_equal(got.row_dual[ineq], sign[ineq] * want.ineqlin.marginals)
+    assert np.array_equal(got.row_dual[eq], want.eqlin.marginals)
+
+
+def test_solve_milp_matches_scipy_milp_bit_for_bit(toy_a):
+    # solve_milp passes milp's native two-sided rows; a toy-a master with
+    # the cuts of a few multi-cut iterations
+    inst, scen = toy_a
+    pool = run(inst, scen, BendersConfig(mode=CutMode.MULTI, max_iters=6)).pool
+    m = build_master(inst, scen, CutMode.MULTI, pool, default_theta_min(inst))
+    assert m.integral.any() and m.row_count > 0
+    want = milp(m.c, constraints=LinearConstraint(m.A, m.row_lo, m.row_hi),
+                integrality=m.integral, bounds=Bounds(m.lb, m.ub),
+                options={"mip_rel_gap": 1e-6, "presolve": True})
+    got = solve_milp(m, mip_gap=1e-6)
+    assert got.status is SolveStatus.OPTIMAL and want.status == 0
+    assert got.objective == want.fun
+    assert np.array_equal(got.x, want.x)
 
 
 def test_lp_solver_matches_solve_lp_after_bound_changes_in_any_order():
@@ -184,7 +250,7 @@ def test_lp_solver_matches_solve_lp_after_bound_changes_in_any_order():
                       *_bounds_around(rows, x1, sense, rng.uniform(0.0, 2.0, sense.size))))
     objectives = set()
     for order in (steps, steps[::-1]):
-        solver = LPSolver(m)
+        solver = HighsSolver(m)
         for lb, ub, lo, hi in order:
             want_lb, want_ub = m.lb.copy(), m.ub.copy()
             want_lb[cols], want_ub[cols] = lb, ub
@@ -196,7 +262,7 @@ def test_lp_solver_matches_solve_lp_after_bound_changes_in_any_order():
 
 def test_lp_solver_recovers_from_infeasible_bounds():
     m = model([1.0, 1.0], [[1.0, 1.0]], [2.0], [INF], ub=[5.0, 5.0])
-    solver = LPSolver(m)
+    solver = HighsSolver(m)
     assert solver.solve([0, 1], [0.0, 0.0], [0.5, 0.5]).status is SolveStatus.INFEASIBLE
     res = solver.solve([0, 1], [0.0, 0.0], [5.0, 5.0])
     assert res.status is SolveStatus.OPTIMAL
@@ -205,7 +271,7 @@ def test_lp_solver_recovers_from_infeasible_bounds():
 
 def test_lp_solver_rejects_a_change_of_row_sense():
     m, _, _, _ = _mixed_senses()
-    solver = LPSolver(m)
+    solver = HighsSolver(m)
     with pytest.raises(BackendError):
         solver.solve(rows=[2], row_lo=[0.0], row_hi=[1.0])      # = row made two-sided
     with pytest.raises(BackendError):
@@ -228,3 +294,26 @@ def test_recourse_template_solve_matches_a_model_built_from_scratch(med_b):
         for cols, block in zip(solver.template.link,
                                (got.lam_rp, got.lam_rm, got.lam_w, got.lam_f)):
             assert np.array_equal(block, lam[cols])
+
+
+def _calls_and_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            yield "call", getattr(func, "id", None) or getattr(func, "attr", None)
+        elif isinstance(node, ast.ImportFrom):
+            yield "import", node.module or ""
+            yield from (("import", f"{node.module}.{a.name}") for a in node.names)
+        elif isinstance(node, ast.Import):
+            yield from (("import", a.name) for a in node.names)
+
+
+def test_one_solver_path():
+    # backend.py is the only module that loads models into HiGHS, and nothing
+    # reaches HiGHS through scipy's one-shot linprog/milp
+    for path in sorted(Path(sucbenders.__file__).parent.glob("*.py")):
+        for kind, name in _calls_and_imports(ast.parse(path.read_text())):
+            if kind == "call":
+                assert name not in ("linprog", "milp"), f"{path.name} calls {name}"
+            elif path.name != "backend.py":
+                assert "_highspy" not in name, f"{path.name} imports {name}"

@@ -1,10 +1,15 @@
 """CLI contract: exit codes, report schema, comparison table."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import sucbenders
 from sucbenders.cli import (REPORT_SCHEMA_VERSION, RunReport,
                             emit_comparison_table, main)
 from sucbenders.data import InstanceError
@@ -36,6 +41,32 @@ def test_solve_multi_cut_exits_zero(tmp_path):
     assert doc["schema_version"] == REPORT_SCHEMA_VERSION
     assert REPORT_KEYS <= set(doc)
     assert doc["master_rows"] > 0
+
+
+# runs the CLI with a method runner that writes to file descriptor 1 directly,
+# as a raw print inside the solver library does
+NOISY_SOLVE = r"""
+import os, sys
+from sucbenders import cli
+run_method = cli.execute_method
+def noisy(*args, **kwargs):
+    os.write(1, b"noise\n")
+    return run_method(*args, **kwargs)
+cli.execute_method = noisy
+cli.main(sys.argv[1:])
+"""
+
+
+def test_solve_stdout_is_one_json_document_despite_raw_prints():
+    src = str(Path(sucbenders.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", NOISY_SOLVE, "solve", *TOY,
+                           "--method", "multi-cut"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["method"] == "multi-cut"
+    assert "noise" in proc.stderr
 
 
 def test_solve_iteration_limit_exits_two():

@@ -202,13 +202,6 @@ def test_consolidated_cut_preserves_weighted_sum():
             sum(c.evaluate(*pt.cut_point()) for c in before), abs=1e-9)
 
 
-def test_pool_snapshot_shape():
-    pool, _ = _seeded_pool()
-    snap = pool.snapshot()
-    assert snap["cuts_by_kind"] == {"cluster-aggregate": 2}
-    assert snap["consolidated_iters"] == []
-
-
 # -- adaptive cluster count ----------------------------------------------------
 # dead-band with P = alpha * best_ub; examples from the controller's contract:
 #   P=100, zeta=0.75 -> up-threshold 25, down-threshold 175
