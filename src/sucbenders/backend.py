@@ -172,7 +172,9 @@ class HighsSolver:
     cold on the same matrix, so its results equal those of a fresh instance
     on a model with the same bounds, bit for bit.  One instance must not be
     solved from two threads at once; ``run`` releases the interpreter lock,
-    so solvers in different threads run in parallel.
+    so solvers in different threads run in parallel.  A non-finite
+    ``mip_gap`` (HiGHS takes NaN and infinity) or an option that HiGHS
+    refuses (such as a negative gap) raises ``BackendError``.
     """
 
     def __init__(self, model: LinearModel, mip_gap: float | None = None):
@@ -196,10 +198,13 @@ class HighsSolver:
         self._highs = highs._Highs()
         options = _OPTIONS
         if self._mip:
+            if not np.isfinite(mip_gap):
+                raise BackendError(f"mip_gap must be finite, got {mip_gap}")
             lp.integrality_ = [highs.HighsVarType(int(i)) for i in model.integral]
             options += (("mip_rel_gap", float(mip_gap)),)
         for option, value in options:
-            self._highs.setOptionValue(option, value)
+            if self._highs.setOptionValue(option, value) == highs.HighsStatus.kError:
+                raise BackendError(f"HiGHS refused the option {option}={value!r}")
         if self._highs.passModel(lp) == highs.HighsStatus.kError:
             raise BackendError("HiGHS rejected the model")
 

@@ -78,17 +78,18 @@ def _config_from_options(opts: dict) -> BendersConfig:
         max_iters=opts["max_iters"], alpha=opts["alpha"], zeta=opts["zeta"],
         rho=opts["rho"], kappa=opts["kappa"],
         clustering_method=opts["clustering"], attribute=opts["attribute"],
-        consolidate=opts["consolidate"], workers=opts["workers"],
+        workers=opts["workers"],
     )
 
 
 def execute_method(method: str, instance, scenarios, opts: dict,
                    trace_sink=None) -> RunReport:
     config = _config_from_options(opts)
+    config.validate(scenarios.n_scenarios)    # every method, extensive too
     cfg_echo = {k: opts[k] for k in
                 ("eps", "mip_gap", "theta_min", "zeta", "rho", "alpha", "kappa",
-                 "clustering", "attribute", "consolidate",
-                 "subsets", "gamma", "workers", "max_iters")}
+                 "clustering", "attribute", "subsets", "gamma", "workers",
+                 "max_iters")}
     if method == "extensive":
         t0 = time.perf_counter()
         model = build_extensive(instance, scenarios)
@@ -165,7 +166,6 @@ def _common_options(f):
                      default="hierarchical", show_default=True),
         click.option("--attribute", type=click.Choice(["duals", "objective", "wind"]),
                      default="duals", show_default=True),
-        click.option("--consolidate", type=bool, default=False, show_default=True),
         click.option("--subsets", type=int, default=2, show_default=True),
         click.option("--gamma", type=float, default=1.0, show_default=True),
         click.option("--workers", type=int, default=1, show_default=True),

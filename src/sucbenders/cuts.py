@@ -3,9 +3,16 @@
 A cut generated at iteration k from anchor point x^(k) with subproblem value
 Q and fixing-constraint duals lambda represents the affine under-estimator
 Theta(x) = Q + lambda . (x - x^(k)).  Aggregated cuts carry
-probability-weighted sums of intercepts and dual blocks over their member
+probability-weighted sums of intercepts and duals over their member
 scenarios, so evaluating one yields the pi-weighted recourse estimate of the
 whole cluster.
+
+``x``, ``lambda`` and the anchor are vectors in the link order of
+``formulations``: r+/r- interleaved per (generator, period), then w per
+(farm, period), then f per (line, period).  ``SubproblemResult.lam``,
+``Cut.lam``/``anchor`` and ``FirstStageSolution.link()`` all use it; the
+positions of the four families in it (``formulations.link_columns``) are
+passed in where a family is needed on its own.
 """
 
 from __future__ import annotations
@@ -38,14 +45,8 @@ class Cut:
     members: tuple                 # scenario ids covered
     theta_weights: dict            # scenario id -> pi (aggregate kinds)
     intercept: float               # (pi-weighted) Q at the anchor
-    lam_rp: np.ndarray
-    lam_rm: np.ndarray
-    lam_w: np.ndarray
-    lam_f: np.ndarray
-    anchor_rp: np.ndarray
-    anchor_rm: np.ndarray
-    anchor_w: np.ndarray
-    anchor_f: np.ndarray
+    lam: np.ndarray                # (pi-weighted) fixing duals, link order
+    anchor: np.ndarray             # first-stage link values at generation
     tag: str = ""                  # disambiguates rows within one iteration
 
     def row_name(self) -> str:
@@ -53,13 +54,9 @@ class Cut:
             return f"cons[{self.origin_iter}]"
         return f"cut[{self.origin_iter},{self.tag}]"
 
-    def evaluate(self, r_plus, r_minus, w, f) -> float:
-        val = self.intercept
-        val += float(np.sum(self.lam_rp * (r_plus - self.anchor_rp)))
-        val += float(np.sum(self.lam_rm * (r_minus - self.anchor_rm)))
-        val += float(np.sum(self.lam_w * (w - self.anchor_w)))
-        val += float(np.sum(self.lam_f * (f - self.anchor_f)))
-        return val
+    def evaluate(self, link: np.ndarray) -> float:
+        """Theta at the first-stage point whose link values are ``link``."""
+        return self.intercept + float(self.lam @ (link - self.anchor))
 
 
 class CutPool:
@@ -72,10 +69,7 @@ class CutPool:
         self.consolidated_iters: list[int] = []
 
     def live_cuts(self) -> list[Cut]:
-        out: list[Cut] = []
-        for k in sorted(self.cuts_by_iter):
-            out.extend(self.cuts_by_iter[k])
-        return out
+        return [c for k in sorted(self.cuts_by_iter) for c in self.cuts_by_iter[k]]
 
     @property
     def row_contribution(self) -> int:
@@ -87,91 +81,70 @@ class CutPool:
             self.activity.setdefault(cut.origin_iter, 0)
 
 
-def _make_cut(kind: CutKind, origin: int, tag: str, members, weights,
-              results_by_id: dict, pi_by_id: dict, x_hat) -> Cut:
-    first = results_by_id[members[0]]
-    lam_rp = np.zeros_like(first.lam_rp)
-    lam_rm = np.zeros_like(first.lam_rm)
-    lam_w = np.zeros_like(first.lam_w)
-    lam_f = np.zeros_like(first.lam_f)
+def _make_cut(kind: CutKind, origin: int, tag: str, results, weights: dict,
+              x_hat) -> Cut:
+    """The ``weights``-weighted cut of ``results`` (its members, in order)."""
+    lam = np.zeros_like(results[0].lam)
     intercept = 0.0
-    for omega in members:
-        r = results_by_id[omega]
-        wgt = weights[omega]
-        intercept += wgt * r.objective
-        lam_rp += wgt * r.lam_rp
-        lam_rm += wgt * r.lam_rm
-        lam_w += wgt * r.lam_w
-        lam_f += wgt * r.lam_f
-    rp, rm, w, f = x_hat.cut_point()
-    return Cut(kind, origin, tuple(members),
+    for r in results:
+        intercept += weights[r.scenario_id] * r.objective
+        lam += weights[r.scenario_id] * r.lam
+    return Cut(kind, origin, tuple(r.scenario_id for r in results),
                dict(weights) if kind is not CutKind.PER_SCENARIO else {},
-               float(intercept), lam_rp, lam_rm, lam_w, lam_f,
-               rp.copy(), rm.copy(), w.copy(), f.copy(), tag=tag)
+               float(intercept), lam, x_hat.link(), tag=tag)
 
 
 def make_per_scenario_cuts(results, x_hat, origin: int) -> list[Cut]:
     """One raw cut per scenario (multi-cut mode)."""
-    return [_make_cut(CutKind.PER_SCENARIO, origin, r.scenario_id,
-                      [r.scenario_id], {r.scenario_id: 1.0},
-                      {r.scenario_id: r}, {}, x_hat)
-            for r in results]
+    return [_make_cut(CutKind.PER_SCENARIO, origin, r.scenario_id, [r],
+                      {r.scenario_id: 1.0}, x_hat) for r in results]
 
 
 def make_full_aggregate_cut(results, pi: dict, x_hat, origin: int,
                             kind: CutKind = CutKind.CLUSTER_AGGREGATE) -> Cut:
     """One pi-weighted cut over all scenarios (single-cut mode, consolidation)."""
-    members = [r.scenario_id for r in results]
-    weights = {m: pi[m] for m in members}
-    return _make_cut(kind, origin, "all", members, weights,
-                     {r.scenario_id: r for r in results}, pi, x_hat)
+    return _make_cut(kind, origin, "all", results,
+                     {r.scenario_id: pi[r.scenario_id] for r in results}, x_hat)
 
 
 def aggregate_and_add(pool: CutPool, results, x_hat, pi: dict,
                       labels, origin: int) -> int:
     """Add one cluster-aggregate cut per cluster; returns rows added.
 
-    ``labels`` assigns a cluster id to each entry of ``results``; the
-    assignment must partition the scenario set into nonempty clusters.
+    ``labels`` assigns a cluster id to each entry of ``results``.
     """
     if len(labels) != len(results):
         raise ValueError(
             f"assignment covers {len(labels)} points, got {len(results)} results")
-    results_by_id = {r.scenario_id: r for r in results}
-    clusters: dict[int, list[str]] = {}
+    clusters: dict[int, list] = {}
     for r, lab in zip(results, labels):
-        clusters.setdefault(int(lab), []).append(r.scenario_id)
-    if any(not members for members in clusters.values()):
-        raise ValueError("empty cluster in assignment")
-    added = 0
+        clusters.setdefault(int(lab), []).append(r)
     for lab in sorted(clusters):
         members = clusters[lab]
-        weights = {m: pi[m] for m in members}
-        pool.add(_make_cut(CutKind.CLUSTER_AGGREGATE, origin, f"c{lab}",
-                           members, weights, results_by_id, pi, x_hat))
-        added += 1
-    return added
+        pool.add(_make_cut(CutKind.CLUSTER_AGGREGATE, origin, f"c{lab}", members,
+                           {r.scenario_id: pi[r.scenario_id] for r in members}, x_hat))
+    return len(clusters)
 
 
-def track_and_consolidate(pool: CutPool, row_duals: dict, kappa: int,
+def track_and_consolidate(pool: CutPool, row_duals: np.ndarray, kappa: int,
                           tol: float = INACTIVITY_TOL) -> int:
-    """Update inactivity counters from the master row duals ``mu`` and
-    consolidate iterations whose cluster cuts stayed inactive for ``kappa``
-    successive iterations.  Returns the number of rows removed."""
+    """Update inactivity counters from the master's cut-row duals ``mu``
+    (one per pool row, in pool order) and consolidate iterations whose
+    cluster cuts stayed inactive for ``kappa`` successive iterations.
+    Returns the number of rows removed."""
+    if len(row_duals) != pool.row_contribution:
+        raise ValueError(f"{len(row_duals)} cut-row duals for "
+                         f"{pool.row_contribution} cut rows")
     removed = 0
+    start = 0
     for k in sorted(pool.cuts_by_iter):
         cuts = pool.cuts_by_iter[k]
-        if k in pool.consolidated_iters:
-            continue
+        mu = row_duals[start:start + len(cuts)]
+        start += len(cuts)
+        # a consolidated iteration holds one consolidated cut and is skipped
         if not all(c.kind is CutKind.CLUSTER_AGGREGATE for c in cuts):
             continue
-        mus = []
-        for c in cuts:
-            name = c.row_name()
-            if name not in row_duals:
-                raise KeyError(f"missing master dual for cut row {name}")
-            mus.append(abs(row_duals[name]))
-        if max(mus) <= tol:
+        if np.abs(mu).max() <= tol:
             pool.activity[k] = pool.activity.get(k, 0) + 1
         else:
             pool.activity[k] = 0
@@ -188,22 +161,14 @@ def _merge_cluster_cuts(cuts: list[Cut]) -> Cut:
     members: list = []
     weights: dict = {}
     intercept = 0.0
-    lam_rp = np.zeros_like(base.lam_rp)
-    lam_rm = np.zeros_like(base.lam_rm)
-    lam_w = np.zeros_like(base.lam_w)
-    lam_f = np.zeros_like(base.lam_f)
+    lam = np.zeros_like(base.lam)
     for c in cuts:
         members.extend(c.members)
         weights.update(c.theta_weights)
         intercept += c.intercept
-        lam_rp += c.lam_rp
-        lam_rm += c.lam_rm
-        lam_w += c.lam_w
-        lam_f += c.lam_f
+        lam += c.lam
     return Cut(CutKind.CONSOLIDATED, base.origin_iter, tuple(members), weights,
-               float(intercept), lam_rp, lam_rm, lam_w, lam_f,
-               base.anchor_rp, base.anchor_rm, base.anchor_w, base.anchor_f,
-               tag="all")
+               float(intercept), lam, base.anchor, tag="all")
 
 
 # -- clustering attributes --------------------------------------------------
@@ -215,27 +180,27 @@ def _minmax(arr: np.ndarray) -> np.ndarray:
     return (arr - lo) / (hi - lo)
 
 
-def normalize_duals(results) -> np.ndarray:
+def normalize_duals(results, families) -> np.ndarray:
     """Feature matrix |Omega| x D from min-max-normalized dual families.
 
-    Each family (r+, r-, wind, flow fixings) is normalized over all of its
-    entries across indices and scenarios, then flattened and concatenated
-    per scenario.  All entries lie in [0, 1]; a constant family maps to 0.
+    ``families`` holds the positions of each family (r+, r-, wind, flow
+    fixings) in the link-order duals.  Each family is normalized over all
+    of its entries across indices and scenarios, then flattened and
+    concatenated per scenario.  All entries lie in [0, 1]; a constant
+    family maps to 0.
     """
     if not results:
         raise ValueError("need at least one subproblem result")
-    blocks = []
-    for attr in ("lam_rp", "lam_rm", "lam_w", "lam_f"):
-        fam = np.stack([getattr(r, attr) for r in results])   # |Omega| x ...
-        blocks.append(_minmax(fam).reshape(len(results), -1))
-    return np.concatenate(blocks, axis=1)
+    lam = np.stack([r.lam for r in results])                  # |Omega| x link
+    return np.concatenate([_minmax(lam[:, cols]).reshape(len(results), -1)
+                           for cols in families], axis=1)
 
 
-def select_attributes(attribute: str, results, scenarios, instance,
+def select_attributes(attribute: str, results, families, scenarios, instance,
                       cache: dict | None = None) -> np.ndarray:
     """Clustering feature matrix: 'duals', 'objective' or 'wind' (static)."""
     if attribute == "duals":
-        return normalize_duals(results)
+        return normalize_duals(results, families)
     if attribute == "objective":
         q = np.array([[r.objective] for r in results])
         return _minmax(q)

@@ -40,7 +40,8 @@ from .cuts import (CutKind, CutMode, CutPool, adapt_cluster_count,
 from .data import ScenarioSet, SystemInstance
 from .formulations import (FirstStageSolution, RecourseSolver, SubproblemResult,
                            build_master, default_theta_min, extract_first_stage,
-                           first_stage_layout, recourse_template, solve_subproblem)
+                           first_stage_layout, link_columns, recourse_template,
+                           solve_subproblem)
 
 
 class EngineError(RuntimeError):
@@ -78,8 +79,10 @@ class BendersConfig:
     tie_break: bool = False
 
     def validate(self, n_scenarios: int) -> None:
-        if self.eps <= 0:
-            raise ValueError("eps must be > 0")
+        if not (np.isfinite(self.eps) and self.eps > 0):
+            raise ValueError("eps must be finite and > 0")
+        if not (np.isfinite(self.mip_gap) and self.mip_gap >= 0):
+            raise ValueError("mip_gap must be finite and >= 0")
         if not (0 < self.zeta < 1):
             raise ValueError("zeta must be in (0, 1)")
         if self.rho < 1:
@@ -202,6 +205,7 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
                  else default_theta_min(instance))
     pi = dict(zip(scenarios.scenario_ids, scenarios.probabilities))
     n_first = first_stage_layout(instance).n
+    families = link_columns(instance)
     pool = CutPool()
     # with the controller on, the LP phase cuts at |Omega| singleton clusters
     # and the controller starts from there in the MILP phase
@@ -296,7 +300,7 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
         # consolidation needs the cut-row duals of the master just solved
         if (config.mode is CutMode.AGGREGATED and config.consolidate
                 and pool.row_contribution):
-            track_and_consolidate(pool, _cut_duals(master, mres, pool.live_cuts()),
+            track_and_consolidate(pool, _cut_duals(master, mres, pool.row_contribution),
                                   config.kappa)
 
         if config.mode is CutMode.MULTI:
@@ -305,8 +309,8 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
         elif config.mode is CutMode.SINGLE:
             pool.add(make_full_aggregate_cut(results, pi, x_hat, nu))
         else:
-            features = select_attributes(config.attribute, results, scenarios,
-                                         instance, attr_cache)
+            features = select_attributes(config.attribute, results, families,
+                                         scenarios, instance, attr_cache)
             assignment = _cluster(config.clustering_method, features,
                                   state.cluster_count)
             aggregate_and_add(pool, results, x_hat, pi, assignment.labels, nu)
@@ -336,8 +340,7 @@ def _aggregated_layout(pool: CutPool, pi: dict) -> CutPool:
             (omega,) = cut.members
             w = pi[omega]
             cut = replace(cut, kind=CutKind.CLUSTER_AGGREGATE, theta_weights={omega: w},
-                          intercept=w * cut.intercept, lam_rp=w * cut.lam_rp,
-                          lam_rm=w * cut.lam_rm, lam_w=w * cut.lam_w, lam_f=w * cut.lam_f)
+                          intercept=w * cut.intercept, lam=w * cut.lam)
         out.add(cut)
     return out
 
@@ -381,14 +384,13 @@ def _tie_break_master(master, mres, n_first: int, mip_gap: float):
     return _solve_with_binaries_fixed(pinned, res)
 
 
-def _cut_duals(master, mres, cuts: list) -> dict:
-    """Duals of the master's cut rows (its last rows, in pool order), keyed
-    by row name: an LP master's own, a MILP master's from an LP re-solve with
+def _cut_duals(master, mres, n_cuts: int) -> np.ndarray:
+    """Duals of the master's ``n_cuts`` cut rows (its last rows, in pool
+    order): an LP master's own, a MILP master's from an LP re-solve with
     binaries fixed."""
     if master.integral.any():
         mres = _solve_with_binaries_fixed(master, mres)
-    mu = mres.row_dual
-    return {c.row_name(): float(m) for c, m in zip(cuts, mu[len(mu) - len(cuts):])}
+    return mres.row_dual[mres.row_count - n_cuts:]
 
 
 def _solve_with_binaries_fixed(model, mres):

@@ -22,10 +22,12 @@ laid out as follows:
   (up/down interleaved per (generator, period)), nodal balance per (node,
   period) and flow definitions per (line, period).  Only the spill bounds
   and the balance right-hand sides depend on the scenario;
-* a subproblem's columns are r+/r- interleaved, w and f (the "link" columns,
-  in first-stage order) followed by one recourse block; the rows fixing the
-  link columns come last, in column order, so their duals are the final
-  slice of the row duals;
+* a subproblem's columns are the "link" columns -- r+/r- interleaved per
+  (generator, period), then w and f, in first-stage order -- followed by one
+  recourse block; the rows fixing the link columns come last, in column
+  order, so their duals are the final slice of the row duals.  This link
+  order is shared by ``FirstStageSolution.link()``, ``SubproblemResult.lam``
+  and ``cuts.Cut.lam``/``anchor``; ``link_columns`` locates each family in it;
 * constraints with a single variable and a constant right-hand side (reserve
   offer caps, wind capacity, flow capacity, spill/shed caps, the initial
   commitment pins) are imposed as variable bounds, not rows -- except the
@@ -75,18 +77,16 @@ class FirstStageSolution:
     delta: np.ndarray    # |N| x T
     c_da: float          # $
 
-    def cut_point(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return self.r_plus, self.r_minus, self.w, self.f
+    def link(self) -> np.ndarray:
+        """r+, r-, w and f in link order."""
+        return _link(self.r_plus, self.r_minus, self.w, self.f)
 
 
 @dataclass(frozen=True)
 class SubproblemResult:
     scenario_id: str
     objective: float        # Q_omega, $
-    lam_rp: np.ndarray      # |G| x T duals of the r+ fixings
-    lam_rm: np.ndarray
-    lam_w: np.ndarray       # |J| x T
-    lam_f: np.ndarray       # |L| x T
+    lam: np.ndarray         # duals of the fixing rows, in link order
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,9 @@ def first_stage_layout(instance: SystemInstance) -> FirstStageLayout:
                             (6 * G + J + L + instance.n_nodes) * T)
 
 
-def _link_columns(instance: SystemInstance) -> list[np.ndarray]:
-    """Subproblem columns of r+, r-, w and f, numbered in ``_link`` order."""
+def link_columns(instance: SystemInstance) -> list[np.ndarray]:
+    """Positions of the r+, r-, w and f families in link order (|G| x T,
+    |G| x T, |J| x T, |L| x T); also their subproblem columns."""
     G, J, L, T = instance.n_gens, instance.n_farms, instance.n_lines, instance.horizon
     return _grid(0, G, T, 2) + _grid(2 * G * T, J, T) + _grid((2 * G + J) * T, L, T)
 
@@ -438,13 +439,12 @@ def build_master(instance: SystemInstance, scenarios: ScenarioSet, mode: CutMode
         # row: theta terms - lambda . x >= intercept - lambda . anchor; the
         # rhs is summed term by term in link order (a dot product rounds
         # differently and shifts the iterates recorded on the fixtures)
-        lam = _link(cut.lam_rp, cut.lam_rm, cut.lam_w, cut.lam_f)
-        anchor = _link(cut.anchor_rp, cut.anchor_rm, cut.anchor_w, cut.anchor_f)
-        rhs = np.subtract.accumulate(np.concatenate([[cut.intercept], lam * anchor]))[-1]
-        nz = np.flatnonzero(lam)
+        rhs = np.subtract.accumulate(
+            np.concatenate([[cut.intercept], cut.lam * cut.anchor]))[-1]
+        nz = np.flatnonzero(cut.lam)
         b.rows(np.zeros(len(nz) + len(weights), dtype=int),
                np.concatenate([link[nz], list(weights)]),
-               np.concatenate([-lam[nz], list(weights.values())]), [rhs], [np.inf])
+               np.concatenate([-cut.lam[nz], list(weights.values())]), [rhs], [np.inf])
     return b.model()
 
 
@@ -452,7 +452,7 @@ def build_subproblem(instance: SystemInstance, scenarios: ScenarioSet, omega: st
                      x_hat: FirstStageSolution | None) -> LinearModel:
     """Per-scenario recourse LP with equality fixings of r+/r-/w/fhat
     (fixed at 0 when ``x_hat`` is None)."""
-    link = _link_columns(instance)
+    link = link_columns(instance)
     n_link = sum(cols.size for cols in link)
     b = _ModelDraft(n_link + _recourse_size(instance))
     _bound_link(b, instance, *link)
@@ -465,7 +465,7 @@ def build_subproblem(instance: SystemInstance, scenarios: ScenarioSet, omega: st
 def _fixing_rhs(lb: np.ndarray, ub: np.ndarray, x_hat: FirstStageSolution) -> np.ndarray:
     # first-stage values can sit a solver tolerance outside the variable box
     # (e.g. a flow at capacity + 1e-9); clamp so the fixing row stays feasible
-    link = _link(*x_hat.cut_point())
+    link = x_hat.link()
     return np.clip(link, lb[:link.size], ub[:link.size])
 
 
@@ -478,7 +478,6 @@ class RecourseTemplate:
     subproblem is the template's model with those three parts replaced.
     """
     model: LinearModel
-    link: list               # subproblem columns of r+, r-, w and f
     spill: np.ndarray        # spill columns, |J| x T
     balance: np.ndarray      # balance rows, |N| x T
     fixing: np.ndarray       # fixing rows, one per link column
@@ -488,11 +487,10 @@ class RecourseTemplate:
 
 def recourse_template(instance: SystemInstance, scenarios: ScenarioSet) -> RecourseTemplate:
     """The template of ``instance`` and ``scenarios``, from one ``build_subproblem``."""
-    link = _link_columns(instance)
-    n_link = sum(cols.size for cols in link)
+    n_link = sum(cols.size for cols in link_columns(instance))
     model = build_subproblem(instance, scenarios, scenarios.scenario_ids[0], None)
     wind = scenarios.wind_matrix(instance).reshape(-1, instance.n_farms, instance.horizon)
-    return RecourseTemplate(model, link, _recourse_columns(instance, n_link)[2],
+    return RecourseTemplate(model, _recourse_columns(instance, n_link)[2],
                             _recourse_rows(instance)[2],
                             np.arange(model.row_count - n_link, model.row_count),
                             _topology(instance)[1], dict(zip(scenarios.scenario_ids, wind)))
@@ -527,8 +525,7 @@ def solve_subproblem(instance: SystemInstance, scenarios: ScenarioSet, omega: st
         raise SubproblemInfeasibleError(
             f"subproblem for scenario {omega} returned {res.status.value}; "
             "complete recourse should make this impossible")
-    lam = res.row_dual[t.fixing]
-    return SubproblemResult(omega, res.objective, *(lam[cols] for cols in t.link))
+    return SubproblemResult(omega, res.objective, res.row_dual[t.fixing])
 
 
 # -- solution extraction ---------------------------------------------------

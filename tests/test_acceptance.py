@@ -22,7 +22,7 @@ from sucbenders.data import ScenarioSet
 from sucbenders.engine import BendersConfig, RunStatus, run, solve_subproblems
 from sucbenders.formulations import (SubproblemResult, build_extensive,
                                      build_master, default_theta_min,
-                                     sample_feasible_first_stage,
+                                     link_columns, sample_feasible_first_stage,
                                      solve_subproblem)
 from sucbenders.outer import SubsetStatus, run_outer
 
@@ -103,10 +103,7 @@ def test_criterion_02_bound_behavior(suite):
 
 
 def _anchor_point(cut):
-    return SimpleNamespace(r_plus=cut.anchor_rp, r_minus=cut.anchor_rm,
-                           w=cut.anchor_w, f=cut.anchor_f,
-                           cut_point=lambda c=cut: (cut.anchor_rp, cut.anchor_rm,
-                                                    cut.anchor_w, cut.anchor_f))
+    return SimpleNamespace(link=lambda: cut.anchor)
 
 
 def test_criterion_03_cut_tightness_and_validity(suite, toy_a, med_b):
@@ -119,8 +116,7 @@ def test_criterion_03_cut_tightness_and_validity(suite, toy_a, med_b):
         # tightness: each cut evaluates to its (pi-weighted) anchor recourse
         seen_anchors = {}
         for cut in cuts:
-            key = (cut.anchor_rp.tobytes(), cut.anchor_rm.tobytes(),
-                   cut.anchor_w.tobytes(), cut.anchor_f.tobytes())
+            key = cut.anchor.tobytes()
             if key not in seen_anchors:
                 x = _anchor_point(cut)
                 seen_anchors[key] = {
@@ -131,7 +127,7 @@ def test_criterion_03_cut_tightness_and_validity(suite, toy_a, med_b):
                 expected = sum(pi[om] * q[om] for om in cut.members)
             else:
                 expected = q[cut.members[0]]
-            got = cut.evaluate(*_anchor_point(cut).cut_point())
+            got = cut.evaluate(_anchor_point(cut).link())
             assert abs(got - expected) <= 1e-6, \
                 f"{tag}: cut {cut.row_name()} not tight at anchor"
 
@@ -145,7 +141,7 @@ def test_criterion_03_cut_tightness_and_validity(suite, toy_a, med_b):
                     truth = sum(pi[om] * q[om] for om in cut.members)
                 else:
                     truth = q[cut.members[0]]
-                assert cut.evaluate(*x.cut_point()) <= truth + 1e-6, \
+                assert cut.evaluate(x.link()) <= truth + 1e-6, \
                     f"{tag}: cut {cut.row_name()} over-estimates"
 
 
@@ -189,7 +185,7 @@ def test_criterion_05_relaxation_chain(toy_a):
         results, _ = solve_subproblems(inst, scen, anchor)
         for cut in make_per_scenario_cuts(results, anchor, nu):
             multi_pool.add(cut)
-        labels = hierarchical(normalize_duals(results), 2).labels
+        labels = hierarchical(normalize_duals(results, link_columns(inst)), 2).labels
         aggregate_and_add(agg_pool, results, anchor, pi, labels, nu)
         single_pool.add(make_full_aggregate_cut(results, pi, anchor, nu))
 
@@ -277,28 +273,36 @@ def test_criterion_10_adaptive_controller():
     assert adapt_cluster_count(0.0, 10_000.0, 48, **args) == 50    # upper clamp
 
 
+def _link_result(omega, families, *blocks):
+    """A subproblem result whose r+, r-, w and f duals are ``blocks``."""
+    lam = np.empty(sum(cols.size for cols in families))
+    for cols, block in zip(families, blocks):
+        lam[cols] = block
+    return SubproblemResult(omega, 0.0, lam)
+
+
 def test_criterion_11_normalization():
     rng = np.random.default_rng(7)
     shape_g, shape_w, shape_f = (3, 4), (2, 4), (2, 4)
-    results = [SubproblemResult(f"s{i}", 0.0,
-                                rng.normal(size=shape_g), rng.normal(size=shape_g),
-                                rng.normal(size=shape_w), rng.normal(size=shape_f))
+    families = link_columns(SimpleNamespace(n_gens=3, n_farms=2, n_lines=2, horizon=4))
+    results = [_link_result(f"s{i}", families,
+                            rng.normal(size=shape_g), rng.normal(size=shape_g),
+                            rng.normal(size=shape_w), rng.normal(size=shape_f))
                for i in range(8)]
-    feats = normalize_duals(results)
+    feats = normalize_duals(results, families)
     assert feats.shape == (8, 4 * (2 * 3 + 2 + 2))
     assert feats.min() >= 0.0 and feats.max() <= 1.0
 
     # each family's extremes map to exactly 0 and 1
     offset = 0
-    for attr, shape in (("lam_rp", shape_g), ("lam_rm", shape_g),
-                        ("lam_w", shape_w), ("lam_f", shape_f)):
+    for shape in (shape_g, shape_g, shape_w, shape_f):
         width = shape[0] * shape[1]
         block = feats[:, offset:offset + width]
         assert block.min() == 0.0 and block.max() == 1.0
         offset += width
 
     # degenerate family (constant) maps to all zeros
-    flat = [SubproblemResult(f"s{i}", 0.0, np.full(shape_g, 3.0),
-                             rng.normal(size=shape_g), rng.normal(size=shape_w),
-                             rng.normal(size=shape_f)) for i in range(4)]
-    assert np.all(normalize_duals(flat)[:, :12] == 0.0)
+    flat = [_link_result(f"s{i}", families, np.full(shape_g, 3.0),
+                         rng.normal(size=shape_g), rng.normal(size=shape_w),
+                         rng.normal(size=shape_f)) for i in range(4)]
+    assert np.all(normalize_duals(flat, families)[:, :12] == 0.0)

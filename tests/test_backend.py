@@ -17,7 +17,7 @@ from sucbenders.backend import (BackendError, HighsSolver, LinearModel, SolveSta
 from sucbenders.cuts import CutMode
 from sucbenders.engine import BendersConfig, run
 from sucbenders.formulations import (RecourseSolver, build_master, build_subproblem,
-                                     default_theta_min, recourse_template,
+                                     default_theta_min, link_columns, recourse_template,
                                      sample_feasible_first_stage, solve_subproblem)
 
 INF = np.inf
@@ -92,6 +92,14 @@ def test_finite_difference_matches_dual():
 def test_milp_unconstrained_binary():
     m = model([1.0], ub=[1.0], integral=[True])
     assert solve_milp(m).objective == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("gap", [-1.0, np.nan, np.inf])
+def test_a_gap_that_highs_would_ignore_is_rejected(gap):
+    # HiGHS refuses a negative gap and keeps its default; it accepts NaN and inf
+    m = model([1.0], ub=[1.0], integral=[True])
+    with pytest.raises(BackendError):
+        solve_milp(m, mip_gap=gap)
 
 
 def test_milp_fixed_vars_dominate():
@@ -284,16 +292,13 @@ def test_recourse_template_solve_matches_a_model_built_from_scratch(med_b):
     inst, scen = med_b
     x = sample_feasible_first_stage(inst, np.random.default_rng(21))
     solver = RecourseSolver(recourse_template(inst, scen))
-    n_link = sum(cols.size for cols in solver.template.link)
+    n_link = sum(cols.size for cols in link_columns(inst))
     for omega in scen.scenario_ids[3:6]:
         model = build_subproblem(inst, scen, omega, x)
         want = solve_lp(model)
         got = solve_subproblem(inst, scen, omega, x, solver)
         assert got.objective == want.objective
-        lam = want.row_dual[model.row_count - n_link:]
-        for cols, block in zip(solver.template.link,
-                               (got.lam_rp, got.lam_rm, got.lam_w, got.lam_f)):
-            assert np.array_equal(block, lam[cols])
+        assert np.array_equal(got.lam, want.row_dual[model.row_count - n_link:])
 
 
 def _calls_and_imports(tree):

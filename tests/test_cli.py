@@ -77,6 +77,25 @@ def test_solve_iteration_limit_exits_two():
     assert doc["objective"] is None
 
 
+@pytest.mark.parametrize("method, option, value", [
+    ("multi-cut", "--eps", "nan"),          # would run to the iteration limit
+    ("multi-cut", "--mip-gap", "-1"),       # HiGHS would keep its own gap
+    ("multi-cut", "--mip-gap", "nan"),      # the report would echo a bare NaN
+    ("extensive", "--mip-gap", "-1"),
+    ("extensive", "--mip-gap", "nan"),
+    ("extensive", "--eps", "nan"),          # the report would echo a bare NaN
+])
+def test_solve_bad_tolerance_exits_one(method, option, value):
+    res = _invoke(["solve", *TOY, "--method", method, option, value])
+    assert res.exit_code == 1
+    assert "error:" in res.output
+
+
+def test_consolidate_is_a_method_not_an_option():
+    res = _invoke(["solve", *TOY, "--method", "aggregated", "--consolidate", "true"])
+    assert res.exit_code == 2 and "No such option" in res.output
+
+
 def test_solve_missing_file_exits_one(tmp_path):
     res = _invoke(["solve", "--instance", str(fixture_path("toy-a.json")),
                    "--scenarios", str(tmp_path / "nope.csv"),

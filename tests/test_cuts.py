@@ -1,5 +1,7 @@
 """Cut pool: normalization, aggregation, consolidation, adaptive control."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,14 +11,21 @@ from sucbenders.cuts import (CutKind, CutPool, adapt_cluster_count,
                              aggregate_and_add, make_full_aggregate_cut,
                              make_per_scenario_cuts, normalize_duals,
                              select_attributes, track_and_consolidate)
-from sucbenders.formulations import FirstStageSolution, SubproblemResult
+from sucbenders.formulations import FirstStageSolution, SubproblemResult, link_columns
 
 
-def _result(scenario, q, seed, shape_g=(2, 3), shape_w=(1, 3), shape_f=(1, 3)):
+def _families(G=2, J=1, L=1, T=3):
+    """Positions of the r+, r-, w and f families in the link order."""
+    return link_columns(SimpleNamespace(n_gens=G, n_farms=J, n_lines=L, horizon=T))
+
+
+FAMILIES = _families()
+N_LINK = sum(cols.size for cols in FAMILIES)
+
+
+def _result(scenario, q, seed, n_link=N_LINK):
     rng = np.random.default_rng(seed)
-    return SubproblemResult(scenario, q,
-                            rng.normal(size=shape_g), rng.normal(size=shape_g),
-                            rng.normal(size=shape_w), rng.normal(size=shape_f))
+    return SubproblemResult(scenario, q, rng.normal(size=n_link))
 
 
 def _x(shape_g=(2, 3), shape_w=(1, 3), shape_f=(1, 3), seed=0):
@@ -33,38 +42,31 @@ def _x(shape_g=(2, 3), shape_w=(1, 3), shape_f=(1, 3), seed=0):
 # -- normalization (min-max mapping) -----------------------------------------
 
 def test_family_1_3_5_maps_to_0_half_1():
-    shape = (1, 1)
-    results = [
-        SubproblemResult(f"s{i}", 0.0, np.full(shape, v), np.zeros(shape),
-                         np.zeros(shape), np.zeros(shape))
-        for i, v in enumerate((1.0, 3.0, 5.0))
-    ]
-    feats = normalize_duals(results)
+    # one generator, farm and line over one period: link order r+, r-, w, f
+    results = [SubproblemResult(f"s{i}", 0.0, np.array([v, 0.0, 0.0, 0.0]))
+               for i, v in enumerate((1.0, 3.0, 5.0))]
+    feats = normalize_duals(results, _families(1, 1, 1, 1))
     assert feats[:, 0].tolist() == [0.0, 0.5, 1.0]
     # the remaining (constant) families map to all zeros
     assert np.all(feats[:, 1:] == 0.0)
 
 
 def test_constant_family_maps_to_zero():
-    shape = (1, 2)
-    results = [SubproblemResult(f"s{i}", 0.0, np.full(shape, 4.2),
-                                np.full(shape, 4.2), np.full(shape, 4.2),
-                                np.full(shape, 4.2)) for i in range(3)]
-    assert np.all(normalize_duals(results) == 0.0)
+    results = [SubproblemResult(f"s{i}", 0.0, np.full(8, 4.2)) for i in range(3)]
+    assert np.all(normalize_duals(results, _families(1, 1, 1, 2)) == 0.0)
 
 
 def test_identical_scenarios_identical_rows():
     a = _result("s1", 1.0, seed=9)
-    b = SubproblemResult("s2", 1.0, a.lam_rp.copy(), a.lam_rm.copy(),
-                         a.lam_w.copy(), a.lam_f.copy())
+    b = SubproblemResult("s2", 1.0, a.lam.copy())
     c = _result("s3", 1.0, seed=10)
-    feats = normalize_duals([a, b, c])
+    feats = normalize_duals([a, b, c], FAMILIES)
     assert np.array_equal(feats[0], feats[1])
 
 
 def test_normalized_range_and_extremes():
     results = [_result(f"s{i}", float(i), seed=i) for i in range(6)]
-    feats = normalize_duals(results)
+    feats = normalize_duals(results, FAMILIES)
     assert feats.min() >= 0.0 and feats.max() <= 1.0
     # each non-constant family hits exactly 0 and 1 somewhere
     assert feats.min() == 0.0 and feats.max() == 1.0
@@ -74,24 +76,25 @@ def test_normalized_range_and_extremes():
 @given(st.integers(2, 8), st.integers(0, 10_000))
 def test_normalization_range_property(n, seed):
     results = [_result(f"s{i}", 0.0, seed=seed + i) for i in range(n)]
-    feats = normalize_duals(results)
+    feats = normalize_duals(results, FAMILIES)
     assert feats.shape[0] == n
     assert np.all(feats >= 0.0) and np.all(feats <= 1.0)
 
 
 def test_objective_attribute_minmax():
     results = [_result("s1", 0.0, 1), _result("s2", 5.0, 2), _result("s3", 10.0, 3)]
-    feats = select_attributes("objective", results, None, None)
+    feats = select_attributes("objective", results, FAMILIES, None, None)
     assert feats[:, 0].tolist() == [0.0, 0.5, 1.0]
 
 
 def test_wind_attribute_is_cached(toy_a):
     inst, scen = toy_a
-    results = [_result(sc, 0.0, i, shape_g=(2, 4), shape_w=(1, 4), shape_f=(1, 4))
-               for i, sc in enumerate(scen.scenario_ids)]
+    families = link_columns(inst)
+    n_link = sum(cols.size for cols in families)
+    results = [_result(sc, 0.0, i, n_link) for i, sc in enumerate(scen.scenario_ids)]
     cache = {}
-    first = select_attributes("wind", results, scen, inst, cache)
-    second = select_attributes("wind", results, scen, inst, cache)
+    first = select_attributes("wind", results, families, scen, inst, cache)
+    second = select_attributes("wind", results, families, scen, inst, cache)
     assert first is second  # bit-identical cached matrix
 
 
@@ -107,9 +110,9 @@ def test_aggregate_row_is_weighted_sum_of_rows():
     merged = make_full_aggregate_cut([r1, r2], pi, anchor, 1)
     for seed in range(5):
         pt = _x(seed=seed + 2)
-        point = pt.cut_point()
-        lhs = merged.evaluate(*point)
-        rhs = 0.5 * singles[0].evaluate(*point) + 0.5 * singles[1].evaluate(*point)
+        point = pt.link()
+        lhs = merged.evaluate(point)
+        rhs = 0.5 * singles[0].evaluate(point) + 0.5 * singles[1].evaluate(point)
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
@@ -141,9 +144,9 @@ def test_aggregation_dominance_random_points():
     merged = make_full_aggregate_cut(results, pi, anchor, 1)
     for seed in range(10):
         pt = _x(seed=seed + 31)
-        theta = [c.evaluate(*pt.cut_point()) for c in singles]  # tightest feasible theta
+        theta = [c.evaluate(pt.link()) for c in singles]  # tightest feasible theta
         agg_lhs = sum(pi[c.members[0]] * th for c, th in zip(singles, theta))
-        assert agg_lhs >= merged.evaluate(*pt.cut_point()) - 1e-9
+        assert agg_lhs >= merged.evaluate(pt.link()) - 1e-9
 
 
 # -- consolidation ------------------------------------------------------------
@@ -153,13 +156,12 @@ def _seeded_pool():
     pi = {f"s{i}": 0.25 for i in range(4)}
     pool = CutPool()
     aggregate_and_add(pool, results, _x(seed=40), pi, [0, 0, 1, 1], 3)
-    names = [c.row_name() for c in pool.live_cuts()]
-    return pool, names
+    return pool
 
 
 def test_consolidation_fires_after_kappa_inactive_iterations():
-    pool, names = _seeded_pool()
-    inactive = {n: 0.0 for n in names}
+    pool = _seeded_pool()
+    inactive = np.zeros(2)            # one dual per cut row, in pool order
     assert track_and_consolidate(pool, inactive, kappa=2) == 0   # a_3 = 1
     removed = track_and_consolidate(pool, inactive, kappa=2)     # a_3 = 2 -> fire
     assert removed == 1  # |C_3| - 1
@@ -170,36 +172,49 @@ def test_consolidation_fires_after_kappa_inactive_iterations():
 
 
 def test_active_cut_resets_counter():
-    pool, names = _seeded_pool()
-    inactive = {n: 0.0 for n in names}
+    pool = _seeded_pool()
+    inactive = np.zeros(2)
     track_and_consolidate(pool, inactive, kappa=2)
-    active = dict(inactive, **{names[0]: 0.5})
-    track_and_consolidate(pool, active, kappa=2)
+    track_and_consolidate(pool, np.array([0.5, 0.0]), kappa=2)
     assert pool.activity[3] == 0
     assert pool.consolidated_iters == []
     # consolidated iterations are permanent and never re-processed
     track_and_consolidate(pool, inactive, kappa=2)
     track_and_consolidate(pool, inactive, kappa=2)
     assert pool.consolidated_iters == [3]
-    assert track_and_consolidate(pool, {"cons[3]": 0.0}, kappa=2) == 0
+    assert track_and_consolidate(pool, np.zeros(1), kappa=2) == 0   # the cons[3] row
 
 
-def test_missing_dual_raises():
-    pool, _ = _seeded_pool()
-    with pytest.raises(KeyError):
-        track_and_consolidate(pool, {}, kappa=2)
+def test_dual_count_mismatch_raises():
+    # one dual per cut row: a short or long vector cannot be matched to rows
+    for duals in (np.zeros(0), np.zeros(1), np.zeros(3)):
+        pool = _seeded_pool()
+        with pytest.raises(ValueError, match="cut-row duals"):
+            track_and_consolidate(pool, duals, kappa=1)
+        assert pool.activity[3] == 0 and pool.row_contribution == 2
+
+
+def test_consolidation_reads_each_iteration_at_its_pool_offset():
+    # iterations 3 and 5 hold two rows each; only iteration 5's rows are
+    # inactive, so only it is consolidated
+    pool = _seeded_pool()
+    results = [_result(f"s{i}", float(i), i + 7) for i in range(4)]
+    aggregate_and_add(pool, results, _x(seed=41), {f"s{i}": 0.25 for i in range(4)},
+                      [0, 1, 0, 1], 5)
+    assert track_and_consolidate(pool, np.array([0.0, 0.3, 0.0, 0.0]), kappa=1) == 1
+    assert pool.consolidated_iters == [5]
+    assert [len(pool.cuts_by_iter[k]) for k in (3, 5)] == [2, 1]
 
 
 def test_consolidated_cut_preserves_weighted_sum():
-    pool, names = _seeded_pool()
+    pool = _seeded_pool()
     before = pool.live_cuts()
-    inactive = {n: 0.0 for n in names}
-    track_and_consolidate(pool, inactive, kappa=1)
+    track_and_consolidate(pool, np.zeros(2), kappa=1)
     merged = pool.live_cuts()[0]
     for seed in range(5):
         pt = _x(seed=seed + 50)
-        assert merged.evaluate(*pt.cut_point()) == pytest.approx(
-            sum(c.evaluate(*pt.cut_point()) for c in before), abs=1e-9)
+        assert merged.evaluate(pt.link()) == pytest.approx(
+            sum(c.evaluate(pt.link()) for c in before), abs=1e-9)
 
 
 # -- adaptive cluster count ----------------------------------------------------

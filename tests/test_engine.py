@@ -97,8 +97,7 @@ def test_subproblem_worker_count_invariance(toy_a):
         assert [r.scenario_id for r in threaded] == list(scen.scenario_ids)
         for a, b in zip(serial, threaded):
             assert a.objective == b.objective
-            for block in ("lam_rp", "lam_rm", "lam_w", "lam_f"):
-                assert np.array_equal(getattr(a, block), getattr(b, block))
+            assert np.array_equal(a.lam, b.lam)
 
 
 def test_exactly_one_result_per_scenario(toy_a):
@@ -255,8 +254,7 @@ def test_multi_cut_tie_break_layout_is_the_full_aggregated_master(toy_a):
     multi_pool, agg_pool = CutPool(), CutPool()
     for nu, cuts in sorted(sol.pool.cuts_by_iter.items()):
         c = cuts[0]
-        anchor = SimpleNamespace(cut_point=lambda c=c: (c.anchor_rp, c.anchor_rm,
-                                                        c.anchor_w, c.anchor_f))
+        anchor = SimpleNamespace(link=lambda c=c: c.anchor)
         results, _ = solve_subproblems(inst, scen, anchor)
         for cut in make_per_scenario_cuts(results, anchor, nu):
             multi_pool.add(cut)

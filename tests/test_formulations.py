@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from sucbenders.formulations import (FirstStageSolution, build_extensive,
                                      default_theta_min, extract_first_stage,
                                      first_stage_layout,
                                      first_stage_row_count,
-                                     first_stage_violation,
+                                     first_stage_violation, link_columns,
                                      sample_feasible_first_stage,
                                      second_stage_row_count, solve_subproblem)
 
@@ -165,15 +166,10 @@ def test_extensive_matches_enumeration_oracle(toy_a):
 
 # -- cut evaluation ----------------------------------------------------------
 
-def _zero_cut(inst, intercept=7.0, lam_rp=None):
-    shape_g = (inst.n_gens, inst.horizon)
-    shape_w = (inst.n_farms, inst.horizon)
-    shape_f = (inst.n_lines, inst.horizon)
-    lam = np.zeros(shape_g) if lam_rp is None else lam_rp
+def _zero_cut(inst, intercept=7.0, lam=None):
+    n_link = sum(cols.size for cols in link_columns(inst))
     return Cut(CutKind.PER_SCENARIO, 1, ("s1",), {}, intercept,
-               lam, np.zeros(shape_g), np.zeros(shape_w), np.zeros(shape_f),
-               np.zeros(shape_g), np.zeros(shape_g), np.zeros(shape_w),
-               np.zeros(shape_f), tag="s1")
+               np.zeros(n_link) if lam is None else lam, np.zeros(n_link), tag="s1")
 
 
 def _point(inst, r_plus):
@@ -191,17 +187,18 @@ def test_zero_dual_cut_is_constant(toy_a):
     inst, _ = toy_a
     cut = _zero_cut(inst)
     x = _point(inst, np.full((inst.n_gens, inst.horizon), 3.0))
-    assert cut.evaluate(*x.cut_point()) == pytest.approx(7.0)
+    assert cut.evaluate(x.link()) == pytest.approx(7.0)
 
 
 def test_single_dual_linear_term(toy_a):
     inst, _ = toy_a
-    lam = np.zeros((inst.n_gens, inst.horizon))
-    lam[0, 0] = 2.0
-    cut = _zero_cut(inst, lam_rp=lam)
+    rp = link_columns(inst)[0]
+    lam = np.zeros(sum(cols.size for cols in link_columns(inst)))
+    lam[rp[0, 0]] = 2.0
+    cut = _zero_cut(inst, lam=lam)
     x = _point(inst, np.zeros((inst.n_gens, inst.horizon)))
     x.r_plus[0, 0] = 5.0  # 5 above the zero anchor
-    assert cut.evaluate(*x.cut_point()) == pytest.approx(7.0 + 10.0)
+    assert cut.evaluate(x.link()) == pytest.approx(7.0 + 10.0)
 
 
 def test_cut_tight_at_anchor(toy_a):
@@ -209,10 +206,9 @@ def test_cut_tight_at_anchor(toy_a):
     rng = np.random.default_rng(3)
     x = sample_feasible_first_stage(inst, rng)
     sub = solve_subproblem(inst, scen, "s2", x)
-    cut = Cut(CutKind.PER_SCENARIO, 1, ("s2",), {}, sub.objective,
-              sub.lam_rp, sub.lam_rm, sub.lam_w, sub.lam_f,
-              *(a.copy() for a in x.cut_point()), tag="s2")
-    assert cut.evaluate(*x.cut_point()) == pytest.approx(sub.objective, abs=1e-9)
+    cut = Cut(CutKind.PER_SCENARIO, 1, ("s2",), {}, sub.objective, sub.lam, x.link(),
+              tag="s2")
+    assert cut.evaluate(x.link()) == pytest.approx(sub.objective, abs=1e-9)
 
 
 def test_master_cut_rows_read_back_as_the_cuts(toy_a):
@@ -228,7 +224,7 @@ def test_master_cut_rows_read_back_as_the_cuts(toy_a):
     full = make_full_aggregate_cut(results, dict(zip(ids, scen.probabilities)), anchor, 1)
     X = first_stage_layout(inst)
     x = rng.uniform(-5.0, 5.0, X.n)
-    point = (x[X.rp], x[X.rm], x[X.w], x[X.f])
+    point = extract_first_stage(inst, SimpleNamespace(x=x)).link()
     for mode, cuts, thetas in (
             (CutMode.MULTI, per_scenario,
              [[float(om == c.members[0]) for om in ids] for c in per_scenario]),
@@ -242,7 +238,7 @@ def test_master_cut_rows_read_back_as_the_cuts(toy_a):
         for k, (cut, theta) in enumerate(zip(cuts, thetas)):
             row = master.A[first + k].toarray().ravel()
             assert master.row_lo[first + k] - row[:X.n] @ x == \
-                pytest.approx(cut.evaluate(*point), rel=1e-12, abs=1e-9)
+                pytest.approx(cut.evaluate(point), rel=1e-12, abs=1e-9)
             assert row[X.n:].tolist() == theta
 
 
