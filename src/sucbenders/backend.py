@@ -21,6 +21,10 @@ runs' iterates, cuts and row counts depend on those:
   >= rows negated into <= rows, then the equality rows;
 * MILPs take ``milp``'s native two-sided rows, in model order.
 
+The rows reach HiGHS row-wise, straight from the model's CSR arrays (a
+permuted, negated copy in the stacked layout), with no conversion to
+columns; HiGHS builds the same column-wise matrix that a column-wise pass
+gives it, so the iterates are those of a column-wise pass bit for bit.
 Both run with presolve on, the dual simplex and output off.
 """
 
@@ -137,10 +141,16 @@ class _RowLayout:
             self.n_ineq = n - int(eq.sum())
         self.pos = np.argsort(self.order)     # HiGHS row of each model row
 
-    def matrix(self, A: sp.csr_matrix) -> sp.csc_array:
+    def matrix(self, A: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row starts, column indices and values of ``A``'s rows in HiGHS
+        order with their signs applied: ``A``'s own arrays in the native
+        layout, new ones in the stacked layout."""
         if not self.stacked:
-            return sp.csc_array(A)
-        return sp.csc_array((sp.diags(self.sign) @ A)[self.order])
+            return A.indptr, A.indices, A.data
+        sizes = np.diff(A.indptr)[self.order]
+        start = np.concatenate([[0], np.cumsum(sizes)])
+        take = np.repeat(A.indptr[self.order] - start[:-1], sizes) + np.arange(start[-1])
+        return start, A.indices[take], A.data[take] * np.repeat(self.sign[self.order], sizes)
 
     def bounds(self, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         """HiGHS (lower, upper) bounds of model rows ``rows`` with model
@@ -185,14 +195,13 @@ class HighsSolver:
         # the current bounds of the HiGHS rows
         self._lo, self._hi = rows.bounds(rows.order, model.row_lo[rows.order],
                                          model.row_hi[rows.order])
-        A = rows.matrix(model.A)
         n = model.c.size
         lp = highs.HighsLp()
         lp.num_col_, lp.num_row_ = n, self.row_count
         lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = n, self.row_count
-        lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+        lp.a_matrix_.format_ = highs.MatrixFormat.kRowwise
         lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = \
-            A.indptr, A.indices, A.data
+            rows.matrix(model.A)
         lp.col_cost_, lp.col_lower_, lp.col_upper_ = model.c, model.lb, model.ub
         lp.row_lower_, lp.row_upper_ = self._lo, self._hi
         self._highs = highs._Highs()

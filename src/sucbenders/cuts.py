@@ -38,8 +38,10 @@ class CutKind(enum.Enum):
     CONSOLIDATED = "consolidated"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cut:
+    """One optimality cut.  Cuts compare and hash by identity, so a master
+    template can key its rendered rows by cut."""
     kind: CutKind
     origin_iter: int
     members: tuple                 # scenario ids covered
@@ -174,6 +176,8 @@ def _merge_cluster_cuts(cuts: list[Cut]) -> Cut:
 # -- clustering attributes --------------------------------------------------
 
 def _minmax(arr: np.ndarray) -> np.ndarray:
+    if arr.size == 0:     # an empty family, such as the flows of a one-bus system
+        return arr
     lo, hi = float(arr.min()), float(arr.max())
     if hi - lo <= NORM_EPS:
         return np.zeros_like(arr)

@@ -40,8 +40,8 @@ from .cuts import (CutKind, CutMode, CutPool, adapt_cluster_count,
 from .data import ScenarioSet, SystemInstance
 from .formulations import (FirstStageSolution, RecourseSolver, SubproblemResult,
                            build_master, default_theta_min, extract_first_stage,
-                           first_stage_layout, link_columns, recourse_template,
-                           solve_subproblem)
+                           first_stage_layout, link_columns, master_template,
+                           recourse_template, solve_subproblem)
 
 
 class EngineError(RuntimeError):
@@ -83,6 +83,12 @@ class BendersConfig:
             raise ValueError("eps must be finite and > 0")
         if not (np.isfinite(self.mip_gap) and self.mip_gap >= 0):
             raise ValueError("mip_gap must be finite and >= 0")
+        if self.theta_min is not None and not np.isfinite(self.theta_min):
+            raise ValueError("theta_min must be finite")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         if not (0 < self.zeta < 1):
             raise ValueError("zeta must be in (0, 1)")
         if self.rho < 1:
@@ -104,7 +110,8 @@ class IterationRecord:
     ub_candidate: float | None   # None in the LP phase
     clusters: int
     master_rows: int
-    master_time: float
+    build_time: float         # master assembly and HiGHS load
+    master_time: float        # HiGHS run of the master
     sub_time: float           # wall time of the subproblem phase
 
     def trace_line(self) -> str:
@@ -116,7 +123,8 @@ class IterationRecord:
             "ub": finite(self.upper_bound),
             "gap": finite(self.upper_bound - self.lower_bound),
             "clusters": self.clusters, "master_rows": self.master_rows,
-            "master_time_s": self.master_time, "sub_time_s": self.sub_time,
+            "build_time_s": self.build_time, "master_time_s": self.master_time,
+            "sub_time_s": self.sub_time,
         })
 
 
@@ -218,11 +226,14 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
     status = RunStatus.NOT_CONVERGED
     final_rows = 0
     lp_phase = True
+    templates: dict = {}    # cut mode -> its master template, built on first use
 
     def master_of(mode, cuts):
         """The master of ``mode`` over ``cuts``, relaxed in the LP phase."""
-        master = build_master(instance, scenarios, mode, cuts, theta_min,
-                              fixed_commitments=fixed_commitments)
+        if mode not in templates:
+            templates[mode] = master_template(instance, scenarios, mode, theta_min,
+                                              fixed_commitments)
+        master = build_master(templates[mode], cuts)
         return (replace(master, integral=np.zeros_like(master.integral)) if lp_phase
                 else master)
 
@@ -232,8 +243,12 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
             break
         state.iteration = nu
 
+        t0 = time.perf_counter()
         master = master_of(config.mode, pool)
         mres = _solve_master(master, config.mip_gap)
+        # assembly (and the template, on first use) and HiGHS load;
+        # mres.solve_time is the HiGHS run alone
+        build_time = time.perf_counter() - t0 - mres.solve_time
         if mres.status is not SolveStatus.OPTIMAL:
             raise EngineError(
                 f"master solve failed at iteration {nu}: {mres.status.value} "
@@ -284,7 +299,7 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
 
         record = IterationRecord(nu, "lp" if lp_phase else "milp", state.lower_bound,
                                  state.upper_bound, ub_candidate, state.cluster_count,
-                                 mres.row_count, mres.solve_time, sub_time)
+                                 mres.row_count, build_time, mres.solve_time, sub_time)
         state.history.append(record)
         if trace is not None:
             trace(record.trace_line())

@@ -1,5 +1,13 @@
 """Model builders: extensive form, Benders master (three cut modes), subproblems.
 
+The two models that a Benders run solves again and again are built once per
+run: ``master_template`` builds the master's static block (first stage,
+theta columns and rows, fixed commitments) and renders each cut's row when
+the cut first appears, and ``build_master`` joins the two by concatenating
+CSR arrays; ``recourse_template`` builds the subproblem LP and each
+scenario's spill bounds and balance right-hand sides.  The models equal
+those of a from-scratch build bit for bit.
+
 Every model made here is a ``backend.LinearModel`` whose columns and rows are
 laid out as follows:
 
@@ -41,6 +49,7 @@ laid out as follows:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -78,8 +87,15 @@ class FirstStageSolution:
     c_da: float          # $
 
     def link(self) -> np.ndarray:
-        """r+, r-, w and f in link order."""
-        return _link(self.r_plus, self.r_minus, self.w, self.f)
+        """r+, r-, w and f in link order.  Computed once per point and
+        read-only: every subproblem and cut of the point shares it."""
+        return self._link_values
+
+    @cached_property
+    def _link_values(self) -> np.ndarray:
+        values = _link(self.r_plus, self.r_minus, self.w, self.f)
+        values.setflags(write=False)
+        return values
 
 
 @dataclass(frozen=True)
@@ -392,10 +408,69 @@ def build_extensive(instance: SystemInstance, scenarios: ScenarioSet) -> LinearM
     return b.model()
 
 
-def build_master(instance: SystemInstance, scenarios: ScenarioSet, mode: CutMode,
-                 pool: CutPool, theta_min: float,
-                 fixed_commitments: dict | None = None) -> LinearModel:
-    """Benders master MILP for the given cut mode and pool state.
+class MasterTemplate:
+    """The Benders master of one run and cut mode, built once.
+
+    ``static`` holds what no iteration changes: the first stage, the theta
+    columns and rows and any fixed commitments, with a canonical CSR matrix.
+    Its arrays are read-only, because every master assembled from it shares
+    them.  Each cut's row -- sorted columns, values and right-hand side -- is
+    rendered when the cut is first seen and kept while the cut is live.
+    """
+
+    def __init__(self, static: LinearModel, mode: CutMode, theta_of: dict,
+                 link: np.ndarray):
+        for a in (static.c, static.lb, static.ub, static.integral, static.row_lo,
+                  static.row_hi, static.A.data, static.A.indices, static.A.indptr):
+            a.setflags(write=False)
+        self.static = static
+        self.mode = mode
+        self.theta_of = theta_of    # scenario id -> its theta column
+        self.link = link            # master column of each link position
+        self._rows: dict = {}       # live cut -> (columns, values, rhs)
+
+    def cut_rows(self, cuts: list) -> list:
+        """The rows of ``cuts``, in order; rows of other cuts are dropped."""
+        rows = [self._rows[cut] if cut in self._rows else self._render(cut)
+                for cut in cuts]
+        self._rows = dict(zip(cuts, rows))
+        return rows
+
+    def _render(self, cut) -> tuple:
+        if not set(cut.members).issubset(self.theta_of):
+            raise ModelBuildError(f"cut {cut.row_name()} references unknown scenarios")
+        if self.mode is CutMode.SINGLE:
+            if cut.kind is CutKind.PER_SCENARIO or set(cut.members) != set(self.theta_of):
+                raise ModelBuildError(
+                    "single-cut master requires fully aggregated cuts "
+                    f"(got {cut.kind.value} cut {cut.row_name()})")
+        elif cut.kind is CutKind.PER_SCENARIO:
+            if self.mode is not CutMode.MULTI:
+                raise ModelBuildError("per-scenario cuts require the multi-cut master")
+        elif self.mode is not CutMode.AGGREGATED:
+            raise ModelBuildError(
+                f"{cut.kind.value} cut {cut.row_name()} requires the aggregated master")
+        if self.mode is CutMode.SINGLE or cut.kind is CutKind.PER_SCENARIO:
+            weights = {self.theta_of[cut.members[0]]: 1.0}
+        else:
+            weights = {self.theta_of[omega]: pi for omega, pi in cut.theta_weights.items()}
+        # row: theta terms - lambda . x >= intercept - lambda . anchor; the
+        # rhs is summed term by term in link order (a dot product rounds
+        # differently and shifts the iterates recorded on the fixtures)
+        rhs = np.subtract.accumulate(
+            np.concatenate([[cut.intercept], cut.lam * cut.anchor]))[-1]
+        # link columns ascend and precede the theta columns
+        nz = np.flatnonzero(cut.lam)
+        theta_cols = sorted(weights)
+        cols = np.concatenate([self.link[nz], theta_cols]).astype(self.static.A.indices.dtype)
+        vals = np.concatenate([-cut.lam[nz], [weights[j] for j in theta_cols]])
+        return cols, vals, float(rhs)
+
+
+def master_template(instance: SystemInstance, scenarios: ScenarioSet, mode: CutMode,
+                    theta_min: float, fixed_commitments: dict | None = None
+                    ) -> MasterTemplate:
+    """The master template of one run in cut mode ``mode``.
 
     ``fixed_commitments`` maps (generator id, period) to 0/1 and is applied
     by bound tightening on the u variables.
@@ -415,37 +490,25 @@ def build_master(instance: SystemInstance, scenarios: ScenarioSet, mode: CutMode
     b.c[theta] = 1.0 if mode is CutMode.SINGLE else scenarios.probabilities
     b.rows(np.arange(n_theta), theta, np.ones(n_theta), np.full(n_theta, theta_min),
            np.full(n_theta, np.inf))
+    # in the single-cut master every scenario shares the one theta
+    theta_of = dict(zip(ids, [X.n] * len(ids) if mode is CutMode.SINGLE else theta.tolist()))
+    return MasterTemplate(b.model(), mode, theta_of, _link(X.rp, X.rm, X.w, X.f))
 
-    link = _link(X.rp, X.rm, X.w, X.f)
-    theta_of = {} if mode is CutMode.SINGLE else dict(zip(ids, theta.tolist()))
-    for cut in pool.live_cuts():
-        if not set(cut.members).issubset(ids):
-            raise ModelBuildError(f"cut {cut.row_name()} references unknown scenarios")
-        if mode is CutMode.SINGLE:
-            if cut.kind is CutKind.PER_SCENARIO or set(cut.members) != set(ids):
-                raise ModelBuildError(
-                    "single-cut master requires fully aggregated cuts "
-                    f"(got {cut.kind.value} cut {cut.row_name()})")
-            weights = {int(theta[0]): 1.0}
-        elif cut.kind is CutKind.PER_SCENARIO:
-            if mode is not CutMode.MULTI:
-                raise ModelBuildError("per-scenario cuts require the multi-cut master")
-            weights = {theta_of[cut.members[0]]: 1.0}
-        else:
-            if mode is not CutMode.AGGREGATED:
-                raise ModelBuildError(
-                    f"{cut.kind.value} cut {cut.row_name()} requires the aggregated master")
-            weights = {theta_of[omega]: pi for omega, pi in cut.theta_weights.items()}
-        # row: theta terms - lambda . x >= intercept - lambda . anchor; the
-        # rhs is summed term by term in link order (a dot product rounds
-        # differently and shifts the iterates recorded on the fixtures)
-        rhs = np.subtract.accumulate(
-            np.concatenate([[cut.intercept], cut.lam * cut.anchor]))[-1]
-        nz = np.flatnonzero(cut.lam)
-        b.rows(np.zeros(len(nz) + len(weights), dtype=int),
-               np.concatenate([link[nz], list(weights)]),
-               np.concatenate([-cut.lam[nz], list(weights.values())]), [rhs], [np.inf])
-    return b.model()
+
+def build_master(template: MasterTemplate, pool: CutPool) -> LinearModel:
+    """The master over ``pool``: the template's static block with one row
+    per live cut appended, in pool order.  The model shares the block's
+    read-only column arrays."""
+    s = template.static
+    rows = template.cut_rows(pool.live_cuts())
+    ends = np.cumsum([cols.size for cols, _, _ in rows], dtype=s.A.indptr.dtype)
+    A = sp.csr_matrix(
+        (np.concatenate([s.A.data] + [vals for _, vals, _ in rows]),
+         np.concatenate([s.A.indices] + [cols for cols, _, _ in rows]),
+         np.concatenate([s.A.indptr, s.A.indptr[-1] + ends])),
+        shape=(s.row_count + len(rows), s.A.shape[1]))
+    return replace(s, A=A, row_lo=np.append(s.row_lo, [rhs for _, _, rhs in rows]),
+                   row_hi=np.append(s.row_hi, np.full(len(rows), np.inf)))
 
 
 def build_subproblem(instance: SystemInstance, scenarios: ScenarioSet, omega: str,
@@ -478,11 +541,11 @@ class RecourseTemplate:
     subproblem is the template's model with those three parts replaced.
     """
     model: LinearModel
-    spill: np.ndarray        # spill columns, |J| x T
-    balance: np.ndarray      # balance rows, |N| x T
+    spill: np.ndarray        # spill columns, flat
+    rows: np.ndarray         # balance rows, then the fixing rows
     fixing: np.ndarray       # fixing rows, one per link column
-    farm_at: list            # node index of each farm
-    wind: dict               # scenario id -> |J| x T realizations
+    wind: dict               # scenario id -> realizations (spill upper bounds), flat
+    balance_rhs: dict        # scenario id -> balance right-hand sides, flat
 
 
 def recourse_template(instance: SystemInstance, scenarios: ScenarioSet) -> RecourseTemplate:
@@ -490,10 +553,14 @@ def recourse_template(instance: SystemInstance, scenarios: ScenarioSet) -> Recou
     n_link = sum(cols.size for cols in link_columns(instance))
     model = build_subproblem(instance, scenarios, scenarios.scenario_ids[0], None)
     wind = scenarios.wind_matrix(instance).reshape(-1, instance.n_farms, instance.horizon)
-    return RecourseTemplate(model, _recourse_columns(instance, n_link)[2],
-                            _recourse_rows(instance)[2],
-                            np.arange(model.row_count - n_link, model.row_count),
-                            _topology(instance)[1], dict(zip(scenarios.scenario_ids, wind)))
+    farm_at = _topology(instance)[1]
+    fixing = np.arange(model.row_count - n_link, model.row_count)
+    return RecourseTemplate(
+        model, _recourse_columns(instance, n_link)[2].ravel(),
+        np.concatenate([_recourse_rows(instance)[2].ravel(), fixing]), fixing,
+        {omega: w.ravel() for omega, w in zip(scenarios.scenario_ids, wind)},
+        {omega: _balance_rhs(instance, farm_at, w).ravel()
+         for omega, w in zip(scenarios.scenario_ids, wind)})
 
 
 class RecourseSolver:
@@ -516,11 +583,8 @@ def solve_subproblem(instance: SystemInstance, scenarios: ScenarioSet, omega: st
     if solver is None:
         solver = RecourseSolver(recourse_template(instance, scenarios))
     t, model = solver.template, solver.template.model
-    wind = t.wind[omega]
-    rhs = np.concatenate([_balance_rhs(instance, t.farm_at, wind).ravel(),
-                          _fixing_rhs(model.lb, model.ub, x_hat)])
-    res = solver.lp.solve(t.spill.ravel(), model.lb[t.spill.ravel()], wind.ravel(),
-                          np.concatenate([t.balance.ravel(), t.fixing]), rhs, rhs)
+    rhs = np.concatenate([t.balance_rhs[omega], _fixing_rhs(model.lb, model.ub, x_hat)])
+    res = solver.lp.solve(t.spill, model.lb[t.spill], t.wind[omega], t.rows, rhs, rhs)
     if res.status is not SolveStatus.OPTIMAL:
         raise SubproblemInfeasibleError(
             f"subproblem for scenario {omega} returned {res.status.value}; "

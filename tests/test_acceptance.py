@@ -22,7 +22,8 @@ from sucbenders.data import ScenarioSet
 from sucbenders.engine import BendersConfig, RunStatus, run, solve_subproblems
 from sucbenders.formulations import (SubproblemResult, build_extensive,
                                      build_master, default_theta_min,
-                                     link_columns, sample_feasible_first_stage,
+                                     link_columns, master_template,
+                                     sample_feasible_first_stage,
                                      solve_subproblem)
 from sucbenders.outer import SubsetStatus, run_outer
 
@@ -180,6 +181,8 @@ def test_criterion_05_relaxation_chain(toy_a):
     by_iter = sorted(base.pool.cuts_by_iter)[:5]
 
     multi_pool, agg_pool, single_pool = CutPool(), CutPool(), CutPool()
+    multi_t, agg_t, single_t = (master_template(inst, scen, mode, tmin) for mode in
+                                (CutMode.MULTI, CutMode.AGGREGATED, CutMode.SINGLE))
     for nu in by_iter:
         anchor = _anchor_point(base.pool.cuts_by_iter[nu][0])
         results, _ = solve_subproblems(inst, scen, anchor)
@@ -189,12 +192,9 @@ def test_criterion_05_relaxation_chain(toy_a):
         aggregate_and_add(agg_pool, results, anchor, pi, labels, nu)
         single_pool.add(make_full_aggregate_cut(results, pi, anchor, nu))
 
-        v_multi = solve_milp(build_master(inst, scen, CutMode.MULTI,
-                                          multi_pool, tmin)).objective
-        v_agg = solve_milp(build_master(inst, scen, CutMode.AGGREGATED,
-                                        agg_pool, tmin)).objective
-        v_single = solve_milp(build_master(inst, scen, CutMode.SINGLE,
-                                           single_pool, tmin)).objective
+        v_multi = solve_milp(build_master(multi_t, multi_pool)).objective
+        v_agg = solve_milp(build_master(agg_t, agg_pool)).objective
+        v_single = solve_milp(build_master(single_t, single_pool)).objective
         assert v_multi >= v_agg - CHAIN_TOL, f"state {nu}: multi < clustered"
         assert v_agg >= v_single - CHAIN_TOL, f"state {nu}: clustered < single"
 

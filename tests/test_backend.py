@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize._highspy import _core as highs
 
 import sucbenders
 from sucbenders.backend import (BackendError, HighsSolver, LinearModel, SolveStatus,
@@ -17,8 +18,9 @@ from sucbenders.backend import (BackendError, HighsSolver, LinearModel, SolveSta
 from sucbenders.cuts import CutMode
 from sucbenders.engine import BendersConfig, run
 from sucbenders.formulations import (RecourseSolver, build_master, build_subproblem,
-                                     default_theta_min, link_columns, recourse_template,
-                                     sample_feasible_first_stage, solve_subproblem)
+                                     default_theta_min, link_columns, master_template,
+                                     recourse_template, sample_feasible_first_stage,
+                                     solve_subproblem)
 
 INF = np.inf
 
@@ -234,7 +236,8 @@ def test_solve_milp_matches_scipy_milp_bit_for_bit(toy_a):
     # the cuts of a few multi-cut iterations
     inst, scen = toy_a
     pool = run(inst, scen, BendersConfig(mode=CutMode.MULTI, max_iters=6)).pool
-    m = build_master(inst, scen, CutMode.MULTI, pool, default_theta_min(inst))
+    m = build_master(master_template(inst, scen, CutMode.MULTI, default_theta_min(inst)),
+                     pool)
     assert m.integral.any() and m.row_count > 0
     want = milp(m.c, constraints=LinearConstraint(m.A, m.row_lo, m.row_hi),
                 integrality=m.integral, bounds=Bounds(m.lb, m.ub),
@@ -243,6 +246,40 @@ def test_solve_milp_matches_scipy_milp_bit_for_bit(toy_a):
     assert got.status is SolveStatus.OPTIMAL and want.status == 0
     assert got.objective == want.fun
     assert np.array_equal(got.x, want.x)
+
+
+def _passed_column_wise(m: LinearModel, mip_gap=None) -> HighsSolver:
+    """A solver holding ``m`` whose matrix reached HiGHS column-wise: scipy's
+    CSC of the loader's rows (negated and reordered in the stacked layout)."""
+    solver = HighsSolver(m, mip_gap)
+    rows = solver._rows
+    A = sp.csc_array((sp.diags(rows.sign) @ m.A)[rows.order] if rows.stacked else m.A)
+    lp = solver._highs.getLp()
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = \
+        A.indptr, A.indices, A.data
+    assert solver._highs.passModel(lp) != highs.HighsStatus.kError
+    return solver
+
+
+@pytest.mark.parametrize("relax", [True, False], ids=["lp-stacked", "milp-native"])
+def test_row_wise_load_matches_a_column_wise_pass(toy_a, relax):
+    # a toy-a master with the cuts of a few multi-cut iterations, solved as
+    # an LP (stacked rows, some negated) and as a MILP (native rows)
+    inst, scen = toy_a
+    pool = run(inst, scen, BendersConfig(mode=CutMode.MULTI, max_iters=6)).pool
+    m = build_master(master_template(inst, scen, CutMode.MULTI, default_theta_min(inst)),
+                     pool)
+    if relax:
+        m = replace(m, integral=np.zeros_like(m.integral))
+    gap = None if relax else 1e-6
+    got = HighsSolver(m, gap).solve()
+    want = _passed_column_wise(m, gap).solve()
+    assert got.status is want.status is SolveStatus.OPTIMAL
+    assert got.objective == want.objective
+    assert np.array_equal(got.x, want.x)
+    if relax:
+        assert np.array_equal(got.row_dual, want.row_dual)
 
 
 def test_lp_solver_matches_solve_lp_after_bound_changes_in_any_order():

@@ -91,6 +91,20 @@ def test_solve_bad_tolerance_exits_one(method, option, value):
     assert "error:" in res.output
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--max-iters", "0"),       # would exit 2 as an iteration limit
+    ("--max-iters", "-5"),
+    ("--workers", "-2"),        # would run one worker and echo -2
+    ("--workers", "0"),
+    ("--theta-min", "inf"),     # HiGHS would reject the master
+    ("--theta-min", "nan"),
+])
+def test_solve_bad_run_option_exits_one_naming_it(option, value):
+    res = _invoke(["solve", *TOY, "--method", "multi-cut", option, value])
+    assert res.exit_code == 1
+    assert f"error: {option[2:].replace('-', '_')} must be" in res.output
+
+
 def test_consolidate_is_a_method_not_an_option():
     res = _invoke(["solve", *TOY, "--method", "aggregated", "--consolidate", "true"])
     assert res.exit_code == 2 and "No such option" in res.output

@@ -16,7 +16,7 @@ from sucbenders.engine import (BendersConfig, EngineError, RunStatus,
 from sucbenders.formulations import (FEAS_TOL, build_extensive, build_master,
                                      default_theta_min, extract_first_stage,
                                      first_stage_layout, first_stage_violation,
-                                     sample_feasible_first_stage)
+                                     master_template, sample_feasible_first_stage)
 
 
 class _Stub:
@@ -50,6 +50,11 @@ def test_config_validation():
         BendersConfig(initial_clusters=9).validate(3)
     with pytest.raises(ValueError):
         BendersConfig(clustering_method="dbscan").validate(3)
+    for bad in (dict(max_iters=0), dict(workers=0), dict(theta_min=-np.inf),
+                dict(theta_min=np.nan)):
+        with pytest.raises(ValueError):
+            BendersConfig(**bad).validate(3)
+    BendersConfig(theta_min=-1.0).validate(3)
 
 
 def test_upper_bound_is_running_minimum(toy_a):
@@ -133,7 +138,7 @@ def test_trace_lines_are_json_with_stable_keys(toy_a):
     run(inst, scen, BendersConfig(mode=CutMode.AGGREGATED), trace=lines.append)
     docs = [json.loads(line) for line in lines]
     keys = {"iter", "phase", "lb", "ub", "gap", "clusters", "master_rows",
-            "master_time_s", "sub_time_s"}
+            "build_time_s", "master_time_s", "sub_time_s"}
     assert all(set(d) == keys for d in docs)
     assert [d["iter"] for d in docs] == list(range(1, len(docs) + 1))
 
@@ -171,7 +176,7 @@ def test_tie_break_point_is_the_same_across_equivalent_masters(toy_a):
     n_first = first_stage_layout(inst).n
     points = []
     for mode in (CutMode.SINGLE, CutMode.AGGREGATED):
-        master = build_master(inst, scen, mode, sol.pool, theta_min)
+        master = build_master(master_template(inst, scen, mode, theta_min), sol.pool)
         mres = solve_milp(master)
         tied = _tie_break_master(master, mres, n_first, mip_gap=1e-6)
         original = float(master.c @ tied.x)
@@ -262,9 +267,9 @@ def test_multi_cut_tie_break_layout_is_the_full_aggregated_master(toy_a):
     assert multi_pool.row_contribution == agg_pool.row_contribution > 0
     theta_min = default_theta_min(inst)
     n_first = first_stage_layout(inst).n
-    rendered = build_master(inst, scen, CutMode.AGGREGATED,
-                            _aggregated_layout(multi_pool, pi), theta_min)
-    aggregated = build_master(inst, scen, CutMode.AGGREGATED, agg_pool, theta_min)
+    template = master_template(inst, scen, CutMode.AGGREGATED, theta_min)
+    rendered = build_master(template, _aggregated_layout(multi_pool, pi))
+    aggregated = build_master(template, agg_pool)
     for f in ("c", "lb", "ub", "integral", "row_lo", "row_hi"):
         assert np.array_equal(getattr(rendered, f), getattr(aggregated, f)), f
     for f in ("indptr", "indices", "data"):

@@ -6,17 +6,22 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sucbenders.backend import SolveStatus, solve_lp, solve_milp
 from sucbenders.cuts import (Cut, CutKind, CutMode, CutPool,
-                             make_full_aggregate_cut, make_per_scenario_cuts)
+                             make_full_aggregate_cut, make_per_scenario_cuts,
+                             track_and_consolidate)
 from sucbenders.data import ScenarioSet
+from sucbenders.engine import (BendersConfig, _aggregated_layout, _cut_duals,
+                               _tie_break_master, run)
 from sucbenders.formulations import (FirstStageSolution, build_extensive,
                                      build_master, build_subproblem,
                                      default_theta_min, extract_first_stage,
                                      first_stage_layout,
                                      first_stage_row_count,
                                      first_stage_violation, link_columns,
+                                     master_template,
                                      sample_feasible_first_stage,
                                      second_stage_row_count, solve_subproblem)
 
@@ -51,8 +56,8 @@ def test_extensive_row_count_toy_a(toy_a):
 def test_empty_pool_master_rows(toy_a):
     inst, scen = toy_a
     tmin = default_theta_min(inst)
-    multi = build_master(inst, scen, CutMode.MULTI, CutPool(), tmin)
-    single = build_master(inst, scen, CutMode.SINGLE, CutPool(), tmin)
+    multi = build_master(master_template(inst, scen, CutMode.MULTI, tmin), CutPool())
+    single = build_master(master_template(inst, scen, CutMode.SINGLE, tmin), CutPool())
     assert multi.row_count == TOY_FS_ROWS + scen.n_scenarios
     assert single.row_count == TOY_FS_ROWS + 1
 
@@ -61,7 +66,7 @@ def test_empty_pool_master_value_is_cda_plus_theta_min(toy_a):
     inst, scen = toy_a
     tmin = default_theta_min(inst)
     for mode in (CutMode.SINGLE, CutMode.MULTI, CutMode.AGGREGATED):
-        master = build_master(inst, scen, mode, CutPool(), tmin)
+        master = build_master(master_template(inst, scen, mode, tmin), CutPool())
         res = solve_milp(master)
         sol = extract_first_stage(inst, res)
         assert res.objective == pytest.approx(sol.c_da + tmin, abs=1e-6)
@@ -233,7 +238,8 @@ def test_master_cut_rows_read_back_as_the_cuts(toy_a):
         pool = CutPool()
         for cut in cuts:
             pool.add(cut)
-        master = build_master(inst, scen, mode, pool, default_theta_min(inst))
+        master = build_master(master_template(inst, scen, mode, default_theta_min(inst)),
+                              pool)
         first = master.row_count - len(cuts)
         for k, (cut, theta) in enumerate(zip(cuts, thetas)):
             row = master.A[first + k].toarray().ravel()
@@ -246,3 +252,110 @@ def test_subproblem_has_no_binaries(toy_a):
     inst, scen = toy_a
     x = sample_feasible_first_stage(inst, np.random.default_rng(5))
     assert not build_subproblem(inst, scen, "s1", x).integral.any()
+
+
+# -- master template -----------------------------------------------------------
+
+MODEL_ARRAYS = ("c", "lb", "ub", "integral", "row_lo", "row_hi")
+MATRIX_ARRAYS = ("indptr", "indices", "data")
+
+
+def _reference_master(inst, scen, mode, pool, theta_min, fixed=None):
+    """The master of ``pool`` from scratch: a fresh template's static block
+    and every cut's entries summed into one canonical CSR by a COO pass, and
+    each cut's rhs subtracted term by term in a loop."""
+    static = master_template(inst, scen, mode, theta_min, fixed).static
+    X = first_stage_layout(inst)
+    link = np.concatenate([np.stack([X.rp, X.rm], axis=-1).ravel(), X.w.ravel(),
+                           X.f.ravel()])
+    theta = {omega: X.n + k for k, omega in enumerate(scen.scenario_ids)}
+    coo = static.A.tocoo()
+    i, j, v, lo = [coo.row], [coo.col], [coo.data], list(static.row_lo)
+    for cut in pool.live_cuts():
+        if mode is CutMode.SINGLE:
+            weights = {X.n: 1.0}
+        elif cut.kind is CutKind.PER_SCENARIO:
+            weights = {theta[cut.members[0]]: 1.0}
+        else:
+            weights = {theta[omega]: pi for omega, pi in cut.theta_weights.items()}
+        nz = np.flatnonzero(cut.lam)
+        cols = np.concatenate([link[nz], list(weights)])
+        i.append(np.full(cols.size, len(lo)))
+        j.append(cols)
+        v.append(np.concatenate([-cut.lam[nz], list(weights.values())]))
+        rhs = cut.intercept
+        for term in cut.lam * cut.anchor:
+            rhs -= term
+        lo.append(rhs)
+    A = sp.csr_matrix((np.concatenate(v), (np.concatenate(i), np.concatenate(j))),
+                      shape=(len(lo), static.c.size))
+    return dataclasses.replace(static, A=A, row_lo=np.array(lo),
+                               row_hi=np.append(static.row_hi,
+                                                np.full(len(lo) - static.row_count, np.inf)))
+
+
+def _assert_same_model(got, want):
+    for f in MODEL_ARRAYS:
+        assert np.array_equal(getattr(got, f), getattr(want, f)), f
+    for f in MATRIX_ARRAYS:
+        assert np.array_equal(getattr(got.A, f), getattr(want.A, f)), f
+
+
+@pytest.mark.parametrize("fixed", [False, True], ids=["free", "fixed-commitments"])
+@pytest.mark.parametrize("mode", list(CutMode), ids=lambda m: m.value)
+def test_template_master_equals_a_from_scratch_build(toy_a, mode, fixed):
+    # one template follows a run's pool as it grows (and, in the aggregated
+    # mode, as consolidation merges its rows); every master it assembles
+    # equals the from-scratch build bit for bit, and it keeps the rows of
+    # live cuts only
+    inst, scen = toy_a
+    tmin = default_theta_min(inst)
+    g = inst.generators[0]
+    commitments = ({(g.id, t): 1 for t in range(1, inst.horizon + 1)} if fixed
+                   else None)
+    final = run(inst, scen, BendersConfig(mode=mode, max_iters=8),
+                fixed_commitments=commitments).pool
+    template = master_template(inst, scen, mode, tmin, commitments)
+    pool = CutPool()
+    for k in sorted(final.cuts_by_iter):
+        for cut in final.cuts_by_iter[k]:
+            pool.add(cut)
+        _assert_same_model(build_master(template, pool),
+                           _reference_master(inst, scen, mode, pool, tmin, commitments))
+    if mode is CutMode.AGGREGATED:
+        assert track_and_consolidate(pool, np.zeros(pool.row_contribution), kappa=1) > 0
+        _assert_same_model(build_master(template, pool),
+                           _reference_master(inst, scen, mode, pool, tmin, commitments))
+    assert set(template._rows) == set(pool.live_cuts())
+    if fixed:
+        u = first_stage_layout(inst).u[0]
+        assert (template.static.lb[u] == 1.0).all() and (template.static.ub[u] == 1.0).all()
+
+
+def test_master_derivatives_leave_the_template_unchanged(toy_a):
+    # the LP relaxation, the fixed-binaries copy and the tie-break's pinned
+    # model are made from a master that shares the template's arrays; none
+    # may write to them, and the tie-break's fresh layouts of one pool do
+    # not grow the cut cache
+    inst, scen = toy_a
+    pi = dict(zip(scen.scenario_ids, scen.probabilities))
+    n_first = first_stage_layout(inst).n
+    template = master_template(inst, scen, CutMode.AGGREGATED, default_theta_min(inst))
+    static = template.static
+    before = ([getattr(static, f).copy() for f in MODEL_ARRAYS]
+              + [getattr(static.A, f).copy() for f in MATRIX_ARRAYS])
+    pool = run(inst, scen, BendersConfig(mode=CutMode.MULTI, max_iters=6)).pool
+    for _ in range(2):
+        master = build_master(template, _aggregated_layout(pool, pi))
+        assert len(template._rows) == pool.row_contribution
+    relaxed = dataclasses.replace(master, integral=np.zeros_like(master.integral))
+    for model, solve in ((master, solve_milp), (relaxed, solve_lp)):
+        res = solve(model)
+        _tie_break_master(model, res, n_first, mip_gap=1e-6)
+        _cut_duals(model, res, pool.row_contribution)
+    after = ([getattr(static, f) for f in MODEL_ARRAYS]
+             + [getattr(static.A, f) for f in MATRIX_ARRAYS])
+    for old, new in zip(before, after):
+        assert np.array_equal(old, new)
+        assert not new.flags.writeable
+    _assert_same_model(build_master(template, _aggregated_layout(pool, pi)), master)
