@@ -5,7 +5,10 @@ Q and fixing-constraint duals lambda represents the affine under-estimator
 Theta(x) = Q + lambda . (x - x^(k)).  Aggregated cuts carry
 probability-weighted sums of intercepts and duals over their member
 scenarios, so evaluating one yields the pi-weighted recourse estimate of the
-whole cluster.
+whole cluster.  Every Benders cut is such an aggregate: single-cut makes one
+over all scenarios, multi-cut one per scenario (the singleton clusters of
+an |Omega|-cluster aggregated run, bit for bit), and consolidation merges
+one iteration's aggregates into a single row.
 
 ``x``, ``lambda`` and the anchor are vectors in the link order of
 ``formulations``: r+/r- interleaved per (generator, period), then w per
@@ -33,7 +36,6 @@ class CutMode(enum.Enum):
 
 
 class CutKind(enum.Enum):
-    PER_SCENARIO = "per-scenario"
     CLUSTER_AGGREGATE = "cluster-aggregate"
     CONSOLIDATED = "consolidated"
 
@@ -45,9 +47,9 @@ class Cut:
     kind: CutKind
     origin_iter: int
     members: tuple                 # scenario ids covered
-    theta_weights: dict            # scenario id -> pi (aggregate kinds)
-    intercept: float               # (pi-weighted) Q at the anchor
-    lam: np.ndarray                # (pi-weighted) fixing duals, link order
+    theta_weights: dict            # scenario id -> pi
+    intercept: float               # pi-weighted Q at the anchor
+    lam: np.ndarray                # pi-weighted fixing duals, link order
     anchor: np.ndarray             # first-stage link values at generation
     tag: str = ""                  # disambiguates rows within one iteration
 
@@ -79,39 +81,23 @@ class CutPool:
 
     def add(self, cut: Cut) -> None:
         self.cuts_by_iter.setdefault(cut.origin_iter, []).append(cut)
-        if cut.kind is CutKind.CLUSTER_AGGREGATE:
-            self.activity.setdefault(cut.origin_iter, 0)
+        self.activity.setdefault(cut.origin_iter, 0)
 
 
-def _make_cut(kind: CutKind, origin: int, tag: str, results, weights: dict,
-              x_hat) -> Cut:
-    """The ``weights``-weighted cut of ``results`` (its members, in order)."""
+def _make_cut(origin: int, tag: str, results, pi: dict, x_hat) -> Cut:
+    """The pi-weighted aggregate cut of ``results`` (its members, in order)."""
+    weights = {r.scenario_id: pi[r.scenario_id] for r in results}
     lam = np.zeros_like(results[0].lam)
     intercept = 0.0
     for r in results:
         intercept += weights[r.scenario_id] * r.objective
         lam += weights[r.scenario_id] * r.lam
-    return Cut(kind, origin, tuple(r.scenario_id for r in results),
-               dict(weights) if kind is not CutKind.PER_SCENARIO else {},
+    return Cut(CutKind.CLUSTER_AGGREGATE, origin, tuple(weights), weights,
                float(intercept), lam, x_hat.link(), tag=tag)
 
 
-def make_per_scenario_cuts(results, x_hat, origin: int) -> list[Cut]:
-    """One raw cut per scenario (multi-cut mode)."""
-    return [_make_cut(CutKind.PER_SCENARIO, origin, r.scenario_id, [r],
-                      {r.scenario_id: 1.0}, x_hat) for r in results]
-
-
-def make_full_aggregate_cut(results, pi: dict, x_hat, origin: int,
-                            kind: CutKind = CutKind.CLUSTER_AGGREGATE) -> Cut:
-    """One pi-weighted cut over all scenarios (single-cut mode, consolidation)."""
-    return _make_cut(kind, origin, "all", results,
-                     {r.scenario_id: pi[r.scenario_id] for r in results}, x_hat)
-
-
-def aggregate_and_add(pool: CutPool, results, x_hat, pi: dict,
-                      labels, origin: int) -> int:
-    """Add one cluster-aggregate cut per cluster; returns rows added.
+def _cluster_cuts(results, x_hat, pi: dict, labels, origin: int) -> list[Cut]:
+    """One aggregate cut per cluster, in label order.
 
     ``labels`` assigns a cluster id to each entry of ``results``.
     """
@@ -121,11 +107,31 @@ def aggregate_and_add(pool: CutPool, results, x_hat, pi: dict,
     clusters: dict[int, list] = {}
     for r, lab in zip(results, labels):
         clusters.setdefault(int(lab), []).append(r)
-    for lab in sorted(clusters):
-        members = clusters[lab]
-        pool.add(_make_cut(CutKind.CLUSTER_AGGREGATE, origin, f"c{lab}", members,
-                           {r.scenario_id: pi[r.scenario_id] for r in members}, x_hat))
-    return len(clusters)
+    return [_make_cut(origin, f"c{lab}", clusters[lab], pi, x_hat)
+            for lab in sorted(clusters)]
+
+
+def make_per_scenario_cuts(results, pi: dict, x_hat, origin: int) -> list[Cut]:
+    """One singleton aggregate per scenario (multi-cut mode): the cuts that
+    ``aggregate_and_add`` makes with every scenario in its own cluster."""
+    return _cluster_cuts(results, x_hat, pi, range(len(results)), origin)
+
+
+def make_full_aggregate_cut(results, pi: dict, x_hat, origin: int) -> Cut:
+    """One pi-weighted cut over all scenarios (single-cut mode)."""
+    return _make_cut(origin, "all", results, pi, x_hat)
+
+
+def aggregate_and_add(pool: CutPool, results, x_hat, pi: dict,
+                      labels, origin: int) -> int:
+    """Add one cluster-aggregate cut per cluster; returns rows added.
+
+    ``labels`` assigns a cluster id to each entry of ``results``.
+    """
+    cuts = _cluster_cuts(results, x_hat, pi, labels, origin)
+    for cut in cuts:
+        pool.add(cut)
+    return len(cuts)
 
 
 def track_and_consolidate(pool: CutPool, row_duals: np.ndarray, kappa: int,

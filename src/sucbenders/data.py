@@ -214,7 +214,8 @@ class ScenarioSet:
         """Subset with probabilities renormalized to sum 1."""
         probs = [self.probability(sc) for sc in scenario_ids]
         total = sum(probs)
-        reals = {k: v for k, v in self.realizations.items() if k[0] in set(scenario_ids)}
+        keep = set(scenario_ids)
+        reals = {k: v for k, v in self.realizations.items() if k[0] in keep}
         return ScenarioSet(tuple(scenario_ids), tuple(p / total for p in probs), reals)
 
     def validate(self, instance: SystemInstance) -> None:

@@ -4,6 +4,10 @@ convergence, and cut-pool updates.
 Per iteration: solve the master, read the lower bound and the candidate
 first-stage point, solve all scenario subproblems in parallel, update the
 upper bound, test convergence, then add cuts per the configured mode.
+Every cut is a pi-weighted cluster aggregate: single-cut adds one over all
+scenarios, multi-cut one per scenario (so its master and its cuts are
+those of an aggregated run at |Omega| clusters), and aggregated mode one
+per cluster.
 
 A run has two phases on one cut pool (McDaniel & Devine 1977).  The LP
 phase solves the master with its integrality relaxed: its optimum is a
@@ -33,7 +37,7 @@ import scipy.sparse as sp
 
 from . import clustering
 from .backend import SolveStatus, solve_lp, solve_milp
-from .cuts import (CutKind, CutMode, CutPool, adapt_cluster_count,
+from .cuts import (CutMode, CutPool, adapt_cluster_count,
                    aggregate_and_add, make_full_aggregate_cut,
                    make_per_scenario_cuts, select_attributes,
                    track_and_consolidate)
@@ -74,8 +78,8 @@ class BendersConfig:
     workers: int = 1
     # deterministic choice among alternate master optima: a pinned MILP picks
     # the binaries, then an LP with them fixed picks a unique continuous vertex
-    # (in the LP phase only the pinned LP; single-cut and multi-cut runs make
-    # this choice in the aggregated master layout)
+    # (in the LP phase only the pinned LP; single-cut runs make this choice
+    # in the aggregated master, the others in their own)
     tie_break: bool = False
 
     def validate(self, n_scenarios: int) -> None:
@@ -215,11 +219,14 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
     n_first = first_stage_layout(instance).n
     families = link_columns(instance)
     pool = CutPool()
-    # with the controller on, the LP phase cuts at |Omega| singleton clusters
-    # and the controller starts from there in the MILP phase
+    # single-cut cuts at one cluster and multi-cut at |Omega|; with the
+    # controller on, the LP phase cuts at |Omega| singleton clusters and the
+    # controller starts from there in the MILP phase
     state = BendersState(cluster_count=(
-        scenarios.n_scenarios if config.mode is CutMode.AGGREGATED and config.adaptive
-        else config.initial_clusters))
+        1 if config.mode is CutMode.SINGLE
+        else config.initial_clusters if (config.mode is CutMode.AGGREGATED
+                                         and not config.adaptive)
+        else scenarios.n_scenarios))
     attr_cache: dict = {}
     t_start = time.perf_counter()
     solvers = recourse_solvers(instance, scenarios, config.workers)
@@ -261,14 +268,13 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
         state.lower_bound = max(prev_lb, mres.objective)
         point = mres
         if config.tie_break:
-            # single-cut and multi-cut runs choose their point in the
-            # aggregated layout, where their cuts are rows of the one-cluster
-            # and the |Omega|-cluster aggregated runs bit for bit (HiGHS
-            # vertices of two layouts of one LP differ by ~1e-10, and
-            # degenerate subproblem duals amplify that)
+            # a single-cut run chooses its point in the aggregated master,
+            # where its cuts are the rows of a one-cluster aggregated run bit
+            # for bit (HiGHS vertices of two layouts of one LP differ by
+            # ~1e-10, and degenerate subproblem duals amplify that)
             tied, tres = master, mres
-            if config.mode is not CutMode.AGGREGATED:
-                tied = master_of(CutMode.AGGREGATED, _aggregated_layout(pool, pi))
+            if config.mode is CutMode.SINGLE:
+                tied = master_of(CutMode.AGGREGATED, pool)
                 tres = _solve_master(tied, config.mip_gap)
             point = _tie_break_master(tied, tres, n_first, config.mip_gap)
         x_hat = extract_first_stage(instance, point)
@@ -319,7 +325,7 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
                                   config.kappa)
 
         if config.mode is CutMode.MULTI:
-            for cut in make_per_scenario_cuts(results, x_hat, nu):
+            for cut in make_per_scenario_cuts(results, pi, x_hat, nu):
                 pool.add(cut)
         elif config.mode is CutMode.SINGLE:
             pool.add(make_full_aggregate_cut(results, pi, x_hat, nu))
@@ -339,25 +345,6 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
 def _solve_master(model, mip_gap: float):
     """MILP solve of a master with integer columns, LP solve of a relaxed one."""
     return solve_milp(model, mip_gap=mip_gap) if model.integral.any() else solve_lp(model)
-
-
-def _aggregated_layout(pool: CutPool, pi: dict) -> CutPool:
-    """``pool``'s cuts as rows of the aggregated master.
-
-    A full aggregate cut already is one; a per-scenario cut becomes the
-    singleton aggregate that an |Omega|-cluster aggregated run makes from the
-    same subproblem result, scaled by pi bit for bit (``_make_cut`` sums
-    ``0.0 + pi * Q`` and ``0 + pi * lambda``).
-    """
-    out = CutPool()
-    for cut in pool.live_cuts():
-        if cut.kind is CutKind.PER_SCENARIO:
-            (omega,) = cut.members
-            w = pi[omega]
-            cut = replace(cut, kind=CutKind.CLUSTER_AGGREGATE, theta_weights={omega: w},
-                          intercept=w * cut.intercept, lam=w * cut.lam)
-        out.add(cut)
-    return out
 
 
 def _tie_break_master(master, mres, n_first: int, mip_gap: float):

@@ -1,4 +1,4 @@
-"""Model builders: extensive form, Benders master (three cut modes), subproblems.
+"""Model builders: extensive form, Benders master, subproblems.
 
 The two models that a Benders run solves again and again are built once per
 run: ``master_template`` builds the master's static block (first stage,
@@ -21,9 +21,12 @@ laid out as follows:
   the enforced initial periods), logic, exclusion, ramp-up, ramp-down,
   p-min and p-max; then nodal balance per (node, period) and flow
   definitions per (line, period);
-* the master appends its theta columns (one, or one per scenario), their
-  lower-bound rows, and one row per live cut in pool order; the extensive
-  form appends one recourse block per scenario;
+* the master appends its theta columns, their lower-bound rows, and one row
+  per live cut in pool order.  The single-cut master has one theta with
+  cost 1; every other master has one theta per scenario with cost pi, and
+  a cut's row weights each member's theta by its pi (multi-cut and
+  aggregated runs share this master).  The extensive form appends one
+  recourse block per scenario;
 * a recourse block's columns are p+/p- interleaved per (generator, period),
   spill per (farm, period), shed/angle interleaved per (node, period) and
   flow per (line, period); its rows are the reserve-deployment limits
@@ -58,7 +61,7 @@ import scipy.sparse as sp
 # wraps formulations.solve_lp by name
 from .backend import (HighsSolver, LinearModel, SolveResult, SolveStatus,  # noqa: F401
                       solve_lp, solve_milp)
-from .cuts import CutKind, CutMode, CutPool
+from .cuts import CutMode, CutPool
 from .data import ScenarioSet, SystemInstance
 
 FEAS_TOL = 1e-6
@@ -440,17 +443,9 @@ class MasterTemplate:
         if not set(cut.members).issubset(self.theta_of):
             raise ModelBuildError(f"cut {cut.row_name()} references unknown scenarios")
         if self.mode is CutMode.SINGLE:
-            if cut.kind is CutKind.PER_SCENARIO or set(cut.members) != set(self.theta_of):
-                raise ModelBuildError(
-                    "single-cut master requires fully aggregated cuts "
-                    f"(got {cut.kind.value} cut {cut.row_name()})")
-        elif cut.kind is CutKind.PER_SCENARIO:
-            if self.mode is not CutMode.MULTI:
-                raise ModelBuildError("per-scenario cuts require the multi-cut master")
-        elif self.mode is not CutMode.AGGREGATED:
-            raise ModelBuildError(
-                f"{cut.kind.value} cut {cut.row_name()} requires the aggregated master")
-        if self.mode is CutMode.SINGLE or cut.kind is CutKind.PER_SCENARIO:
+            if set(cut.members) != set(self.theta_of):
+                raise ModelBuildError("single-cut master requires cuts over every "
+                                      f"scenario (got {cut.row_name()})")
             weights = {self.theta_of[cut.members[0]]: 1.0}
         else:
             weights = {self.theta_of[omega]: pi for omega, pi in cut.theta_weights.items()}
@@ -470,7 +465,8 @@ class MasterTemplate:
 def master_template(instance: SystemInstance, scenarios: ScenarioSet, mode: CutMode,
                     theta_min: float, fixed_commitments: dict | None = None
                     ) -> MasterTemplate:
-    """The master template of one run in cut mode ``mode``.
+    """The master template of one run in cut mode ``mode``: one theta in
+    single-cut mode, one per scenario in the others.
 
     ``fixed_commitments`` maps (generator id, period) to 0/1 and is applied
     by bound tightening on the u variables.

@@ -186,7 +186,7 @@ def test_criterion_05_relaxation_chain(toy_a):
     for nu in by_iter:
         anchor = _anchor_point(base.pool.cuts_by_iter[nu][0])
         results, _ = solve_subproblems(inst, scen, anchor)
-        for cut in make_per_scenario_cuts(results, anchor, nu):
+        for cut in make_per_scenario_cuts(results, pi, anchor, nu):
             multi_pool.add(cut)
         labels = hierarchical(normalize_duals(results, link_columns(inst)), 2).labels
         aggregate_and_add(agg_pool, results, anchor, pi, labels, nu)

@@ -106,7 +106,8 @@ def test_aggregate_row_is_weighted_sum_of_rows():
     r1, r2 = _result("s1", 10.0, 1), _result("s2", 30.0, 2)
     pi = {"s1": 0.5, "s2": 0.5}
     anchor = _x(seed=1)
-    singles = make_per_scenario_cuts([r1, r2], anchor, 1)
+    # unit weights give the raw per-scenario cuts
+    singles = make_per_scenario_cuts([r1, r2], dict.fromkeys(pi, 1.0), anchor, 1)
     merged = make_full_aggregate_cut([r1, r2], pi, anchor, 1)
     for seed in range(5):
         pt = _x(seed=seed + 2)
@@ -127,6 +128,27 @@ def test_aggregate_and_add_row_delta():
     assert members == [("s0", "s1"), ("s2", "s3")]
 
 
+def test_per_scenario_cuts_are_the_singleton_cluster_aggregates():
+    # a multi-cut iteration's cuts are those of an |Omega|-cluster
+    # aggregation of the same results, field for field and bit for bit
+    results = [_result(f"s{i}", 10.0 * i + 0.1, i + 50) for i in range(3)]
+    pi = {"s0": 0.2, "s1": 0.3, "s2": 0.5}
+    anchor = _x(seed=9)
+    pool = CutPool()
+    assert aggregate_and_add(pool, results, anchor, pi, range(3), 4) == 3
+    singles = make_per_scenario_cuts(results, pi, anchor, 4)
+    assert len(singles) == 3
+    for got, want in zip(singles, pool.live_cuts()):
+        assert got.kind is want.kind is CutKind.CLUSTER_AGGREGATE
+        assert (got.origin_iter, got.members, got.theta_weights, got.intercept,
+                got.tag) == (want.origin_iter, want.members, want.theta_weights,
+                             want.intercept, want.tag)
+        assert np.array_equal(got.lam, want.lam)
+        assert np.array_equal(got.anchor, want.anchor)
+        (omega,) = got.members
+        assert got.theta_weights == {omega: pi[omega]}
+
+
 def test_aggregate_rejects_bad_partition():
     results = [_result("s0", 0.0, 0), _result("s1", 1.0, 1)]
     pi = {"s0": 0.5, "s1": 0.5}
@@ -140,7 +162,7 @@ def test_aggregation_dominance_random_points():
     results = [_result(f"s{i}", float(10 * i), i + 20) for i in range(3)]
     pi = {f"s{i}": 1 / 3 for i in range(3)}
     anchor = _x(seed=30)
-    singles = make_per_scenario_cuts(results, anchor, 1)
+    singles = make_per_scenario_cuts(results, dict.fromkeys(pi, 1.0), anchor, 1)
     merged = make_full_aggregate_cut(results, pi, anchor, 1)
     for seed in range(10):
         pt = _x(seed=seed + 31)

@@ -103,6 +103,10 @@ def test_restrict_renormalizes(toy_a):
     assert sub.scenario_ids == ("s1", "s3")
     assert abs(sum(sub.probabilities) - 1.0) < 1e-12
     assert sub.probabilities == (0.5, 0.5)
+    # only the subset's realizations remain, with their values
+    assert sub.realizations == {k: v for k, v in scen.realizations.items()
+                                if k[0] in ("s1", "s3")}
+    assert {k[0] for k in sub.realizations} == {"s1", "s3"}
 
 
 def test_wind_matrix_shape(toy_a):

@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from sucbenders.backend import solve_lp, solve_milp
-from sucbenders.cuts import (CutMode, CutPool, aggregate_and_add,
-                             make_per_scenario_cuts)
+from sucbenders.cuts import CutMode, CutPool, aggregate_and_add
 from sucbenders.engine import (BendersConfig, EngineError, RunStatus,
-                               _aggregated_layout, _tie_break_master,
-                               compute_bounds, run, solve_subproblems)
+                               _tie_break_master, compute_bounds, run,
+                               solve_subproblems)
 from sucbenders.formulations import (FEAS_TOL, build_extensive, build_master,
                                      default_theta_min, extract_first_stage,
                                      first_stage_layout, first_stage_violation,
@@ -249,36 +248,57 @@ def test_lp_phase_cluster_count(toy_a):
     assert all(len(cuts) == 2 for cuts in pinned.pool.cuts_by_iter.values())
 
 
-def test_multi_cut_tie_break_layout_is_the_full_aggregated_master(toy_a):
-    # per-scenario cuts rendered as singleton aggregates scaled by pi are the
-    # rows that an |Omega|-cluster aggregated run makes from the same
-    # subproblem results, bit for bit, so both runs' tie-breaks see one model
+def test_multi_cut_master_is_the_full_aggregated_master(toy_a):
+    # multi-cut's cuts are the singleton aggregates that an |Omega|-cluster
+    # aggregated run makes from the same subproblem results, so its master
+    # is that run's master bit for bit and both tie-breaks see one model
     inst, scen = toy_a
     pi = dict(zip(scen.scenario_ids, scen.probabilities))
     sol = run(inst, scen, BendersConfig(mode=CutMode.MULTI, tie_break=True, max_iters=5))
-    multi_pool, agg_pool = CutPool(), CutPool()
+    agg_pool = CutPool()
     for nu, cuts in sorted(sol.pool.cuts_by_iter.items()):
         c = cuts[0]
         anchor = SimpleNamespace(link=lambda c=c: c.anchor)
         results, _ = solve_subproblems(inst, scen, anchor)
-        for cut in make_per_scenario_cuts(results, anchor, nu):
-            multi_pool.add(cut)
         aggregate_and_add(agg_pool, results, anchor, pi, range(len(results)), nu)
-    assert multi_pool.row_contribution == agg_pool.row_contribution > 0
+    assert sol.pool.row_contribution == agg_pool.row_contribution > 0
     theta_min = default_theta_min(inst)
     n_first = first_stage_layout(inst).n
-    template = master_template(inst, scen, CutMode.AGGREGATED, theta_min)
-    rendered = build_master(template, _aggregated_layout(multi_pool, pi))
-    aggregated = build_master(template, agg_pool)
+    multi = build_master(master_template(inst, scen, CutMode.MULTI, theta_min), sol.pool)
+    aggregated = build_master(master_template(inst, scen, CutMode.AGGREGATED, theta_min),
+                              agg_pool)
     for f in ("c", "lb", "ub", "integral", "row_lo", "row_hi"):
-        assert np.array_equal(getattr(rendered, f), getattr(aggregated, f)), f
+        assert np.array_equal(getattr(multi, f), getattr(aggregated, f)), f
     for f in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(rendered.A, f), getattr(aggregated.A, f)), f
+        assert np.array_equal(getattr(multi.A, f), getattr(aggregated.A, f)), f
     for relax in (False, True):
         points = []
-        for master in (rendered, aggregated):
+        for master in (multi, aggregated):
             if relax:
                 master = dataclasses.replace(master, integral=np.zeros_like(master.integral))
             mres = solve_lp(master) if relax else solve_milp(master)
             points.append(_tie_break_master(master, mres, n_first, mip_gap=1e-6).x)
         assert np.array_equal(*points)
+
+
+def _untimed(sol):
+    return [{k: v for k, v in json.loads(r.trace_line()).items()
+             if not k.endswith("_time_s")} for r in sol.state.history]
+
+
+def test_multi_cut_run_is_the_pinned_full_aggregated_run(toy_a):
+    # an aggregated run pinned at |Omega| clusters adds multi-cut's cuts to
+    # multi-cut's master, so the two runs record the same iterations, down to
+    # the cluster count; single-cut records one cluster
+    inst, scen = toy_a
+    n = scen.n_scenarios
+    multi = run(inst, scen, BendersConfig(mode=CutMode.MULTI))
+    pinned = run(inst, scen, BendersConfig(mode=CutMode.AGGREGATED, adaptive=False,
+                                           initial_clusters=n))
+    assert multi.status is pinned.status is RunStatus.CONVERGED
+    assert all(r.clusters == n for r in multi.state.history)
+    assert _untimed(multi) == _untimed(pinned)
+    assert multi.objective == pinned.objective
+    assert multi.final_master_rows == pinned.final_master_rows
+    single = run(inst, scen, BendersConfig(mode=CutMode.SINGLE, max_iters=5))
+    assert all(r.clusters == 1 for r in single.state.history)

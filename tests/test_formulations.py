@@ -13,9 +13,9 @@ from sucbenders.cuts import (Cut, CutKind, CutMode, CutPool,
                              make_full_aggregate_cut, make_per_scenario_cuts,
                              track_and_consolidate)
 from sucbenders.data import ScenarioSet
-from sucbenders.engine import (BendersConfig, _aggregated_layout, _cut_duals,
-                               _tie_break_master, run)
-from sucbenders.formulations import (FirstStageSolution, build_extensive,
+from sucbenders.engine import BendersConfig, _cut_duals, _tie_break_master, run
+from sucbenders.formulations import (FirstStageSolution, ModelBuildError,
+                                     build_extensive,
                                      build_master, build_subproblem,
                                      default_theta_min, extract_first_stage,
                                      first_stage_layout,
@@ -173,7 +173,7 @@ def test_extensive_matches_enumeration_oracle(toy_a):
 
 def _zero_cut(inst, intercept=7.0, lam=None):
     n_link = sum(cols.size for cols in link_columns(inst))
-    return Cut(CutKind.PER_SCENARIO, 1, ("s1",), {}, intercept,
+    return Cut(CutKind.CLUSTER_AGGREGATE, 1, ("s1",), {"s1": 1.0}, intercept,
                np.zeros(n_link) if lam is None else lam, np.zeros(n_link), tag="s1")
 
 
@@ -211,8 +211,8 @@ def test_cut_tight_at_anchor(toy_a):
     rng = np.random.default_rng(3)
     x = sample_feasible_first_stage(inst, rng)
     sub = solve_subproblem(inst, scen, "s2", x)
-    cut = Cut(CutKind.PER_SCENARIO, 1, ("s2",), {}, sub.objective, sub.lam, x.link(),
-              tag="s2")
+    cut = Cut(CutKind.CLUSTER_AGGREGATE, 1, ("s2",), {"s2": 1.0}, sub.objective,
+              sub.lam, x.link(), tag="s2")
     assert cut.evaluate(x.link()) == pytest.approx(sub.objective, abs=1e-9)
 
 
@@ -225,7 +225,8 @@ def test_master_cut_rows_read_back_as_the_cuts(toy_a):
     rng = np.random.default_rng(8)
     anchor = sample_feasible_first_stage(inst, rng)
     results = [solve_subproblem(inst, scen, om, anchor) for om in ids]
-    per_scenario = make_per_scenario_cuts(results, anchor, 1)
+    # unit weights: each theta carries its own scenario's cut unscaled
+    per_scenario = make_per_scenario_cuts(results, dict.fromkeys(ids, 1.0), anchor, 1)
     full = make_full_aggregate_cut(results, dict(zip(ids, scen.probabilities)), anchor, 1)
     X = first_stage_layout(inst)
     x = rng.uniform(-5.0, 5.0, X.n)
@@ -246,6 +247,27 @@ def test_master_cut_rows_read_back_as_the_cuts(toy_a):
             assert master.row_lo[first + k] - row[:X.n] @ x == \
                 pytest.approx(cut.evaluate(point), rel=1e-12, abs=1e-9)
             assert row[X.n:].tolist() == theta
+
+
+def test_master_rejects_cuts_it_cannot_render(toy_a):
+    # a cut over an unknown scenario fits no master, and the single-cut
+    # master's one theta takes only cuts over every scenario
+    inst, scen = toy_a
+    ids = scen.scenario_ids
+    anchor = sample_feasible_first_stage(inst, np.random.default_rng(8))
+    results = [solve_subproblem(inst, scen, om, anchor) for om in ids]
+    pi = dict(zip(ids, scen.probabilities))
+    stray = dataclasses.replace(results[0], scenario_id="nowhere")
+    tmin = default_theta_min(inst)
+    for mode, cut, message in (
+            (CutMode.MULTI, make_per_scenario_cuts([stray], {"nowhere": 1.0}, anchor, 1)[0],
+             "unknown scenarios"),
+            (CutMode.SINGLE, make_per_scenario_cuts(results, pi, anchor, 1)[0],
+             "every scenario")):
+        pool = CutPool()
+        pool.add(cut)
+        with pytest.raises(ModelBuildError, match=message):
+            build_master(master_template(inst, scen, mode, tmin), pool)
 
 
 def test_subproblem_has_no_binaries(toy_a):
@@ -274,8 +296,6 @@ def _reference_master(inst, scen, mode, pool, theta_min, fixed=None):
     for cut in pool.live_cuts():
         if mode is CutMode.SINGLE:
             weights = {X.n: 1.0}
-        elif cut.kind is CutKind.PER_SCENARIO:
-            weights = {theta[cut.members[0]]: 1.0}
         else:
             weights = {theta[omega]: pi for omega, pi in cut.theta_weights.items()}
         nz = np.flatnonzero(cut.lam)
@@ -335,10 +355,9 @@ def test_template_master_equals_a_from_scratch_build(toy_a, mode, fixed):
 def test_master_derivatives_leave_the_template_unchanged(toy_a):
     # the LP relaxation, the fixed-binaries copy and the tie-break's pinned
     # model are made from a master that shares the template's arrays; none
-    # may write to them, and the tie-break's fresh layouts of one pool do
-    # not grow the cut cache
+    # may write to them, and repeated builds of one pool do not grow the
+    # cut cache
     inst, scen = toy_a
-    pi = dict(zip(scen.scenario_ids, scen.probabilities))
     n_first = first_stage_layout(inst).n
     template = master_template(inst, scen, CutMode.AGGREGATED, default_theta_min(inst))
     static = template.static
@@ -346,7 +365,7 @@ def test_master_derivatives_leave_the_template_unchanged(toy_a):
               + [getattr(static.A, f).copy() for f in MATRIX_ARRAYS])
     pool = run(inst, scen, BendersConfig(mode=CutMode.MULTI, max_iters=6)).pool
     for _ in range(2):
-        master = build_master(template, _aggregated_layout(pool, pi))
+        master = build_master(template, pool)
         assert len(template._rows) == pool.row_contribution
     relaxed = dataclasses.replace(master, integral=np.zeros_like(master.integral))
     for model, solve in ((master, solve_milp), (relaxed, solve_lp)):
@@ -358,4 +377,5 @@ def test_master_derivatives_leave_the_template_unchanged(toy_a):
     for old, new in zip(before, after):
         assert np.array_equal(old, new)
         assert not new.flags.writeable
-    _assert_same_model(build_master(template, _aggregated_layout(pool, pi)), master)
+    _assert_same_model(build_master(template, pool), master)
+    assert len(template._rows) == pool.row_contribution
