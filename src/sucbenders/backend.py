@@ -6,12 +6,17 @@ Every solve goes through ``HighsSolver``, which holds one model in a
 one instance per worker and re-solve it after bound changes.
 
 The dual convention is pinned here: for an LP solved to optimality, the dual
-value reported for a constraint is the derivative of the optimal objective
-with respect to that constraint's right-hand side.  For an equality fixing
-constraint ``x = x_hat`` with multiplier ``lam`` this gives the subgradient
-inequality ``Q(x) >= Q(x_hat) + lam * (x - x_hat)``.  HiGHS row duals follow
-this convention for every row it holds; a row that the loader negated is
-negated back.
+value reported for a row (``row_dual``) is the derivative of the optimal
+objective with respect to that row's right-hand side, and the dual value
+reported for a column (``col_dual``, its reduced cost) is the derivative of
+the optimal objective with respect to the column's active bound.  A column
+at its upper bound has ``col_dual <= 0`` and one at its lower bound
+``col_dual >= 0``; a column fixed by equal bounds may show either sign, and
+``min(col_dual, 0)`` is then the derivative with respect to its upper bound.
+Each gives a subgradient inequality: for a right-hand side or bound ``b``
+with dual ``lam``, ``Q(b') >= Q(b) + lam * (b' - b)``.  HiGHS row duals
+follow this convention for every row it holds; a row that the loader
+negated is negated back.  Columns are never negated.
 
 Each entry point passes rows in the layout that ``scipy.optimize`` used to
 give HiGHS, because HiGHS's iterates depend on the layout and the Benders
@@ -25,7 +30,9 @@ The rows reach HiGHS row-wise, straight from the model's CSR arrays (a
 permuted, negated copy in the stacked layout), with no conversion to
 columns; HiGHS builds the same column-wise matrix that a column-wise pass
 gives it, so the iterates are those of a column-wise pass bit for bit.
-Both run with presolve on, the dual simplex and output off.
+Both run with the dual simplex and output off, and with presolve on unless
+the solver is built with ``presolve=False`` (the scenario subproblems:
+small LPs that solve faster without it).
 """
 
 from __future__ import annotations
@@ -60,6 +67,7 @@ class SolveResult:
     objective: float | None
     x: np.ndarray | None          # column values
     row_dual: np.ndarray | None   # per row (LP solves only)
+    col_dual: np.ndarray | None   # per column (LP solves only)
     row_count: int
     solve_time: float
     message: str = ""
@@ -109,7 +117,7 @@ _HIGHS_STATUS = {
     highs.HighsModelStatus.kUnbounded: SolveStatus.UNBOUNDED,
 }
 
-_OPTIONS = (("output_flag", False), ("log_to_console", False), ("presolve", "on"),
+_OPTIONS = (("output_flag", False), ("log_to_console", False),
             ("simplex_strategy",
              int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)))
 
@@ -177,17 +185,19 @@ class HighsSolver:
     bound changes.
 
     With ``mip_gap`` None the model must be an LP, passed in the stacked
-    layout and solved for row duals; otherwise it is a MILP, passed with
-    native rows and solved within that relative gap.  Every solve starts
+    layout and solved for row and column duals; otherwise it is a MILP,
+    passed with native rows and solved within that relative gap.  Every solve starts
     cold on the same matrix, so its results equal those of a fresh instance
     on a model with the same bounds, bit for bit.  One instance must not be
     solved from two threads at once; ``run`` releases the interpreter lock,
     so solvers in different threads run in parallel.  A non-finite
     ``mip_gap`` (HiGHS takes NaN and infinity) or an option that HiGHS
-    refuses (such as a negative gap) raises ``BackendError``.
+    refuses (such as a negative gap) raises ``BackendError``, and so does a
+    NaN bound passed to ``solve``.
     """
 
-    def __init__(self, model: LinearModel, mip_gap: float | None = None):
+    def __init__(self, model: LinearModel, mip_gap: float | None = None,
+                 presolve: bool = True):
         _check_finite(model)
         self.row_count = model.row_count
         self._mip = mip_gap is not None
@@ -205,7 +215,7 @@ class HighsSolver:
         lp.col_cost_, lp.col_lower_, lp.col_upper_ = model.c, model.lb, model.ub
         lp.row_lower_, lp.row_upper_ = self._lo, self._hi
         self._highs = highs._Highs()
-        options = _OPTIONS
+        options = _OPTIONS + (("presolve", "on" if presolve else "off"),)
         if self._mip:
             if not np.isfinite(mip_gap):
                 raise BackendError(f"mip_gap must be finite, got {mip_gap}")
@@ -225,11 +235,13 @@ class HighsSolver:
         infinite side."""
         t0 = time.perf_counter()
         cols = np.asarray(cols, dtype=np.int32)
+        lb, ub, row_lo, row_hi = (np.asarray(b, dtype=float)
+                                  for b in (lb, ub, row_lo, row_hi))
+        if any(np.isnan(b).any() for b in (lb, ub, row_lo, row_hi)):
+            raise BackendError("a column or row bound is NaN")
         if cols.size:
-            self._highs.changeColsBounds(cols.size, cols, np.asarray(lb, dtype=float),
-                                         np.asarray(ub, dtype=float))
-        self._change_rows(np.asarray(rows, dtype=np.int64), np.asarray(row_lo, dtype=float),
-                          np.asarray(row_hi, dtype=float))
+            self._highs.changeColsBounds(cols.size, cols, lb, ub)
+        self._change_rows(np.asarray(rows, dtype=np.int64), row_lo, row_hi)
         self._highs.clearSolver()
         if self._highs.run() == highs.HighsStatus.kError:
             return self._failed(t0, "HiGHS run failed")
@@ -243,6 +255,7 @@ class HighsSolver:
                            np.array(solution.col_value),
                            None if self._mip else
                            self._rows.row_dual(np.array(solution.row_dual)),
+                           None if self._mip else np.array(solution.col_dual),
                            self.row_count, time.perf_counter() - t0)
 
     def _change_rows(self, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
@@ -262,12 +275,13 @@ class HighsSolver:
 
     def _failed(self, t0: float, message: str,
                 status: SolveStatus = SolveStatus.ERROR) -> SolveResult:
-        return SolveResult(status, None, None, None, self.row_count,
+        return SolveResult(status, None, None, None, None, self.row_count,
                            time.perf_counter() - t0, message=message)
 
 
 def solve_lp(model: LinearModel) -> SolveResult:
-    """Solve an LP to optimality, returning primal values and row duals."""
+    """Solve an LP to optimality, returning primal values and row and column
+    duals."""
     return HighsSolver(model).solve()
 
 

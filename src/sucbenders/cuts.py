@@ -1,14 +1,15 @@
 """Optimality-cut pool: aggregation, consolidation, adaptive cluster count.
 
 A cut generated at iteration k from anchor point x^(k) with subproblem value
-Q and fixing-constraint duals lambda represents the affine under-estimator
-Theta(x) = Q + lambda . (x - x^(k)).  Aggregated cuts carry
-probability-weighted sums of intercepts and duals over their member
-scenarios, so evaluating one yields the pi-weighted recourse estimate of the
-whole cluster.  Every Benders cut is such an aggregate: single-cut makes one
-over all scenarios, multi-cut one per scenario (the singleton clusters of
-an |Omega|-cluster aggregated run, bit for bit), and consolidation merges
-one iteration's aggregates into a single row.
+Q and slope lambda of Q in the link values (``SubproblemResult.lam``, read
+from the subproblem's balance-row duals and p+/p- bound duals) represents
+the affine under-estimator Theta(x) = Q + lambda . (x - x^(k)).  Aggregated
+cuts carry probability-weighted sums of intercepts and slopes over their
+member scenarios, so evaluating one yields the pi-weighted recourse
+estimate of the whole cluster.  Every Benders cut is such an aggregate:
+single-cut makes one over all scenarios, multi-cut one per scenario (the
+singleton clusters of an |Omega|-cluster aggregated run, bit for bit), and
+consolidation merges one iteration's aggregates into a single row.
 
 ``x``, ``lambda`` and the anchor are vectors in the link order of
 ``formulations``: r+/r- interleaved per (generator, period), then w per
@@ -49,7 +50,7 @@ class Cut:
     members: tuple                 # scenario ids covered
     theta_weights: dict            # scenario id -> pi
     intercept: float               # pi-weighted Q at the anchor
-    lam: np.ndarray                # pi-weighted fixing duals, link order
+    lam: np.ndarray                # pi-weighted slopes of Q, link order
     anchor: np.ndarray             # first-stage link values at generation
     tag: str = ""                  # disambiguates rows within one iteration
 
@@ -193,11 +194,10 @@ def _minmax(arr: np.ndarray) -> np.ndarray:
 def normalize_duals(results, families) -> np.ndarray:
     """Feature matrix |Omega| x D from min-max-normalized dual families.
 
-    ``families`` holds the positions of each family (r+, r-, wind, flow
-    fixings) in the link-order duals.  Each family is normalized over all
-    of its entries across indices and scenarios, then flattened and
-    concatenated per scenario.  All entries lie in [0, 1]; a constant
-    family maps to 0.
+    ``families`` holds the positions of each family (r+, r-, wind, flow)
+    in the link-order duals.  Each family is normalized over all of its
+    entries across indices and scenarios, then flattened and concatenated
+    per scenario.  All entries lie in [0, 1]; a constant family maps to 0.
     """
     if not results:
         raise ValueError("need at least one subproblem result")

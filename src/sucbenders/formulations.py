@@ -4,8 +4,9 @@ The two models that a Benders run solves again and again are built once per
 run: ``master_template`` builds the master's static block (first stage,
 theta columns and rows, fixed commitments) and renders each cut's row when
 the cut first appears, and ``build_master`` joins the two by concatenating
-CSR arrays; ``recourse_template`` builds the subproblem LP and each
-scenario's spill bounds and balance right-hand sides.  The models equal
+CSR arrays; ``recourse_template`` builds the subproblem LP, each scenario's
+spill bounds and balance right-hand sides, and the map that carries a
+first-stage point into the balance right-hand sides.  The models equal
 those of a from-scratch build bit for bit.
 
 Every model made here is a ``backend.LinearModel`` whose columns and rows are
@@ -29,16 +30,24 @@ laid out as follows:
   recourse block per scenario;
 * a recourse block's columns are p+/p- interleaved per (generator, period),
   spill per (farm, period), shed/angle interleaved per (node, period) and
-  flow per (line, period); its rows are the reserve-deployment limits
-  (up/down interleaved per (generator, period)), nodal balance per (node,
-  period) and flow definitions per (line, period).  Only the spill bounds
-  and the balance right-hand sides depend on the scenario;
-* a subproblem's columns are the "link" columns -- r+/r- interleaved per
-  (generator, period), then w and f, in first-stage order -- followed by one
-  recourse block; the rows fixing the link columns come last, in column
-  order, so their duals are the final slice of the row duals.  This link
-  order is shared by ``FirstStageSolution.link()``, ``SubproblemResult.lam``
-  and ``cuts.Cut.lam``/``anchor``; ``link_columns`` locates each family in it;
+  flow per (line, period); in the extensive form its rows are the
+  reserve-deployment limits (up/down interleaved per (generator, period)),
+  nodal balance per (node, period) and flow definitions per (line, period).
+  Only the spill bounds and the balance right-hand sides depend on the
+  scenario;
+* the "link" values are the first-stage values that the recourse sees:
+  r+/r- interleaved per (generator, period), then w and f, in first-stage
+  order.  This link order is shared by ``FirstStageSolution.link()``,
+  ``SubproblemResult.lam`` and ``cuts.Cut.lam``/``anchor``;
+  ``link_columns`` locates each family in it;
+* a subproblem is one recourse block with the link values, clipped to their
+  boxes, substituted: r+ and r- are the upper bounds of p+ and p- (whose
+  columns are the first 2|G|T, so they share the r+/r- link positions), and
+  w and f enter the balance right-hand sides through ``A_link`` (balance
+  rows x link positions).  Its rows are nodal balance and flow definitions
+  only.  Its slope ``lam`` in the link values is read from its duals: for
+  w and f, ``-A_link^T y`` from the balance-row duals ``y``; for r+ and r-,
+  ``min(col_dual, 0)`` of p+ and p-, the dual of the active upper bound;
 * constraints with a single variable and a constant right-hand side (reserve
   offer caps, wind capacity, flow capacity, spill/shed caps, the initial
   commitment pins) are imposed as variable bounds, not rows -- except the
@@ -105,7 +114,7 @@ class FirstStageSolution:
 class SubproblemResult:
     scenario_id: str
     objective: float        # Q_omega, $
-    lam: np.ndarray         # duals of the fixing rows, in link order
+    lam: np.ndarray         # slope of Q_omega in the link values, link order
 
 
 @dataclass(frozen=True)
@@ -142,7 +151,8 @@ def first_stage_layout(instance: SystemInstance) -> FirstStageLayout:
 
 def link_columns(instance: SystemInstance) -> list[np.ndarray]:
     """Positions of the r+, r-, w and f families in link order (|G| x T,
-    |G| x T, |J| x T, |L| x T); also their subproblem columns."""
+    |G| x T, |J| x T, |L| x T); the r+/r- positions are also the subproblem's
+    p+/p- columns."""
     G, J, L, T = instance.n_gens, instance.n_farms, instance.n_lines, instance.horizon
     return _grid(0, G, T, 2) + _grid(2 * G * T, J, T) + _grid((2 * G + J) * T, L, T)
 
@@ -341,13 +351,6 @@ def _recourse_columns(instance: SystemInstance, start: int) -> list[np.ndarray]:
             + _grid(start + (2 * G + J + 2 * N) * T, L, T))
 
 
-def _recourse_rows(instance: SystemInstance) -> list[np.ndarray]:
-    """Rows of a recourse block counted from its first row: reserve
-    deployment up and down, nodal balance and flow definition."""
-    G, N, L, T = instance.n_gens, instance.n_nodes, instance.n_lines, instance.horizon
-    return _grid(0, G, T, 2) + _grid(2 * G * T, N, T) + _grid((2 * G + N) * T, L, T)
-
-
 def _balance_rhs(instance: SystemInstance, farm_at, wind: np.ndarray) -> np.ndarray:
     """Nodal balance right-hand sides: minus the realized wind at each node."""
     rhs = np.zeros((instance.n_nodes, instance.horizon))
@@ -356,18 +359,27 @@ def _balance_rhs(instance: SystemInstance, farm_at, wind: np.ndarray) -> np.ndar
     return rhs
 
 
+def _link_terms(instance: SystemInstance, bal, w, f) -> list:
+    """COO triples of the scheduled wind ``w`` and day-ahead flows ``f`` in
+    the nodal balance rows ``bal``."""
+    _, farm_at, from_at, to_at = _topology(instance)
+    return [(bal[farm_at], w, -1.0), (bal[from_at], f, 1.0), (bal[to_at], f, -1.0)]
+
+
 def _add_second_stage(b: _ModelDraft, instance: SystemInstance, scenarios: ScenarioSet,
-                      omega: str, prob_weight: float, link, start: int) -> None:
+                      omega: str, prob_weight: float, start: int, link=None) -> None:
     """Recourse columns (numbered from ``start``) and rows for one scenario.
 
     ``prob_weight`` scales the recourse objective terms (pi_omega in the
-    extensive form, 1.0 in a standalone subproblem).  ``link`` holds the
-    column indices of r+, r-, w and f, which the block shares with the
-    first stage.
+    extensive form, 1.0 in a subproblem).  In the extensive form ``link``
+    holds the column indices of r+, r-, w and f, which the block shares with
+    the first stage, and reserve-deployment rows bound p+ and p- by r+ and
+    r-.  A subproblem block (``link`` None) has neither: p+ and p- keep
+    their default bounds and the link terms of the balance rows are left
+    out, for ``build_subproblem`` to substitute.
     """
     gens, farms, lines = instance.generators, instance.wind_farms, instance.lines
-    G, L, T = instance.n_gens, instance.n_lines, instance.horizon
-    rp, rm, w, f = link
+    G, N, L, T = instance.n_gens, instance.n_nodes, instance.n_lines, instance.horizon
     pp, pm, spill, shed, dtil, ftil = _recourse_columns(instance, start)
 
     b.c[pp] = prob_weight * _col([g.deploy_up_price for g in gens])
@@ -383,18 +395,24 @@ def _add_second_stage(b: _ModelDraft, instance: SystemInstance, scenarios: Scena
     b.lb[ftil], b.ub[ftil] = -cap, cap
 
     gen_at, farm_at, from_at, to_at = _topology(instance)
-    up, dn, bal, flow = _recourse_rows(instance)
+    n_deploy = 0 if link is None else 2 * G * T
+    [bal] = _grid(n_deploy, N, T)
+    [flow] = _grid(n_deploy + N * T, L, T)
     susceptance = _col([ln.susceptance for ln in lines])
-    rhs = _balance_rhs(instance, farm_at, wind)
-    b.rows(*_coo([(up, pp, 1.0), (up, rp, -1.0), (dn, pm, 1.0), (dn, rm, -1.0),
-                  (bal, shed, 1.0), (bal[gen_at], pp, 1.0), (bal[gen_at], pm, -1.0),
-                  (bal[farm_at], w, -1.0), (bal[farm_at], spill, -1.0),
-                  (bal[from_at], ftil, -1.0), (bal[from_at], f, 1.0),
-                  (bal[to_at], ftil, 1.0), (bal[to_at], f, -1.0),
-                  (flow, ftil, 1.0), (flow, dtil[from_at], -susceptance),
-                  (flow, dtil[to_at], susceptance)]),
-           np.concatenate([np.full(2 * G * T, -np.inf), rhs.ravel(), np.zeros(L * T)]),
-           np.concatenate([np.zeros(2 * G * T), rhs.ravel(), np.zeros(L * T)]))
+    rhs = np.concatenate([_balance_rhs(instance, farm_at, wind).ravel(), np.zeros(L * T)])
+    entries = [(bal, shed, 1.0), (bal[gen_at], pp, 1.0), (bal[gen_at], pm, -1.0),
+               (bal[farm_at], spill, -1.0), (bal[from_at], ftil, -1.0),
+               (bal[to_at], ftil, 1.0), (flow, ftil, 1.0),
+               (flow, dtil[from_at], -susceptance), (flow, dtil[to_at], susceptance)]
+    if link is None:
+        b.rows(*_coo(entries), rhs, rhs)
+        return
+    rp, rm, w, f = link
+    up, dn = _grid(0, G, T, 2)
+    entries += [(up, pp, 1.0), (up, rp, -1.0), (dn, pm, 1.0), (dn, rm, -1.0)]
+    b.rows(*_coo(entries + _link_terms(instance, bal, w, f)),
+           np.concatenate([np.full(n_deploy, -np.inf), rhs]),
+           np.concatenate([np.zeros(n_deploy), rhs]))
 
 
 # -- public builders -------------------------------------------------------
@@ -406,8 +424,8 @@ def build_extensive(instance: SystemInstance, scenarios: ScenarioSet) -> LinearM
     b = _ModelDraft(X.n + scenarios.n_scenarios * size)
     _add_first_stage(b, instance, X)
     for k, (omega, pi) in enumerate(zip(scenarios.scenario_ids, scenarios.probabilities)):
-        _add_second_stage(b, instance, scenarios, omega, pi,
-                          (X.rp, X.rm, X.w, X.f), X.n + k * size)
+        _add_second_stage(b, instance, scenarios, omega, pi, X.n + k * size,
+                          (X.rp, X.rm, X.w, X.f))
     return b.model()
 
 
@@ -507,85 +525,119 @@ def build_master(template: MasterTemplate, pool: CutPool) -> LinearModel:
                    row_hi=np.append(s.row_hi, np.full(len(rows), np.inf)))
 
 
+def _link_box(instance: SystemInstance) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds of the link values, in link order."""
+    link = link_columns(instance)
+    b = _ModelDraft(sum(cols.size for cols in link))
+    _bound_link(b, instance, *link)
+    return b.lb, b.ub
+
+
+def _link_map(instance: SystemInstance) -> sp.csr_matrix:
+    """``A_link``: the coefficients of the link values in a subproblem's
+    balance rows (balance rows x link positions; the r+/r- columns are
+    empty)."""
+    _, _, w, f = link = link_columns(instance)
+    [bal] = _grid(0, instance.n_nodes, instance.horizon)
+    i, j, v = _coo(_link_terms(instance, bal, w, f))
+    return sp.csr_matrix((v, (i, j)), shape=(bal.size, sum(cols.size for cols in link)))
+
+
 def build_subproblem(instance: SystemInstance, scenarios: ScenarioSet, omega: str,
                      x_hat: FirstStageSolution | None) -> LinearModel:
-    """Per-scenario recourse LP with equality fixings of r+/r-/w/fhat
-    (fixed at 0 when ``x_hat`` is None)."""
-    link = link_columns(instance)
-    n_link = sum(cols.size for cols in link)
-    b = _ModelDraft(n_link + _recourse_size(instance))
-    _bound_link(b, instance, *link)
-    _add_second_stage(b, instance, scenarios, omega, 1.0, link, n_link)
-    fix = np.zeros(n_link) if x_hat is None else _fixing_rhs(b.lb, b.ub, x_hat)
-    b.rows(np.arange(n_link), np.arange(n_link), np.ones(n_link), fix, fix)
-    return b.model()
+    """Per-scenario recourse LP at ``x_hat`` (at a zero link when None).
 
-
-def _fixing_rhs(lb: np.ndarray, ub: np.ndarray, x_hat: FirstStageSolution) -> np.ndarray:
-    # first-stage values can sit a solver tolerance outside the variable box
-    # (e.g. a flow at capacity + 1e-9); clamp so the fixing row stays feasible
-    link = x_hat.link()
-    return np.clip(link, lb[:link.size], ub[:link.size])
+    The link values, clipped to their boxes, are substituted: r+ and r- are
+    the upper bounds of p+ and p-, and w and f move to the balance
+    right-hand sides through ``A_link``.
+    """
+    b = _ModelDraft(_recourse_size(instance))
+    _add_second_stage(b, instance, scenarios, omega, 1.0, 0)
+    model = b.model()
+    A_link = _link_map(instance)
+    link = np.zeros(A_link.shape[1]) if x_hat is None else np.clip(x_hat.link(),
+                                                                  *_link_box(instance))
+    n_deploy = 2 * instance.n_gens * instance.horizon
+    ub, rhs = model.ub.copy(), model.row_lo.copy()
+    ub[:n_deploy] = link[:n_deploy]
+    rhs[:A_link.shape[0]] -= A_link @ link
+    return replace(model, ub=ub, row_lo=rhs, row_hi=rhs.copy())
 
 
 @dataclass(frozen=True)
 class RecourseTemplate:
     """The subproblem LP of one instance and scenario set, built once.
 
-    Scenarios and first-stage points differ only in the spill upper bounds,
-    the balance right-hand sides and the fixing right-hand sides, so a
-    subproblem is the template's model with those three parts replaced.
+    Scenarios and first-stage points differ only in the upper bounds of p+,
+    p- and spill and in the balance right-hand sides, so a subproblem is
+    the template's model with those replaced; the flow rows never change.
     """
     model: LinearModel
-    spill: np.ndarray        # spill columns, flat
-    rows: np.ndarray         # balance rows, then the fixing rows
-    fixing: np.ndarray       # fixing rows, one per link column
+    n_deploy: int            # p+/p- columns, which are the r+/r- link positions
+    cols: np.ndarray         # the p+/p- columns, then the spill columns
+    link_lo: np.ndarray      # link boxes, in link order
+    link_hi: np.ndarray
+    link_map: sp.csr_matrix  # A_link, balance rows x link positions
     wind: dict               # scenario id -> realizations (spill upper bounds), flat
-    balance_rhs: dict        # scenario id -> balance right-hand sides, flat
+    balance_rhs: dict        # scenario id -> balance right-hand sides at a zero link
+
+    def lam(self, res: SolveResult) -> np.ndarray:
+        """The slope of Q at the solved point, in link order: for w and f
+        the balance-row duals mapped back through ``A_link``, and for r+ and
+        r- the duals of the active p+/p- upper bounds (0 where a column sits
+        at its lower bound, as a column fixed at 0 with a positive reduced
+        cost does)."""
+        lam = self.link_map.T @ -res.row_dual[:self.link_map.shape[0]]
+        lam[:self.n_deploy] = np.minimum(res.col_dual[:self.n_deploy], 0.0)
+        return lam
 
 
 def recourse_template(instance: SystemInstance, scenarios: ScenarioSet) -> RecourseTemplate:
     """The template of ``instance`` and ``scenarios``, from one ``build_subproblem``."""
-    n_link = sum(cols.size for cols in link_columns(instance))
     model = build_subproblem(instance, scenarios, scenarios.scenario_ids[0], None)
+    n_deploy = 2 * instance.n_gens * instance.horizon
     wind = scenarios.wind_matrix(instance).reshape(-1, instance.n_farms, instance.horizon)
     farm_at = _topology(instance)[1]
-    fixing = np.arange(model.row_count - n_link, model.row_count)
     return RecourseTemplate(
-        model, _recourse_columns(instance, n_link)[2].ravel(),
-        np.concatenate([_recourse_rows(instance)[2].ravel(), fixing]), fixing,
+        model, n_deploy,
+        np.concatenate([np.arange(n_deploy), _recourse_columns(instance, 0)[2].ravel()]),
+        *_link_box(instance), _link_map(instance),
         {omega: w.ravel() for omega, w in zip(scenarios.scenario_ids, wind)},
         {omega: _balance_rhs(instance, farm_at, w).ravel()
          for omega, w in zip(scenarios.scenario_ids, wind)})
 
 
 class RecourseSolver:
-    """A template's LP held by a persistent ``backend.HighsSolver``.  Not for
-    concurrent use: each worker thread owns one."""
+    """A template's LP held by a persistent ``backend.HighsSolver``, with
+    presolve off.  Not for concurrent use: each worker thread owns one."""
 
     def __init__(self, template: RecourseTemplate):
         self.template = template
-        self.lp = HighsSolver(template.model)
+        self.lp = HighsSolver(template.model, presolve=False)
 
 
 def solve_subproblem(instance: SystemInstance, scenarios: ScenarioSet, omega: str,
                      x_hat: FirstStageSolution,
                      solver: RecourseSolver | None = None) -> SubproblemResult:
-    """Recourse cost of ``omega`` at ``x_hat`` and the duals of the fixings.
+    """Recourse cost of ``omega`` at ``x_hat`` and its slope ``lam`` in the
+    link values (``RecourseTemplate.lam``).
 
     ``solver`` must hold the template of ``instance`` and ``scenarios``; a
     one-shot call builds its own.
     """
     if solver is None:
         solver = RecourseSolver(recourse_template(instance, scenarios))
-    t, model = solver.template, solver.template.model
-    rhs = np.concatenate([t.balance_rhs[omega], _fixing_rhs(model.lb, model.ub, x_hat)])
-    res = solver.lp.solve(t.spill, model.lb[t.spill], t.wind[omega], t.rows, rhs, rhs)
+    t = solver.template
+    link = np.clip(x_hat.link(), t.link_lo, t.link_hi)
+    rhs = t.balance_rhs[omega] - t.link_map @ link
+    res = solver.lp.solve(t.cols, t.model.lb[t.cols],
+                          np.concatenate([link[:t.n_deploy], t.wind[omega]]),
+                          np.arange(rhs.size), rhs, rhs)
     if res.status is not SolveStatus.OPTIMAL:
         raise SubproblemInfeasibleError(
             f"subproblem for scenario {omega} returned {res.status.value}; "
             "complete recourse should make this impossible")
-    return SubproblemResult(omega, res.objective, res.row_dual[t.fixing])
+    return SubproblemResult(omega, res.objective, t.lam(res))
 
 
 # -- solution extraction ---------------------------------------------------

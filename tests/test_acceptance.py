@@ -208,6 +208,13 @@ def test_criterion_06_iteration_ordering(suite):
     assert agg.final_master_rows >= single.final_master_rows
 
 
+def test_single_cut_converges_fast_on_toy_a(suite):
+    # a guard on cut strength: with the whole slope of Q in every cut,
+    # single-cut converges on toy-a in 49 iterations; cuts that lose the
+    # part of the slope at an active bound took 109
+    assert suite["toy", "single"].iterations <= 60
+
+
 def test_criterion_07_consolidation(suite):
     plain = suite["med", "agg"]
     ref = plain.objective

@@ -18,7 +18,7 @@ from sucbenders.backend import (BackendError, HighsSolver, LinearModel, SolveSta
 from sucbenders.cuts import CutMode
 from sucbenders.engine import BendersConfig, run
 from sucbenders.formulations import (RecourseSolver, build_master, build_subproblem,
-                                     default_theta_min, link_columns, master_template,
+                                     default_theta_min, master_template,
                                      recourse_template, sample_feasible_first_stage,
                                      solve_subproblem)
 
@@ -68,6 +68,28 @@ def test_le_row_dual_sign():
     # max x (= min -x) s.t. x <= 5: dual dObj/dRHS = -1
     res = solve_lp(model([-1.0], [[1.0]], [-INF], [5.0]))
     assert res.row_dual[0] == pytest.approx(-1.0)
+
+
+def test_col_dual_at_upper_bound():
+    # max x (= min -x) s.t. x <= 5 as a bound: dObj/d(ub) = -1
+    res = solve_lp(model([-1.0], ub=[5.0]))
+    assert res.col_dual[0] == pytest.approx(-1.0)
+
+
+@pytest.mark.parametrize("presolve", [True, False])
+@pytest.mark.parametrize("cost, reduced", [(3.0, 2.0), (-1.0, -2.0)])
+def test_col_dual_of_a_column_fixed_at_zero(presolve, cost, reduced):
+    # min cost*x + y s.t. x + y >= 1, x fixed at 0: the reduced cost of x is
+    # cost - 1 with either sign, and min(col_dual, 0) is the slope of the
+    # optimum in x's upper bound
+    def q(ub):
+        return HighsSolver(model([cost, 1.0], [[1.0, 1.0]], [1.0], [INF], ub=[ub, INF]),
+                           presolve=presolve).solve()
+
+    res = q(0.0)
+    assert res.col_dual[0] == pytest.approx(reduced)
+    h = 1e-3
+    assert (q(h).objective - res.objective) / h == pytest.approx(min(reduced, 0.0))
 
 
 def test_duals_follow_row_order_across_senses():
@@ -211,6 +233,7 @@ def _assert_same(got, want):
     assert got.objective == want.objective
     assert np.array_equal(got.x, want.x)
     assert np.array_equal(got.row_dual, want.row_dual)
+    assert np.array_equal(got.col_dual, want.col_dual)
 
 
 def test_solve_lp_matches_linprog_bit_for_bit():
@@ -280,6 +303,7 @@ def test_row_wise_load_matches_a_column_wise_pass(toy_a, relax):
     assert np.array_equal(got.x, want.x)
     if relax:
         assert np.array_equal(got.row_dual, want.row_dual)
+        assert np.array_equal(got.col_dual, want.col_dual)
 
 
 def test_lp_solver_matches_solve_lp_after_bound_changes_in_any_order():
@@ -326,16 +350,37 @@ def test_lp_solver_rejects_a_change_of_row_sense():
 
 
 def test_recourse_template_solve_matches_a_model_built_from_scratch(med_b):
+    # the template's solver runs without presolve, so the from-scratch model
+    # is solved the same way for a bit-for-bit match; a presolved solve
+    # (solve_lp) may differ in the last bits
     inst, scen = med_b
     x = sample_feasible_first_stage(inst, np.random.default_rng(21))
-    solver = RecourseSolver(recourse_template(inst, scen))
-    n_link = sum(cols.size for cols in link_columns(inst))
-    for omega in scen.scenario_ids[3:6]:
+    template = recourse_template(inst, scen)
+    solver = RecourseSolver(template)
+    for omega in scen.scenario_ids[3:7]:
         model = build_subproblem(inst, scen, omega, x)
-        want = solve_lp(model)
+        assert model.row_count == 156 and model.c.size == 396
+        want = HighsSolver(model, presolve=False).solve()
         got = solve_subproblem(inst, scen, omega, x, solver)
         assert got.objective == want.objective
-        assert np.array_equal(got.lam, want.row_dual[model.row_count - n_link:])
+        assert np.array_equal(got.lam, template.lam(want))
+        presolved = solve_lp(model)
+        assert got.objective == pytest.approx(presolved.objective, rel=1e-12, abs=1e-9)
+        np.testing.assert_allclose(got.lam, template.lam(presolved), atol=1e-9)
+
+
+@pytest.mark.parametrize("family", ["w", "r_plus"])
+def test_recourse_solve_rejects_a_nan_point(toy_a, family):
+    inst, scen = toy_a
+    x = sample_feasible_first_stage(inst, np.random.default_rng(5))
+    values = getattr(x, family).copy()
+    values[0, 1] = np.nan
+    solver = RecourseSolver(recourse_template(inst, scen))
+    with pytest.raises(BackendError, match="NaN"):
+        solve_subproblem(inst, scen, "s1", replace(x, **{family: values}), solver)
+    # the rejected bounds never reached HiGHS
+    assert solve_subproblem(inst, scen, "s1", x, solver).objective == \
+        solve_subproblem(inst, scen, "s1", x).objective
 
 
 def _calls_and_imports(tree):

@@ -15,13 +15,13 @@ from sucbenders.cuts import (Cut, CutKind, CutMode, CutPool,
 from sucbenders.data import ScenarioSet
 from sucbenders.engine import BendersConfig, _cut_duals, _tie_break_master, run
 from sucbenders.formulations import (FirstStageSolution, ModelBuildError,
-                                     build_extensive,
+                                     RecourseSolver, build_extensive,
                                      build_master, build_subproblem,
                                      default_theta_min, extract_first_stage,
                                      first_stage_layout,
                                      first_stage_row_count,
                                      first_stage_violation, link_columns,
-                                     master_template,
+                                     master_template, recourse_template,
                                      sample_feasible_first_stage,
                                      second_stage_row_count, solve_subproblem)
 
@@ -214,6 +214,49 @@ def test_cut_tight_at_anchor(toy_a):
     cut = Cut(CutKind.CLUSTER_AGGREGATE, 1, ("s2",), {"s2": 1.0}, sub.objective,
               sub.lam, x.link(), tag="s2")
     assert cut.evaluate(x.link()) == pytest.approx(sub.objective, abs=1e-9)
+
+
+def test_subproblem_lam_is_the_slope_of_q(med_b):
+    # per family, move one link value to the bottom of its box, the top and
+    # a point strictly inside; Q is convex and piecewise linear in it, so a
+    # step h within the box obeys Q(x + h e_j) >= Q(x) + lam_j h, and where
+    # the steps either side give one slope, lam_j is that slope
+    inst, scen = med_b
+    x = sample_feasible_first_stage(inst, np.random.default_rng(21))
+    solver = RecourseSolver(recourse_template(inst, scen))
+    lo, hi = solver.template.link_lo, solver.template.link_hi
+    families = link_columns(inst)
+
+    def solve(link):
+        rp, rm, w, f = (link[cols] for cols in families)
+        return solve_subproblem(inst, scen, "s06", dataclasses.replace(
+            x, r_plus=rp, r_minus=rm, w=w, f=f), solver)
+
+    h = 1e-2
+    at_x = solve(x.link())
+    for cols in families:
+        # two positions with an open box, those with a nonzero slope first
+        open_box = [j for j in cols.ravel() if hi[j] > lo[j]]
+        smooth = 0
+        for j in sorted(open_box, key=lambda j: at_x.lam[j] == 0)[:2]:
+            for v in (lo[j], hi[j], lo[j] + 0.37 * (hi[j] - lo[j])):
+                link = x.link().copy()
+                link[j] = v
+                base = solve(link)
+                slopes = []
+                for step in (h, -h):
+                    if lo[j] <= v + step <= hi[j]:
+                        link[j] = v + step
+                        q = solve(link).objective
+                        assert q >= base.objective + base.lam[j] * step - 1e-9
+                        slopes.append((q - base.objective) / step)
+                if len(slopes) == 2 and abs(slopes[0] - slopes[1]) <= 1e-6:
+                    assert base.lam[j] == pytest.approx(slopes[0], abs=1e-6)
+                    smooth += 1
+        assert smooth >= 1
+    # r+, r- and w each have a position whose slope the cut takes in full
+    for cols in families[:3]:
+        assert np.abs(at_x.lam[cols]).max() > 1.0
 
 
 def test_master_cut_rows_read_back_as_the_cuts(toy_a):
