@@ -12,14 +12,18 @@ can be compared with the same script:
 
 Each line holds the fixture, the method, the iteration count, the final
 master rows, ``repr`` of the objective and the SHA-256 of the per-iteration
-trace records with their ``*_time_s`` keys removed.  Equal lines mean equal
-bounds, cluster counts and master sizes in every iteration.
+trace records restricted to the iterate keys ``DIGEST_KEYS`` (an outer
+run's grouped by subset).  Equal lines mean equal bounds, cluster counts
+and master sizes in every iteration.  The trace's timings, HiGHS
+statistics and gap (a function of the bounds in the MILP phase) are left
+out, so trees that trace different statistics can be compared.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -31,11 +35,15 @@ from sucbenders import cli  # noqa: E402
 from workloads import load_fixture, solver_options  # noqa: E402
 
 RUNS = (("toy-a", 1), ("med-b", 2))
+DIGEST_KEYS = ("subset_id", "iter", "phase", "lb", "ub", "clusters", "master_rows")
 
 
 def digest(records: list[str]) -> str:
-    docs = [{k: v for k, v in json.loads(line).items() if not k.endswith("_time_s")}
+    docs = [{k: v for k, v in json.loads(line).items() if k in DIGEST_KEYS}
             for line in records]
+    # concurrent outer subsets interleave their records; order them by subset
+    # (pass 2, which has no subset id, last), keeping each run's own order
+    docs.sort(key=lambda d: d.get("subset_id", math.inf))
     return hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
 
 

@@ -1,9 +1,14 @@
-"""Solver-agnostic LP/MILP layer on one persistent HiGHS loader.
+"""Solver-agnostic LP/MILP layer on persistent HiGHS instances.
 
-Every solve goes through ``HighsSolver``, which holds one model in a
-``_Highs`` instance of scipy's bundled HiGHS bindings.  ``solve_lp`` and
-``solve_milp`` solve a fresh instance once; the scenario subproblems keep
-one instance per worker and re-solve it after bound changes.
+Every solve goes through a ``HighsInstance``: one ``_Highs`` instance of
+scipy's bundled HiGHS bindings with its options set once, to which a model
+is passed as row arrays (``RowArrays``) and solved from scratch.
+``HighsSolver`` holds one ``LinearModel`` in an instance and re-solves it
+after bound changes: ``solve_lp`` and ``solve_milp`` solve a fresh one
+once, and the scenario subproblems keep one per worker.  A Benders run
+keeps one instance for its masters and passes each master's arrays:
+``GeRowJoiner`` holds the master's static rows, prepared once in both
+layouts below, and joins them with the cut rows.
 
 The dual convention is pinned here: for an LP solved to optimality, the dual
 value reported for a row (``row_dual``) is the derivative of the optimal
@@ -26,12 +31,13 @@ runs' iterates, cuts and row counts depend on those:
   >= rows negated into <= rows, then the equality rows;
 * MILPs take ``milp``'s native two-sided rows, in model order.
 
-The rows reach HiGHS row-wise, straight from the model's CSR arrays (a
-permuted, negated copy in the stacked layout), with no conversion to
-columns; HiGHS builds the same column-wise matrix that a column-wise pass
-gives it, so the iterates are those of a column-wise pass bit for bit.
+The rows reach HiGHS row-wise, straight from CSR arrays (for a
+``LinearModel``, its own arrays or a permuted, negated copy of them in the
+stacked layout), with no conversion to columns; HiGHS builds the same
+column-wise matrix that a column-wise pass gives it, so the iterates are
+those of a column-wise pass bit for bit.
 Both run with the dual simplex and output off, and with presolve on unless
-the solver is built with ``presolve=False`` (the scenario subproblems:
+the instance is built with ``presolve=False`` (the scenario subproblems:
 small LPs that solve faster without it).
 """
 
@@ -71,6 +77,9 @@ class SolveResult:
     row_count: int
     solve_time: float
     message: str = ""
+    simplex_iters: int = 0        # HiGHS simplex iterations (of every LP of a MILP)
+    mip_nodes: int = 0            # branch-and-bound nodes (MILP solves only)
+    dual_bound: float | None = None   # MILP: HiGHS's dual bound; LP: the objective
 
 
 @dataclass(frozen=True)
@@ -122,13 +131,36 @@ _OPTIONS = (("output_flag", False), ("log_to_console", False),
              int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)))
 
 
+@dataclass(frozen=True)
+class RowArrays:
+    """Constraint rows as HiGHS holds them: row-wise arrays (``start``,
+    ``index``, ``value``) and bounds in HiGHS row order, with each row's
+    sign applied.  Model row i is HiGHS row ``pos[i]`` times ``sign[i]``;
+    with ``pos`` None the orders and signs agree."""
+    start: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    pos: np.ndarray | None = None
+    sign: np.ndarray | None = None
+
+    @property
+    def count(self) -> int:
+        return self.lo.size
+
+    def model_duals(self, duals: np.ndarray) -> np.ndarray:
+        """Model-order duals from the duals of the HiGHS rows: HiGHS reports
+        dObj/dRHS of the row it holds, so a negated row's dual is negated
+        back."""
+        return duals if self.pos is None else self.sign * duals[self.pos]
+
+
 class _RowLayout:
-    """Where each model row sits in HiGHS, and its sign there.
+    """Where each row of a ``LinearModel`` sits in HiGHS, and its sign there.
 
     Native: model row i is HiGHS row i.  Stacked: the inequality rows in
-    model order, >= rows negated, then the equality rows.  HiGHS reports
-    each row's dual as dObj/dRHS of the row it holds, so ``row_dual`` undoes
-    the negation and returns duals in model row order.
+    model order, >= rows negated, then the equality rows.
     """
 
     def __init__(self, model: LinearModel, stacked: bool):
@@ -138,8 +170,6 @@ class _RowLayout:
         self.sign = np.ones(n)                # per model row
         self.n_ineq = 0
         if stacked:
-            if model.integral.any():
-                raise BackendError("LP solve called on a model with integrality flags")
             eq = model.row_lo == model.row_hi
             ge = ~eq & ~np.isneginf(model.row_lo)
             if np.isfinite(model.row_hi[ge]).any():
@@ -149,26 +179,26 @@ class _RowLayout:
             self.n_ineq = n - int(eq.sum())
         self.pos = np.argsort(self.order)     # HiGHS row of each model row
 
-    def matrix(self, A: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row starts, column indices and values of ``A``'s rows in HiGHS
-        order with their signs applied: ``A``'s own arrays in the native
-        layout, new ones in the stacked layout."""
+    def arrays(self, model: LinearModel) -> RowArrays:
+        """``model``'s rows in HiGHS order with their signs applied: the
+        model's own CSR arrays in the native layout, new ones in the stacked
+        layout."""
+        A = model.A
+        lo, hi = self.bounds(self.order, model.row_lo[self.order], model.row_hi[self.order])
         if not self.stacked:
-            return A.indptr, A.indices, A.data
+            return RowArrays(A.indptr, A.indices, A.data, lo, hi)
         sizes = np.diff(A.indptr)[self.order]
         start = np.concatenate([[0], np.cumsum(sizes)])
         take = np.repeat(A.indptr[self.order] - start[:-1], sizes) + np.arange(start[-1])
-        return start, A.indices[take], A.data[take] * np.repeat(self.sign[self.order], sizes)
+        return RowArrays(start, A.indices[take],
+                         A.data[take] * np.repeat(self.sign[self.order], sizes),
+                         lo, hi, self.pos, self.sign)
 
     def bounds(self, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         """HiGHS (lower, upper) bounds of model rows ``rows`` with model
         bounds ``lo``/``hi``."""
         neg = self.sign[rows] < 0
         return np.where(neg, -hi, lo), np.where(neg, -lo, hi)
-
-    def row_dual(self, duals: np.ndarray) -> np.ndarray:
-        """Model-order duals from the duals of the HiGHS rows."""
-        return self.sign * duals[self.pos]
 
 
 def _check_finite(model: LinearModel) -> None:
@@ -180,52 +210,165 @@ def _check_finite(model: LinearModel) -> None:
         raise BackendError("model has a NaN bound")
 
 
+class GeRowJoiner:
+    """A model's rows, checked and prepared once in both layouts, joined
+    per solve with extra rows ``a.x >= b`` that follow the model's own rows.
+
+    The native layout appends them.  The stacked layout takes them negated
+    between the model's inequality and equality rows, where they belong in
+    model order; its arrays are kept split there.  Each extra row comes as
+    (sorted columns, values, negated values, b), so a caller that keeps a
+    row across solves negates it once.
+    """
+
+    def __init__(self, model: LinearModel):
+        _check_finite(model)
+        self.model = model
+        self._stacked = _RowLayout(model, stacked=True).arrays(model)
+        n = self._n_ineq = int((model.row_lo != model.row_hi).sum())
+        self._nnz = int(self._stacked.start[n])
+        self._tail = self._stacked.start[n + 1:] - self._nnz
+
+    def join(self, rows: list, stacked: bool) -> RowArrays:
+        k = len(rows)
+        ends = np.cumsum([cols.size for cols, _, _, _ in rows], dtype=np.int64)
+        rhs = np.array([b for _, _, _, b in rows])
+        cols = [cols for cols, _, _, _ in rows]
+        if not stacked:
+            m = self.model
+            return RowArrays(np.concatenate([m.A.indptr, m.A.indptr[-1] + ends]),
+                             np.concatenate([m.A.indices] + cols),
+                             np.concatenate([m.A.data] + [vals for _, vals, _, _ in rows]),
+                             np.append(m.row_lo, rhs), np.append(m.row_hi, np.full(k, np.inf)))
+        a, n, nnz = self._stacked, self._n_ineq, self._nnz
+        return RowArrays(
+            np.concatenate([a.start[:n + 1], nnz + ends,
+                            nnz + (ends[-1] if k else 0) + self._tail]),
+            np.concatenate([a.index[:nnz]] + cols + [a.index[nnz:]]),
+            np.concatenate([a.value[:nnz]] + [neg for _, _, neg, _ in rows]
+                           + [a.value[nnz:]]),
+            np.concatenate([a.lo[:n], np.full(k, -np.inf), a.lo[n:]]),
+            np.concatenate([a.hi[:n], -rhs, a.hi[n:]]),
+            np.concatenate([np.where(a.pos < n, a.pos, a.pos + k), n + np.arange(k)]),
+            np.concatenate([a.sign, np.full(k, -1.0)]))
+
+
+class HighsInstance:
+    """One persistent HiGHS instance, its options set once, to which whole
+    models are passed as arrays and solved.
+
+    A model passed with an integrality mask is a MILP, solved within
+    ``mip_gap``; one passed without is an LP, solved for row and column
+    duals.  ``run`` starts cold, so a model passed to a used instance
+    solves as on a fresh one, bit for bit.  The arrays are not checked: the
+    caller passes finite costs and matrix entries and no NaN bound.  One
+    instance must not be used from two threads at once; ``run`` releases
+    the interpreter lock, so instances in different threads run in
+    parallel.  A non-finite ``mip_gap`` (HiGHS takes NaN and infinity) or
+    an option that HiGHS refuses (such as a negative gap) raises
+    ``BackendError``.
+    """
+
+    def __init__(self, mip_gap: float | None = None, presolve: bool = True):
+        self._highs = highs._Highs()
+        options = _OPTIONS + (("presolve", "on" if presolve else "off"),)
+        if mip_gap is not None:
+            if not np.isfinite(mip_gap):
+                raise BackendError(f"mip_gap must be finite, got {mip_gap}")
+            options += (("mip_rel_gap", float(mip_gap)),)
+        for option, value in options:
+            if self._highs.setOptionValue(option, value) == highs.HighsStatus.kError:
+                raise BackendError(f"HiGHS refused the option {option}={value!r}")
+        self._mip_gap = mip_gap
+        self._mip = False
+        self._rows: RowArrays | None = None
+        self._integral = None       # the mask of the last MILP, and its HiGHS types
+        self._var_types: list = []
+
+    def load(self, c: np.ndarray, lb: np.ndarray, ub: np.ndarray, rows: RowArrays,
+             integral: np.ndarray | None = None) -> None:
+        """Pass the model ``min c.x`` over ``rows`` and the column bounds,
+        with ``integral`` flagging the integer columns of a MILP."""
+        if integral is not None and self._mip_gap is None:
+            raise BackendError("a MILP needs an instance with a mip_gap")
+        n, m = c.size, rows.count
+        lp = highs.HighsLp()
+        lp.num_col_, lp.num_row_ = n, m
+        lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = n, m
+        lp.a_matrix_.format_ = highs.MatrixFormat.kRowwise
+        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = \
+            rows.start, rows.index, rows.value
+        lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, lb, ub
+        lp.row_lower_, lp.row_upper_ = rows.lo, rows.hi
+        if integral is not None:
+            if integral is not self._integral:
+                self._integral = integral
+                self._var_types = [highs.HighsVarType(int(i)) for i in integral]
+            lp.integrality_ = self._var_types
+        if self._highs.passModel(lp) == highs.HighsStatus.kError:
+            raise BackendError("HiGHS rejected the model")
+        self._rows = rows
+        self._mip = integral is not None
+
+    def run(self) -> SolveResult:
+        """Solve the loaded model from scratch; ``solve_time`` is this call's."""
+        t0 = time.perf_counter()
+        h = self._highs
+        h.clearSolver()
+        if h.run() == highs.HighsStatus.kError:
+            return self._failed(t0, "HiGHS run failed")
+        model_status = h.getModelStatus()
+        status = _HIGHS_STATUS.get(model_status, SolveStatus.ERROR)
+        if status is not SolveStatus.OPTIMAL:
+            return self._failed(t0, h.modelStatusToString(model_status), status)
+        solution = h.getSolution()
+        info = h.getInfo()
+        objective = float(info.objective_function_value)
+        return SolveResult(
+            SolveStatus.OPTIMAL, objective, np.array(solution.col_value),
+            None if self._mip else self._rows.model_duals(np.array(solution.row_dual)),
+            None if self._mip else np.array(solution.col_dual),
+            self._rows.count, time.perf_counter() - t0,
+            simplex_iters=int(info.simplex_iteration_count),
+            # an LP optimum is its own dual bound, and has no search tree
+            mip_nodes=int(info.mip_node_count) if self._mip else 0,
+            dual_bound=float(info.mip_dual_bound) if self._mip else objective)
+
+    def _failed(self, t0: float, message: str,
+                status: SolveStatus = SolveStatus.ERROR) -> SolveResult:
+        return SolveResult(status, None, None, None, None, self._rows.count,
+                           time.perf_counter() - t0, message=message)
+
+
 class HighsSolver:
-    """One model held in a persistent HiGHS instance and re-solved after
+    """One ``LinearModel`` held in a ``HighsInstance`` and re-solved after
     bound changes.
 
     With ``mip_gap`` None the model must be an LP, passed in the stacked
     layout and solved for row and column duals; otherwise it is a MILP,
-    passed with native rows and solved within that relative gap.  Every solve starts
-    cold on the same matrix, so its results equal those of a fresh instance
-    on a model with the same bounds, bit for bit.  One instance must not be
-    solved from two threads at once; ``run`` releases the interpreter lock,
-    so solvers in different threads run in parallel.  A non-finite
-    ``mip_gap`` (HiGHS takes NaN and infinity) or an option that HiGHS
-    refuses (such as a negative gap) raises ``BackendError``, and so does a
-    NaN bound passed to ``solve``.
+    passed with native rows and solved within that relative gap.  Every
+    solve starts cold on the same matrix, so its results equal those of a
+    fresh instance on a model with the same bounds, bit for bit.  A model
+    with a non-finite cost or matrix entry or a NaN bound, and a NaN bound
+    passed to ``solve``, raise ``BackendError``; so do the ``mip_gap``
+    values that ``HighsInstance`` refuses.
     """
 
     def __init__(self, model: LinearModel, mip_gap: float | None = None,
                  presolve: bool = True):
         _check_finite(model)
         self.row_count = model.row_count
-        self._mip = mip_gap is not None
-        self._rows = rows = _RowLayout(model, stacked=not self._mip)
+        mip = mip_gap is not None
+        if not mip and model.integral.any():
+            raise BackendError("LP solve called on a model with integrality flags")
+        self._rows = _RowLayout(model, stacked=not mip)
+        arrays = self._rows.arrays(model)
         # the current bounds of the HiGHS rows
-        self._lo, self._hi = rows.bounds(rows.order, model.row_lo[rows.order],
-                                         model.row_hi[rows.order])
-        n = model.c.size
-        lp = highs.HighsLp()
-        lp.num_col_, lp.num_row_ = n, self.row_count
-        lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = n, self.row_count
-        lp.a_matrix_.format_ = highs.MatrixFormat.kRowwise
-        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = \
-            rows.matrix(model.A)
-        lp.col_cost_, lp.col_lower_, lp.col_upper_ = model.c, model.lb, model.ub
-        lp.row_lower_, lp.row_upper_ = self._lo, self._hi
-        self._highs = highs._Highs()
-        options = _OPTIONS + (("presolve", "on" if presolve else "off"),)
-        if self._mip:
-            if not np.isfinite(mip_gap):
-                raise BackendError(f"mip_gap must be finite, got {mip_gap}")
-            lp.integrality_ = [highs.HighsVarType(int(i)) for i in model.integral]
-            options += (("mip_rel_gap", float(mip_gap)),)
-        for option, value in options:
-            if self._highs.setOptionValue(option, value) == highs.HighsStatus.kError:
-                raise BackendError(f"HiGHS refused the option {option}={value!r}")
-        if self._highs.passModel(lp) == highs.HighsStatus.kError:
-            raise BackendError("HiGHS rejected the model")
+        self._lo, self._hi = arrays.lo, arrays.hi
+        self._instance = HighsInstance(mip_gap, presolve)
+        self._instance.load(model.c, model.lb, model.ub, arrays,
+                            model.integral if mip else None)
+        self._highs = self._instance._highs
 
     def solve(self, cols=(), lb=(), ub=(), rows=(), row_lo=(), row_hi=()) -> SolveResult:
         """Set the bounds of columns ``cols`` and rows ``rows`` (model
@@ -233,7 +376,6 @@ class HighsSolver:
         from the previous solve.  In the stacked layout a row keeps its
         sense: an equality stays an equality, and a one-sided row keeps its
         infinite side."""
-        t0 = time.perf_counter()
         cols = np.asarray(cols, dtype=np.int32)
         lb, ub, row_lo, row_hi = (np.asarray(b, dtype=float)
                                   for b in (lb, ub, row_lo, row_hi))
@@ -242,21 +384,7 @@ class HighsSolver:
         if cols.size:
             self._highs.changeColsBounds(cols.size, cols, lb, ub)
         self._change_rows(np.asarray(rows, dtype=np.int64), row_lo, row_hi)
-        self._highs.clearSolver()
-        if self._highs.run() == highs.HighsStatus.kError:
-            return self._failed(t0, "HiGHS run failed")
-        model_status = self._highs.getModelStatus()
-        status = _HIGHS_STATUS.get(model_status, SolveStatus.ERROR)
-        if status is not SolveStatus.OPTIMAL:
-            return self._failed(t0, self._highs.modelStatusToString(model_status), status)
-        solution = self._highs.getSolution()
-        return SolveResult(SolveStatus.OPTIMAL,
-                           float(self._highs.getInfo().objective_function_value),
-                           np.array(solution.col_value),
-                           None if self._mip else
-                           self._rows.row_dual(np.array(solution.row_dual)),
-                           None if self._mip else np.array(solution.col_dual),
-                           self.row_count, time.perf_counter() - t0)
+        return self._instance.run()
 
     def _change_rows(self, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
         if not rows.size:
@@ -272,11 +400,6 @@ class HighsSolver:
         for k in changed:
             self._highs.changeRowBounds(int(pos[k]), float(new_lo[k]), float(new_hi[k]))
         self._lo[pos], self._hi[pos] = new_lo, new_hi
-
-    def _failed(self, t0: float, message: str,
-                status: SolveStatus = SolveStatus.ERROR) -> SolveResult:
-        return SolveResult(status, None, None, None, None, self.row_count,
-                           time.perf_counter() - t0, message=message)
 
 
 def solve_lp(model: LinearModel) -> SolveResult:

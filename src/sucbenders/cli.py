@@ -107,7 +107,8 @@ def execute_method(method: str, instance, scenarios, opts: dict,
                          result.t1 + result.t2, sol.iterations,
                          result.max_rows, cfg_echo,
                          extra={"T1": result.t1, "T2": result.t2,
-                                "fixed_count": len(result.fixed)})
+                                "fixed_count": len(result.fixed),
+                                "seeded_cuts": result.seeded_cuts})
     if method not in _MODE_BY_METHOD:
         raise InstanceError(f"unknown method {method!r}")
     config.mode = _MODE_BY_METHOD[method]

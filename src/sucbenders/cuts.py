@@ -27,7 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 INACTIVITY_TOL = 1e-9
-NORM_EPS = 0.0  # degenerate families (max == min) map to all zeros
+# a dual family whose spread is at most this fraction of the largest |dual|
+# over all families is roundoff, and maps to all zeros
+NORM_REL_FLOOR = 1e-9
 
 
 class CutMode(enum.Enum):
@@ -172,8 +174,11 @@ def _merge_cluster_cuts(cuts: list[Cut]) -> Cut:
     intercept = 0.0
     lam = np.zeros_like(base.lam)
     for c in cuts:
-        members.extend(c.members)
-        weights.update(c.theta_weights)
+        # a scenario in two cuts carries the sum of its theta weights
+        for omega, w in c.theta_weights.items():
+            if omega not in weights:
+                members.append(omega)
+            weights[omega] = weights.get(omega, 0.0) + w
         intercept += c.intercept
         lam += c.lam
     return Cut(CutKind.CONSOLIDATED, base.origin_iter, tuple(members), weights,
@@ -182,11 +187,12 @@ def _merge_cluster_cuts(cuts: list[Cut]) -> Cut:
 
 # -- clustering attributes --------------------------------------------------
 
-def _minmax(arr: np.ndarray) -> np.ndarray:
+def _minmax(arr: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """``arr`` scaled to [0, 1]; all zeros when its spread is at most ``floor``."""
     if arr.size == 0:     # an empty family, such as the flows of a one-bus system
         return arr
     lo, hi = float(arr.min()), float(arr.max())
-    if hi - lo <= NORM_EPS:
+    if hi - lo <= floor:
         return np.zeros_like(arr)
     return (arr - lo) / (hi - lo)
 
@@ -197,12 +203,16 @@ def normalize_duals(results, families) -> np.ndarray:
     ``families`` holds the positions of each family (r+, r-, wind, flow)
     in the link-order duals.  Each family is normalized over all of its
     entries across indices and scenarios, then flattened and concatenated
-    per scenario.  All entries lie in [0, 1]; a constant family maps to 0.
+    per scenario.  All entries lie in [0, 1].  A family maps to 0 when it
+    is constant, or when its spread is at most ``NORM_REL_FLOOR`` times the
+    largest |dual| over all families: min-max scaling would stretch such
+    roundoff to [0, 1].
     """
     if not results:
         raise ValueError("need at least one subproblem result")
     lam = np.stack([r.lam for r in results])                  # |Omega| x link
-    return np.concatenate([_minmax(lam[:, cols]).reshape(len(results), -1)
+    floor = NORM_REL_FLOOR * float(np.abs(lam).max(initial=0.0))
+    return np.concatenate([_minmax(lam[:, cols], floor).reshape(len(results), -1)
                            for cols in families], axis=1)
 
 

@@ -42,10 +42,10 @@ from .cuts import (CutMode, CutPool, adapt_cluster_count,
                    make_per_scenario_cuts, select_attributes,
                    track_and_consolidate)
 from .data import ScenarioSet, SystemInstance
-from .formulations import (FirstStageSolution, RecourseSolver, SubproblemResult,
-                           build_master, default_theta_min, extract_first_stage,
-                           first_stage_layout, link_columns, master_template,
-                           recourse_template, solve_subproblem)
+from .formulations import (FirstStageSolution, MasterSolver, RecourseSolver,
+                           SubproblemResult, build_master, default_theta_min,
+                           extract_first_stage, first_stage_layout, link_columns,
+                           master_template, recourse_template, solve_subproblem)
 
 
 class EngineError(RuntimeError):
@@ -112,11 +112,16 @@ class IterationRecord:
     lower_bound: float
     upper_bound: float        # best so far
     ub_candidate: float | None   # None in the LP phase
+    gap: float                # LP phase: the LP gap; MILP phase: upper - lower bound
     clusters: int
     master_rows: int
     build_time: float         # master assembly and HiGHS load
     master_time: float        # HiGHS run of the master
     sub_time: float           # wall time of the subproblem phase
+    master_simplex_iters: int
+    master_mip_nodes: int     # 0 in the LP phase
+    master_dual_bound: float  # HiGHS's MILP dual bound; the LP optimum in the LP phase
+    sub_simplex_iters: int    # summed over the scenario subproblems
 
     def trace_line(self) -> str:
         # strict JSON: an infinite bound or gap is written as null
@@ -124,9 +129,12 @@ class IterationRecord:
             return v if np.isfinite(v) else None
         return json.dumps({
             "iter": self.iteration, "phase": self.phase, "lb": finite(self.lower_bound),
-            "ub": finite(self.upper_bound),
-            "gap": finite(self.upper_bound - self.lower_bound),
+            "ub": finite(self.upper_bound), "gap": finite(self.gap),
             "clusters": self.clusters, "master_rows": self.master_rows,
+            "master_simplex_iters": self.master_simplex_iters,
+            "master_mip_nodes": self.master_mip_nodes,
+            "master_dual_bound": finite(self.master_dual_bound),
+            "sub_simplex_iters": self.sub_simplex_iters,
             "build_time_s": self.build_time, "master_time_s": self.master_time,
             "sub_time_s": self.sub_time,
         })
@@ -186,9 +194,12 @@ def solve_subproblems(instance: SystemInstance, scenarios: ScenarioSet,
     if solvers is None:
         solvers = recourse_solvers(instance, scenarios, workers)
     ids = scenarios.scenario_ids
+    # what x_hat changes in every subproblem, computed once
+    point = solvers[0].template.point(x_hat)
 
     def solve_chunk(solver, chunk):
-        return [solve_subproblem(instance, scenarios, ids[k], x_hat, solver) for k in chunk]
+        return [solve_subproblem(instance, scenarios, ids[k], x_hat, solver, point)
+                for k in chunk]
 
     chunks = np.array_split(np.arange(len(ids)), len(solvers))
     if len(solvers) == 1:
@@ -209,16 +220,25 @@ def _cluster(method: str, features: np.ndarray, k: int):
 def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
         fixed_commitments: dict | None = None,
         trace: Callable[[str], None] | None = None,
-        should_stop: Callable[[], bool] | None = None) -> ConvergedSolution:
+        should_stop: Callable[[], bool] | None = None,
+        pool: CutPool | None = None) -> ConvergedSolution:
     """Iterate the LP phase until its gap is within eps, then the MILP phase
-    to convergence |ub - lb| <= eps; ``max_iters`` counts both."""
+    to convergence |ub - lb| <= eps; ``max_iters`` counts both.
+
+    ``pool``, if given, holds valid cuts to start from; the run adds its
+    own cuts to it, one group per iteration after the groups it holds.
+    """
     config.validate(scenarios.n_scenarios)
     theta_min = (config.theta_min if config.theta_min is not None
                  else default_theta_min(instance))
     pi = dict(zip(scenarios.scenario_ids, scenarios.probabilities))
-    n_first = first_stage_layout(instance).n
+    layout = first_stage_layout(instance)
+    n_first = layout.n
     families = link_columns(instance)
-    pool = CutPool()
+    if pool is None:
+        pool = CutPool()
+    # this run's cuts of iteration nu form group first_origin + nu
+    first_origin = max(pool.cuts_by_iter, default=0)
     # single-cut cuts at one cluster and multi-cut at |Omega|; with the
     # controller on, the LP phase cuts at |Omega| singleton clusters and the
     # controller starts from there in the MILP phase
@@ -234,15 +254,20 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
     final_rows = 0
     lp_phase = True
     templates: dict = {}    # cut mode -> its master template, built on first use
+    master = None           # the run's master solver, built in the first iteration
 
-    def master_of(mode, cuts):
-        """The master of ``mode`` over ``cuts``, relaxed in the LP phase."""
+    def template_of(mode):
         if mode not in templates:
             templates[mode] = master_template(instance, scenarios, mode, theta_min,
                                               fixed_commitments)
-        master = build_master(templates[mode], cuts)
-        return (replace(master, integral=np.zeros_like(master.integral)) if lp_phase
-                else master)
+        return templates[mode]
+
+    def model_of(mode):
+        """The master of ``mode`` over the pool as a model, relaxed in the
+        LP phase (for the tie-break)."""
+        model = build_master(template_of(mode), pool)
+        return (replace(model, integral=np.zeros_like(model.integral)) if lp_phase
+                else model)
 
     for nu in range(1, config.max_iters + 1):
         if should_stop is not None and should_stop():
@@ -251,8 +276,9 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
         state.iteration = nu
 
         t0 = time.perf_counter()
-        master = master_of(config.mode, pool)
-        mres = _solve_master(master, config.mip_gap)
+        if master is None:
+            master = MasterSolver(template_of(config.mode), config.mip_gap)
+        mres = master.solve(pool, relax=lp_phase)
         # assembly (and the template, on first use) and HiGHS load;
         # mres.solve_time is the HiGHS run alone
         build_time = time.perf_counter() - t0 - mres.solve_time
@@ -272,12 +298,13 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
             # where its cuts are the rows of a one-cluster aggregated run bit
             # for bit (HiGHS vertices of two layouts of one LP differ by
             # ~1e-10, and degenerate subproblem duals amplify that)
-            tied, tres = master, mres
             if config.mode is CutMode.SINGLE:
-                tied = master_of(CutMode.AGGREGATED, pool)
+                tied = model_of(CutMode.AGGREGATED)
                 tres = _solve_master(tied, config.mip_gap)
+            else:
+                tied, tres = model_of(config.mode), mres
             point = _tie_break_master(tied, tres, n_first, config.mip_gap)
-        x_hat = extract_first_stage(instance, point)
+        x_hat = extract_first_stage(instance, point, layout)
 
         # adapt the cluster count from the lower-bound delta before this
         # iteration's cuts are generated
@@ -294,18 +321,24 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
             # a fractional point gives no upper bound; the LP gap takes the
             # first-stage cost from the master's columns (x_hat rounds u, y, z)
             ub_candidate = None
-            gap = compute_bounds(float(master.c[:n_first] @ point.x[:n_first]),
+            c_first = master.template.static.c[:n_first]
+            gap = compute_bounds(float(c_first @ point.x[:n_first]),
                                  results, pi) - state.lower_bound
+            traced_gap = gap
         else:
             ub_candidate = compute_bounds(x_hat.c_da, results, pi)
             if ub_candidate < state.upper_bound:
                 state.upper_bound = ub_candidate
                 state.incumbent = x_hat
             gap = abs(state.upper_bound - state.lower_bound)
+            traced_gap = state.upper_bound - state.lower_bound
 
         record = IterationRecord(nu, "lp" if lp_phase else "milp", state.lower_bound,
-                                 state.upper_bound, ub_candidate, state.cluster_count,
-                                 mres.row_count, build_time, mres.solve_time, sub_time)
+                                 state.upper_bound, ub_candidate, traced_gap,
+                                 state.cluster_count, mres.row_count, build_time,
+                                 mres.solve_time, sub_time, mres.simplex_iters,
+                                 mres.mip_nodes, mres.dual_bound,
+                                 sum(r.simplex_iters for r in results))
         state.history.append(record)
         if trace is not None:
             trace(record.trace_line())
@@ -321,20 +354,20 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
         # consolidation needs the cut-row duals of the master just solved
         if (config.mode is CutMode.AGGREGATED and config.consolidate
                 and pool.row_contribution):
-            track_and_consolidate(pool, _cut_duals(master, mres, pool.row_contribution),
-                                  config.kappa)
+            track_and_consolidate(pool, _cut_duals(master, pool, mres), config.kappa)
 
+        origin = first_origin + nu
         if config.mode is CutMode.MULTI:
-            for cut in make_per_scenario_cuts(results, pi, x_hat, nu):
+            for cut in make_per_scenario_cuts(results, pi, x_hat, origin):
                 pool.add(cut)
         elif config.mode is CutMode.SINGLE:
-            pool.add(make_full_aggregate_cut(results, pi, x_hat, nu))
+            pool.add(make_full_aggregate_cut(results, pi, x_hat, origin))
         else:
             features = select_attributes(config.attribute, results, families,
                                          scenarios, instance, attr_cache)
             assignment = _cluster(config.clustering_method, features,
                                   state.cluster_count)
-            aggregate_and_add(pool, results, x_hat, pi, assignment.labels, nu)
+            aggregate_and_add(pool, results, x_hat, pi, assignment.labels, origin)
 
     objective = state.upper_bound if status is RunStatus.CONVERGED else None
     return ConvergedSolution(status, objective, state.incumbent, state, pool,
@@ -386,13 +419,16 @@ def _tie_break_master(master, mres, n_first: int, mip_gap: float):
     return _solve_with_binaries_fixed(pinned, res)
 
 
-def _cut_duals(master, mres, n_cuts: int) -> np.ndarray:
-    """Duals of the master's ``n_cuts`` cut rows (its last rows, in pool
-    order): an LP master's own, a MILP master's from an LP re-solve with
-    binaries fixed."""
-    if master.integral.any():
-        mres = _solve_with_binaries_fixed(master, mres)
-    return mres.row_dual[mres.row_count - n_cuts:]
+def _cut_duals(master: MasterSolver, pool: CutPool, mres) -> np.ndarray:
+    """Duals of the cut rows (the last rows, in pool order) of the master
+    over ``pool`` solved as ``mres``: an LP master's own, a MILP master's
+    from an LP re-solve with binaries fixed."""
+    if mres.row_dual is None:
+        mres = master.solve(pool, relax=True, binaries=mres.x)
+        if mres.status is not SolveStatus.OPTIMAL:
+            raise EngineError(f"master LP re-solve failed: {mres.status.value} "
+                              f"{mres.message}")
+    return mres.row_dual[mres.row_count - pool.row_contribution:]
 
 
 def _solve_with_binaries_fixed(model, mres):

@@ -2,12 +2,14 @@
 
 The two models that a Benders run solves again and again are built once per
 run: ``master_template`` builds the master's static block (first stage,
-theta columns and rows, fixed commitments) and renders each cut's row when
-the cut first appears, and ``build_master`` joins the two by concatenating
-CSR arrays; ``recourse_template`` builds the subproblem LP, each scenario's
-spill bounds and balance right-hand sides, and the map that carries a
-first-stage point into the balance right-hand sides.  The models equal
-those of a from-scratch build bit for bit.
+theta columns and rows, fixed commitments), prepares its HiGHS row arrays
+in both layouts and renders each cut's row when the cut first appears;
+``MasterSolver`` passes the joined arrays to one HiGHS instance per run, and
+``build_master`` gives the same master as a model.  ``recourse_template``
+builds the subproblem LP, each scenario's spill bounds and balance
+right-hand sides, and the map that carries a first-stage point into the
+balance right-hand sides, which ``RecourseTemplate.point`` applies once per
+point.  The models equal those of a from-scratch build bit for bit.
 
 Every model made here is a ``backend.LinearModel`` whose columns and rows are
 laid out as follows:
@@ -68,8 +70,9 @@ import scipy.sparse as sp
 
 # solve_lp is no longer called here; it stays bound because bench/layers.py
 # wraps formulations.solve_lp by name
-from .backend import (HighsSolver, LinearModel, SolveResult, SolveStatus,  # noqa: F401
-                      solve_lp, solve_milp)
+from .backend import (GeRowJoiner, HighsInstance, HighsSolver,  # noqa: F401
+                      LinearModel, RowArrays, SolveResult, SolveStatus, solve_lp,
+                      solve_milp)
 from .cuts import CutMode, CutPool
 from .data import ScenarioSet, SystemInstance
 
@@ -115,6 +118,7 @@ class SubproblemResult:
     scenario_id: str
     objective: float        # Q_omega, $
     lam: np.ndarray         # slope of Q_omega in the link values, link order
+    simplex_iters: int = 0  # of the HiGHS solve
 
 
 @dataclass(frozen=True)
@@ -430,13 +434,16 @@ def build_extensive(instance: SystemInstance, scenarios: ScenarioSet) -> LinearM
 
 
 class MasterTemplate:
-    """The Benders master of one run and cut mode, built once.
+    """The Benders master of one run and cut mode, built once, with its
+    HiGHS row arrays prepared once.
 
     ``static`` holds what no iteration changes: the first stage, the theta
     columns and rows and any fixed commitments, with a canonical CSR matrix.
     Its arrays are read-only, because every master assembled from it shares
-    them.  Each cut's row -- sorted columns, values and right-hand side -- is
-    rendered when the cut is first seen and kept while the cut is live.
+    them; a ``backend.GeRowJoiner`` checks them once and holds its rows in
+    both layouts.  Each cut's row -- sorted columns, values, the values
+    negated for the stacked layout and the right-hand side -- is rendered
+    when the cut is first seen and kept while the cut is live.
     """
 
     def __init__(self, static: LinearModel, mode: CutMode, theta_of: dict,
@@ -448,7 +455,9 @@ class MasterTemplate:
         self.mode = mode
         self.theta_of = theta_of    # scenario id -> its theta column
         self.link = link            # master column of each link position
-        self._rows: dict = {}       # live cut -> (columns, values, rhs)
+        self.binaries = np.flatnonzero(static.integral)
+        self._block = GeRowJoiner(static)
+        self._rows: dict = {}       # live cut -> (columns, values, -values, rhs)
 
     def cut_rows(self, cuts: list) -> list:
         """The rows of ``cuts``, in order; rows of other cuts are dropped."""
@@ -456,6 +465,11 @@ class MasterTemplate:
                 for cut in cuts]
         self._rows = dict(zip(cuts, rows))
         return rows
+
+    def rows(self, cuts: list, stacked: bool) -> RowArrays:
+        """The master's rows over ``cuts`` in HiGHS order, in the stacked
+        (LP) or native (MILP) layout."""
+        return self._block.join(self.cut_rows(cuts), stacked)
 
     def _render(self, cut) -> tuple:
         if not set(cut.members).issubset(self.theta_of):
@@ -472,12 +486,15 @@ class MasterTemplate:
         # differently and shifts the iterates recorded on the fixtures)
         rhs = np.subtract.accumulate(
             np.concatenate([[cut.intercept], cut.lam * cut.anchor]))[-1]
+        if not (np.isfinite(cut.lam).all() and np.isfinite(rhs)):
+            raise ModelBuildError(f"cut {cut.row_name()} has a non-finite slope or "
+                                  "right-hand side")
         # link columns ascend and precede the theta columns
         nz = np.flatnonzero(cut.lam)
         theta_cols = sorted(weights)
         cols = np.concatenate([self.link[nz], theta_cols]).astype(self.static.A.indices.dtype)
         vals = np.concatenate([-cut.lam[nz], [weights[j] for j in theta_cols]])
-        return cols, vals, float(rhs)
+        return cols, vals, -vals, float(rhs)
 
 
 def master_template(instance: SystemInstance, scenarios: ScenarioSet, mode: CutMode,
@@ -510,19 +527,40 @@ def master_template(instance: SystemInstance, scenarios: ScenarioSet, mode: CutM
 
 
 def build_master(template: MasterTemplate, pool: CutPool) -> LinearModel:
-    """The master over ``pool``: the template's static block with one row
-    per live cut appended, in pool order.  The model shares the block's
-    read-only column arrays."""
+    """The master over ``pool`` as a model: the template's static columns
+    and its native rows over the live cuts, in pool order.  The model
+    shares the block's read-only column arrays."""
+    rows = template.rows(pool.live_cuts(), stacked=False)
     s = template.static
-    rows = template.cut_rows(pool.live_cuts())
-    ends = np.cumsum([cols.size for cols, _, _ in rows], dtype=s.A.indptr.dtype)
-    A = sp.csr_matrix(
-        (np.concatenate([s.A.data] + [vals for _, vals, _ in rows]),
-         np.concatenate([s.A.indices] + [cols for cols, _, _ in rows]),
-         np.concatenate([s.A.indptr, s.A.indptr[-1] + ends])),
-        shape=(s.row_count + len(rows), s.A.shape[1]))
-    return replace(s, A=A, row_lo=np.append(s.row_lo, [rhs for _, _, rhs in rows]),
-                   row_hi=np.append(s.row_hi, np.full(len(rows), np.inf)))
+    A = sp.csr_matrix((rows.value, rows.index, rows.start),
+                      shape=(rows.count, s.A.shape[1]))
+    return replace(s, A=A, row_lo=rows.lo, row_hi=rows.hi)
+
+
+class MasterSolver:
+    """A template's masters solved on one persistent ``HighsInstance``,
+    its options set once: each solve passes the template's prepared arrays
+    over the pool's live cuts, which equals solving ``build_master`` of the
+    pool with ``solve_milp``, or its relaxation with ``solve_lp``, bit for
+    bit.  Not for concurrent use."""
+
+    def __init__(self, template: MasterTemplate, mip_gap: float):
+        self.template = template
+        self.highs = HighsInstance(mip_gap)
+
+    def solve(self, pool: CutPool, relax: bool,
+              binaries: np.ndarray | None = None) -> SolveResult:
+        """The master MILP over ``pool``, or with ``relax`` its LP
+        relaxation, whose row duals come in model order.  ``binaries``, a
+        master point, fixes the relaxation's integer columns at its rounded
+        values."""
+        t = self.template
+        s = t.static
+        if relax and binaries is not None:
+            s = s.fixed(t.binaries, binaries[t.binaries], relax=True)
+        self.highs.load(s.c, s.lb, s.ub, t.rows(pool.live_cuts(), stacked=relax),
+                        None if relax else s.integral)
+        return self.highs.run()
 
 
 def _link_box(instance: SystemInstance) -> tuple[np.ndarray, np.ndarray]:
@@ -565,6 +603,16 @@ def build_subproblem(instance: SystemInstance, scenarios: ScenarioSet, omega: st
 
 
 @dataclass(frozen=True)
+class RecoursePoint:
+    """What a first-stage point changes in every scenario's subproblem: the
+    p+/p- upper bounds (r+ and r-, clipped to their boxes) and ``A_link``
+    times the clipped link values, which the balance right-hand sides
+    subtract."""
+    deploy_ub: np.ndarray
+    link_rhs: np.ndarray
+
+
+@dataclass(frozen=True)
 class RecourseTemplate:
     """The subproblem LP of one instance and scenario set, built once.
 
@@ -581,13 +629,30 @@ class RecourseTemplate:
     wind: dict               # scenario id -> realizations (spill upper bounds), flat
     balance_rhs: dict        # scenario id -> balance right-hand sides at a zero link
 
+    @cached_property
+    def cols_lb(self) -> np.ndarray:
+        return self.model.lb[self.cols]
+
+    @cached_property
+    def balance_rows(self) -> np.ndarray:
+        return np.arange(self.link_map.shape[0])
+
+    @cached_property
+    def link_map_t(self) -> sp.csr_matrix:
+        """``A_link`` transposed, in CSR."""
+        return self.link_map.T.tocsr()
+
+    def point(self, x_hat: FirstStageSolution) -> RecoursePoint:
+        link = np.clip(x_hat.link(), self.link_lo, self.link_hi)
+        return RecoursePoint(link[:self.n_deploy], self.link_map @ link)
+
     def lam(self, res: SolveResult) -> np.ndarray:
         """The slope of Q at the solved point, in link order: for w and f
         the balance-row duals mapped back through ``A_link``, and for r+ and
         r- the duals of the active p+/p- upper bounds (0 where a column sits
         at its lower bound, as a column fixed at 0 with a positive reduced
         cost does)."""
-        lam = self.link_map.T @ -res.row_dual[:self.link_map.shape[0]]
+        lam = self.link_map_t @ -res.row_dual[:self.link_map.shape[0]]
         lam[:self.n_deploy] = np.minimum(res.col_dual[:self.n_deploy], 0.0)
         return lam
 
@@ -618,32 +683,38 @@ class RecourseSolver:
 
 def solve_subproblem(instance: SystemInstance, scenarios: ScenarioSet, omega: str,
                      x_hat: FirstStageSolution,
-                     solver: RecourseSolver | None = None) -> SubproblemResult:
+                     solver: RecourseSolver | None = None,
+                     point: RecoursePoint | None = None) -> SubproblemResult:
     """Recourse cost of ``omega`` at ``x_hat`` and its slope ``lam`` in the
     link values (``RecourseTemplate.lam``).
 
     ``solver`` must hold the template of ``instance`` and ``scenarios``; a
-    one-shot call builds its own.
+    one-shot call builds its own.  ``point``, the template's
+    ``RecourseTemplate.point`` of ``x_hat``, saves computing it again for
+    each scenario.
     """
     if solver is None:
         solver = RecourseSolver(recourse_template(instance, scenarios))
     t = solver.template
-    link = np.clip(x_hat.link(), t.link_lo, t.link_hi)
-    rhs = t.balance_rhs[omega] - t.link_map @ link
-    res = solver.lp.solve(t.cols, t.model.lb[t.cols],
-                          np.concatenate([link[:t.n_deploy], t.wind[omega]]),
-                          np.arange(rhs.size), rhs, rhs)
+    if point is None:
+        point = t.point(x_hat)
+    rhs = t.balance_rhs[omega] - point.link_rhs
+    res = solver.lp.solve(t.cols, t.cols_lb, np.concatenate([point.deploy_ub, t.wind[omega]]),
+                          t.balance_rows, rhs, rhs)
     if res.status is not SolveStatus.OPTIMAL:
         raise SubproblemInfeasibleError(
             f"subproblem for scenario {omega} returned {res.status.value}; "
             "complete recourse should make this impossible")
-    return SubproblemResult(omega, res.objective, t.lam(res))
+    return SubproblemResult(omega, res.objective, t.lam(res), res.simplex_iters)
 
 
 # -- solution extraction ---------------------------------------------------
 
-def extract_first_stage(instance: SystemInstance, result: SolveResult) -> FirstStageSolution:
-    X = first_stage_layout(instance)
+def extract_first_stage(instance: SystemInstance, result: SolveResult,
+                        layout: FirstStageLayout | None = None) -> FirstStageSolution:
+    """The first-stage point of a master solution; ``layout``, the
+    instance's ``first_stage_layout``, saves building it again."""
+    X = first_stage_layout(instance) if layout is None else layout
     x = result.x
     u, y, z = np.rint(x[X.u]), np.rint(x[X.y]), np.rint(x[X.z])
     p, rp, rm = x[X.p], x[X.rp], x[X.rm]

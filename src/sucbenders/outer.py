@@ -8,11 +8,21 @@ parallel; once a fraction gamma of the subset solves has completed the rest
 are canceled cooperatively at their next iteration boundary.  Step two
 re-solves the full problem with the commitment variables that agree across
 all completed subsets fixed by bound tightening.
+
+Step two starts from the live cuts of every completed subset (except in
+single-cut mode, whose one theta takes only cuts over every scenario).
+They stay valid: a subset cut is a positive combination, with the subset's
+renormalized probabilities, of per-scenario under-estimators
+theta_omega >= Q_omega(x^) + lambda_omega (x - x^), and Q_omega depends on
+neither those probabilities nor the fixed commitments.  Each (subset,
+origin iteration) keeps its own pool group, so consolidation merges only
+cuts with disjoint members.
 """
 
 from __future__ import annotations
 
 import enum
+import json
 import math
 import threading
 import time
@@ -22,6 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .clustering import ClusterAssignment, kmedoids
+from .cuts import CutMode, CutPool
 from .data import ScenarioSet, SystemInstance
 from .engine import BendersConfig, ConvergedSolution, EngineError, RunStatus, run
 
@@ -56,6 +67,7 @@ class SubsetOutcome:
     wall_time: float
     iterations: int
     max_rows: int
+    pool: CutPool | None = None    # completed only: the run's final cut pool
 
 
 @dataclass
@@ -66,6 +78,7 @@ class OuterResult:
     t1: float
     t2: float
     max_rows: int
+    seeded_cuts: int               # pass-1 cuts that pass 2 started from
 
     def summary(self, instance: SystemInstance) -> dict:
         free = instance.n_gens * instance.horizon - len(self.fixed)
@@ -78,6 +91,7 @@ class OuterResult:
             ],
             "T1": self.t1, "T2": self.t2,
             "fixed_count": len(self.fixed), "free_count": free,
+            "seeded_cuts": self.seeded_cuts,
         }
 
 
@@ -108,10 +122,22 @@ def form_subsets(instance: SystemInstance, scenarios: ScenarioSet,
     return plan_from_assignment(scenarios, assignment, gamma)
 
 
+def _subset_trace(trace, idx: int):
+    """``trace`` for the records of subset ``idx``, which carry its id."""
+    if trace is None:
+        return None
+    return lambda line: trace(json.dumps({"subset_id": idx, **json.loads(line)}))
+
+
 def solve_subsets(instance: SystemInstance, plan: SubsetPlan,
                   scenarios: ScenarioSet, config: BendersConfig,
-                  workers: int = 1) -> list[SubsetOutcome]:
-    """Solve each subset SUC in parallel with the gamma completion cutoff."""
+                  workers: int = 1, trace=None) -> list[SubsetOutcome]:
+    """Solve each subset SUC in parallel with the gamma completion cutoff.
+
+    ``trace``, if given, receives every subset run's records with a
+    ``subset_id``; it is called from the worker threads, so it must be
+    thread-safe.
+    """
     needed = math.ceil(plan.gamma * plan.n_subsets)
     stop = threading.Event()
     done_lock = threading.Lock()
@@ -121,7 +147,8 @@ def solve_subsets(instance: SystemInstance, plan: SubsetPlan,
         nonlocal completed
         sub_scen = scenarios.restrict(list(plan.subsets[idx]))
         t0 = time.perf_counter()
-        sol = run(instance, sub_scen, replace(config), should_stop=stop.is_set)
+        sol = run(instance, sub_scen, replace(config), should_stop=stop.is_set,
+                  trace=_subset_trace(trace, idx))
         elapsed = time.perf_counter() - t0
         if sol.status is RunStatus.CANCELED:
             return SubsetOutcome(idx, SubsetStatus.CANCELED, None, None,
@@ -134,7 +161,7 @@ def solve_subsets(instance: SystemInstance, plan: SubsetPlan,
                 stop.set()
         return SubsetOutcome(idx, SubsetStatus.COMPLETED,
                              sol.first_stage.u.copy(), sol.objective,
-                             elapsed, sol.iterations, sol.final_master_rows)
+                             elapsed, sol.iterations, sol.final_master_rows, sol.pool)
 
     if workers <= 1:
         # deterministic sequential order; the cutoff still cancels the tail
@@ -163,18 +190,43 @@ def intersect_commitments(instance: SystemInstance,
     return fixed
 
 
+def seed_pool(outcomes: list) -> CutPool:
+    """The live cuts of every completed subset, one pool group per (subset,
+    origin iteration), in subset and then iteration order."""
+    pool = CutPool()
+    groups = [cuts for o in outcomes if o.status is SubsetStatus.COMPLETED
+              for _, cuts in sorted(o.pool.cuts_by_iter.items())]
+    for key, cuts in enumerate(groups, start=1):
+        for cut in cuts:
+            pool.add(replace(cut, origin_iter=key))
+    return pool
+
+
 def run_outer(instance: SystemInstance, scenarios: ScenarioSet,
               config: BendersConfig, n_subsets: int, gamma: float = 1.0,
               workers: int = 1,
               trace=None) -> OuterResult:
+    """The two passes.  ``trace`` receives the records of the subset runs
+    (with their ``subset_id``) and of the second pass, one call at a time."""
+    if trace is not None:
+        lock = threading.Lock()
+        sink = trace
+
+        def trace(line):
+            with lock:
+                sink(line)
+
     plan = form_subsets(instance, scenarios, n_subsets, gamma)
-    outcomes = solve_subsets(instance, plan, scenarios, config, workers)
+    outcomes = solve_subsets(instance, plan, scenarios, config, workers, trace)
     t1 = max(o.wall_time for o in outcomes if o.status is SubsetStatus.COMPLETED)
     fixed = intersect_commitments(instance, outcomes)
+    # single-cut's one theta cannot take a subset's cuts
+    pool = CutPool() if config.mode is CutMode.SINGLE else seed_pool(outcomes)
+    seeded = pool.row_contribution
 
     t0 = time.perf_counter()
     solution = run(instance, scenarios, replace(config),
-                   fixed_commitments=fixed, trace=trace)
+                   fixed_commitments=fixed, trace=trace, pool=pool)
     t2 = time.perf_counter() - t0
     if solution.status is not RunStatus.CONVERGED:
         raise OuterError(
@@ -182,4 +234,4 @@ def run_outer(instance: SystemInstance, scenarios: ScenarioSet,
             f"fixed commitments: {sorted(fixed)}")
     max_rows = max([solution.final_master_rows]
                    + [o.max_rows for o in outcomes])
-    return OuterResult(solution, outcomes, fixed, t1, t2, max_rows)
+    return OuterResult(solution, outcomes, fixed, t1, t2, max_rows, seeded)

@@ -11,7 +11,9 @@ from sucbenders.cuts import (CutKind, CutPool, adapt_cluster_count,
                              aggregate_and_add, make_full_aggregate_cut,
                              make_per_scenario_cuts, normalize_duals,
                              select_attributes, track_and_consolidate)
-from sucbenders.formulations import FirstStageSolution, SubproblemResult, link_columns
+from sucbenders.engine import solve_subproblems
+from sucbenders.formulations import (FirstStageSolution, SubproblemResult, link_columns,
+                                     sample_feasible_first_stage)
 
 
 def _families(G=2, J=1, L=1, T=3):
@@ -270,3 +272,45 @@ def test_adapt_always_in_range(delta, best_ub, count, rho):
     out = adapt_cluster_count(delta, best_ub, count, ALPHA, ZETA, rho, 50)
     assert 1 <= out <= 50
     assert abs(out - count) <= rho
+
+
+def test_consolidating_overlapping_cuts_sums_their_theta_weights():
+    # two cuts of one iteration share scenario s1; the merged row must weight
+    # theta_s1 by the sum of both weights, or it is not the sum of the rows
+    pool = CutPool()
+    results = [_result(f"s{i}", float(i + 1), i + 60) for i in range(3)]
+    pi = {"s0": 0.2, "s1": 0.3, "s2": 0.5}
+    x = _x(seed=61)
+    aggregate_and_add(pool, results[:2], x, pi, [0, 0], 3)
+    aggregate_and_add(pool, results[1:], x, pi, [0, 0], 3)
+    before = pool.live_cuts()
+    assert track_and_consolidate(pool, np.zeros(2), kappa=1) == 1
+    [merged] = pool.live_cuts()
+    assert merged.members == ("s0", "s1", "s2")
+    assert merged.theta_weights == {"s0": 0.2, "s1": 0.6, "s2": 0.5}
+    # with every theta at its scenario's own under-estimator, the merged row
+    # holds with equality, as the sum of the two rows does
+    for seed in range(5):
+        link = _x(seed=seed + 70).link()
+        theta = {r.scenario_id: r.objective + float(r.lam @ (link - x.link()))
+                 for r in results}
+        lhs = sum(w * theta[omega] for omega, w in merged.theta_weights.items())
+        assert lhs == pytest.approx(merged.evaluate(link), rel=1e-12, abs=1e-9)
+        assert lhs == pytest.approx(sum(c.evaluate(link) for c in before),
+                                    rel=1e-12, abs=1e-9)
+
+
+def test_roundoff_dual_family_maps_to_zero_on_med_b(med_b):
+    # on med-b the flow slopes are roundoff (|lambda_f| ~ 1e-13), which plain
+    # min-max scaling would stretch to [0, 1]; the wind family is real
+    inst, scen = med_b
+    families = link_columns(inst)
+    x = sample_feasible_first_stage(inst, np.random.default_rng(2))
+    results, _ = solve_subproblems(inst, scen, x)
+    lam = np.stack([r.lam for r in results])
+    flows = lam[:, families[3]]
+    assert 0.0 < np.ptp(flows) <= 1e-9 * np.abs(lam).max()
+    feats = normalize_duals(results, families)
+    sizes = np.cumsum([cols.size for cols in families])
+    assert np.all(feats[:, sizes[2]:] == 0.0)
+    assert feats[:, sizes[1]:sizes[2]].max() == 1.0

@@ -137,9 +137,25 @@ def test_trace_lines_are_json_with_stable_keys(toy_a):
     run(inst, scen, BendersConfig(mode=CutMode.AGGREGATED), trace=lines.append)
     docs = [json.loads(line) for line in lines]
     keys = {"iter", "phase", "lb", "ub", "gap", "clusters", "master_rows",
-            "build_time_s", "master_time_s", "sub_time_s"}
+            "master_simplex_iters", "master_mip_nodes", "master_dual_bound",
+            "sub_simplex_iters", "build_time_s", "master_time_s", "sub_time_s"}
     assert all(set(d) == keys for d in docs)
     assert [d["iter"] for d in docs] == list(range(1, len(docs) + 1))
+    # the LP phase traces its LP gap and its LP optimum as the dual bound;
+    # the MILP phase its bound gap and HiGHS's MILP dual bound
+    lp = [d for d in docs if d["phase"] == "lp"]
+    milp = [d for d in docs if d["phase"] == "milp"]
+    assert lp and milp
+    assert all(d["gap"] is not None and d["ub"] is None for d in lp)
+    assert lp[-1]["gap"] <= 1e-6 < lp[0]["gap"]
+    # (the lower bound is the running maximum of the master optima)
+    assert all(d["master_dual_bound"] <= d["lb"] for d in lp)
+    assert lp[0]["master_dual_bound"] == lp[0]["lb"]
+    assert all(d["master_mip_nodes"] == 0 for d in lp)
+    assert all(d["master_mip_nodes"] >= 1 for d in milp)
+    assert milp[-1]["master_dual_bound"] <= milp[-1]["lb"] + 1e-6
+    assert all(d["gap"] == d["ub"] - d["lb"] for d in milp)
+    assert all(d["master_simplex_iters"] > 0 and d["sub_simplex_iters"] > 0 for d in docs)
 
 
 def test_aggregated_adaptive_cluster_count_stays_in_range(toy_a):

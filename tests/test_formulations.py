@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sucbenders.backend import SolveStatus, solve_lp, solve_milp
+from sucbenders.backend import HighsSolver, SolveStatus, solve_lp, solve_milp
 from sucbenders.cuts import (Cut, CutKind, CutMode, CutPool,
                              make_full_aggregate_cut, make_per_scenario_cuts,
                              track_and_consolidate)
 from sucbenders.data import ScenarioSet
 from sucbenders.engine import BendersConfig, _cut_duals, _tie_break_master, run
-from sucbenders.formulations import (FirstStageSolution, ModelBuildError,
+from sucbenders.formulations import (FirstStageSolution, MasterSolver, ModelBuildError,
                                      RecourseSolver, build_extensive,
                                      build_master, build_subproblem,
                                      default_theta_min, extract_first_stage,
@@ -396,8 +396,8 @@ def test_template_master_equals_a_from_scratch_build(toy_a, mode, fixed):
 
 
 def test_master_derivatives_leave_the_template_unchanged(toy_a):
-    # the LP relaxation, the fixed-binaries copy and the tie-break's pinned
-    # model are made from a master that shares the template's arrays; none
+    # the LP relaxation, the fixed-binaries copy, the tie-break's pinned
+    # model and the master solver's arrays share the template's arrays; none
     # may write to them, and repeated builds of one pool do not grow the
     # cut cache
     inst, scen = toy_a
@@ -411,10 +411,11 @@ def test_master_derivatives_leave_the_template_unchanged(toy_a):
         master = build_master(template, pool)
         assert len(template._rows) == pool.row_contribution
     relaxed = dataclasses.replace(master, integral=np.zeros_like(master.integral))
-    for model, solve in ((master, solve_milp), (relaxed, solve_lp)):
+    solver = MasterSolver(template, mip_gap=1e-6)
+    for model, solve, relax in ((master, solve_milp, False), (relaxed, solve_lp, True)):
         res = solve(model)
         _tie_break_master(model, res, n_first, mip_gap=1e-6)
-        _cut_duals(model, res, pool.row_contribution)
+        _cut_duals(solver, pool, solver.solve(pool, relax))
     after = ([getattr(static, f) for f in MODEL_ARRAYS]
              + [getattr(static.A, f) for f in MATRIX_ARRAYS])
     for old, new in zip(before, after):
@@ -422,3 +423,82 @@ def test_master_derivatives_leave_the_template_unchanged(toy_a):
         assert not new.flags.writeable
     _assert_same_model(build_master(template, pool), master)
     assert len(template._rows) == pool.row_contribution
+
+
+def _assert_same_solve(got, want, duals: bool):
+    assert got.status is want.status is SolveStatus.OPTIMAL
+    assert got.objective == want.objective
+    assert np.array_equal(got.x, want.x)
+    assert got.simplex_iters == want.simplex_iters
+    if duals:
+        assert np.array_equal(got.row_dual, want.row_dual)
+        assert np.array_equal(got.col_dual, want.col_dual)
+
+
+@pytest.mark.parametrize("fixture, mode, consolidate", [
+    ("toy_a", CutMode.AGGREGATED, True), ("med_b", CutMode.MULTI, False)])
+def test_master_solver_equals_a_solve_of_the_built_master(request, fixture, mode,
+                                                          consolidate):
+    # the master solver passes the template's prepared arrays to one HiGHS
+    # instance; each of its solves equals solve_milp / solve_lp of
+    # build_master bit for bit, with the LP's row duals in model order, also
+    # after the instance has solved other masters
+    inst, scen = request.getfixturevalue(fixture)
+    pool = run(inst, scen, BendersConfig(mode=mode, max_iters=6)).pool
+    if consolidate:
+        assert track_and_consolidate(pool, np.zeros(pool.row_contribution), kappa=1) > 0
+        assert any(c.kind is CutKind.CONSOLIDATED for c in pool.live_cuts())
+    template = master_template(inst, scen, mode, default_theta_min(inst))
+    solver = MasterSolver(template, mip_gap=1e-6)
+    master = build_master(template, pool)
+    relaxed = dataclasses.replace(master, integral=np.zeros_like(master.integral))
+    binaries = np.flatnonzero(master.integral)
+    for _ in range(2):
+        _assert_same_solve(solver.solve(pool, relax=True), solve_lp(relaxed), duals=True)
+        milp = solver.solve(pool, relax=False)
+        _assert_same_solve(milp, solve_milp(master, mip_gap=1e-6), duals=False)
+        assert milp.row_dual is None and milp.mip_nodes >= 1
+        assert milp.dual_bound <= milp.objective + 1e-6
+        _assert_same_solve(solver.solve(pool, relax=True, binaries=milp.x),
+                           solve_lp(master.fixed(binaries, milp.x[binaries], relax=True)),
+                           duals=True)
+    assert solver.solve(CutPool(), relax=True).row_count == template.static.row_count
+
+
+def test_master_rejects_a_non_finite_cut(toy_a):
+    inst, scen = toy_a
+    ids = scen.scenario_ids
+    anchor = sample_feasible_first_stage(inst, np.random.default_rng(8))
+    results = [solve_subproblem(inst, scen, om, anchor) for om in ids]
+    cut = make_full_aggregate_cut(results, dict(zip(ids, scen.probabilities)), anchor, 1)
+    lam = cut.lam.copy()
+    lam[0] = np.nan
+    pool = CutPool()
+    pool.add(dataclasses.replace(cut, lam=lam))
+    with pytest.raises(ModelBuildError, match="non-finite"):
+        MasterSolver(master_template(inst, scen, CutMode.MULTI, default_theta_min(inst)),
+                     1e-6).solve(pool, relax=True)
+
+
+def test_per_point_recourse_data_gives_the_same_results(med_b):
+    # the point's clipped link, A_link @ link and p+/p- bounds are computed
+    # once and shared by every scenario; each result equals a one-shot solve
+    # on its own template, and the slope equals -A_link^T y from the
+    # from-scratch model's duals
+    inst, scen = med_b
+    x = sample_feasible_first_stage(inst, np.random.default_rng(21))
+    solver = RecourseSolver(recourse_template(inst, scen))
+    t = solver.template
+    point = t.point(x)
+    for omega in scen.scenario_ids:
+        got = solve_subproblem(inst, scen, omega, x, solver, point)
+        want = solve_subproblem(inst, scen, omega, x)
+        assert got.scenario_id == want.scenario_id == omega
+        assert got.objective == want.objective
+        assert np.array_equal(got.lam, want.lam)
+        assert got.simplex_iters == want.simplex_iters > 0
+        res = HighsSolver(build_subproblem(inst, scen, omega, x), presolve=False).solve()
+        lam = t.link_map.T @ -res.row_dual[:t.link_map.shape[0]]
+        lam[:t.n_deploy] = np.minimum(res.col_dual[:t.n_deploy], 0.0)
+        assert res.objective == got.objective
+        assert np.array_equal(lam, got.lam)

@@ -1,5 +1,9 @@
 """Subset formation, gamma cutoff, commitment intersection, two-pass solve."""
 
+import json
+import sys
+import time
+
 import numpy as np
 import pytest
 
@@ -7,11 +11,12 @@ from sucbenders.backend import solve_milp
 from sucbenders.clustering import ClusterAssignment
 from sucbenders.cuts import CutMode
 from sucbenders.data import ScenarioSet
-from sucbenders.engine import BendersConfig
-from sucbenders.formulations import build_extensive
+from sucbenders.engine import BendersConfig, RunStatus, solve_subproblems
+from sucbenders.formulations import build_extensive, sample_feasible_first_stage
 from sucbenders.outer import (OuterError, SubsetOutcome, SubsetStatus,
                               form_subsets, intersect_commitments,
-                              plan_from_assignment, run_outer, solve_subsets)
+                              plan_from_assignment, run_outer, seed_pool,
+                              solve_subsets)
 
 
 def _six_scenario_set():
@@ -139,3 +144,77 @@ def test_outer_summary_schema(toy_a):
     assert doc["fixed_count"] + doc["free_count"] == inst.n_gens * inst.horizon
     for entry in doc["subsets"]:
         assert {"id", "status", "objective", "tau_s", "iterations"} <= set(entry)
+
+
+def test_seeded_cuts_are_valid(toy_a):
+    # every cut that pass 2 starts from under-estimates the weighted
+    # recourse of its members at any feasible first-stage point
+    inst, scen = toy_a
+    plan = form_subsets(inst, scen, 2)
+    outcomes = solve_subsets(inst, plan, scen, BendersConfig(mode=CutMode.MULTI))
+    pool = seed_pool(outcomes)
+    cuts = pool.live_cuts()
+    assert len(cuts) == sum(o.pool.row_contribution for o in outcomes)
+    # one group per (subset, origin iteration), each with disjoint members
+    assert len(pool.cuts_by_iter) == sum(len(o.pool.cuts_by_iter) for o in outcomes)
+    for group in pool.cuts_by_iter.values():
+        members = [m for c in group for m in c.members]
+        assert len(members) == len(set(members))
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        x = sample_feasible_first_stage(inst, rng)
+        q = {r.scenario_id: r.objective for r in solve_subproblems(inst, scen, x)[0]}
+        for cut in cuts:
+            bound = sum(w * q[omega] for omega, w in cut.theta_weights.items())
+            assert cut.evaluate(x.link()) <= bound + 1e-7 * max(1.0, abs(bound))
+
+
+def test_second_pass_starts_from_the_subset_cuts(toy_a):
+    # pass 2 starts from every completed subset's live cuts and needs few
+    # iterations; pass-1 records reach the trace with their subset id
+    inst, scen = toy_a
+    oracle = solve_milp(build_extensive(inst, scen)).objective
+    records = []
+    result = run_outer(inst, scen, BendersConfig(mode=CutMode.MULTI), 2,
+                       trace=records.append)
+    assert result.solution.objective == pytest.approx(oracle, abs=2e-6)
+    assert result.solution.iterations <= 5
+    assert result.seeded_cuts == sum(o.pool.row_contribution for o in result.outcomes) > 0
+    assert result.summary(inst)["seeded_cuts"] == result.seeded_cuts
+    docs = [json.loads(line) for line in records]
+    for o in result.outcomes:
+        assert sum(d.get("subset_id") == o.subset_id for d in docs) == o.iterations
+    assert sum("subset_id" not in d for d in docs) == result.solution.iterations
+
+
+def test_single_cut_second_pass_starts_empty(toy_a):
+    # single-cut's one theta takes only cuts over every scenario
+    inst, scen = toy_a
+    result = run_outer(inst, scen, BendersConfig(mode=CutMode.SINGLE), 2)
+    assert result.seeded_cuts == 0
+    assert result.solution.status is RunStatus.CONVERGED
+
+
+def test_outer_trace_reaches_the_sink_one_record_at_a_time(toy_a):
+    # three subset runs trace from three worker threads (more than the
+    # cores); a sink that updates its text with a thread switch in between
+    # loses no record, because the outer scheme calls it under a lock
+    inst, scen = toy_a
+    text = ""
+
+    def sink(line):
+        nonlocal text
+        current = text
+        time.sleep(0)
+        text = current + line + "\n"
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = run_outer(inst, scen, BendersConfig(mode=CutMode.MULTI, workers=3), 3,
+                           workers=3, trace=sink)
+    finally:
+        sys.setswitchinterval(interval)
+    docs = [json.loads(line) for line in text.splitlines()]
+    assert len(docs) == (sum(o.iterations for o in result.outcomes)
+                         + result.solution.iterations)
