@@ -19,7 +19,7 @@ import click
 from .backend import BackendError, SolveStatus, solve_milp
 from .cuts import CutMode
 from .data import InstanceError, load_instance, load_scenarios
-from .engine import BendersConfig, EngineError, RunStatus, run
+from .engine import BendersConfig, EngineError, RunStatus, phase_totals, run
 from .formulations import (ModelBuildError, SubproblemInfeasibleError,
                            build_extensive)
 from .outer import OuterError, run_outer
@@ -108,7 +108,8 @@ def execute_method(method: str, instance, scenarios, opts: dict,
                          result.max_rows, cfg_echo,
                          extra={"T1": result.t1, "T2": result.t2,
                                 "fixed_count": len(result.fixed),
-                                "seeded_cuts": result.seeded_cuts})
+                                "seeded_cuts": result.seeded_cuts,
+                                "phases": phase_totals(sol.state.history)})
     if method not in _MODE_BY_METHOD:
         raise InstanceError(f"unknown method {method!r}")
     config.mode = _MODE_BY_METHOD[method]
@@ -117,7 +118,8 @@ def execute_method(method: str, instance, scenarios, opts: dict,
     sol = run(instance, scenarios, config, trace=trace_sink)
     return RunReport(method, instance.name, sol.status is RunStatus.CONVERGED,
                      sol.objective, sol.wall_time, sol.iterations,
-                     sol.final_master_rows, cfg_echo)
+                     sol.final_master_rows, cfg_echo,
+                     extra={"phases": phase_totals(sol.state.history)})
 
 
 def emit_comparison_table(reports: list, eps: float) -> tuple[str, dict]:

@@ -123,11 +123,11 @@ class IterationRecord:
     master_dual_bound: float  # HiGHS's MILP dual bound; the LP optimum in the LP phase
     sub_simplex_iters: int    # summed over the scenario subproblems
 
-    def trace_line(self) -> str:
+    def trace_fields(self) -> dict:
         # strict JSON: an infinite bound or gap is written as null
         def finite(v):
             return v if np.isfinite(v) else None
-        return json.dumps({
+        return {
             "iter": self.iteration, "phase": self.phase, "lb": finite(self.lower_bound),
             "ub": finite(self.upper_bound), "gap": finite(self.gap),
             "clusters": self.clusters, "master_rows": self.master_rows,
@@ -137,7 +137,26 @@ class IterationRecord:
             "sub_simplex_iters": self.sub_simplex_iters,
             "build_time_s": self.build_time, "master_time_s": self.master_time,
             "sub_time_s": self.sub_time,
-        })
+        }
+
+    def trace_line(self) -> str:
+        return json.dumps(self.trace_fields())
+
+
+# the trace fields that a report's per-phase totals sum
+PHASE_TOTALS = ("build_time_s", "master_time_s", "sub_time_s", "master_simplex_iters",
+                "sub_simplex_iters", "master_mip_nodes")
+
+
+def phase_totals(history: list) -> dict:
+    """Per phase ("lp", "milp"): the number of iterations in ``history``
+    and the sums of their ``PHASE_TOTALS`` trace fields."""
+    totals = {}
+    for phase in ("lp", "milp"):
+        fields = [r.trace_fields() for r in history if r.phase == phase]
+        totals[phase] = {"iterations": len(fields),
+                         **{k: sum(f[k] for f in fields) for k in PHASE_TOTALS}}
+    return totals
 
 
 @dataclass

@@ -31,10 +31,10 @@ laid out as follows:
   aggregated runs share this master).  The extensive form appends one
   recourse block per scenario;
 * a recourse block's columns are p+/p- interleaved per (generator, period),
-  spill per (farm, period), shed/angle interleaved per (node, period) and
-  flow per (line, period); in the extensive form its rows are the
-  reserve-deployment limits (up/down interleaved per (generator, period)),
-  nodal balance per (node, period) and flow definitions per (line, period).
+  spill per (farm, period), shed per (node, period) and flow per (line,
+  period); in the extensive form its rows are the reserve-deployment limits
+  (up/down interleaved per (generator, period)), nodal balance per (node,
+  period) and Kirchhoff's voltage law per (fundamental cycle, period).
   Only the spill bounds and the balance right-hand sides depend on the
   scenario;
 * the "link" values are the first-stage values that the recourse sees:
@@ -46,7 +46,7 @@ laid out as follows:
   boxes, substituted: r+ and r- are the upper bounds of p+ and p- (whose
   columns are the first 2|G|T, so they share the r+/r- link positions), and
   w and f enter the balance right-hand sides through ``A_link`` (balance
-  rows x link positions).  Its rows are nodal balance and flow definitions
+  rows x link positions).  Its rows are nodal balance and the cycle rows
   only.  Its slope ``lam`` in the link values is read from its duals: for
   w and f, ``-A_link^T y`` from the balance-row duals ``y``; for r+ and r-,
   ``min(col_dual, 0)`` of p+ and p-, the dual of the active upper bound;
@@ -57,11 +57,17 @@ laid out as follows:
   master row metric decomposes as first-stage rows + theta rows + cut rows;
 * the DC flow convention is f = B * (angle_from - angle_to) with the
   reference node angle fixed to 0, and nodal balance reads
-  generation + wind - load = outgoing flow - incoming flow.
+  generation + wind - load = outgoing flow - incoming flow.  The first stage
+  keeps the angles; a recourse block has none and states the same law in
+  cycle form (``cycle_basis``): around each fundamental cycle C,
+  sum over l in C of s_l * f_l / B_l = 0, with s_l = +1 where C runs from
+  the line's from-node to its to-node and -1 against.  With free angles and
+  one reference node the two forms admit the same flows.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -225,6 +231,57 @@ def _topology(instance: SystemInstance):
             [at[ln.to_node] for ln in instance.lines])
 
 
+def cycle_basis(instance: SystemInstance) -> np.ndarray:
+    """The fundamental cycles of the network, one per line outside a BFS
+    spanning forest, as a cycles x lines array: +1 where a cycle runs along
+    a line from its from-node to its to-node, -1 where it runs against it,
+    0 off the cycle.
+
+    The forest grows from each unreached node in node order and scans each
+    node's lines in line order, so the basis depends only on the instance.
+    Each non-tree line closes one cycle, run along it and back through the
+    tree, in line order: a connected network has L - N + 1 cycles, two
+    parallel lines make a 2-cycle, and a tree has none.
+    """
+    _, _, from_at, to_at = _topology(instance)
+    incident = [[] for _ in instance.nodes]
+    for line, (a, b) in enumerate(zip(from_at, to_at)):
+        incident[a].append(line)
+        incident[b].append(line)
+    depth = [-1] * instance.n_nodes
+    parent = [None] * instance.n_nodes     # (tree line, parent node)
+    tree = np.zeros(instance.n_lines, dtype=bool)
+    for root in range(instance.n_nodes):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        queue = deque([root])
+        while queue:
+            n = queue.popleft()
+            for line in incident[n]:
+                m = to_at[line] if from_at[line] == n else from_at[line]
+                if depth[m] < 0:
+                    depth[m], parent[m], tree[line] = depth[n] + 1, (line, n), True
+                    queue.append(m)
+    closing = np.flatnonzero(~tree)
+    K = np.zeros((closing.size, instance.n_lines))
+    for k, line in enumerate(closing):
+        # from a along the line to b, then from b up to the common ancestor
+        # and down to a
+        K[k, line] = 1.0
+        a, b = from_at[line], to_at[line]
+        while a != b:
+            if depth[b] >= depth[a]:
+                up, b_parent = parent[b]
+                K[k, up] = 1.0 if from_at[up] == b else -1.0
+                b = b_parent
+            else:
+                down, a_parent = parent[a]
+                K[k, down] = 1.0 if from_at[down] == a_parent else -1.0
+                a = a_parent
+    return K
+
+
 def _bound_link(b: _ModelDraft, instance: SystemInstance, rp, rm, w, f) -> None:
     """Reserve offer caps on r+/r-, farm capacity on w, line capacity on f."""
     b.ub[rp] = _col([g.res_up_cap for g in instance.generators])
@@ -232,12 +289,6 @@ def _bound_link(b: _ModelDraft, instance: SystemInstance, rp, rm, w, f) -> None:
     b.ub[w] = _col([farm.capacity for farm in instance.wind_farms])
     cap = _col([ln.capacity for ln in instance.lines])
     b.lb[f], b.ub[f] = -cap, cap
-
-
-def _angle_bounds(instance: SystemInstance) -> tuple[np.ndarray, np.ndarray]:
-    """Angles are free except at the reference node, where they are 0."""
-    free = np.array([n != instance.ref_node for n in instance.nodes]).reshape(-1, 1)
-    return np.where(free, -np.inf, 0.0), np.where(free, np.inf, 0.0)
 
 
 def day_ahead_cost(instance: SystemInstance, sol_p, sol_y, sol_rp, sol_rm) -> float:
@@ -267,7 +318,10 @@ def _add_first_stage(b: _ModelDraft, instance: SystemInstance, X: FirstStageLayo
     b.c[X.rp] = per_gen("res_up_cost")
     b.c[X.rm] = per_gen("res_down_cost")
     _bound_link(b, instance, X.rp, X.rm, X.w, X.f)
-    b.lb[X.delta], b.ub[X.delta] = _angle_bounds(instance)
+    # angles are free except at the reference node, where they are 0
+    free = _col([n != instance.ref_node for n in instance.nodes])
+    b.lb[X.delta] = np.where(free, -np.inf, 0.0)
+    b.ub[X.delta] = np.where(free, np.inf, 0.0)
 
     for i, g in enumerate(gens):
         u, y, z, p, rp, rm = (a[i].tolist() for a in (X.u, X.y, X.z, X.p, X.rp, X.rm))
@@ -333,26 +387,28 @@ def first_stage_row_count(instance: SystemInstance) -> int:
 
 
 def second_stage_row_count(instance: SystemInstance) -> int:
-    """Per-scenario second-stage rows (balance, reserve limits, flow defs)."""
+    """Per-scenario second-stage rows: T * (N + 2G + L - N + 1) on a
+    connected network (balance, reserve limits, one row per fundamental
+    cycle)."""
     T = instance.horizon
-    return T * (instance.n_nodes + 2 * instance.n_gens + instance.n_lines)
+    return T * (instance.n_nodes + 2 * instance.n_gens + len(cycle_basis(instance)))
 
 
 # -- second stage ----------------------------------------------------------
 
 def _recourse_size(instance: SystemInstance) -> int:
     return instance.horizon * (2 * instance.n_gens + instance.n_farms
-                               + 2 * instance.n_nodes + instance.n_lines)
+                               + instance.n_nodes + instance.n_lines)
 
 
 def _recourse_columns(instance: SystemInstance, start: int) -> list[np.ndarray]:
     """Columns of a recourse block numbered from ``start``: p+, p-, spill,
-    shed, angle and flow."""
+    shed and flow."""
     G, J, N, L, T = (instance.n_gens, instance.n_farms, instance.n_nodes,
                      instance.n_lines, instance.horizon)
     return (_grid(start, G, T, 2) + _grid(start + 2 * G * T, J, T)
-            + _grid(start + (2 * G + J) * T, N, T, 2)
-            + _grid(start + (2 * G + J + 2 * N) * T, L, T))
+            + _grid(start + (2 * G + J) * T, N, T)
+            + _grid(start + (2 * G + J + N) * T, L, T))
 
 
 def _balance_rhs(instance: SystemInstance, farm_at, wind: np.ndarray) -> np.ndarray:
@@ -381,10 +437,15 @@ def _add_second_stage(b: _ModelDraft, instance: SystemInstance, scenarios: Scena
     r-.  A subproblem block (``link`` None) has neither: p+ and p- keep
     their default bounds and the link terms of the balance rows are left
     out, for ``build_subproblem`` to substitute.
+
+    The recourse flows have no angles: after the balance rows, one
+    Kirchhoff voltage-law row per fundamental cycle and period
+    (``cycle_basis``) sums each line's flow over its susceptance, signed by
+    the cycle's direction, to 0.
     """
     gens, farms, lines = instance.generators, instance.wind_farms, instance.lines
-    G, N, L, T = instance.n_gens, instance.n_nodes, instance.n_lines, instance.horizon
-    pp, pm, spill, shed, dtil, ftil = _recourse_columns(instance, start)
+    G, N, T = instance.n_gens, instance.n_nodes, instance.horizon
+    pp, pm, spill, shed, ftil = _recourse_columns(instance, start)
 
     b.c[pp] = prob_weight * _col([g.deploy_up_price for g in gens])
     b.c[pm] = -prob_weight * _col([g.deploy_down_price for g in gens])
@@ -394,20 +455,21 @@ def _add_second_stage(b: _ModelDraft, instance: SystemInstance, scenarios: Scena
     b.ub[spill] = wind
     b.ub[shed] = [[instance.load_at(n, t) for t in range(1, T + 1)]
                   for n in instance.nodes]
-    b.lb[dtil], b.ub[dtil] = _angle_bounds(instance)
     cap = _col([ln.capacity for ln in lines])
     b.lb[ftil], b.ub[ftil] = -cap, cap
 
     gen_at, farm_at, from_at, to_at = _topology(instance)
     n_deploy = 0 if link is None else 2 * G * T
     [bal] = _grid(n_deploy, N, T)
-    [flow] = _grid(n_deploy + N * T, L, T)
-    susceptance = _col([ln.susceptance for ln in lines])
-    rhs = np.concatenate([_balance_rhs(instance, farm_at, wind).ravel(), np.zeros(L * T)])
+    K = cycle_basis(instance)
+    [kvl] = _grid(n_deploy + N * T, len(K), T)
+    cycle, line = np.nonzero(K)
+    susceptance = np.array([ln.susceptance for ln in lines])
+    rhs = np.concatenate([_balance_rhs(instance, farm_at, wind).ravel(), np.zeros(kvl.size)])
     entries = [(bal, shed, 1.0), (bal[gen_at], pp, 1.0), (bal[gen_at], pm, -1.0),
                (bal[farm_at], spill, -1.0), (bal[from_at], ftil, -1.0),
-               (bal[to_at], ftil, 1.0), (flow, ftil, 1.0),
-               (flow, dtil[from_at], -susceptance), (flow, dtil[to_at], susceptance)]
+               (bal[to_at], ftil, 1.0),
+               (kvl[cycle], ftil[line], _col(K[cycle, line] / susceptance[line]))]
     if link is None:
         b.rows(*_coo(entries), rhs, rhs)
         return
@@ -618,7 +680,8 @@ class RecourseTemplate:
 
     Scenarios and first-stage points differ only in the upper bounds of p+,
     p- and spill and in the balance right-hand sides, so a subproblem is
-    the template's model with those replaced; the flow rows never change.
+    the template's model with those replaced; the cycle (Kirchhoff
+    voltage-law) rows never change.
     """
     model: LinearModel
     n_deploy: int            # p+/p- columns, which are the r+/r- link positions

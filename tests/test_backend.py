@@ -359,7 +359,7 @@ def test_recourse_template_solve_matches_a_model_built_from_scratch(med_b):
     solver = RecourseSolver(template)
     for omega in scen.scenario_ids[3:7]:
         model = build_subproblem(inst, scen, omega, x)
-        assert model.row_count == 156 and model.c.size == 396
+        assert model.row_count == 96 and model.c.size == 324
         want = HighsSolver(model, presolve=False).solve()
         got = solve_subproblem(inst, scen, omega, x, solver)
         assert got.objective == want.objective

@@ -163,6 +163,32 @@ def test_outer_report_carries_t1_t2(tmp_path):
     assert "T1" in doc and "T2" in doc and "fixed_count" in doc
 
 
+PHASE_KEYS = {"iterations", "build_time_s", "master_time_s", "sub_time_s",
+              "master_simplex_iters", "sub_simplex_iters", "master_mip_nodes"}
+
+
+@pytest.mark.parametrize("method", ["aggregated+consolidation", "outer"])
+def test_report_phases_total_the_trace(tmp_path, method):
+    # per phase, the report sums the run's trace records: for outer, those
+    # of the second pass, which carry no subset id
+    trace = tmp_path / "trace.jsonl"
+    res = _invoke(["solve", *TOY, "--method", method, "--trace", str(trace)])
+    assert res.exit_code == 0
+    doc = json.loads(res.output.strip().splitlines()[-1])
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    phases = doc["phases"]
+    assert set(phases) == {"lp", "milp"}
+    for phase, totals in phases.items():
+        assert set(totals) == PHASE_KEYS
+        own = [r for r in records if r["phase"] == phase and "subset_id" not in r]
+        assert totals["iterations"] == len(own) > 0
+        for key in PHASE_KEYS - {"iterations"}:
+            assert totals[key] == pytest.approx(sum(r[key] for r in own), rel=1e-12)
+    assert phases["lp"]["iterations"] + phases["milp"]["iterations"] == doc["iterations"]
+    assert phases["lp"]["master_mip_nodes"] == 0 < phases["milp"]["master_mip_nodes"]
+    assert phases["lp"]["sub_simplex_iters"] > 0
+
+
 def test_compare_subset_of_methods(tmp_path):
     report = tmp_path / "cmp.json"
     res = _invoke(["compare", *TOY, "--methods", "extensive,multi-cut",

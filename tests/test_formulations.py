@@ -12,12 +12,13 @@ from sucbenders.backend import HighsSolver, SolveStatus, solve_lp, solve_milp
 from sucbenders.cuts import (Cut, CutKind, CutMode, CutPool,
                              make_full_aggregate_cut, make_per_scenario_cuts,
                              track_and_consolidate)
-from sucbenders.data import ScenarioSet
+from sucbenders.backend import LinearModel
+from sucbenders.data import Line, ScenarioSet
 from sucbenders.engine import BendersConfig, _cut_duals, _tie_break_master, run
 from sucbenders.formulations import (FirstStageSolution, MasterSolver, ModelBuildError,
                                      RecourseSolver, build_extensive,
                                      build_master, build_subproblem,
-                                     default_theta_min, extract_first_stage,
+                                     cycle_basis, default_theta_min, extract_first_stage,
                                      first_stage_layout,
                                      first_stage_row_count,
                                      first_stage_violation, link_columns,
@@ -31,10 +32,12 @@ from sucbenders.formulations import (FirstStageSolution, MasterSolver, ModelBuil
 #   logic, exclusion, two ramps,
 #   p-min, p-max:                 6 * T = 24
 # two generators: 64; plus T * (nodes + lines) = 4 * 3 = 12 -> 76 first-stage
-# rows.  Second stage per scenario: T * (nodes + 2*gens + lines) = 4*7 = 28.
+# rows.  Second stage per scenario: T * (nodes + 2*gens + cycles) = 4*6 = 24;
+# the recourse states Kirchhoff's voltage law with one row per fundamental
+# cycle, and toy-a's one line between two buses is a tree, without cycles.
 
 TOY_FS_ROWS = 76
-TOY_SS_ROWS = 28
+TOY_SS_ROWS = 24
 
 
 def test_first_stage_census_toy_a(toy_a):
@@ -76,6 +79,136 @@ def test_default_theta_min_toy_a(toy_a):
     inst, _ = toy_a
     # -(C-_g1 * R-_g1 + C-_g2 * R-_g2) * T = -(8*20 + 25*15) * 4
     assert default_theta_min(inst) == pytest.approx(-2140.0)
+
+
+# -- cycle form --------------------------------------------------------------
+
+def _incidence(inst) -> np.ndarray:
+    """Lines x nodes: +1 at a line's from-node, -1 at its to-node."""
+    at = {n: k for k, n in enumerate(inst.nodes)}
+    inc = np.zeros((inst.n_lines, inst.n_nodes))
+    for k, ln in enumerate(inst.lines):
+        inc[k, at[ln.from_node]], inc[k, at[ln.to_node]] = 1.0, -1.0
+    return inc
+
+
+def test_cycle_basis(toy_a, med_b):
+    # a basis of closed walks: L - N + 1 independent cycles on a connected
+    # network, each line signed by the direction the cycle runs along it, so
+    # that its signed incidence sums to zero at every node
+    two_lines = dataclasses.replace(
+        toy_a[0], lines=toy_a[0].lines + (Line("l2", "n2", "n1", 4.0, 30.0),))
+    for inst, n_cycles in ((med_b[0], 2), (toy_a[0], 0), (two_lines, 1)):
+        inst.validate()
+        K = cycle_basis(inst)
+        assert K.shape == (n_cycles, inst.n_lines)
+        assert n_cycles == inst.n_lines - inst.n_nodes + 1
+        assert set(np.unique(K)) <= {-1.0, 0.0, 1.0}
+        assert np.array_equal(K @ _incidence(inst), np.zeros((n_cycles, inst.n_nodes)))
+        if n_cycles:
+            assert np.linalg.matrix_rank(K) == n_cycles
+        assert np.array_equal(cycle_basis(inst), K)
+    # the parallel lines run opposite ways, so the 2-cycle takes both forward
+    assert cycle_basis(two_lines).tolist() == [[1.0, 1.0]]
+
+
+def _angle_form_recourse(inst, scen, omega, x):
+    """Q and its slope in the link values from the recourse LP in angle form,
+    built here from the instance data.  Columns: p+/p- interleaved per
+    (generator, period), spill per (farm, period), shed/angle interleaved
+    per (node, period), flow per (line, period); rows: nodal balance per
+    (node, period), then flow = B (angle_from - angle_to) per (line,
+    period).  The clipped r+/r- are the p+/p- upper bounds, and w and f
+    enter the balance right-hand sides."""
+    gens, farms, lines = inst.generators, inst.wind_farms, inst.lines
+    G, J, N, L, T = inst.n_gens, inst.n_farms, inst.n_nodes, inst.n_lines, inst.horizon
+    at = {n: k for k, n in enumerate(inst.nodes)}
+    gen_at = np.array([at[g.node] for g in gens])
+    farm_at = np.array([at[w.node] for w in farms])
+    fr = np.array([at[ln.from_node] for ln in lines])
+    to = np.array([at[ln.to_node] for ln in lines])
+    t = np.arange(T)
+
+    def per(n, start, k=1):
+        return start + k * (np.arange(n)[:, None] * T + t)
+
+    pp = per(G, 0, 2)
+    pm = pp + 1
+    spill = per(J, 2 * G * T)
+    shed = per(N, (2 * G + J) * T, 2)
+    angle = shed + 1
+    flow = per(L, (2 * G + J + 2 * N) * T)
+    n_cols = (2 * G + J + 2 * N + L) * T
+    bal, kirchhoff = per(N, 0), per(L, N * T)
+    B = np.array([ln.susceptance for ln in lines])[:, None]
+    i, j, v = [], [], []
+    for rows, cols, vals in ((bal, shed, 1.0), (bal[gen_at], pp, 1.0),
+                             (bal[gen_at], pm, -1.0), (bal[farm_at], spill, -1.0),
+                             (bal[fr], flow, -1.0), (bal[to], flow, 1.0),
+                             (kirchhoff, flow, 1.0), (kirchhoff, angle[fr], -B),
+                             (kirchhoff, angle[to], B)):
+        i.append(rows.ravel())
+        j.append(cols.ravel())
+        v.append(np.broadcast_to(vals, rows.shape).ravel())
+    A = sp.csr_matrix((np.concatenate(v), (np.concatenate(i), np.concatenate(j))),
+                      shape=((N + L) * T, n_cols))
+
+    rp = np.clip(x.r_plus, 0.0, np.array([g.res_up_cap for g in gens])[:, None])
+    rm = np.clip(x.r_minus, 0.0, np.array([g.res_down_cap for g in gens])[:, None])
+    w = np.clip(x.w, 0.0, np.array([f.capacity for f in farms])[:, None])
+    cap = np.array([ln.capacity for ln in lines])[:, None]
+    f = np.clip(x.f, -cap, cap)
+    wind = np.array([[scen.value(omega, farm.id, s) for s in range(1, T + 1)]
+                     for farm in farms])
+    rhs = np.zeros((N, T))
+    np.add.at(rhs, farm_at, w - wind)
+    np.add.at(rhs, fr, -f)
+    np.add.at(rhs, to, f)
+    c, lb, ub = np.zeros(n_cols), np.zeros(n_cols), np.full(n_cols, np.inf)
+    c[pp] = np.array([g.deploy_up_price for g in gens])[:, None]
+    c[pm] = -np.array([g.deploy_down_price for g in gens])[:, None]
+    c[shed] = inst.shed_cost
+    ub[pp], ub[pm], ub[spill] = rp, rm, wind
+    ub[shed] = [[inst.load_at(n, s) for s in range(1, T + 1)] for n in inst.nodes]
+    free = np.array([n != inst.ref_node for n in inst.nodes])[:, None]
+    lb[angle] = np.where(free, -np.inf, 0.0)
+    ub[angle] = np.where(free, np.inf, 0.0)
+    lb[flow], ub[flow] = -cap, cap
+    row = np.concatenate([rhs.ravel(), np.zeros(L * T)])
+    res = HighsSolver(LinearModel(c, lb, ub, np.zeros(n_cols, dtype=bool), A, row, row),
+                      presolve=False).solve()
+    assert res.status is SolveStatus.OPTIMAL
+    # dQ/d(rhs) is the balance-row dual y: w enters its node's rhs with +1,
+    # f its from-node's with -1 and its to-node's with +1; r+ and r- are
+    # read from the duals of the active p+/p- upper bounds
+    y = res.row_dual[:N * T].reshape(N, T)
+    lam_r = np.minimum(res.col_dual[np.stack([pp, pm], axis=-1)], 0.0)
+    return res.objective, np.concatenate([lam_r.ravel(), y[farm_at].ravel(),
+                                          (y[to] - y[fr]).ravel()])
+
+
+@pytest.mark.parametrize("capacity_scale", [1.0, 0.2])
+def test_cycle_form_recourse_equals_the_angle_form(med_b, capacity_scale):
+    # the recourse LP has no angles and one Kirchhoff row per fundamental
+    # cycle and period; its cost and slope are those of the angle form.  No
+    # med-b line limit binds in its recourse, so that Q does not depend on
+    # the Kirchhoff rows; at a fifth of the line capacities some do
+    inst, scen = med_b
+    net = dataclasses.replace(inst, lines=tuple(
+        dataclasses.replace(ln, capacity=capacity_scale * ln.capacity)
+        for ln in inst.lines))
+    rng = np.random.default_rng(17)
+    solver = RecourseSolver(recourse_template(net, scen))
+    congested = 0
+    for _ in range(3):
+        x = sample_feasible_first_stage(net, rng)
+        for omega in scen.scenario_ids:
+            got = solve_subproblem(net, scen, omega, x, solver)
+            q, lam = _angle_form_recourse(net, scen, omega, x)
+            assert got.objective == pytest.approx(q, rel=1e-9, abs=1e-9)
+            np.testing.assert_allclose(got.lam, lam, rtol=0.0, atol=1e-9)
+            congested += q > _angle_form_recourse(inst, scen, omega, x)[0] + 1e-6
+    assert (congested > 0) == (capacity_scale < 1.0)
 
 
 # -- hand LP oracles ---------------------------------------------------------
