@@ -4,10 +4,11 @@ convergence, and cut-pool updates.
 Per iteration: solve the master, read the lower bound and the candidate
 first-stage point, solve all scenario subproblems in parallel, update the
 upper bound, test convergence, then add cuts per the configured mode.
-Every cut is a pi-weighted cluster aggregate: single-cut adds one over all
-scenarios, multi-cut one per scenario (so its master and its cuts are
-those of an aggregated run at |Omega| clusters), and aggregated mode one
-per cluster.
+Every cut mode solves one master, with one theta per scenario, and every
+cut is a pi-weighted cluster aggregate: single-cut adds one over all
+scenarios, multi-cut one per scenario, and aggregated mode one per cluster.
+So single-cut and multi-cut runs are the aggregated runs pinned at 1 and at
+|Omega| clusters, cut for cut.
 
 A run has two phases on one cut pool (McDaniel & Devine 1977).  The LP
 phase solves the master with its integrality relaxed: its optimum is a
@@ -29,20 +30,21 @@ import enum
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import clustering
-from .backend import SolveStatus, solve_lp, solve_milp
+# solve_lp, solve_milp and build_master are not called here; they stay bound
+# because bench/layers.py wraps them as engine attributes by name
+from .backend import SolveStatus, solve_lp, solve_milp  # noqa: F401
 from .cuts import (CutMode, CutPool, adapt_cluster_count,
                    aggregate_and_add, make_full_aggregate_cut,
                    make_per_scenario_cuts, select_attributes,
                    track_and_consolidate)
 from .data import ScenarioSet, SystemInstance
-from .formulations import (FirstStageSolution, MasterSolver, RecourseSolver,
+from .formulations import (FirstStageSolution, MasterSolver, RecourseSolver,  # noqa: F401
                            SubproblemResult, build_master, default_theta_min,
                            extract_first_stage, first_stage_layout, link_columns,
                            master_template, recourse_template, solve_subproblem)
@@ -76,11 +78,6 @@ class BendersConfig:
     attribute: str = "duals"          # or "objective", "wind"
     consolidate: bool = False
     workers: int = 1
-    # deterministic choice among alternate master optima: a pinned MILP picks
-    # the binaries, then an LP with them fixed picks a unique continuous vertex
-    # (in the LP phase only the pinned LP; single-cut runs make this choice
-    # in the aggregated master, the others in their own)
-    tie_break: bool = False
 
     def validate(self, n_scenarios: int) -> None:
         if not (np.isfinite(self.eps) and self.eps > 0):
@@ -93,6 +90,8 @@ class BendersConfig:
             raise ValueError("max_iters must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if not (np.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError("alpha must be finite and > 0")
         if not (0 < self.zeta < 1):
             raise ValueError("zeta must be in (0, 1)")
         if self.rho < 1:
@@ -103,6 +102,8 @@ class BendersConfig:
             raise ValueError("initial_clusters must be in [1, |Omega|]")
         if self.clustering_method not in ("hierarchical", "kmeans"):
             raise ValueError(f"unknown clustering method {self.clustering_method!r}")
+        if self.attribute not in ("duals", "objective", "wind"):
+            raise ValueError(f"unknown clustering attribute {self.attribute!r}")
 
 
 @dataclass
@@ -252,7 +253,6 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
                  else default_theta_min(instance))
     pi = dict(zip(scenarios.scenario_ids, scenarios.probabilities))
     layout = first_stage_layout(instance)
-    n_first = layout.n
     families = link_columns(instance)
     if pool is None:
         pool = CutPool()
@@ -269,24 +269,11 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
     attr_cache: dict = {}
     t_start = time.perf_counter()
     solvers = recourse_solvers(instance, scenarios, config.workers)
+    master = MasterSolver(master_template(instance, scenarios, theta_min,
+                                          fixed_commitments), config.mip_gap)
     status = RunStatus.NOT_CONVERGED
     final_rows = 0
     lp_phase = True
-    templates: dict = {}    # cut mode -> its master template, built on first use
-    master = None           # the run's master solver, built in the first iteration
-
-    def template_of(mode):
-        if mode not in templates:
-            templates[mode] = master_template(instance, scenarios, mode, theta_min,
-                                              fixed_commitments)
-        return templates[mode]
-
-    def model_of(mode):
-        """The master of ``mode`` over the pool as a model, relaxed in the
-        LP phase (for the tie-break)."""
-        model = build_master(template_of(mode), pool)
-        return (replace(model, integral=np.zeros_like(model.integral)) if lp_phase
-                else model)
 
     for nu in range(1, config.max_iters + 1):
         if should_stop is not None and should_stop():
@@ -295,11 +282,8 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
         state.iteration = nu
 
         t0 = time.perf_counter()
-        if master is None:
-            master = MasterSolver(template_of(config.mode), config.mip_gap)
         mres = master.solve(pool, relax=lp_phase)
-        # assembly (and the template, on first use) and HiGHS load;
-        # mres.solve_time is the HiGHS run alone
+        # assembly and HiGHS load; mres.solve_time is the HiGHS run alone
         build_time = time.perf_counter() - t0 - mres.solve_time
         if mres.status is not SolveStatus.OPTIMAL:
             raise EngineError(
@@ -311,19 +295,7 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
         # decrease; clamp away sub-tolerance solver noise to keep the
         # reported bound monotone
         state.lower_bound = max(prev_lb, mres.objective)
-        point = mres
-        if config.tie_break:
-            # a single-cut run chooses its point in the aggregated master,
-            # where its cuts are the rows of a one-cluster aggregated run bit
-            # for bit (HiGHS vertices of two layouts of one LP differ by
-            # ~1e-10, and degenerate subproblem duals amplify that)
-            if config.mode is CutMode.SINGLE:
-                tied = model_of(CutMode.AGGREGATED)
-                tres = _solve_master(tied, config.mip_gap)
-            else:
-                tied, tres = model_of(config.mode), mres
-            point = _tie_break_master(tied, tres, n_first, config.mip_gap)
-        x_hat = extract_first_stage(instance, point, layout)
+        x_hat = extract_first_stage(instance, mres, layout)
 
         # adapt the cluster count from the lower-bound delta before this
         # iteration's cuts are generated
@@ -340,8 +312,8 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
             # a fractional point gives no upper bound; the LP gap takes the
             # first-stage cost from the master's columns (x_hat rounds u, y, z)
             ub_candidate = None
-            c_first = master.template.static.c[:n_first]
-            gap = compute_bounds(float(c_first @ point.x[:n_first]),
+            c_first = master.template.static.c[:layout.n]
+            gap = compute_bounds(float(c_first @ mres.x[:layout.n]),
                                  results, pi) - state.lower_bound
             traced_gap = gap
         else:
@@ -394,50 +366,6 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
                              state.iteration)
 
 
-def _solve_master(model, mip_gap: float):
-    """MILP solve of a master with integer columns, LP solve of a relaxed one."""
-    return solve_milp(model, mip_gap=mip_gap) if model.integral.any() else solve_lp(model)
-
-
-def _tie_break_master(master, mres, n_first: int, mip_gap: float):
-    """Pick one master optimum deterministically when several are tied.
-
-    The master's optimal first-stage point is generally not unique, and which
-    vertex the solver returns depends on incidental matrix layout (e.g. one
-    recourse variable vs one per scenario).  Pin the original objective
-    within a 1e-9 relative slack of the master's reported objective and
-    minimize a fixed generic weighting of the first ``n_first`` (first-stage)
-    columns instead; the weights depend only on the column order.  Two steps:
-
-    1. a MILP solve of the pinned problem chooses the binaries;
-    2. an LP re-solve of the same pinned problem with those binaries fixed
-       chooses the continuous point.  A MIP incumbent is only accurate to
-       the feasibility tolerance and varies with the matrix layout; the LP
-       optimum under generic weights is a unique vertex.
-
-    So among the points whose original objective lies within the pin slack
-    of the master's reported objective, equivalent masters in different cut
-    modes select the same first-stage point, provided step 1 picks the same
-    binaries.  A relaxed (LP-phase) master has no binaries, so step 2 alone
-    chooses its point.
-    """
-    if mres.status is not SolveStatus.OPTIMAL:
-        raise EngineError(f"tie-break master solve failed: {mres.status.value} {mres.message}")
-    slack = 1e-9 * max(1.0, abs(mres.objective))
-    weights = np.zeros_like(master.c)
-    weights[:n_first] = np.random.default_rng(2083).uniform(1.0, 2.0, n_first)
-    pinned = replace(master, c=weights,
-                     A=sp.vstack([master.A, sp.csr_matrix(master.c)], format="csr"),
-                     row_lo=np.append(master.row_lo, -np.inf),
-                     row_hi=np.append(master.row_hi, mres.objective + slack))
-    res = mres
-    if master.integral.any():
-        res = solve_milp(pinned, mip_gap=mip_gap)
-        if res.status is not SolveStatus.OPTIMAL:
-            raise EngineError(f"tie-break re-solve failed: {res.status.value} {res.message}")
-    return _solve_with_binaries_fixed(pinned, res)
-
-
 def _cut_duals(master: MasterSolver, pool: CutPool, mres) -> np.ndarray:
     """Duals of the cut rows (the last rows, in pool order) of the master
     over ``pool`` solved as ``mres``: an LP master's own, a MILP master's
@@ -448,13 +376,3 @@ def _cut_duals(master: MasterSolver, pool: CutPool, mres) -> np.ndarray:
             raise EngineError(f"master LP re-solve failed: {mres.status.value} "
                               f"{mres.message}")
     return mres.row_dual[mres.row_count - pool.row_contribution:]
-
-
-def _solve_with_binaries_fixed(model, mres):
-    """LP solve of ``model`` with its binaries (if any) fixed at their values
-    in ``mres``."""
-    cols = np.flatnonzero(model.integral)
-    lres = solve_lp(model.fixed(cols, mres.x[cols], relax=True))
-    if lres.status is not SolveStatus.OPTIMAL:
-        raise EngineError(f"master LP re-solve failed: {lres.status.value} {lres.message}")
-    return lres

@@ -24,12 +24,10 @@ laid out as follows:
   the enforced initial periods), logic, exclusion, ramp-up, ramp-down,
   p-min and p-max; then nodal balance per (node, period) and flow
   definitions per (line, period);
-* the master appends its theta columns, their lower-bound rows, and one row
-  per live cut in pool order.  The single-cut master has one theta with
-  cost 1; every other master has one theta per scenario with cost pi, and
-  a cut's row weights each member's theta by its pi (multi-cut and
-  aggregated runs share this master).  The extensive form appends one
-  recourse block per scenario;
+* the master appends its theta columns, one per scenario with cost pi,
+  their lower-bound rows, and one row per live cut in pool order; a cut's
+  row weights each member's theta by its pi.  Every cut mode shares this
+  master.  The extensive form appends one recourse block per scenario;
 * a recourse block's columns are p+/p- interleaved per (generator, period),
   spill per (farm, period), shed per (node, period) and flow per (line,
   period); in the extensive form its rows are the reserve-deployment limits
@@ -79,7 +77,7 @@ import scipy.sparse as sp
 from .backend import (GeRowJoiner, HighsInstance, HighsSolver,  # noqa: F401
                       LinearModel, RowArrays, SolveResult, SolveStatus, solve_lp,
                       solve_milp)
-from .cuts import CutMode, CutPool
+from .cuts import CutPool
 from .data import ScenarioSet, SystemInstance
 
 FEAS_TOL = 1e-6
@@ -496,8 +494,8 @@ def build_extensive(instance: SystemInstance, scenarios: ScenarioSet) -> LinearM
 
 
 class MasterTemplate:
-    """The Benders master of one run and cut mode, built once, with its
-    HiGHS row arrays prepared once.
+    """The Benders master of one run, built once, with its HiGHS row arrays
+    prepared once.
 
     ``static`` holds what no iteration changes: the first stage, the theta
     columns and rows and any fixed commitments, with a canonical CSR matrix.
@@ -508,13 +506,11 @@ class MasterTemplate:
     when the cut is first seen and kept while the cut is live.
     """
 
-    def __init__(self, static: LinearModel, mode: CutMode, theta_of: dict,
-                 link: np.ndarray):
+    def __init__(self, static: LinearModel, theta_of: dict, link: np.ndarray):
         for a in (static.c, static.lb, static.ub, static.integral, static.row_lo,
                   static.row_hi, static.A.data, static.A.indices, static.A.indptr):
             a.setflags(write=False)
         self.static = static
-        self.mode = mode
         self.theta_of = theta_of    # scenario id -> its theta column
         self.link = link            # master column of each link position
         self.binaries = np.flatnonzero(static.integral)
@@ -536,13 +532,7 @@ class MasterTemplate:
     def _render(self, cut) -> tuple:
         if not set(cut.members).issubset(self.theta_of):
             raise ModelBuildError(f"cut {cut.row_name()} references unknown scenarios")
-        if self.mode is CutMode.SINGLE:
-            if set(cut.members) != set(self.theta_of):
-                raise ModelBuildError("single-cut master requires cuts over every "
-                                      f"scenario (got {cut.row_name()})")
-            weights = {self.theta_of[cut.members[0]]: 1.0}
-        else:
-            weights = {self.theta_of[omega]: pi for omega, pi in cut.theta_weights.items()}
+        weights = {self.theta_of[omega]: pi for omega, pi in cut.theta_weights.items()}
         # row: theta terms - lambda . x >= intercept - lambda . anchor; the
         # rhs is summed term by term in link order (a dot product rounds
         # differently and shifts the iterates recorded on the fixtures)
@@ -559,18 +549,16 @@ class MasterTemplate:
         return cols, vals, -vals, float(rhs)
 
 
-def master_template(instance: SystemInstance, scenarios: ScenarioSet, mode: CutMode,
+def master_template(instance: SystemInstance, scenarios: ScenarioSet,
                     theta_min: float, fixed_commitments: dict | None = None
                     ) -> MasterTemplate:
-    """The master template of one run in cut mode ``mode``: one theta in
-    single-cut mode, one per scenario in the others.
+    """The master template of one run, with one theta per scenario.
 
     ``fixed_commitments`` maps (generator id, period) to 0/1 and is applied
     by bound tightening on the u variables.
     """
     X = first_stage_layout(instance)
-    ids = scenarios.scenario_ids
-    n_theta = 1 if mode is CutMode.SINGLE else len(ids)
+    n_theta = scenarios.n_scenarios
     b = _ModelDraft(X.n + n_theta)
     _add_first_stage(b, instance, X)
     if fixed_commitments:
@@ -580,12 +568,11 @@ def master_template(instance: SystemInstance, scenarios: ScenarioSet, mode: CutM
 
     theta = X.n + np.arange(n_theta)
     b.lb[theta] = -np.inf
-    b.c[theta] = 1.0 if mode is CutMode.SINGLE else scenarios.probabilities
+    b.c[theta] = scenarios.probabilities
     b.rows(np.arange(n_theta), theta, np.ones(n_theta), np.full(n_theta, theta_min),
            np.full(n_theta, np.inf))
-    # in the single-cut master every scenario shares the one theta
-    theta_of = dict(zip(ids, [X.n] * len(ids) if mode is CutMode.SINGLE else theta.tolist()))
-    return MasterTemplate(b.model(), mode, theta_of, _link(X.rp, X.rm, X.w, X.f))
+    return MasterTemplate(b.model(), dict(zip(scenarios.scenario_ids, theta.tolist())),
+                          _link(X.rp, X.rm, X.w, X.f))
 
 
 def build_master(template: MasterTemplate, pool: CutPool) -> LinearModel:

@@ -9,9 +9,9 @@ are canceled cooperatively at their next iteration boundary.  Step two
 re-solves the full problem with the commitment variables that agree across
 all completed subsets fixed by bound tightening.
 
-Step two starts from the live cuts of every completed subset (except in
-single-cut mode, whose one theta takes only cuts over every scenario).
-They stay valid: a subset cut is a positive combination, with the subset's
+Step two starts from the live cuts of every completed subset, in every cut
+mode, since every mode's master has one theta per scenario.  They stay
+valid: a subset cut is a positive combination, with the subset's
 renormalized probabilities, of per-scenario under-estimators
 theta_omega >= Q_omega(x^) + lambda_omega (x - x^), and Q_omega depends on
 neither those probabilities nor the fixed commitments.  Each (subset,
@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .clustering import ClusterAssignment, kmedoids
-from .cuts import CutMode, CutPool
+from .cuts import CutPool
 from .data import ScenarioSet, SystemInstance
 from .engine import BendersConfig, ConvergedSolution, EngineError, RunStatus, run
 
@@ -220,8 +220,7 @@ def run_outer(instance: SystemInstance, scenarios: ScenarioSet,
     outcomes = solve_subsets(instance, plan, scenarios, config, workers, trace)
     t1 = max(o.wall_time for o in outcomes if o.status is SubsetStatus.COMPLETED)
     fixed = intersect_commitments(instance, outcomes)
-    # single-cut's one theta cannot take a subset's cuts
-    pool = CutPool() if config.mode is CutMode.SINGLE else seed_pool(outcomes)
+    pool = seed_pool(outcomes)
     seeded = pool.row_contribution
 
     t0 = time.perf_counter()

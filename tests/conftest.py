@@ -1,5 +1,6 @@
 """Shared fixtures: bundled instances and scenario sets, loaded once."""
 
+import json
 import re
 from pathlib import Path
 
@@ -31,6 +32,13 @@ FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "sucbenders" / "f
 
 def fixture_path(name: str) -> Path:
     return FIXTURE_DIR / name
+
+
+def untimed_records(sol) -> list[dict]:
+    """A run's trace records without their timings, which differ between
+    runs of the same iterates."""
+    return [{k: v for k, v in json.loads(r.trace_line()).items()
+             if not k.endswith("_time_s")} for r in sol.state.history]
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,7 @@
 """Acceptance gate: eleven criteria, one test (and one pass/fail line) each.
 
 All solver runs are shared through the session-scoped ``suite`` fixture so
-the expensive fixtures (med-b in particular) are solved once.  Criterion
-4 runs with the engine's deterministic tie-break enabled: the identity
-between cut modes holds per iteration only when equivalent masters return
-the same first-stage point among alternate optima.
+the expensive fixtures (med-b in particular) are solved once.
 """
 
 import time
@@ -26,6 +23,7 @@ from sucbenders.formulations import (SubproblemResult, build_extensive,
                                      sample_feasible_first_stage,
                                      solve_subproblem)
 from sucbenders.outer import SubsetStatus, run_outer
+from conftest import untimed_records
 
 EPS = 1e-6
 REL_TOL = 2e-6          # method-equivalence relative tolerance
@@ -146,29 +144,19 @@ def test_criterion_03_cut_tightness_and_validity(suite, toy_a, med_b):
                     f"{tag}: cut {cut.row_name()} over-estimates"
 
 
-def test_criterion_04_aggregation_identities(toy_a):
-    # aggregated mode pinned to 1 cluster reproduces the single-cut iterate
-    # sequence; pinned to |Omega| clusters it reproduces multi-cut (cut rows
-    # differ only by the pi scaling).  eps sits above the tie-break's
-    # objective-pin slack so the runs still converge.
-    inst, scen = toy_a
-
-    def iterates(mode, clusters):
-        sol = run(inst, scen, BendersConfig(
-            mode=mode, eps=1e-4, tie_break=True, adaptive=False,
-            initial_clusters=clusters))
-        assert sol.status is RunStatus.CONVERGED
-        return [r.lower_bound for r in sol.state.history]
-
-    single = iterates(CutMode.SINGLE, 1)
-    agg_one = iterates(CutMode.AGGREGATED, 1)
-    assert len(single) == len(agg_one)
-    np.testing.assert_allclose(agg_one, single, rtol=1e-9)
-
-    multi = iterates(CutMode.MULTI, 1)
-    agg_full = iterates(CutMode.AGGREGATED, scen.n_scenarios)
-    assert len(multi) == len(agg_full)
-    np.testing.assert_allclose(agg_full, multi, rtol=1e-9)
+def test_criterion_04_aggregation_identities(suite, toy_a, med_b):
+    # aggregated mode pinned to 1 cluster reproduces the single-cut run, and
+    # pinned to |Omega| clusters the multi-cut run: every mode solves one
+    # master, and the pinned runs add the same cut rows to it, so the runs
+    # record the same iterations
+    for tag, (inst, scen) in (("toy", toy_a), ("med", med_b)):
+        for method, clusters in (("single", 1), ("multi", scen.n_scenarios)):
+            sol = suite[tag, method]
+            pinned = _benders(inst, scen, CutMode.AGGREGATED, adaptive=False,
+                              initial_clusters=clusters)
+            assert untimed_records(pinned) == untimed_records(sol), f"{tag}/{method}"
+            assert pinned.objective == sol.objective
+            assert pinned.final_master_rows == sol.final_master_rows
 
 
 def test_criterion_05_relaxation_chain(toy_a):
@@ -181,8 +169,7 @@ def test_criterion_05_relaxation_chain(toy_a):
     by_iter = sorted(base.pool.cuts_by_iter)[:5]
 
     multi_pool, agg_pool, single_pool = CutPool(), CutPool(), CutPool()
-    multi_t, agg_t, single_t = (master_template(inst, scen, mode, tmin) for mode in
-                                (CutMode.MULTI, CutMode.AGGREGATED, CutMode.SINGLE))
+    template = master_template(inst, scen, tmin)
     for nu in by_iter:
         anchor = _anchor_point(base.pool.cuts_by_iter[nu][0])
         results, _ = solve_subproblems(inst, scen, anchor)
@@ -192,9 +179,9 @@ def test_criterion_05_relaxation_chain(toy_a):
         aggregate_and_add(agg_pool, results, anchor, pi, labels, nu)
         single_pool.add(make_full_aggregate_cut(results, pi, anchor, nu))
 
-        v_multi = solve_milp(build_master(multi_t, multi_pool)).objective
-        v_agg = solve_milp(build_master(agg_t, agg_pool)).objective
-        v_single = solve_milp(build_master(single_t, single_pool)).objective
+        v_multi = solve_milp(build_master(template, multi_pool)).objective
+        v_agg = solve_milp(build_master(template, agg_pool)).objective
+        v_single = solve_milp(build_master(template, single_pool)).objective
         assert v_multi >= v_agg - CHAIN_TOL, f"state {nu}: multi < clustered"
         assert v_agg >= v_single - CHAIN_TOL, f"state {nu}: clustered < single"
 

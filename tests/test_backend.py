@@ -259,8 +259,7 @@ def test_solve_milp_matches_scipy_milp_bit_for_bit(toy_a):
     # the cuts of a few multi-cut iterations
     inst, scen = toy_a
     pool = run(inst, scen, BendersConfig(mode=CutMode.MULTI, max_iters=6)).pool
-    m = build_master(master_template(inst, scen, CutMode.MULTI, default_theta_min(inst)),
-                     pool)
+    m = build_master(master_template(inst, scen, default_theta_min(inst)), pool)
     assert m.integral.any() and m.row_count > 0
     want = milp(m.c, constraints=LinearConstraint(m.A, m.row_lo, m.row_hi),
                 integrality=m.integral, bounds=Bounds(m.lb, m.ub),
@@ -291,8 +290,7 @@ def test_row_wise_load_matches_a_column_wise_pass(toy_a, relax):
     # an LP (stacked rows, some negated) and as a MILP (native rows)
     inst, scen = toy_a
     pool = run(inst, scen, BendersConfig(mode=CutMode.MULTI, max_iters=6)).pool
-    m = build_master(master_template(inst, scen, CutMode.MULTI, default_theta_min(inst)),
-                     pool)
+    m = build_master(master_template(inst, scen, default_theta_min(inst)), pool)
     if relax:
         m = replace(m, integral=np.zeros_like(m.integral))
     gap = None if relax else 1e-6

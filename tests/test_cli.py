@@ -98,6 +98,7 @@ def test_solve_bad_tolerance_exits_one(method, option, value):
     ("--workers", "0"),
     ("--theta-min", "inf"),     # HiGHS would reject the master
     ("--theta-min", "nan"),
+    ("--alpha", "nan"),         # the controller would never leave |Omega|
 ])
 def test_solve_bad_run_option_exits_one_naming_it(option, value):
     res = _invoke(["solve", *TOY, "--method", "multi-cut", option, value])

@@ -1,21 +1,19 @@
 """Benders iteration driver on the toy fixture."""
 
-import dataclasses
 import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from sucbenders.backend import solve_lp, solve_milp
+from sucbenders.backend import solve_milp
 from sucbenders.cuts import CutMode, CutPool, aggregate_and_add
 from sucbenders.engine import (BendersConfig, EngineError, RunStatus,
-                               _tie_break_master, compute_bounds, run,
-                               solve_subproblems)
+                               compute_bounds, run, solve_subproblems)
 from sucbenders.formulations import (FEAS_TOL, build_extensive, build_master,
-                                     default_theta_min, extract_first_stage,
-                                     first_stage_layout, first_stage_violation,
+                                     default_theta_min, first_stage_violation,
                                      master_template, sample_feasible_first_stage)
+from conftest import untimed_records
 
 
 class _Stub:
@@ -49,6 +47,11 @@ def test_config_validation():
         BendersConfig(initial_clusters=9).validate(3)
     with pytest.raises(ValueError):
         BendersConfig(clustering_method="dbscan").validate(3)
+    with pytest.raises(ValueError, match="attribute"):
+        BendersConfig(attribute="bogus").validate(3)
+    for alpha in (np.nan, np.inf, -1.0, 0.0):
+        with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+            BendersConfig(alpha=alpha).validate(3)
     for bad in (dict(max_iters=0), dict(workers=0), dict(theta_min=-np.inf),
                 dict(theta_min=np.nan)):
         with pytest.raises(ValueError):
@@ -178,34 +181,6 @@ def test_fixed_commitments_respected(toy_a):
     assert np.array_equal(pinned.first_stage.u, base.first_stage.u)
 
 
-def test_tie_break_point_is_the_same_across_equivalent_masters(toy_a):
-    # the single-cut pool renders as "theta >= ..." in the single-cut master
-    # and as "sum pi_w theta_w >= ..." in the aggregated master; both masters
-    # have the same optima, so the tie-break must return the same point.
-    # Fourteen LP-phase cuts give a master where the pinned MILP alone (the
-    # tie-break without its LP step) returns points 1.9e-7 apart.
-    inst, scen = toy_a
-    sol = run(inst, scen, BendersConfig(mode=CutMode.SINGLE, tie_break=True,
-                                        max_iters=14))
-    theta_min = default_theta_min(inst)
-    n_first = first_stage_layout(inst).n
-    points = []
-    for mode in (CutMode.SINGLE, CutMode.AGGREGATED):
-        master = build_master(master_template(inst, scen, mode, theta_min), sol.pool)
-        mres = solve_milp(master)
-        tied = _tie_break_master(master, mres, n_first, mip_gap=1e-6)
-        original = float(master.c @ tied.x)
-        slack = 1e-9 * max(1.0, abs(mres.objective))
-        # 1e-12 absorbs the rounding of the summed objective
-        assert abs(original - mres.objective) <= slack + 1e-12
-        points.append(extract_first_stage(inst, tied))
-    single, aggregated = points
-    for f in dataclasses.fields(single):
-        np.testing.assert_allclose(getattr(aggregated, f.name),
-                                   getattr(single, f.name), rtol=0, atol=1e-9,
-                                   err_msg=f.name)
-
-
 def _phases(sol):
     return [r.phase for r in sol.state.history]
 
@@ -267,10 +242,10 @@ def test_lp_phase_cluster_count(toy_a):
 def test_multi_cut_master_is_the_full_aggregated_master(toy_a):
     # multi-cut's cuts are the singleton aggregates that an |Omega|-cluster
     # aggregated run makes from the same subproblem results, so its master
-    # is that run's master bit for bit and both tie-breaks see one model
+    # is that run's master bit for bit
     inst, scen = toy_a
     pi = dict(zip(scen.scenario_ids, scen.probabilities))
-    sol = run(inst, scen, BendersConfig(mode=CutMode.MULTI, tie_break=True, max_iters=5))
+    sol = run(inst, scen, BendersConfig(mode=CutMode.MULTI, max_iters=5))
     agg_pool = CutPool()
     for nu, cuts in sorted(sol.pool.cuts_by_iter.items()):
         c = cuts[0]
@@ -279,27 +254,12 @@ def test_multi_cut_master_is_the_full_aggregated_master(toy_a):
         aggregate_and_add(agg_pool, results, anchor, pi, range(len(results)), nu)
     assert sol.pool.row_contribution == agg_pool.row_contribution > 0
     theta_min = default_theta_min(inst)
-    n_first = first_stage_layout(inst).n
-    multi = build_master(master_template(inst, scen, CutMode.MULTI, theta_min), sol.pool)
-    aggregated = build_master(master_template(inst, scen, CutMode.AGGREGATED, theta_min),
-                              agg_pool)
+    multi = build_master(master_template(inst, scen, theta_min), sol.pool)
+    aggregated = build_master(master_template(inst, scen, theta_min), agg_pool)
     for f in ("c", "lb", "ub", "integral", "row_lo", "row_hi"):
         assert np.array_equal(getattr(multi, f), getattr(aggregated, f)), f
     for f in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(multi.A, f), getattr(aggregated.A, f)), f
-    for relax in (False, True):
-        points = []
-        for master in (multi, aggregated):
-            if relax:
-                master = dataclasses.replace(master, integral=np.zeros_like(master.integral))
-            mres = solve_lp(master) if relax else solve_milp(master)
-            points.append(_tie_break_master(master, mres, n_first, mip_gap=1e-6).x)
-        assert np.array_equal(*points)
-
-
-def _untimed(sol):
-    return [{k: v for k, v in json.loads(r.trace_line()).items()
-             if not k.endswith("_time_s")} for r in sol.state.history]
 
 
 def test_multi_cut_run_is_the_pinned_full_aggregated_run(toy_a):
@@ -313,7 +273,7 @@ def test_multi_cut_run_is_the_pinned_full_aggregated_run(toy_a):
                                            initial_clusters=n))
     assert multi.status is pinned.status is RunStatus.CONVERGED
     assert all(r.clusters == n for r in multi.state.history)
-    assert _untimed(multi) == _untimed(pinned)
+    assert untimed_records(multi) == untimed_records(pinned)
     assert multi.objective == pinned.objective
     assert multi.final_master_rows == pinned.final_master_rows
     single = run(inst, scen, BendersConfig(mode=CutMode.SINGLE, max_iters=5))

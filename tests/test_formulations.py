@@ -14,7 +14,7 @@ from sucbenders.cuts import (Cut, CutKind, CutMode, CutPool,
                              track_and_consolidate)
 from sucbenders.backend import LinearModel
 from sucbenders.data import Line, ScenarioSet
-from sucbenders.engine import BendersConfig, _cut_duals, _tie_break_master, run
+from sucbenders.engine import BendersConfig, _cut_duals, run
 from sucbenders.formulations import (FirstStageSolution, MasterSolver, ModelBuildError,
                                      RecourseSolver, build_extensive,
                                      build_master, build_subproblem,
@@ -57,22 +57,21 @@ def test_extensive_row_count_toy_a(toy_a):
 
 
 def test_empty_pool_master_rows(toy_a):
+    # one theta row per scenario, in every cut mode's first master
     inst, scen = toy_a
-    tmin = default_theta_min(inst)
-    multi = build_master(master_template(inst, scen, CutMode.MULTI, tmin), CutPool())
-    single = build_master(master_template(inst, scen, CutMode.SINGLE, tmin), CutPool())
-    assert multi.row_count == TOY_FS_ROWS + scen.n_scenarios
-    assert single.row_count == TOY_FS_ROWS + 1
+    master = build_master(master_template(inst, scen, default_theta_min(inst)), CutPool())
+    assert master.row_count == TOY_FS_ROWS + scen.n_scenarios
+    for mode in CutMode:
+        first = run(inst, scen, BendersConfig(mode=mode, max_iters=1)).state.history[0]
+        assert first.master_rows == TOY_FS_ROWS + scen.n_scenarios
 
 
 def test_empty_pool_master_value_is_cda_plus_theta_min(toy_a):
     inst, scen = toy_a
     tmin = default_theta_min(inst)
-    for mode in (CutMode.SINGLE, CutMode.MULTI, CutMode.AGGREGATED):
-        master = build_master(master_template(inst, scen, mode, tmin), CutPool())
-        res = solve_milp(master)
-        sol = extract_first_stage(inst, res)
-        assert res.objective == pytest.approx(sol.c_da + tmin, abs=1e-6)
+    res = solve_milp(build_master(master_template(inst, scen, tmin), CutPool()))
+    sol = extract_first_stage(inst, res)
+    assert res.objective == pytest.approx(sol.c_da + tmin, abs=1e-6)
 
 
 def test_default_theta_min_toy_a(toy_a):
@@ -407,16 +406,13 @@ def test_master_cut_rows_read_back_as_the_cuts(toy_a):
     X = first_stage_layout(inst)
     x = rng.uniform(-5.0, 5.0, X.n)
     point = extract_first_stage(inst, SimpleNamespace(x=x)).link()
-    for mode, cuts, thetas in (
-            (CutMode.MULTI, per_scenario,
-             [[float(om == c.members[0]) for om in ids] for c in per_scenario]),
-            (CutMode.SINGLE, [full], [[1.0]]),
-            (CutMode.AGGREGATED, [full], [list(scen.probabilities)])):
+    for cuts, thetas in (
+            (per_scenario, [[float(om == c.members[0]) for om in ids] for c in per_scenario]),
+            ([full], [list(scen.probabilities)])):
         pool = CutPool()
         for cut in cuts:
             pool.add(cut)
-        master = build_master(master_template(inst, scen, mode, default_theta_min(inst)),
-                              pool)
+        master = build_master(master_template(inst, scen, default_theta_min(inst)), pool)
         first = master.row_count - len(cuts)
         for k, (cut, theta) in enumerate(zip(cuts, thetas)):
             row = master.A[first + k].toarray().ravel()
@@ -426,24 +422,15 @@ def test_master_cut_rows_read_back_as_the_cuts(toy_a):
 
 
 def test_master_rejects_cuts_it_cannot_render(toy_a):
-    # a cut over an unknown scenario fits no master, and the single-cut
-    # master's one theta takes only cuts over every scenario
+    # a cut over an unknown scenario fits no master
     inst, scen = toy_a
-    ids = scen.scenario_ids
     anchor = sample_feasible_first_stage(inst, np.random.default_rng(8))
-    results = [solve_subproblem(inst, scen, om, anchor) for om in ids]
-    pi = dict(zip(ids, scen.probabilities))
-    stray = dataclasses.replace(results[0], scenario_id="nowhere")
-    tmin = default_theta_min(inst)
-    for mode, cut, message in (
-            (CutMode.MULTI, make_per_scenario_cuts([stray], {"nowhere": 1.0}, anchor, 1)[0],
-             "unknown scenarios"),
-            (CutMode.SINGLE, make_per_scenario_cuts(results, pi, anchor, 1)[0],
-             "every scenario")):
-        pool = CutPool()
-        pool.add(cut)
-        with pytest.raises(ModelBuildError, match=message):
-            build_master(master_template(inst, scen, mode, tmin), pool)
+    stray = dataclasses.replace(solve_subproblem(inst, scen, scen.scenario_ids[0], anchor),
+                                scenario_id="nowhere")
+    pool = CutPool()
+    pool.add(make_per_scenario_cuts([stray], {"nowhere": 1.0}, anchor, 1)[0])
+    with pytest.raises(ModelBuildError, match="unknown scenarios"):
+        build_master(master_template(inst, scen, default_theta_min(inst)), pool)
 
 
 def test_subproblem_has_no_binaries(toy_a):
@@ -458,11 +445,11 @@ MODEL_ARRAYS = ("c", "lb", "ub", "integral", "row_lo", "row_hi")
 MATRIX_ARRAYS = ("indptr", "indices", "data")
 
 
-def _reference_master(inst, scen, mode, pool, theta_min, fixed=None):
+def _reference_master(inst, scen, pool, theta_min, fixed=None):
     """The master of ``pool`` from scratch: a fresh template's static block
     and every cut's entries summed into one canonical CSR by a COO pass, and
     each cut's rhs subtracted term by term in a loop."""
-    static = master_template(inst, scen, mode, theta_min, fixed).static
+    static = master_template(inst, scen, theta_min, fixed).static
     X = first_stage_layout(inst)
     link = np.concatenate([np.stack([X.rp, X.rm], axis=-1).ravel(), X.w.ravel(),
                            X.f.ravel()])
@@ -470,10 +457,7 @@ def _reference_master(inst, scen, mode, pool, theta_min, fixed=None):
     coo = static.A.tocoo()
     i, j, v, lo = [coo.row], [coo.col], [coo.data], list(static.row_lo)
     for cut in pool.live_cuts():
-        if mode is CutMode.SINGLE:
-            weights = {X.n: 1.0}
-        else:
-            weights = {theta[omega]: pi for omega, pi in cut.theta_weights.items()}
+        weights = {theta[omega]: pi for omega, pi in cut.theta_weights.items()}
         nz = np.flatnonzero(cut.lam)
         cols = np.concatenate([link[nz], list(weights)])
         i.append(np.full(cols.size, len(lo)))
@@ -511,17 +495,17 @@ def test_template_master_equals_a_from_scratch_build(toy_a, mode, fixed):
                    else None)
     final = run(inst, scen, BendersConfig(mode=mode, max_iters=8),
                 fixed_commitments=commitments).pool
-    template = master_template(inst, scen, mode, tmin, commitments)
+    template = master_template(inst, scen, tmin, commitments)
     pool = CutPool()
     for k in sorted(final.cuts_by_iter):
         for cut in final.cuts_by_iter[k]:
             pool.add(cut)
         _assert_same_model(build_master(template, pool),
-                           _reference_master(inst, scen, mode, pool, tmin, commitments))
+                           _reference_master(inst, scen, pool, tmin, commitments))
     if mode is CutMode.AGGREGATED:
         assert track_and_consolidate(pool, np.zeros(pool.row_contribution), kappa=1) > 0
         _assert_same_model(build_master(template, pool),
-                           _reference_master(inst, scen, mode, pool, tmin, commitments))
+                           _reference_master(inst, scen, pool, tmin, commitments))
     assert set(template._rows) == set(pool.live_cuts())
     if fixed:
         u = first_stage_layout(inst).u[0]
@@ -529,13 +513,11 @@ def test_template_master_equals_a_from_scratch_build(toy_a, mode, fixed):
 
 
 def test_master_derivatives_leave_the_template_unchanged(toy_a):
-    # the LP relaxation, the fixed-binaries copy, the tie-break's pinned
-    # model and the master solver's arrays share the template's arrays; none
-    # may write to them, and repeated builds of one pool do not grow the
-    # cut cache
+    # the LP relaxation, the fixed-binaries copy and the master solver's
+    # arrays share the template's arrays; none may write to them, and
+    # repeated builds of one pool do not grow the cut cache
     inst, scen = toy_a
-    n_first = first_stage_layout(inst).n
-    template = master_template(inst, scen, CutMode.AGGREGATED, default_theta_min(inst))
+    template = master_template(inst, scen, default_theta_min(inst))
     static = template.static
     before = ([getattr(static, f).copy() for f in MODEL_ARRAYS]
               + [getattr(static.A, f).copy() for f in MATRIX_ARRAYS])
@@ -546,8 +528,7 @@ def test_master_derivatives_leave_the_template_unchanged(toy_a):
     relaxed = dataclasses.replace(master, integral=np.zeros_like(master.integral))
     solver = MasterSolver(template, mip_gap=1e-6)
     for model, solve, relax in ((master, solve_milp, False), (relaxed, solve_lp, True)):
-        res = solve(model)
-        _tie_break_master(model, res, n_first, mip_gap=1e-6)
+        solve(model)
         _cut_duals(solver, pool, solver.solve(pool, relax))
     after = ([getattr(static, f) for f in MODEL_ARRAYS]
              + [getattr(static.A, f) for f in MATRIX_ARRAYS])
@@ -581,7 +562,7 @@ def test_master_solver_equals_a_solve_of_the_built_master(request, fixture, mode
     if consolidate:
         assert track_and_consolidate(pool, np.zeros(pool.row_contribution), kappa=1) > 0
         assert any(c.kind is CutKind.CONSOLIDATED for c in pool.live_cuts())
-    template = master_template(inst, scen, mode, default_theta_min(inst))
+    template = master_template(inst, scen, default_theta_min(inst))
     solver = MasterSolver(template, mip_gap=1e-6)
     master = build_master(template, pool)
     relaxed = dataclasses.replace(master, integral=np.zeros_like(master.integral))
@@ -609,7 +590,7 @@ def test_master_rejects_a_non_finite_cut(toy_a):
     pool = CutPool()
     pool.add(dataclasses.replace(cut, lam=lam))
     with pytest.raises(ModelBuildError, match="non-finite"):
-        MasterSolver(master_template(inst, scen, CutMode.MULTI, default_theta_min(inst)),
+        MasterSolver(master_template(inst, scen, default_theta_min(inst)),
                      1e-6).solve(pool, relax=True)
 
 

@@ -187,12 +187,15 @@ def test_second_pass_starts_from_the_subset_cuts(toy_a):
     assert sum("subset_id" not in d for d in docs) == result.solution.iterations
 
 
-def test_single_cut_second_pass_starts_empty(toy_a):
-    # single-cut's one theta takes only cuts over every scenario
+def test_single_cut_second_pass_starts_from_the_subset_cuts(toy_a):
+    # single-cut's master has one theta per scenario, so it takes the subset
+    # cuts as the other modes do
     inst, scen = toy_a
+    oracle = solve_milp(build_extensive(inst, scen)).objective
     result = run_outer(inst, scen, BendersConfig(mode=CutMode.SINGLE), 2)
-    assert result.seeded_cuts == 0
+    assert result.seeded_cuts == sum(o.pool.row_contribution for o in result.outcomes) > 0
     assert result.solution.status is RunStatus.CONVERGED
+    assert result.solution.objective == pytest.approx(oracle, abs=2e-6)
 
 
 def test_outer_trace_reaches_the_sink_one_record_at_a_time(toy_a):
