@@ -2,13 +2,20 @@
 """Print one digest line per method run, to compare the iterates of two trees.
 
 Runs all six methods on toy-a (1 worker) and on med-b (2 workers) with the
-benchmark's pinned solver options (``bench/workloads.solver_options``).  The
-package is imported from wherever ``PYTHONPATH`` points, so two source trees
-can be compared with the same script:
+benchmark's pinned solver options (``bench/workloads.solver_options``);
+``--workers N`` runs both fixtures at N workers instead.  The package is
+imported from wherever ``PYTHONPATH`` points, so two source trees can be
+compared with the same script:
 
     PYTHONPATH=/path/to/old/src python3 scripts/iterate_digest.py > old.txt
     PYTHONPATH=src python3 scripts/iterate_digest.py > new.txt
     diff old.txt new.txt
+
+and so can two worker counts on one tree, whose iterates must not differ:
+
+    PYTHONPATH=src python3 scripts/iterate_digest.py --workers 1 > w1.txt
+    PYTHONPATH=src python3 scripts/iterate_digest.py --workers 2 > w2.txt
+    diff w1.txt w2.txt
 
 Each line holds the fixture, the method, the iteration count, the final
 master rows, ``repr`` of the objective and the SHA-256 of the per-iteration
@@ -21,6 +28,7 @@ out, so trees that trace different statistics can be compared.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import math
@@ -48,8 +56,16 @@ def digest(records: list[str]) -> str:
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workers", type=int, default=None,
+                        help="worker count for both fixtures (default: 1 on toy-a, "
+                             "2 on med-b)")
+    args = parser.parse_args()
+    if args.workers is not None and args.workers < 1:
+        parser.error("--workers must be >= 1")
     print(f"# package: {Path(sucbenders.__file__).resolve().parent}", file=sys.stderr)
-    for fixture, workers in RUNS:
+    for fixture, pinned in RUNS:
+        workers = pinned if args.workers is None else args.workers
         instance, scenarios = load_fixture(fixture)
         for method in cli.METHODS:
             records: list[str] = []

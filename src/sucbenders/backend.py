@@ -2,7 +2,8 @@
 
 Every solve goes through a ``HighsInstance``: one ``_Highs`` instance of
 scipy's bundled HiGHS bindings with its options set once, to which a model
-is passed as row arrays (``RowArrays``) and solved from scratch.
+is passed as row arrays (``RowArrays``) and solved from scratch, cold or
+from a given start basis.
 ``HighsSolver`` holds one ``LinearModel`` in an instance and re-solves it
 after bound changes: ``solve_lp`` and ``solve_milp`` solve a fresh one
 once, and the scenario subproblems keep one per worker.  A Benders run
@@ -54,6 +55,9 @@ import scipy.sparse as sp
 from scipy.optimize import linprog, milp  # noqa: F401
 # scipy's bundled HiGHS bindings (scipy >= 1.15); a private API, used only here
 from scipy.optimize._highspy import _core as highs
+
+# the optimal basis of a solve, as ``HighsInstance.basis`` returns it
+HighsBasis = highs.HighsBasis
 
 
 class SolveStatus(enum.Enum):
@@ -259,8 +263,11 @@ class HighsInstance:
 
     A model passed with an integrality mask is a MILP, solved within
     ``mip_gap``; one passed without is an LP, solved for row and column
-    duals.  ``run`` starts cold, so a model passed to a used instance
-    solves as on a fresh one, bit for bit.  The arrays are not checked: the
+    duals.  ``run`` clears the solver and starts cold or from a given
+    basis, so a model passed to a used instance solves as on a fresh one
+    loaded with the same model and given the same basis, bit for bit; a
+    basis that HiGHS rejects raises ``BackendError`` and is never replaced
+    by a cold start.  The arrays are not checked: the
     caller passes finite costs and matrix entries and no NaN bound.  One
     instance must not be used from two threads at once; ``run`` releases
     the interpreter lock, so instances in different threads run in
@@ -310,11 +317,19 @@ class HighsInstance:
         self._rows = rows
         self._mip = integral is not None
 
-    def run(self) -> SolveResult:
-        """Solve the loaded model from scratch; ``solve_time`` is this call's."""
+    def basis(self) -> HighsBasis:
+        """A copy of the basis of the last solve, to start another from."""
+        return self._highs.getBasis()
+
+    def run(self, basis: HighsBasis | None = None) -> SolveResult:
+        """Solve the loaded model from scratch, or from the start ``basis``
+        (an instance's ``basis`` over a model of the same shape);
+        ``solve_time`` is this call's."""
         t0 = time.perf_counter()
         h = self._highs
         h.clearSolver()
+        if basis is not None and h.setBasis(basis) == highs.HighsStatus.kError:
+            raise BackendError("HiGHS rejected the start basis")
         if h.run() == highs.HighsStatus.kError:
             return self._failed(t0, "HiGHS run failed")
         model_status = h.getModelStatus()
@@ -347,8 +362,9 @@ class HighsSolver:
     With ``mip_gap`` None the model must be an LP, passed in the stacked
     layout and solved for row and column duals; otherwise it is a MILP,
     passed with native rows and solved within that relative gap.  Every
-    solve starts cold on the same matrix, so its results equal those of a
-    fresh instance on a model with the same bounds, bit for bit.  A model
+    solve starts cold, or from the basis it is given, on the same matrix,
+    so its results equal those of a fresh instance on a model with the same
+    bounds, started the same way, bit for bit.  A model
     with a non-finite cost or matrix entry or a NaN bound, and a NaN bound
     passed to ``solve``, raise ``BackendError``; so do the ``mip_gap``
     values that ``HighsInstance`` refuses.
@@ -370,12 +386,14 @@ class HighsSolver:
                             model.integral if mip else None)
         self._highs = self._instance._highs
 
-    def solve(self, cols=(), lb=(), ub=(), rows=(), row_lo=(), row_hi=()) -> SolveResult:
+    def solve(self, cols=(), lb=(), ub=(), rows=(), row_lo=(), row_hi=(),
+              basis: HighsBasis | None = None) -> SolveResult:
         """Set the bounds of columns ``cols`` and rows ``rows`` (model
-        indices) and solve from scratch; every other bound keeps its value
-        from the previous solve.  In the stacked layout a row keeps its
-        sense: an equality stays an equality, and a one-sided row keeps its
-        infinite side."""
+        indices) and solve from scratch, or from the start ``basis``
+        (``HighsInstance.run``); every other bound keeps its value from the
+        previous solve.  In the stacked layout a row keeps its sense: an
+        equality stays an equality, and a one-sided row keeps its infinite
+        side."""
         cols = np.asarray(cols, dtype=np.int32)
         lb, ub, row_lo, row_hi = (np.asarray(b, dtype=float)
                                   for b in (lb, ub, row_lo, row_hi))
@@ -384,7 +402,10 @@ class HighsSolver:
         if cols.size:
             self._highs.changeColsBounds(cols.size, cols, lb, ub)
         self._change_rows(np.asarray(rows, dtype=np.int64), row_lo, row_hi)
-        return self._instance.run()
+        return self._instance.run(basis)
+
+    def basis(self) -> HighsBasis:
+        return self._instance.basis()
 
     def _change_rows(self, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
         if not rows.size:

@@ -218,12 +218,15 @@ def normalize_duals(results, families) -> np.ndarray:
 
 def select_attributes(attribute: str, results, families, scenarios, instance,
                       cache: dict | None = None) -> np.ndarray:
-    """Clustering feature matrix: 'duals', 'objective' or 'wind' (static)."""
+    """Clustering feature matrix: 'duals', 'objective' or 'wind' (static).
+
+    The objectives map to 0 when their spread is at most ``NORM_REL_FLOOR``
+    times max|Q|, as a dual family does (``normalize_duals``)."""
     if attribute == "duals":
         return normalize_duals(results, families)
     if attribute == "objective":
         q = np.array([[r.objective] for r in results])
-        return _minmax(q)
+        return _minmax(q, NORM_REL_FLOOR * float(np.abs(q).max(initial=0.0)))
     if attribute == "wind":
         if cache is not None and "wind" in cache:
             return cache["wind"]

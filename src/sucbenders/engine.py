@@ -192,10 +192,11 @@ def compute_bounds(c_da: float, results: list, pi: dict) -> float:
 
 def recourse_solvers(instance: SystemInstance, scenarios: ScenarioSet,
                      workers: int) -> list[RecourseSolver]:
-    """One persistent recourse LP per worker, over one shared template."""
+    """One persistent recourse LP per worker, over one shared template, and
+    no more than there are scenarios after the anchor (at least one)."""
     template = recourse_template(instance, scenarios)
     return [RecourseSolver(template)
-            for _ in range(min(max(workers, 1), scenarios.n_scenarios))]
+            for _ in range(min(max(workers, 1), max(scenarios.n_scenarios - 1, 1)))]
 
 
 def solve_subproblems(instance: SystemInstance, scenarios: ScenarioSet,
@@ -205,10 +206,16 @@ def solve_subproblems(instance: SystemInstance, scenarios: ScenarioSet,
     """All scenario recourse LPs at x_hat; returns (results in scenario
     order, phase wall time).
 
-    Each solver takes one contiguous chunk of scenarios in its own thread;
-    HiGHS releases the interpreter lock while it solves, so the chunks run
-    in parallel.  Without ``solvers``, ``workers`` of them are built here
-    (``recourse_solvers``); a run builds them once and passes them in.
+    The first scenario, the anchor, solves cold on the first solver.  The
+    scenarios' LPs differ only in bounds and right-hand sides, so its
+    optimal basis is dual feasible for every other scenario at x_hat, and
+    each of them starts from it (bunching, Birge & Louveaux 1997, 5.4).  A
+    result then depends only on x_hat and its scenario, not on the chunking
+    or on the points solved before.  Each solver takes one contiguous chunk
+    of the other scenarios in its own thread; HiGHS releases the interpreter
+    lock while it solves, so the chunks run in parallel.  Without
+    ``solvers``, ``workers`` of them are built here (``recourse_solvers``);
+    a run builds them once and passes them in.
     """
     t0 = time.perf_counter()
     if solvers is None:
@@ -216,18 +223,21 @@ def solve_subproblems(instance: SystemInstance, scenarios: ScenarioSet,
     ids = scenarios.scenario_ids
     # what x_hat changes in every subproblem, computed once
     point = solvers[0].template.point(x_hat)
+    anchor = solve_subproblem(instance, scenarios, ids[0], x_hat, solvers[0], point)
+    basis = solvers[0].lp.basis()
 
     def solve_chunk(solver, chunk):
-        return [solve_subproblem(instance, scenarios, ids[k], x_hat, solver, point)
+        return [solve_subproblem(instance, scenarios, ids[k], x_hat, solver, point, basis)
                 for k in chunk]
 
-    chunks = np.array_split(np.arange(len(ids)), len(solvers))
-    if len(solvers) == 1:
-        parts = [solve_chunk(solvers[0], chunks[0])]
+    rest = np.arange(1, len(ids))
+    n_chunks = min(len(solvers), rest.size)
+    if n_chunks <= 1:
+        parts = [solve_chunk(solvers[0], rest)]
     else:
-        with ThreadPoolExecutor(max_workers=len(solvers)) as pool:
-            parts = list(pool.map(solve_chunk, solvers, chunks))
-    return [r for part in parts for r in part], time.perf_counter() - t0
+        with ThreadPoolExecutor(max_workers=n_chunks) as pool:
+            parts = list(pool.map(solve_chunk, solvers, np.array_split(rest, n_chunks)))
+    return [anchor] + [r for part in parts for r in part], time.perf_counter() - t0
 
 
 def _cluster(method: str, features: np.ndarray, k: int):

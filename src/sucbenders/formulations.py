@@ -74,7 +74,7 @@ import scipy.sparse as sp
 
 # solve_lp is no longer called here; it stays bound because bench/layers.py
 # wraps formulations.solve_lp by name
-from .backend import (GeRowJoiner, HighsInstance, HighsSolver,  # noqa: F401
+from .backend import (GeRowJoiner, HighsBasis, HighsInstance, HighsSolver,  # noqa: F401
                       LinearModel, RowArrays, SolveResult, SolveStatus, solve_lp,
                       solve_milp)
 from .cuts import CutPool
@@ -734,14 +734,16 @@ class RecourseSolver:
 def solve_subproblem(instance: SystemInstance, scenarios: ScenarioSet, omega: str,
                      x_hat: FirstStageSolution,
                      solver: RecourseSolver | None = None,
-                     point: RecoursePoint | None = None) -> SubproblemResult:
+                     point: RecoursePoint | None = None,
+                     basis: HighsBasis | None = None) -> SubproblemResult:
     """Recourse cost of ``omega`` at ``x_hat`` and its slope ``lam`` in the
     link values (``RecourseTemplate.lam``).
 
     ``solver`` must hold the template of ``instance`` and ``scenarios``; a
     one-shot call builds its own.  ``point``, the template's
     ``RecourseTemplate.point`` of ``x_hat``, saves computing it again for
-    each scenario.
+    each scenario.  The LP starts cold, or from ``basis``, the optimal basis
+    of another scenario at the same point (``solver.lp.basis()``).
     """
     if solver is None:
         solver = RecourseSolver(recourse_template(instance, scenarios))
@@ -750,7 +752,7 @@ def solve_subproblem(instance: SystemInstance, scenarios: ScenarioSet, omega: st
         point = t.point(x_hat)
     rhs = t.balance_rhs[omega] - point.link_rhs
     res = solver.lp.solve(t.cols, t.cols_lb, np.concatenate([point.deploy_ub, t.wind[omega]]),
-                          t.balance_rows, rhs, rhs)
+                          t.balance_rows, rhs, rhs, basis)
     if res.status is not SolveStatus.OPTIMAL:
         raise SubproblemInfeasibleError(
             f"subproblem for scenario {omega} returned {res.status.value}; "

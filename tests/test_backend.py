@@ -327,6 +327,45 @@ def test_lp_solver_matches_solve_lp_after_bound_changes_in_any_order():
     assert len(objectives) == len(steps)
 
 
+@pytest.mark.parametrize("presolve", [True, False])
+def test_lp_solver_from_a_basis_matches_a_fresh_instance_given_it(presolve):
+    # a solve from a start basis depends only on the model and the basis,
+    # not on what the instance solved before
+    m, rows, sense, x0 = _mixed_senses()
+    rng = np.random.default_rng(7)
+    solver = HighsSolver(m, presolve=presolve)
+    assert solver.solve().status is SolveStatus.OPTIMAL
+    start = solver.basis()
+    cold_iters = []
+    for _ in range(3):
+        lo, hi = _bounds_around(rows, x0 + rng.uniform(-0.5, 0.5, x0.size), sense,
+                                rng.uniform(0.0, 2.0, sense.size))
+        got = solver.solve(rows=np.arange(sense.size), row_lo=lo, row_hi=hi, basis=start)
+        moved = replace(m, row_lo=lo, row_hi=hi)
+        _assert_same(got, HighsSolver(moved, presolve=presolve).solve(basis=start))
+        cold = HighsSolver(moved, presolve=presolve).solve()
+        assert got.objective == pytest.approx(cold.objective, rel=1e-9)
+        cold_iters.append(cold.simplex_iters)
+    # from its own optimal basis a solve takes no simplex iteration
+    again = solver.solve(basis=solver.basis())
+    assert again.simplex_iters == 0 and again.objective == got.objective
+    assert min(cold_iters) > 0
+
+
+def test_lp_solver_rejects_a_start_basis_that_highs_rejects():
+    # never a silent cold solve: an invalid basis, or one of another shape,
+    # raises, and the solver still solves afterwards
+    m, _, _, _ = _mixed_senses()
+    solver = HighsSolver(m)
+    want = solver.solve()
+    other = HighsSolver(model([1.0, 1.0], [[1.0, 1.0]], [1.0], [INF]))
+    other.solve()
+    for basis in (highs.HighsBasis(), other.basis()):
+        with pytest.raises(BackendError, match="basis"):
+            solver.solve(basis=basis)
+    _assert_same(solver.solve(), want)
+
+
 def test_lp_solver_recovers_from_infeasible_bounds():
     m = model([1.0, 1.0], [[1.0, 1.0]], [2.0], [INF], ub=[5.0, 5.0])
     solver = HighsSolver(m)

@@ -89,6 +89,18 @@ def test_objective_attribute_minmax():
     assert feats[:, 0].tolist() == [0.0, 0.5, 1.0]
 
 
+def test_objective_attribute_ignores_roundoff():
+    # a spread of 1e-12 on Q = 2000 is roundoff: it maps to 0, not [0, 1, 0]
+    results = [_result("s1", 2000.0, 1), _result("s2", 2000.0 + 2e-12, 2),
+               _result("s3", 2000.0, 3)]
+    feats = select_attributes("objective", results, FAMILIES, None, None)
+    assert np.all(feats == 0.0)
+    # a spread above the floor still spans [0, 1]
+    results[1] = _result("s2", 2000.0 + 1e-3, 2)
+    feats = select_attributes("objective", results, FAMILIES, None, None)
+    assert feats[:, 0].tolist() == [0.0, 1.0, 0.0]
+
+
 def test_wind_attribute_is_cached(toy_a):
     inst, scen = toy_a
     families = link_columns(inst)

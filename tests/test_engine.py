@@ -1,6 +1,7 @@
 """Benders iteration driver on the toy fixture."""
 
 import json
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,11 +9,13 @@ import pytest
 
 from sucbenders.backend import solve_milp
 from sucbenders.cuts import CutMode, CutPool, aggregate_and_add
+from sucbenders import engine
 from sucbenders.engine import (BendersConfig, EngineError, RunStatus,
-                               compute_bounds, run, solve_subproblems)
+                               compute_bounds, recourse_solvers, run, solve_subproblems)
 from sucbenders.formulations import (FEAS_TOL, build_extensive, build_master,
                                      default_theta_min, first_stage_violation,
-                                     master_template, sample_feasible_first_stage)
+                                     master_template, sample_feasible_first_stage,
+                                     solve_subproblem)
 from conftest import untimed_records
 
 
@@ -94,8 +97,8 @@ def test_single_scenario_modes_identical(toy_a):
 
 
 def test_subproblem_worker_count_invariance(toy_a):
-    # every solve starts cold, so the chunking cannot change a bit; 8
-    # workers exceed toy-a's 3 scenarios
+    # every scenario starts from the anchor's basis at this point, so the
+    # chunking cannot change a bit; 8 workers exceed toy-a's 3 scenarios
     inst, scen = toy_a
     x = sample_feasible_first_stage(inst, np.random.default_rng(13))
     serial, _ = solve_subproblems(inst, scen, x, workers=1)
@@ -105,6 +108,98 @@ def test_subproblem_worker_count_invariance(toy_a):
         for a, b in zip(serial, threaded):
             assert a.objective == b.objective
             assert np.array_equal(a.lam, b.lam)
+
+
+def _assert_bit_identical(got, want):
+    assert [r.scenario_id for r in got] == [r.scenario_id for r in want]
+    for a, b in zip(got, want):
+        assert a.objective == b.objective
+        assert np.array_equal(a.lam, b.lam)
+        assert a.simplex_iters == b.simplex_iters
+
+
+def test_subproblems_are_bit_identical_at_1_2_3_workers(med_b):
+    # the threads share the anchor's basis; 5 workers exceed the cores, and a
+    # short switch interval interleaves them often
+    inst, scen = med_b
+    x = sample_feasible_first_stage(inst, np.random.default_rng(31))
+    serial, _ = solve_subproblems(inst, scen, x, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (2, 3, 5):
+            _assert_bit_identical(solve_subproblems(inst, scen, x, workers=workers)[0],
+                                  serial)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_persistent_solvers_do_not_carry_one_point_into_the_next(med_b):
+    inst, scen = med_b
+    rng = np.random.default_rng(32)
+    x1, x2 = (sample_feasible_first_stage(inst, rng) for _ in range(2))
+    for workers in (1, 2):
+        solvers = recourse_solvers(inst, scen, workers)
+        solve_subproblems(inst, scen, x1, solvers=solvers)
+        _assert_bit_identical(solve_subproblems(inst, scen, x2, solvers=solvers)[0],
+                              solve_subproblems(inst, scen, x2, workers=workers)[0])
+
+
+def test_warm_subproblems_match_cold_solves(med_b):
+    # the anchor is a cold solve; every other scenario starts from its basis
+    # and reaches the cold optimum (lam may be another optimal dual: see
+    # test_warm_subproblem_lam_is_the_slope_of_q)
+    inst, scen = med_b
+    x = sample_feasible_first_stage(inst, np.random.default_rng(33))
+    results, _ = solve_subproblems(inst, scen, x, workers=2)
+    cold = [solve_subproblem(inst, scen, omega, x) for omega in scen.scenario_ids]
+    _assert_bit_identical(results[:1], cold[:1])
+    for warm, want in zip(results[1:], cold[1:]):
+        assert warm.objective == pytest.approx(want.objective, rel=1e-9)
+    # the anchor's basis leaves a few pivots at most
+    assert sum(r.simplex_iters for r in results[1:]) < sum(r.simplex_iters for r in cold[1:]) / 4
+
+
+def _count_solves(monkeypatch):
+    """Record whether each subproblem solve starts cold (True) or from a
+    basis, and the thread count of each pool that solve_subproblems starts."""
+    starts, pools = [], []
+
+    def counted(instance, scenarios, omega, x_hat, solver=None, point=None, basis=None):
+        starts.append(basis is None)
+        return solve_subproblem(instance, scenarios, omega, x_hat, solver, point, basis)
+
+    class Pool(engine.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(engine, "solve_subproblem", counted)
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", Pool)
+    return starts, pools
+
+
+def test_one_scenario_set_solves_only_the_anchor(toy_a, monkeypatch):
+    inst, scen = toy_a
+    one = scen.restrict(["s2"])
+    x = sample_feasible_first_stage(inst, np.random.default_rng(34))
+    assert len(recourse_solvers(inst, one, 4)) == 1
+    starts, pools = _count_solves(monkeypatch)
+    results, _ = solve_subproblems(inst, one, x, workers=4)
+    assert [r.scenario_id for r in results] == ["s2"]
+    assert starts == [True] and pools == []
+    assert results[0].objective == solve_subproblem(inst, one, "s2", x).objective
+
+
+def test_workers_beyond_the_scenarios_start_no_idle_chunk(toy_a, monkeypatch):
+    # 3 scenarios at 8 workers: the anchor, then 2 warm scenarios in 2 chunks
+    inst, scen = toy_a
+    x = sample_feasible_first_stage(inst, np.random.default_rng(35))
+    assert len(recourse_solvers(inst, scen, 8)) == 2
+    starts, pools = _count_solves(monkeypatch)
+    results, _ = solve_subproblems(inst, scen, x, workers=8)
+    assert [r.scenario_id for r in results] == list(scen.scenario_ids)
+    assert starts == [True, False, False] and pools == [2]
 
 
 def test_exactly_one_result_per_scenario(toy_a):

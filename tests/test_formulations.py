@@ -14,7 +14,8 @@ from sucbenders.cuts import (Cut, CutKind, CutMode, CutPool,
                              track_and_consolidate)
 from sucbenders.backend import LinearModel
 from sucbenders.data import Line, ScenarioSet
-from sucbenders.engine import BendersConfig, _cut_duals, run
+from sucbenders.engine import (BendersConfig, _cut_duals, recourse_solvers, run,
+                               solve_subproblems)
 from sucbenders.formulations import (FirstStageSolution, MasterSolver, ModelBuildError,
                                      RecourseSolver, build_extensive,
                                      build_master, build_subproblem,
@@ -348,21 +349,19 @@ def test_cut_tight_at_anchor(toy_a):
     assert cut.evaluate(x.link()) == pytest.approx(sub.objective, abs=1e-9)
 
 
-def test_subproblem_lam_is_the_slope_of_q(med_b):
-    # per family, move one link value to the bottom of its box, the top and
-    # a point strictly inside; Q is convex and piecewise linear in it, so a
-    # step h within the box obeys Q(x + h e_j) >= Q(x) + lam_j h, and where
-    # the steps either side give one slope, lam_j is that slope
-    inst, scen = med_b
-    x = sample_feasible_first_stage(inst, np.random.default_rng(21))
-    solver = RecourseSolver(recourse_template(inst, scen))
-    lo, hi = solver.template.link_lo, solver.template.link_hi
+def _assert_lam_is_the_slope_of_q(inst, scen, x, solve_at):
+    """``solve_at(x')`` gives one scenario's result at x'.  Per family, move
+    one link value to the bottom of its box, the top and a point strictly
+    inside; Q is convex and piecewise linear in it, so a step h within the
+    box obeys Q(x + h e_j) >= Q(x) + lam_j h, and where the steps either
+    side give one slope, lam_j is that slope."""
+    template = recourse_template(inst, scen)
+    lo, hi = template.link_lo, template.link_hi
     families = link_columns(inst)
 
     def solve(link):
         rp, rm, w, f = (link[cols] for cols in families)
-        return solve_subproblem(inst, scen, "s06", dataclasses.replace(
-            x, r_plus=rp, r_minus=rm, w=w, f=f), solver)
+        return solve_at(dataclasses.replace(x, r_plus=rp, r_minus=rm, w=w, f=f))
 
     h = 1e-2
     at_x = solve(x.link())
@@ -389,6 +388,26 @@ def test_subproblem_lam_is_the_slope_of_q(med_b):
     # r+, r- and w each have a position whose slope the cut takes in full
     for cols in families[:3]:
         assert np.abs(at_x.lam[cols]).max() > 1.0
+
+
+def test_subproblem_lam_is_the_slope_of_q(med_b):
+    inst, scen = med_b
+    x = sample_feasible_first_stage(inst, np.random.default_rng(21))
+    solver = RecourseSolver(recourse_template(inst, scen))
+    _assert_lam_is_the_slope_of_q(
+        inst, scen, x, lambda x_at: solve_subproblem(inst, scen, "s06", x_at, solver))
+
+
+def test_warm_subproblem_lam_is_the_slope_of_q(med_b):
+    # s06 starts from the anchor s01's basis; at a degenerate optimum its lam
+    # may differ from a cold solve's, but it must still be a slope of Q
+    inst, scen = med_b
+    x = sample_feasible_first_stage(inst, np.random.default_rng(21))
+    solvers = recourse_solvers(inst, scen, 2)
+    k = scen.scenario_ids.index("s06")
+    assert k > 0
+    _assert_lam_is_the_slope_of_q(
+        inst, scen, x, lambda x_at: solve_subproblems(inst, scen, x_at, solvers=solvers)[0][k])
 
 
 def test_master_cut_rows_read_back_as_the_cuts(toy_a):
