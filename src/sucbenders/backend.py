@@ -6,7 +6,8 @@ is passed as row arrays (``RowArrays``) and solved from scratch, cold or
 from a given start basis.
 ``HighsSolver`` holds one ``LinearModel`` in an instance and re-solves it
 after bound changes: ``solve_lp`` and ``solve_milp`` solve a fresh one
-once, and the scenario subproblems keep one per worker.  A Benders run
+once, and the scenario subproblems keep one per worker, which solves a
+chunk of scenarios as one batch (``HighsSolver.solve_batch``).  A Benders run
 keeps one instance for its masters and passes each master's arrays:
 ``GeRowJoiner`` holds the master's static rows, prepared once in both
 layouts below, and joins them with the cut rows.
@@ -87,6 +88,17 @@ class SolveResult:
 
 
 @dataclass(frozen=True)
+class BatchResult:
+    """The LP solves of one ``HighsSolver.solve_batch``, row k for solve k;
+    a solve that is not optimal has NaN values and 0 iterations."""
+    status: list                 # SolveStatus per solve
+    objective: np.ndarray
+    row_dual: np.ndarray         # solves x rows, in model order
+    col_dual: np.ndarray         # solves x columns
+    simplex_iters: np.ndarray
+
+
+@dataclass(frozen=True)
 class LinearModel:
     """``min c.x  s.t.  row_lo <= A x <= row_hi,  lb <= x <= ub``, with the
     columns flagged in ``integral`` restricted to integers.
@@ -157,7 +169,7 @@ class RowArrays:
         """Model-order duals from the duals of the HiGHS rows: HiGHS reports
         dObj/dRHS of the row it holds, so a negated row's dual is negated
         back."""
-        return duals if self.pos is None else self.sign * duals[self.pos]
+        return duals if self.pos is None else self.sign * duals[..., self.pos]
 
 
 class _RowLayout:
@@ -364,7 +376,8 @@ class HighsSolver:
     passed with native rows and solved within that relative gap.  Every
     solve starts cold, or from the basis it is given, on the same matrix,
     so its results equal those of a fresh instance on a model with the same
-    bounds, started the same way, bit for bit.  A model
+    bounds, started the same way, bit for bit; so does each solve of a
+    ``solve_batch``.  A model
     with a non-finite cost or matrix entry or a NaN bound, and a NaN bound
     passed to ``solve``, raise ``BackendError``; so do the ``mip_gap``
     values that ``HighsInstance`` refuses.
@@ -374,6 +387,7 @@ class HighsSolver:
                  presolve: bool = True):
         _check_finite(model)
         self.row_count = model.row_count
+        self._n_cols = model.c.size
         mip = mip_gap is not None
         if not mip and model.integral.any():
             raise BackendError("LP solve called on a model with integrality flags")
@@ -395,32 +409,95 @@ class HighsSolver:
         equality stays an equality, and a one-sided row keeps its infinite
         side."""
         cols = np.asarray(cols, dtype=np.int32)
-        lb, ub, row_lo, row_hi = (np.asarray(b, dtype=float)
-                                  for b in (lb, ub, row_lo, row_hi))
-        if any(np.isnan(b).any() for b in (lb, ub, row_lo, row_hi)):
-            raise BackendError("a column or row bound is NaN")
+        lb, ub, row_lo, row_hi = _float_bounds(lb, ub, row_lo, row_hi)
         if cols.size:
             self._highs.changeColsBounds(cols.size, cols, lb, ub)
-        self._change_rows(np.asarray(rows, dtype=np.int64), row_lo, row_hi)
-        return self._instance.run(basis)
-
-    def basis(self) -> HighsBasis:
-        return self._instance.basis()
-
-    def _change_rows(self, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
-        if not rows.size:
-            return
-        pos = self._rows.pos[rows]
-        new_lo, new_hi = self._rows.bounds(rows, lo, hi)
-        if self._rows.stacked:
-            one_sided = pos < self._rows.n_ineq
-            if not (np.isneginf(new_lo[one_sided]).all()
-                    and (lo == hi)[~one_sided].all()):
-                raise BackendError("a bound change may not change the sense of a row")
+        pos, new_lo, new_hi = self._row_bounds(rows, row_lo, row_hi)
         changed = np.flatnonzero((new_lo != self._lo[pos]) | (new_hi != self._hi[pos]))
         for k in changed:
             self._highs.changeRowBounds(int(pos[k]), float(new_lo[k]), float(new_hi[k]))
         self._lo[pos], self._hi[pos] = new_lo, new_hi
+        return self._instance.run(basis)
+
+    def solve_batch(self, basis: HighsBasis, cols, lb, ub, rows, row_lo, row_hi
+                    ) -> BatchResult:
+        """One LP solve per row k of ``ub``, ``row_lo`` and ``row_hi``, each
+        as ``solve(cols, lb, ub[k], rows, row_lo[k], row_hi[k], basis)``
+        gives it, bit for bit, with the same HiGHS calls in the same order.
+
+        Every bound of the batch is checked before the first HiGHS call, as
+        ``solve`` checks it.  The results are copied into arrays, and the
+        model-order duals are read off them after the last solve.  A basis
+        that HiGHS rejects raises ``BackendError``; the solver keeps the
+        bounds it was given last and stays usable.
+        """
+        if self._instance._mip:
+            raise BackendError("a batch solve needs an LP")
+        cols = np.asarray(cols, dtype=np.int32)
+        lb, ub, row_lo, row_hi = _float_bounds(lb, ub, row_lo, row_hi)
+        pos, lo, hi = self._row_bounds(rows, row_lo, row_hi)
+        n = len(ub)
+        # the rows whose bounds differ from the solve before (or from HiGHS's)
+        changed = ((lo != np.vstack([self._lo[pos], lo[:-1]]))
+                   | (hi != np.vstack([self._hi[pos], hi[:-1]])))
+        status = []
+        objective = np.full(n, np.nan)
+        raw_row_dual = np.full((n, self._instance._rows.count), np.nan)
+        col_dual = np.full((n, self._n_cols), np.nan)
+        iters = np.zeros(n, dtype=np.int64)
+        h = self._highs
+        done = -1
+        try:
+            for k in range(n):
+                if cols.size:
+                    h.changeColsBounds(cols.size, cols, lb, ub[k])
+                ch = np.flatnonzero(changed[k])
+                for p, a, b in zip(pos[ch].tolist(), lo[k, ch].tolist(), hi[k, ch].tolist()):
+                    h.changeRowBounds(p, a, b)
+                done = k
+                h.clearSolver()
+                if h.setBasis(basis) == highs.HighsStatus.kError:
+                    raise BackendError("HiGHS rejected the start basis")
+                if h.run() == highs.HighsStatus.kError:
+                    status.append(SolveStatus.ERROR)
+                    continue
+                status.append(_HIGHS_STATUS.get(h.getModelStatus(), SolveStatus.ERROR))
+                if status[-1] is SolveStatus.OPTIMAL:
+                    objective[k] = h.getObjectiveValue()
+                    solution = h.getSolution()
+                    raw_row_dual[k] = solution.row_dual
+                    col_dual[k] = solution.col_dual
+                    iters[k] = h.getInfoValue("simplex_iteration_count")[1]
+        finally:
+            if done >= 0:
+                self._lo[pos], self._hi[pos] = lo[done], hi[done]
+        return BatchResult(status, objective, self._instance._rows.model_duals(raw_row_dual),
+                           col_dual, iters)
+
+    def basis(self) -> HighsBasis:
+        return self._instance.basis()
+
+    def _row_bounds(self, rows, lo: np.ndarray, hi: np.ndarray):
+        """The HiGHS positions of model rows ``rows`` and their HiGHS
+        (lower, upper) bounds for model bounds ``lo``/``hi`` (one row of
+        bounds per solve in a batch).  In the stacked layout a bound change
+        may not change the sense of a row."""
+        rows = np.asarray(rows, dtype=np.int64)
+        pos = self._rows.pos[rows]
+        new_lo, new_hi = self._rows.bounds(rows, lo, hi)
+        if self._rows.stacked:
+            one_sided = pos < self._rows.n_ineq
+            if not (np.isneginf(new_lo[..., one_sided]).all()
+                    and (lo == hi)[..., ~one_sided].all()):
+                raise BackendError("a bound change may not change the sense of a row")
+        return pos, new_lo, new_hi
+
+
+def _float_bounds(*bounds) -> list[np.ndarray]:
+    arrays = [np.asarray(b, dtype=float) for b in bounds]
+    if any(np.isnan(b).any() for b in arrays):
+        raise BackendError("a column or row bound is NaN")
+    return arrays
 
 
 def solve_lp(model: LinearModel) -> SolveResult:

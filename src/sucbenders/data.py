@@ -12,6 +12,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -203,12 +204,11 @@ class ScenarioSet:
 
     def wind_matrix(self, instance: SystemInstance) -> np.ndarray:
         """Realizations as an |Omega| x (|J|*T) matrix, farm-major flattening."""
-        rows = []
-        for sc in self.scenario_ids:
-            rows.append([self.realizations[(sc, w.id, t)]
-                         for w in instance.wind_farms
-                         for t in range(1, instance.horizon + 1)])
-        return np.asarray(rows, dtype=float)
+        keys = product(self.scenario_ids, [w.id for w in instance.wind_farms],
+                       range(1, instance.horizon + 1))
+        size = instance.n_farms * instance.horizon
+        return np.fromiter(map(self.realizations.__getitem__, keys), float,
+                           self.n_scenarios * size).reshape(self.n_scenarios, size)
 
     def restrict(self, scenario_ids: list[str]) -> "ScenarioSet":
         """Subset with probabilities renormalized to sum 1."""

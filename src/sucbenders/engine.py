@@ -123,6 +123,9 @@ class IterationRecord:
     master_mip_nodes: int     # 0 in the LP phase
     master_dual_bound: float  # HiGHS's MILP dual bound; the LP optimum in the LP phase
     sub_simplex_iters: int    # summed over the scenario subproblems
+    cuts_added: int           # cut rows this iteration added to the pool
+    cuts_removed: int         # cut rows its consolidation merged away
+    cluster_sizes: tuple      # scenarios behind each added cut, in cut order
 
     def trace_fields(self) -> dict:
         # strict JSON: an infinite bound or gap is written as null
@@ -136,6 +139,8 @@ class IterationRecord:
             "master_mip_nodes": self.master_mip_nodes,
             "master_dual_bound": finite(self.master_dual_bound),
             "sub_simplex_iters": self.sub_simplex_iters,
+            "cuts_added": self.cuts_added, "cuts_removed": self.cuts_removed,
+            "cluster_sizes": list(self.cluster_sizes),
             "build_time_s": self.build_time, "master_time_s": self.master_time,
             "sub_time_s": self.sub_time,
         }
@@ -146,7 +151,7 @@ class IterationRecord:
 
 # the trace fields that a report's per-phase totals sum
 PHASE_TOTALS = ("build_time_s", "master_time_s", "sub_time_s", "master_simplex_iters",
-                "sub_simplex_iters", "master_mip_nodes")
+                "sub_simplex_iters", "master_mip_nodes", "cuts_added", "cuts_removed")
 
 
 def phase_totals(history: list) -> dict:
@@ -212,10 +217,11 @@ def solve_subproblems(instance: SystemInstance, scenarios: ScenarioSet,
     each of them starts from it (bunching, Birge & Louveaux 1997, 5.4).  A
     result then depends only on x_hat and its scenario, not on the chunking
     or on the points solved before.  Each solver takes one contiguous chunk
-    of the other scenarios in its own thread; HiGHS releases the interpreter
-    lock while it solves, so the chunks run in parallel.  Without
-    ``solvers``, ``workers`` of them are built here (``recourse_solvers``);
-    a run builds them once and passes them in.
+    of the other scenarios in its own thread and solves it as one batch
+    (``RecourseSolver.solve_warm``); HiGHS releases the interpreter lock
+    while it solves, so the chunks run in parallel.  Without ``solvers``,
+    ``workers`` of them are built here (``recourse_solvers``); a run builds
+    them once and passes them in.
     """
     t0 = time.perf_counter()
     if solvers is None:
@@ -227,12 +233,13 @@ def solve_subproblems(instance: SystemInstance, scenarios: ScenarioSet,
     basis = solvers[0].lp.basis()
 
     def solve_chunk(solver, chunk):
-        return [solve_subproblem(instance, scenarios, ids[k], x_hat, solver, point, basis)
-                for k in chunk]
+        return solver.solve_warm(chunk, point, basis)
 
     rest = np.arange(1, len(ids))
     n_chunks = min(len(solvers), rest.size)
-    if n_chunks <= 1:
+    if n_chunks == 0:
+        parts = []
+    elif n_chunks == 1:
         parts = [solve_chunk(solvers[0], rest)]
     else:
         with ThreadPoolExecutor(max_workers=n_chunks) as pool:
@@ -334,41 +341,50 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
             gap = abs(state.upper_bound - state.lower_bound)
             traced_gap = state.upper_bound - state.lower_bound
 
+        converged = gap <= config.eps
+        added = removed = 0
+        sizes: tuple = ()
+        if not converged:
+            # consolidation needs the cut-row duals of the master just solved
+            if (config.mode is CutMode.AGGREGATED and config.consolidate
+                    and pool.row_contribution):
+                removed = track_and_consolidate(pool, _cut_duals(master, pool, mres),
+                                                config.kappa)
+            origin = first_origin + nu
+            if config.mode is CutMode.MULTI:
+                cuts = make_per_scenario_cuts(results, pi, x_hat, origin)
+                for cut in cuts:
+                    pool.add(cut)
+                added, sizes = len(cuts), (1,) * len(cuts)
+            elif config.mode is CutMode.SINGLE:
+                pool.add(make_full_aggregate_cut(results, pi, x_hat, origin))
+                added, sizes = 1, (len(results),)
+            else:
+                features = select_attributes(config.attribute, results, families,
+                                             scenarios, instance, attr_cache)
+                assignment = _cluster(config.clustering_method, features,
+                                      state.cluster_count)
+                added = aggregate_and_add(pool, results, x_hat, pi, assignment.labels,
+                                          origin)
+                sizes = tuple(np.unique(assignment.labels, return_counts=True)[1].tolist())
+
         record = IterationRecord(nu, "lp" if lp_phase else "milp", state.lower_bound,
                                  state.upper_bound, ub_candidate, traced_gap,
                                  state.cluster_count, mres.row_count, build_time,
                                  mres.solve_time, sub_time, mres.simplex_iters,
                                  mres.mip_nodes, mres.dual_bound,
-                                 sum(r.simplex_iters for r in results))
+                                 sum(r.simplex_iters for r in results),
+                                 added, removed, sizes)
         state.history.append(record)
         if trace is not None:
             trace(record.trace_line())
 
-        if gap <= config.eps:
+        if converged:
             if not lp_phase:
                 status = RunStatus.CONVERGED
                 break
             # the LP master is exact at its optimum: go on with the MILP
             lp_phase = False
-            continue
-
-        # consolidation needs the cut-row duals of the master just solved
-        if (config.mode is CutMode.AGGREGATED and config.consolidate
-                and pool.row_contribution):
-            track_and_consolidate(pool, _cut_duals(master, pool, mres), config.kappa)
-
-        origin = first_origin + nu
-        if config.mode is CutMode.MULTI:
-            for cut in make_per_scenario_cuts(results, pi, x_hat, origin):
-                pool.add(cut)
-        elif config.mode is CutMode.SINGLE:
-            pool.add(make_full_aggregate_cut(results, pi, x_hat, origin))
-        else:
-            features = select_attributes(config.attribute, results, families,
-                                         scenarios, instance, attr_cache)
-            assignment = _cluster(config.clustering_method, features,
-                                  state.cluster_count)
-            aggregate_and_add(pool, results, x_hat, pi, assignment.labels, origin)
 
     objective = state.upper_bound if status is RunStatus.CONVERGED else None
     return ConvergedSolution(status, objective, state.incumbent, state, pool,

@@ -6,10 +6,11 @@ theta columns and rows, fixed commitments), prepares its HiGHS row arrays
 in both layouts and renders each cut's row when the cut first appears;
 ``MasterSolver`` passes the joined arrays to one HiGHS instance per run, and
 ``build_master`` gives the same master as a model.  ``recourse_template``
-builds the subproblem LP, each scenario's spill bounds and balance
-right-hand sides, and the map that carries a first-stage point into the
-balance right-hand sides, which ``RecourseTemplate.point`` applies once per
-point.  The models equal those of a from-scratch build bit for bit.
+builds the subproblem LP, the scenarios' spill bounds and balance
+right-hand sides as stacked arrays, and the map that carries a first-stage
+point into the balance right-hand sides, which ``RecourseTemplate.point``
+applies once per point.  The models equal those of a from-scratch build
+bit for bit.
 
 Every model made here is a ``backend.LinearModel`` whose columns and rows are
 laid out as follows:
@@ -74,9 +75,9 @@ import scipy.sparse as sp
 
 # solve_lp is no longer called here; it stays bound because bench/layers.py
 # wraps formulations.solve_lp by name
-from .backend import (GeRowJoiner, HighsBasis, HighsInstance, HighsSolver,  # noqa: F401
-                      LinearModel, RowArrays, SolveResult, SolveStatus, solve_lp,
-                      solve_milp)
+from .backend import (BatchResult, GeRowJoiner, HighsBasis, HighsInstance,  # noqa: F401
+                      HighsSolver, LinearModel, RowArrays, SolveResult, SolveStatus,
+                      solve_lp, solve_milp)
 from .cuts import CutPool
 from .data import ScenarioSet, SystemInstance
 
@@ -410,10 +411,11 @@ def _recourse_columns(instance: SystemInstance, start: int) -> list[np.ndarray]:
 
 
 def _balance_rhs(instance: SystemInstance, farm_at, wind: np.ndarray) -> np.ndarray:
-    """Nodal balance right-hand sides: minus the realized wind at each node."""
-    rhs = np.zeros((instance.n_nodes, instance.horizon))
+    """Nodal balance right-hand sides: minus the realized wind at each node
+    (``wind`` is |J| x T, or a stack of such, one per scenario)."""
+    rhs = np.zeros(wind.shape[:-2] + (instance.n_nodes, instance.horizon))
     for j, k in enumerate(farm_at):
-        rhs[k] -= wind[j]
+        rhs[..., k, :] -= wind[..., j, :]
     return rhs
 
 
@@ -668,7 +670,8 @@ class RecourseTemplate:
     Scenarios and first-stage points differ only in the upper bounds of p+,
     p- and spill and in the balance right-hand sides, so a subproblem is
     the template's model with those replaced; the cycle (Kirchhoff
-    voltage-law) rows never change.
+    voltage-law) rows never change.  The per-scenario data are stacked,
+    row k for the scenario at position k of ``scenario_ids``.
     """
     model: LinearModel
     n_deploy: int            # p+/p- columns, which are the r+/r- link positions
@@ -676,8 +679,9 @@ class RecourseTemplate:
     link_lo: np.ndarray      # link boxes, in link order
     link_hi: np.ndarray
     link_map: sp.csr_matrix  # A_link, balance rows x link positions
-    wind: dict               # scenario id -> realizations (spill upper bounds), flat
-    balance_rhs: dict        # scenario id -> balance right-hand sides at a zero link
+    scenario_ids: tuple
+    spill_ub: np.ndarray     # |Omega| x |J|T: the realizations
+    balance_rhs: np.ndarray  # |Omega| x |N|T: balance right-hand sides at a zero link
 
     @cached_property
     def cols_lb(self) -> np.ndarray:
@@ -696,30 +700,30 @@ class RecourseTemplate:
         link = np.clip(x_hat.link(), self.link_lo, self.link_hi)
         return RecoursePoint(link[:self.n_deploy], self.link_map @ link)
 
-    def lam(self, res: SolveResult) -> np.ndarray:
-        """The slope of Q at the solved point, in link order: for w and f
-        the balance-row duals mapped back through ``A_link``, and for r+ and
-        r- the duals of the active p+/p- upper bounds (0 where a column sits
-        at its lower bound, as a column fixed at 0 with a positive reduced
-        cost does)."""
-        lam = self.link_map_t @ -res.row_dual[:self.link_map.shape[0]]
-        lam[:self.n_deploy] = np.minimum(res.col_dual[:self.n_deploy], 0.0)
+    def lam(self, res: SolveResult | BatchResult) -> np.ndarray:
+        """The slope of Q at the solved point, in link order (one row per
+        solve of a batch): for w and f the balance-row duals mapped back
+        through ``A_link``, and for r+ and r- the duals of the active p+/p-
+        upper bounds (0 where a column sits at its lower bound, as a column
+        fixed at 0 with a positive reduced cost does)."""
+        lam = (self.link_map_t @ -res.row_dual[..., :self.link_map.shape[0]].T).T
+        lam[..., :self.n_deploy] = np.minimum(res.col_dual[..., :self.n_deploy], 0.0)
         return lam
 
 
 def recourse_template(instance: SystemInstance, scenarios: ScenarioSet) -> RecourseTemplate:
-    """The template of ``instance`` and ``scenarios``, from one ``build_subproblem``."""
+    """The template of ``instance`` and ``scenarios``, from one
+    ``build_subproblem`` and one pass over the realizations."""
     model = build_subproblem(instance, scenarios, scenarios.scenario_ids[0], None)
     n_deploy = 2 * instance.n_gens * instance.horizon
-    wind = scenarios.wind_matrix(instance).reshape(-1, instance.n_farms, instance.horizon)
-    farm_at = _topology(instance)[1]
+    wind = scenarios.wind_matrix(instance)
+    rhs = _balance_rhs(instance, _topology(instance)[1],
+                       wind.reshape(-1, instance.n_farms, instance.horizon))
     return RecourseTemplate(
         model, n_deploy,
         np.concatenate([np.arange(n_deploy), _recourse_columns(instance, 0)[2].ravel()]),
-        *_link_box(instance), _link_map(instance),
-        {omega: w.ravel() for omega, w in zip(scenarios.scenario_ids, wind)},
-        {omega: _balance_rhs(instance, farm_at, w).ravel()
-         for omega, w in zip(scenarios.scenario_ids, wind)})
+        *_link_box(instance), _link_map(instance), scenarios.scenario_ids,
+        wind, rhs.reshape(scenarios.n_scenarios, -1))
 
 
 class RecourseSolver:
@@ -729,6 +733,31 @@ class RecourseSolver:
     def __init__(self, template: RecourseTemplate):
         self.template = template
         self.lp = HighsSolver(template.model, presolve=False)
+
+    def solve_warm(self, positions: np.ndarray, point: RecoursePoint,
+                   basis: HighsBasis) -> list[SubproblemResult]:
+        """The scenarios at ``positions`` at ``point``, each started from
+        ``basis`` (``HighsSolver.solve_batch``): the results, bit for bit,
+        of ``solve_subproblem`` given this solver, ``point`` and ``basis``
+        for each scenario in turn."""
+        t = self.template
+        rhs = t.balance_rhs[positions] - point.link_rhs
+        ub = np.hstack([np.broadcast_to(point.deploy_ub, (len(positions), t.n_deploy)),
+                        t.spill_ub[positions]])
+        batch = self.lp.solve_batch(basis, t.cols, t.cols_lb, ub, t.balance_rows, rhs, rhs)
+        for k, status in zip(positions, batch.status):
+            if status is not SolveStatus.OPTIMAL:
+                raise _not_optimal(t.scenario_ids[k], status)
+        lam = t.lam(batch)
+        return [SubproblemResult(t.scenario_ids[k], q, slope.copy(), iters)
+                for k, q, slope, iters in zip(positions, batch.objective.tolist(), lam,
+                                              batch.simplex_iters.tolist())]
+
+
+def _not_optimal(omega: str, status: SolveStatus) -> SubproblemInfeasibleError:
+    return SubproblemInfeasibleError(
+        f"subproblem for scenario {omega} returned {status.value}; "
+        "complete recourse should make this impossible")
 
 
 def solve_subproblem(instance: SystemInstance, scenarios: ScenarioSet, omega: str,
@@ -750,13 +779,12 @@ def solve_subproblem(instance: SystemInstance, scenarios: ScenarioSet, omega: st
     t = solver.template
     if point is None:
         point = t.point(x_hat)
-    rhs = t.balance_rhs[omega] - point.link_rhs
-    res = solver.lp.solve(t.cols, t.cols_lb, np.concatenate([point.deploy_ub, t.wind[omega]]),
+    k = t.scenario_ids.index(omega)
+    rhs = t.balance_rhs[k] - point.link_rhs
+    res = solver.lp.solve(t.cols, t.cols_lb, np.concatenate([point.deploy_ub, t.spill_ub[k]]),
                           t.balance_rows, rhs, rhs, basis)
     if res.status is not SolveStatus.OPTIMAL:
-        raise SubproblemInfeasibleError(
-            f"subproblem for scenario {omega} returned {res.status.value}; "
-            "complete recourse should make this impossible")
+        raise _not_optimal(omega, res.status)
     return SubproblemResult(omega, res.objective, t.lam(res), res.simplex_iters)
 
 

@@ -386,6 +386,118 @@ def test_lp_solver_rejects_a_change_of_row_sense():
         solver.solve(rows=[1], row_lo=[-INF], row_hi=[1.0])     # >= row made <=
 
 
+class _CallLog:
+    """Stands in for a solver's HiGHS instance and logs, with their
+    arguments, the calls that change the model or run it."""
+    LOGGED = ("changeColsBounds", "changeRowBounds", "clearSolver", "setBasis", "run")
+
+    def __init__(self, h):
+        self._h, self.calls = h, []
+
+    def __getattr__(self, name):
+        call = getattr(self._h, name)
+        if name not in self.LOGGED:
+            return call
+
+        def logged(*args):
+            self.calls.append((name,) + tuple(
+                a.tolist() if isinstance(a, np.ndarray) else a for a in args))
+            return call(*args)
+        return logged
+
+
+def _log_calls(solver: HighsSolver) -> _CallLog:
+    log = _CallLog(solver._highs)
+    solver._highs = solver._instance._highs = log
+    return log
+
+
+def _batch_bounds(seed: int, n: int):
+    """The mixed-senses LP and ``n`` solves' worth of bounds around points
+    near its inner point: upper bounds of columns ``cols``, then row bounds;
+    the second solve repeats the first's row bounds."""
+    m, rows, sense, x0 = _mixed_senses()
+    rng = np.random.default_rng(seed)
+    cols = np.array([0, 5, 7])
+    ub, lo, hi = [], [], []
+    for _ in range(n):
+        x1 = x0 + rng.uniform(-0.5, 0.5, x0.size)
+        ub.append(x1[cols] + rng.uniform(0.5, 3.0, cols.size))
+        bounds = _bounds_around(rows, x1, sense, rng.uniform(0.0, 2.0, sense.size))
+        lo.append(bounds[0])
+        hi.append(bounds[1])
+    lo[1], hi[1] = lo[0], hi[0]
+    return m, cols, np.zeros(cols.size), np.array(ub), np.arange(sense.size), \
+        np.array(lo), np.array(hi)
+
+
+def test_batch_makes_the_calls_and_gives_the_bits_of_one_solve_at_a_time():
+    m, cols, lb, ub, rows, lo, hi = _batch_bounds(8, 4)
+    batch, single = HighsSolver(m), HighsSolver(m)
+    for solver in (batch, single):
+        assert solver.solve().status is SolveStatus.OPTIMAL
+    start = batch.basis()
+    batch_log, single_log = _log_calls(batch), _log_calls(single)
+    got = batch.solve_batch(start, cols, lb, ub, rows, lo, hi)
+    want = [single.solve(cols, lb, ub[k], rows, lo[k], hi[k], start) for k in range(4)]
+    assert batch_log.calls == single_log.calls
+    # every row changed in three solves; the second, which repeats the
+    # first's row bounds, changed none
+    assert [c[0] for c in batch_log.calls].count("changeRowBounds") == 3 * rows.size
+    assert got.status == [SolveStatus.OPTIMAL] * 4
+    for k, w in enumerate(want):
+        assert got.objective[k] == w.objective
+        assert np.array_equal(got.row_dual[k], w.row_dual)
+        assert np.array_equal(got.col_dual[k], w.col_dual)
+        assert got.simplex_iters[k] == w.simplex_iters
+    # the solver holds the last solve's bounds, as after one solve at a time
+    _assert_same(batch.solve(basis=start), single.solve(basis=start))
+
+
+def test_batch_checks_every_bound_before_it_calls_highs():
+    m, cols, lb, ub, rows, lo, hi = _batch_bounds(9, 3)
+    solver = HighsSolver(m)
+    want = solver.solve()
+    start = solver.basis()
+    log = _log_calls(solver)
+    nan_ub, nan_lo, two_sided = ub.copy(), lo.copy(), lo.copy()
+    nan_ub[2, 1] = np.nan
+    nan_lo[2, 2] = np.nan
+    two_sided[2, 0] = hi[2, 0] - 1.0      # the last solve's <= row made two-sided
+    for bad in ((nan_ub, lo), (ub, nan_lo)):
+        with pytest.raises(BackendError, match="NaN"):
+            solver.solve_batch(start, cols, lb, bad[0], rows, bad[1], hi)
+    with pytest.raises(BackendError, match="sense"):
+        solver.solve_batch(start, cols, lb, ub, rows, two_sided, hi)
+    assert log.calls == []
+    _assert_same(solver.solve(), want)
+
+
+def test_batch_rejects_a_start_basis_that_highs_rejects():
+    # never a silent cold solve; the solver keeps the bounds it was given
+    # and solves afterwards
+    m, cols, lb, ub, rows, lo, hi = _batch_bounds(10, 2)
+    solver = HighsSolver(m)
+    solver.solve()
+    other = HighsSolver(model([1.0, 1.0], [[1.0, 1.0]], [1.0], [INF]))
+    other.solve()
+    for basis in (highs.HighsBasis(), other.basis()):
+        with pytest.raises(BackendError, match="basis"):
+            solver.solve_batch(basis, cols, lb, ub, rows, lo, hi)
+    _assert_same(solver.solve(cols, m.lb[cols], m.ub[cols], rows, m.row_lo, m.row_hi),
+                 HighsSolver(m).solve())
+
+
+def test_batch_reports_a_solve_that_is_not_optimal():
+    m = model([1.0, 1.0], [[1.0, 1.0]], [2.0], [INF], ub=[5.0, 5.0])
+    solver = HighsSolver(m)
+    start = (solver.solve(), solver.basis())[1]
+    got = solver.solve_batch(start, [0, 1], [0.0, 0.0], [[5.0, 5.0], [0.5, 0.5], [4.0, 5.0]],
+                             [], np.empty((3, 0)), np.empty((3, 0)))
+    assert got.status == [SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE, SolveStatus.OPTIMAL]
+    assert np.isnan(got.objective[1]) and got.objective[[0, 2]] == pytest.approx([2.0, 2.0])
+
+
 def test_recourse_template_solve_matches_a_model_built_from_scratch(med_b):
     # the template's solver runs without presolve, so the from-scratch model
     # is solved the same way for a bit-for-bit match; a presolved solve

@@ -165,7 +165,8 @@ def test_outer_report_carries_t1_t2(tmp_path):
 
 
 PHASE_KEYS = {"iterations", "build_time_s", "master_time_s", "sub_time_s",
-              "master_simplex_iters", "sub_simplex_iters", "master_mip_nodes"}
+              "master_simplex_iters", "sub_simplex_iters", "master_mip_nodes",
+              "cuts_added", "cuts_removed"}
 
 
 @pytest.mark.parametrize("method", ["aggregated+consolidation", "outer"])
@@ -188,6 +189,11 @@ def test_report_phases_total_the_trace(tmp_path, method):
     assert phases["lp"]["iterations"] + phases["milp"]["iterations"] == doc["iterations"]
     assert phases["lp"]["master_mip_nodes"] == 0 < phases["milp"]["master_mip_nodes"]
     assert phases["lp"]["sub_simplex_iters"] > 0
+    if method == "aggregated+consolidation":
+        # the master grows by the cut rows added less those merged away
+        assert phases["lp"]["cuts_removed"] > 0
+        assert records[-1]["master_rows"] - records[0]["master_rows"] == sum(
+            totals["cuts_added"] - totals["cuts_removed"] for totals in phases.values())
 
 
 def test_compare_subset_of_methods(tmp_path):

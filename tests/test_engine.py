@@ -7,14 +7,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sucbenders.backend import solve_milp
+from sucbenders.backend import HighsSolver, solve_milp
 from sucbenders.cuts import CutMode, CutPool, aggregate_and_add
 from sucbenders import engine
 from sucbenders.engine import (BendersConfig, EngineError, RunStatus,
                                compute_bounds, recourse_solvers, run, solve_subproblems)
-from sucbenders.formulations import (FEAS_TOL, build_extensive, build_master,
-                                     default_theta_min, first_stage_violation,
-                                     master_template, sample_feasible_first_stage,
+from sucbenders.formulations import (FEAS_TOL, RecourseSolver, build_extensive,
+                                     build_master, default_theta_min,
+                                     first_stage_violation, master_template,
+                                     recourse_template, sample_feasible_first_stage,
                                      solve_subproblem)
 from conftest import untimed_records
 
@@ -160,14 +161,37 @@ def test_warm_subproblems_match_cold_solves(med_b):
     assert sum(r.simplex_iters for r in results[1:]) < sum(r.simplex_iters for r in cold[1:]) / 4
 
 
+def test_batched_warm_solves_equal_one_solve_at_a_time_from_the_anchor_basis(med_b):
+    # each chunk's scenarios are solved as one batch; every result equals
+    # the one-at-a-time solve from the anchor's basis, bit for bit
+    inst, scen = med_b
+    ids = scen.scenario_ids
+    x = sample_feasible_first_stage(inst, np.random.default_rng(36))
+    solver = RecourseSolver(recourse_template(inst, scen))
+    point = solver.template.point(x)
+    want = [solve_subproblem(inst, scen, ids[0], x, solver, point)]
+    basis = solver.lp.basis()
+    want += [solve_subproblem(inst, scen, omega, x, solver, point, basis) for omega in ids[1:]]
+    for workers in (1, 2, 3):
+        _assert_bit_identical(solve_subproblems(inst, scen, x, workers=workers)[0], want)
+
+
 def _count_solves(monkeypatch):
-    """Record whether each subproblem solve starts cold (True) or from a
-    basis, and the thread count of each pool that solve_subproblems starts."""
-    starts, pools = [], []
+    """Record whether each one-at-a-time subproblem solve starts cold (True)
+    or from a basis, the number of warm solves in each batch, and the
+    thread count of each pool that solve_subproblems starts."""
+    starts, batches, pools = [], [], []
 
     def counted(instance, scenarios, omega, x_hat, solver=None, point=None, basis=None):
         starts.append(basis is None)
         return solve_subproblem(instance, scenarios, omega, x_hat, solver, point, basis)
+
+    solve_batch = HighsSolver.solve_batch
+
+    def counted_batch(self, basis, cols, lb, ub, rows, row_lo, row_hi):
+        assert basis is not None
+        batches.append(len(ub))
+        return solve_batch(self, basis, cols, lb, ub, rows, row_lo, row_hi)
 
     class Pool(engine.ThreadPoolExecutor):
         def __init__(self, max_workers):
@@ -175,8 +199,9 @@ def _count_solves(monkeypatch):
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(engine, "solve_subproblem", counted)
+    monkeypatch.setattr(HighsSolver, "solve_batch", counted_batch)
     monkeypatch.setattr(engine, "ThreadPoolExecutor", Pool)
-    return starts, pools
+    return starts, batches, pools
 
 
 def test_one_scenario_set_solves_only_the_anchor(toy_a, monkeypatch):
@@ -184,22 +209,23 @@ def test_one_scenario_set_solves_only_the_anchor(toy_a, monkeypatch):
     one = scen.restrict(["s2"])
     x = sample_feasible_first_stage(inst, np.random.default_rng(34))
     assert len(recourse_solvers(inst, one, 4)) == 1
-    starts, pools = _count_solves(monkeypatch)
+    starts, batches, pools = _count_solves(monkeypatch)
     results, _ = solve_subproblems(inst, one, x, workers=4)
     assert [r.scenario_id for r in results] == ["s2"]
-    assert starts == [True] and pools == []
+    assert starts == [True] and batches == [] and pools == []
     assert results[0].objective == solve_subproblem(inst, one, "s2", x).objective
 
 
 def test_workers_beyond_the_scenarios_start_no_idle_chunk(toy_a, monkeypatch):
-    # 3 scenarios at 8 workers: the anchor, then 2 warm scenarios in 2 chunks
+    # 3 scenarios at 8 workers: the cold anchor, then 2 warm scenarios in 2
+    # chunks of one
     inst, scen = toy_a
     x = sample_feasible_first_stage(inst, np.random.default_rng(35))
     assert len(recourse_solvers(inst, scen, 8)) == 2
-    starts, pools = _count_solves(monkeypatch)
+    starts, batches, pools = _count_solves(monkeypatch)
     results, _ = solve_subproblems(inst, scen, x, workers=8)
     assert [r.scenario_id for r in results] == list(scen.scenario_ids)
-    assert starts == [True, False, False] and pools == [2]
+    assert starts == [True] and batches == [1, 1] and pools == [2]
 
 
 def test_exactly_one_result_per_scenario(toy_a):
@@ -236,8 +262,16 @@ def test_trace_lines_are_json_with_stable_keys(toy_a):
     docs = [json.loads(line) for line in lines]
     keys = {"iter", "phase", "lb", "ub", "gap", "clusters", "master_rows",
             "master_simplex_iters", "master_mip_nodes", "master_dual_bound",
-            "sub_simplex_iters", "build_time_s", "master_time_s", "sub_time_s"}
+            "sub_simplex_iters", "build_time_s", "master_time_s", "sub_time_s",
+            "cuts_added", "cuts_removed", "cluster_sizes"}
     assert all(set(d) == keys for d in docs)
+    # every iteration but the last of each phase adds one cut per cluster,
+    # and the clusters partition the scenarios
+    for d in docs:
+        assert d["cuts_added"] == len(d["cluster_sizes"]) == (0 if d["gap"] <= 1e-6
+                                                             else d["clusters"])
+        assert sum(d["cluster_sizes"]) == (0 if d["gap"] <= 1e-6 else scen.n_scenarios)
+        assert d["cuts_removed"] == 0
     assert [d["iter"] for d in docs] == list(range(1, len(docs) + 1))
     # the LP phase traces its LP gap and its LP optimum as the dual bound;
     # the MILP phase its bound gap and HiGHS's MILP dual bound

@@ -17,7 +17,8 @@ from sucbenders.data import Line, ScenarioSet
 from sucbenders.engine import (BendersConfig, _cut_duals, recourse_solvers, run,
                                solve_subproblems)
 from sucbenders.formulations import (FirstStageSolution, MasterSolver, ModelBuildError,
-                                     RecourseSolver, build_extensive,
+                                     RecourseSolver, SubproblemInfeasibleError,
+                                     build_extensive,
                                      build_master, build_subproblem,
                                      cycle_basis, default_theta_min, extract_first_stage,
                                      first_stage_layout,
@@ -635,3 +636,33 @@ def test_per_point_recourse_data_gives_the_same_results(med_b):
         lam[:t.n_deploy] = np.minimum(res.col_dual[:t.n_deploy], 0.0)
         assert res.objective == got.objective
         assert np.array_equal(lam, got.lam)
+
+
+def test_a_warm_scenario_that_is_not_optimal_is_named(med_b):
+    # a spill upper bound below its lower bound 0 makes one scenario's LP
+    # infeasible; the batch names it
+    inst, scen = med_b
+    ids = scen.scenario_ids
+    x = sample_feasible_first_stage(inst, np.random.default_rng(22))
+    t = recourse_template(inst, scen)
+    spill_ub = t.spill_ub.copy()
+    spill_ub[4, 0] = -1.0
+    solver = RecourseSolver(dataclasses.replace(t, spill_ub=spill_ub))
+    point = t.point(x)
+    solve_subproblem(inst, scen, ids[0], x, solver, point)
+    with pytest.raises(SubproblemInfeasibleError,
+                       match=f"scenario {ids[4]} returned infeasible"):
+        solver.solve_warm(np.arange(1, len(ids)), point, solver.lp.basis())
+
+
+def test_recourse_template_stacks_each_scenarios_bounds(med_b):
+    # row k of the stacked arrays holds the spill upper bounds and the
+    # balance right-hand sides of the model built for scenario k
+    inst, scen = med_b
+    t = recourse_template(inst, scen)
+    assert t.scenario_ids == scen.scenario_ids
+    assert t.spill_ub.shape == (scen.n_scenarios, inst.n_farms * inst.horizon)
+    for k, omega in enumerate(scen.scenario_ids):
+        model = build_subproblem(inst, scen, omega, None)
+        assert np.array_equal(t.spill_ub[k], model.ub[t.cols[t.n_deploy:]])
+        assert np.array_equal(t.balance_rhs[k], model.row_lo[t.balance_rows])
