@@ -12,7 +12,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import click
 
@@ -33,11 +33,12 @@ _ERRORS = (InstanceError, OSError, ValueError, EngineError, OuterError,
 METHODS = ("extensive", "single-cut", "multi-cut", "aggregated",
            "aggregated+consolidation", "outer")
 
-_MODE_BY_METHOD = {
-    "single-cut": CutMode.SINGLE,
-    "multi-cut": CutMode.MULTI,
-    "aggregated": CutMode.AGGREGATED,
-    "aggregated+consolidation": CutMode.AGGREGATED,
+# each Benders method as overrides of the BendersConfig built from the options
+_METHOD_CONFIG = {
+    "single-cut": {"mode": CutMode.SINGLE},
+    "multi-cut": {"mode": CutMode.MULTI},
+    "aggregated": {"mode": CutMode.AGGREGATED},
+    "aggregated+consolidation": {"mode": CutMode.AGGREGATED, "consolidate": True},
 }
 
 
@@ -110,12 +111,10 @@ def execute_method(method: str, instance, scenarios, opts: dict,
                                 "fixed_count": len(result.fixed),
                                 "seeded_cuts": result.seeded_cuts,
                                 "phases": phase_totals(sol.state.history)})
-    if method not in _MODE_BY_METHOD:
+    if method not in _METHOD_CONFIG:
         raise InstanceError(f"unknown method {method!r}")
-    config.mode = _MODE_BY_METHOD[method]
-    if method == "aggregated+consolidation":
-        config.consolidate = True
-    sol = run(instance, scenarios, config, trace=trace_sink)
+    sol = run(instance, scenarios, replace(config, **_METHOD_CONFIG[method]),
+              trace=trace_sink)
     return RunReport(method, instance.name, sol.status is RunStatus.CONVERGED,
                      sol.objective, sol.wall_time, sol.iterations,
                      sol.final_master_rows, cfg_echo,

@@ -6,10 +6,11 @@ from the subproblem's balance-row duals and p+/p- bound duals) represents
 the affine under-estimator Theta(x) = Q + lambda . (x - x^(k)).  Aggregated
 cuts carry probability-weighted sums of intercepts and slopes over their
 member scenarios, so evaluating one yields the pi-weighted recourse
-estimate of the whole cluster.  Every Benders cut is such an aggregate:
-single-cut makes one over all scenarios, multi-cut one per scenario (the
-singleton clusters of an |Omega|-cluster aggregated run, bit for bit), and
-consolidation merges one iteration's aggregates into a single row.
+estimate of the whole cluster.  Every Benders cut is such an aggregate, and
+the engine makes every cut mode's cuts in one ``aggregate_and_add`` call
+from a cluster label per scenario: all zeros for single-cut, one label per
+scenario for multi-cut, a clustering for aggregated mode.  Consolidation
+merges one iteration's aggregates into a single row, in any mode.
 
 ``x``, ``lambda`` and the anchor are vectors in the link order of
 ``formulations``: r+/r- interleaved per (generator, period), then w per
@@ -115,13 +116,13 @@ def _cluster_cuts(results, x_hat, pi: dict, labels, origin: int) -> list[Cut]:
 
 
 def make_per_scenario_cuts(results, pi: dict, x_hat, origin: int) -> list[Cut]:
-    """One singleton aggregate per scenario (multi-cut mode): the cuts that
+    """One singleton aggregate per scenario: the cuts that
     ``aggregate_and_add`` makes with every scenario in its own cluster."""
     return _cluster_cuts(results, x_hat, pi, range(len(results)), origin)
 
 
 def make_full_aggregate_cut(results, pi: dict, x_hat, origin: int) -> Cut:
-    """One pi-weighted cut over all scenarios (single-cut mode)."""
+    """One pi-weighted cut over all scenarios (one cluster, tag "all")."""
     return _make_cut(origin, "all", results, pi, x_hat)
 
 

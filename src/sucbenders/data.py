@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
 from pathlib import Path
 
@@ -247,10 +247,30 @@ class ScenarioSet:
                 )
 
 
-def _require(record: dict, key: str, ctx: str):
-    if key not in record:
+def _field(record, key: str, ctx: str, cast=None, default=None):
+    """``record[key]`` through ``cast``, or ``default`` if missing or null;
+    InstanceError names the record ``ctx`` and the field otherwise, and for
+    a record that is not an object or a value that ``cast`` rejects."""
+    if not isinstance(record, dict):
+        raise InstanceError(f"{ctx}: expected an object, got {type(record).__name__}")
+    value = default if record.get(key) is None else record[key]
+    if value is None:
         raise InstanceError(f"{ctx}: missing field {key!r}")
-    return record[key]
+    try:
+        return value if cast is None else cast(value)
+    except (TypeError, ValueError) as exc:
+        raise InstanceError(f"{ctx}: bad field {key!r}: {exc}") from exc
+
+
+def _records(doc, key: str) -> list:
+    recs = _field(doc, key, "instance")
+    if not isinstance(recs, list):
+        raise InstanceError(f"instance: field {key!r} must be a list")
+    return recs
+
+
+# the casts of Generator's field annotations, which are strings here
+_CASTS = {"str": str, "float": float, "int": int}
 
 
 def load_instance(path: str | Path) -> SystemInstance:
@@ -261,64 +281,47 @@ def load_instance(path: str | Path) -> SystemInstance:
     except json.JSONDecodeError as exc:
         raise InstanceError(f"malformed instance file {path}: {exc}") from exc
 
-    meta = _require(doc, "meta", "instance")
+    meta = _field(doc, "meta", "instance")
     gens = []
     warnings: list[str] = []
-    for rec in _require(doc, "generators", "instance"):
-        g = Generator(
-            id=str(_require(rec, "id", "generator")),
-            node=str(_require(rec, "node", "generator")),
-            energy_cost=float(rec["energy_cost"]),
-            startup_cost=float(rec["startup_cost"]),
-            res_up_cost=float(rec["res_up_cost"]),
-            res_down_cost=float(rec["res_down_cost"]),
-            deploy_up_price=float(rec["deploy_up_price"]),
-            deploy_down_price=float(rec["deploy_down_price"]),
-            p_min=float(rec["p_min"]),
-            p_max=float(rec["p_max"]),
-            ramp_up=float(rec["ramp_up"]),
-            ramp_down=float(rec["ramp_down"]),
-            res_up_cap=float(rec["res_up_cap"]),
-            res_down_cap=float(rec["res_down_cap"]),
-            min_up=int(rec["min_up"]),
-            min_down=int(rec["min_down"]),
-            init_status=int(rec["init_status"]),
-            init_up_periods=int(rec["init_up_periods"]),
-            init_down_periods=int(rec["init_down_periods"]),
-        )
+    for i, rec in enumerate(_records(doc, "generators")):
+        g = Generator(**{f.name: _field(rec, f.name, f"generators[{i}]", _CASTS[f.type])
+                         for f in fields(Generator)})
         warnings.extend(g.validate())
         gens.append(g)
 
-    lines = [
-        Line(
-            id=str(_require(rec, "id", "line")),
-            from_node=str(rec.get("from", rec.get("from_node"))),
-            to_node=str(rec.get("to", rec.get("to_node"))),
-            susceptance=float(rec["susceptance"]),
-            capacity=float(rec["capacity"]),
-        )
-        for rec in _require(doc, "lines", "instance")
-    ]
-    farms = [
-        WindFarm(id=str(rec["id"]), node=str(rec["node"]), capacity=float(rec["capacity"]))
-        for rec in _require(doc, "wind_farms", "instance")
-    ]
-    for w in farms:
-        w.validate()
-    load = {
-        (str(rec["node"]), int(rec["period"])): float(rec["mw"])
-        for rec in _require(doc, "load", "instance")
-    }
+    lines = []
+    for i, rec in enumerate(_records(doc, "lines")):
+        ctx = f"lines[{i}]"
+        lines.append(Line(
+            id=_field(rec, "id", ctx, str),
+            # "from"/"to", or their long forms
+            from_node=_field(rec, "from" if "from" in rec else "from_node", ctx, str),
+            to_node=_field(rec, "to" if "to" in rec else "to_node", ctx, str),
+            susceptance=_field(rec, "susceptance", ctx, float),
+            capacity=_field(rec, "capacity", ctx, float),
+        ))
+    farms = []
+    for i, rec in enumerate(_records(doc, "wind_farms")):
+        ctx = f"wind_farms[{i}]"
+        farms.append(WindFarm(id=_field(rec, "id", ctx, str), node=_field(rec, "node", ctx, str),
+                              capacity=_field(rec, "capacity", ctx, float)))
+        farms[-1].validate()
+    load = {}
+    for i, rec in enumerate(_records(doc, "load")):
+        ctx = f"load[{i}]"
+        load[(_field(rec, "node", ctx, str),
+              _field(rec, "period", ctx, int))] = _field(rec, "mw", ctx, float)
     inst = SystemInstance(
-        name=str(meta.get("name", Path(path).stem)),
-        horizon=int(_require(meta, "horizon", "meta")),
-        ref_node=str(_require(meta, "ref_node", "meta")),
-        nodes=tuple(str(n) for n in _require(doc, "nodes", "instance")),
+        name=_field(meta, "name", "meta", str, Path(path).stem),
+        horizon=_field(meta, "horizon", "meta", int),
+        ref_node=_field(meta, "ref_node", "meta", str),
+        nodes=tuple(str(n) for n in _records(doc, "nodes")),
         lines=tuple(lines),
         generators=tuple(gens),
         wind_farms=tuple(farms),
         load=load,
-        shed_cost=float(_require(doc, "shed_cost", "instance")),
+        shed_cost=_field(doc, "shed_cost", "instance", float),
         warnings=tuple(warnings),
     )
     inst.validate()
@@ -346,6 +349,9 @@ def load_scenarios(path: str | Path, instance: SystemInstance) -> ScenarioSet:
             )
         has_prob = "probability" in reader.fieldnames
         for row in reader:
+            if any(row[c] is None for c in required):    # a short row
+                raise InstanceError(f"scenario file {path}, line {reader.line_num}: "
+                                    "missing cells")
             sc = row["scenario"].strip()
             if sc not in probs:
                 order.append(sc)
@@ -376,12 +382,6 @@ def load_scenarios(path: str | Path, instance: SystemInstance) -> ScenarioSet:
     if farms_seen != expected:
         raise InstanceError(
             f"scenario farms {sorted(farms_seen)} do not match instance farms {sorted(expected)}"
-        )
-    per_scenario = len(realizations) / len(order)
-    if per_scenario != instance.n_farms * instance.horizon:
-        raise InstanceError(
-            f"expected {instance.n_farms * instance.horizon} rows per scenario, "
-            f"got {per_scenario:g}"
         )
 
     scen = ScenarioSet(tuple(order), tuple(prob_list), realizations)

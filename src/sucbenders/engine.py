@@ -3,12 +3,12 @@ convergence, and cut-pool updates.
 
 Per iteration: solve the master, read the lower bound and the candidate
 first-stage point, solve all scenario subproblems in parallel, update the
-upper bound, test convergence, then add cuts per the configured mode.
-Every cut mode solves one master, with one theta per scenario, and every
-cut is a pi-weighted cluster aggregate: single-cut adds one over all
-scenarios, multi-cut one per scenario, and aggregated mode one per cluster.
-So single-cut and multi-cut runs are the aggregated runs pinned at 1 and at
-|Omega| clusters, cut for cut.
+upper bound, test convergence, then add one pi-weighted aggregate cut per
+cluster of scenarios.  Every cut mode solves one master, with one theta per
+scenario, and makes its cuts in this one step: a mode decides only the
+cluster count (``BendersConfig.pinned_clusters``), and at 1 and at |Omega|
+clusters no clustering runs.  So single-cut and multi-cut runs are the
+aggregated runs pinned at 1 and at |Omega| clusters, cut for cut.
 
 A run has two phases on one cut pool (McDaniel & Devine 1977).  The LP
 phase solves the master with its integrality relaxed: its optimum is a
@@ -16,11 +16,11 @@ lower bound, cuts are taken at the LP point, and no upper bound is taken
 from a fractional point; it ends once the LP gap (first-stage cost and
 expected recourse at the LP point, minus the bound) is within ``eps``.  The
 MILP phase then solves the master MILP until the upper and lower bounds
-meet.  In aggregated mode the LP phase cuts at |Omega| singleton clusters
-unless the count is pinned (``adaptive=False``); in the MILP phase the
-cluster count is adapted from the lower-bound delta before the new cuts are
-generated.  Consolidation (when enabled) is driven by cut-row duals: those
-of the LP master, or of an LP re-solve of the MILP master with the binaries
+meet.  An adaptive aggregated run cuts at |Omega| singleton clusters in the
+LP phase; in the MILP phase its cluster count is adapted from the
+lower-bound delta before the new cuts are generated.  Consolidation (when
+``consolidate`` is set, in any mode) is driven by cut-row duals: those of
+the LP master, or of an LP re-solve of the MILP master with the binaries
 fixed at their optimal values.
 """
 
@@ -36,10 +36,11 @@ from typing import Callable
 import numpy as np
 
 from . import clustering
-# solve_lp, solve_milp and build_master are not called here; they stay bound
-# because bench/layers.py wraps them as engine attributes by name
+# solve_lp, solve_milp, build_master, make_per_scenario_cuts and
+# make_full_aggregate_cut are not called here; they stay bound because
+# bench/layers.py wraps them as engine attributes by name
 from .backend import SolveStatus, solve_lp, solve_milp  # noqa: F401
-from .cuts import (CutMode, CutPool, adapt_cluster_count,
+from .cuts import (CutMode, CutPool, adapt_cluster_count,  # noqa: F401
                    aggregate_and_add, make_full_aggregate_cut,
                    make_per_scenario_cuts, select_attributes,
                    track_and_consolidate)
@@ -104,6 +105,15 @@ class BendersConfig:
             raise ValueError(f"unknown clustering method {self.clustering_method!r}")
         if self.attribute not in ("duals", "objective", "wind"):
             raise ValueError(f"unknown clustering attribute {self.attribute!r}")
+
+    def pinned_clusters(self, n_scenarios: int) -> int | None:
+        """The cluster count of every iteration's cuts, or None when the
+        dead-band controller steers it from |Omega| in the MILP phase."""
+        if self.mode is CutMode.SINGLE:
+            return 1
+        if self.mode is CutMode.MULTI:
+            return n_scenarios
+        return None if self.adaptive else self.initial_clusters
 
 
 @dataclass
@@ -247,11 +257,20 @@ def solve_subproblems(instance: SystemInstance, scenarios: ScenarioSet,
     return [anchor] + [r for part in parts for r in part], time.perf_counter() - t0
 
 
-def _cluster(method: str, features: np.ndarray, k: int):
-    k = min(k, len(features))
-    if method == "hierarchical":
-        return clustering.hierarchical(features, k)
-    return clustering.kmeans(features, k)
+def _cluster_labels(config: BendersConfig, count: int, results, families,
+                    scenarios: ScenarioSet, instance: SystemInstance,
+                    cache: dict) -> np.ndarray:
+    """A cluster id per result: all zeros at 1 cluster, one per scenario at
+    |Omega|, else the configured clustering of the configured attribute."""
+    n = len(results)
+    if count == 1:
+        return np.zeros(n, dtype=int)
+    if count >= n:
+        return np.arange(n)
+    features = select_attributes(config.attribute, results, families, scenarios,
+                                 instance, cache)
+    # the method names its clustering function: hierarchical or kmeans
+    return np.array(getattr(clustering, config.clustering_method)(features, count).labels)
 
 
 def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
@@ -275,14 +294,10 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
         pool = CutPool()
     # this run's cuts of iteration nu form group first_origin + nu
     first_origin = max(pool.cuts_by_iter, default=0)
-    # single-cut cuts at one cluster and multi-cut at |Omega|; with the
-    # controller on, the LP phase cuts at |Omega| singleton clusters and the
-    # controller starts from there in the MILP phase
-    state = BendersState(cluster_count=(
-        1 if config.mode is CutMode.SINGLE
-        else config.initial_clusters if (config.mode is CutMode.AGGREGATED
-                                         and not config.adaptive)
-        else scenarios.n_scenarios))
+    # with the controller on, the LP phase cuts at |Omega| singleton
+    # clusters and the controller starts from there in the MILP phase
+    pinned = config.pinned_clusters(scenarios.n_scenarios)
+    state = BendersState(cluster_count=pinned or scenarios.n_scenarios)
     attr_cache: dict = {}
     t_start = time.perf_counter()
     solvers = recourse_solvers(instance, scenarios, config.workers)
@@ -316,8 +331,7 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
 
         # adapt the cluster count from the lower-bound delta before this
         # iteration's cuts are generated
-        if (config.mode is CutMode.AGGREGATED and config.adaptive and not lp_phase
-                and nu >= 2 and np.isfinite(prev_lb)):
+        if pinned is None and not lp_phase and nu >= 2 and np.isfinite(prev_lb):
             ref_ub = state.upper_bound if np.isfinite(state.upper_bound) else state.lower_bound
             state.cluster_count = adapt_cluster_count(
                 state.lower_bound - prev_lb, ref_ub, state.cluster_count,
@@ -346,27 +360,14 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
         sizes: tuple = ()
         if not converged:
             # consolidation needs the cut-row duals of the master just solved
-            if (config.mode is CutMode.AGGREGATED and config.consolidate
-                    and pool.row_contribution):
+            if config.consolidate and pool.row_contribution:
                 removed = track_and_consolidate(pool, _cut_duals(master, pool, mres),
                                                 config.kappa)
-            origin = first_origin + nu
-            if config.mode is CutMode.MULTI:
-                cuts = make_per_scenario_cuts(results, pi, x_hat, origin)
-                for cut in cuts:
-                    pool.add(cut)
-                added, sizes = len(cuts), (1,) * len(cuts)
-            elif config.mode is CutMode.SINGLE:
-                pool.add(make_full_aggregate_cut(results, pi, x_hat, origin))
-                added, sizes = 1, (len(results),)
-            else:
-                features = select_attributes(config.attribute, results, families,
-                                             scenarios, instance, attr_cache)
-                assignment = _cluster(config.clustering_method, features,
-                                      state.cluster_count)
-                added = aggregate_and_add(pool, results, x_hat, pi, assignment.labels,
-                                          origin)
-                sizes = tuple(np.unique(assignment.labels, return_counts=True)[1].tolist())
+            labels = _cluster_labels(config, state.cluster_count, results, families,
+                                     scenarios, instance, attr_cache)
+            added = aggregate_and_add(pool, results, x_hat, pi, labels,
+                                      first_origin + nu)
+            sizes = tuple(np.bincount(labels).tolist())
 
         record = IterationRecord(nu, "lp" if lp_phase else "milp", state.lower_bound,
                                  state.upper_bound, ub_candidate, traced_gap,

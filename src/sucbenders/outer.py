@@ -147,14 +147,18 @@ def solve_subsets(instance: SystemInstance, plan: SubsetPlan,
         nonlocal completed
         sub_scen = scenarios.restrict(list(plan.subsets[idx]))
         t0 = time.perf_counter()
-        sol = run(instance, sub_scen, replace(config), should_stop=stop.is_set,
-                  trace=_subset_trace(trace, idx))
+        try:
+            sol = run(instance, sub_scen, replace(config), should_stop=stop.is_set,
+                      trace=_subset_trace(trace, idx))
+            if sol.status is RunStatus.NOT_CONVERGED:
+                raise EngineError(f"subset {idx} did not converge")
+        except BaseException:
+            stop.set()      # the pass has failed: cancel the other subsets
+            raise
         elapsed = time.perf_counter() - t0
         if sol.status is RunStatus.CANCELED:
             return SubsetOutcome(idx, SubsetStatus.CANCELED, None, None,
                                  elapsed, sol.iterations, sol.final_master_rows)
-        if sol.status is not RunStatus.CONVERGED:
-            raise EngineError(f"subset {idx} did not converge")
         with done_lock:
             completed += 1
             if completed >= needed:

@@ -128,6 +128,52 @@ def test_solve_malformed_instance_exits_one(tmp_path):
     assert "error:" in res.output
 
 
+# edits of the toy-a instance, and the text that the error names
+MALFORMED_INSTANCES = {
+    "generator-without-energy-cost":
+        (lambda d: d["generators"][0].pop("energy_cost"), "generators[0]", "energy_cost"),
+    "line-without-capacity":
+        (lambda d: d["lines"][0].pop("capacity"), "lines[0]", "capacity"),
+    "load-without-mw": (lambda d: d["load"][0].pop("mw"), "load[0]", "mw"),
+    "farm-without-node":
+        (lambda d: d["wind_farms"][0].pop("node"), "wind_farms[0]", "node"),
+    "null-field":
+        (lambda d: d["generators"][1].update(p_max=None), "generators[1]", "p_max"),
+    "list-valued-field":
+        (lambda d: d["generators"][0].update(p_min=[1]), "generators[0]", "p_min"),
+    "generator-not-an-object":
+        (lambda d: d.update(generators=[1]), "generators[0]", "object"),
+    "meta-not-an-object": (lambda d: d.update(meta=[]), "meta", "object"),
+    "generators-not-a-list":
+        (lambda d: d.update(generators=3), "generators", "list"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_INSTANCES)
+def test_solve_malformed_instance_field_exits_one(tmp_path, name):
+    edit, record, field = MALFORMED_INSTANCES[name]
+    doc = json.loads(fixture_path("toy-a.json").read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    res = _invoke(["solve", "--instance", str(bad),
+                   "--scenarios", str(fixture_path("toy-a.csv")),
+                   "--method", "extensive"])
+    assert res.exit_code == 1
+    assert "error:" in res.output and record in res.output and field in res.output
+
+
+def test_solve_short_scenario_row_exits_one(tmp_path):
+    lines = fixture_path("toy-a.csv").read_text().splitlines()
+    lines[3] = ",".join(lines[3].split(",")[:2])     # its last two cells missing
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    res = _invoke(["solve", "--instance", str(fixture_path("toy-a.json")),
+                   "--scenarios", str(bad), "--method", "extensive"])
+    assert res.exit_code == 1
+    assert "error:" in res.output and "line 4" in res.output
+
+
 def test_trace_file_is_json_lines(tmp_path):
     trace = tmp_path / "trace.jsonl"
     res = _invoke(["solve", *TOY, "--method", "aggregated",

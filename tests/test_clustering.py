@@ -136,3 +136,16 @@ def test_label_invariants_property(pts, data):
         a = algo(pts, k)
         assert len(a.labels) == len(pts)
         assert set(a.labels) == set(range(k))  # every cluster nonempty
+
+
+@pytest.mark.parametrize("algo", [hierarchical, kmeans])
+@pytest.mark.parametrize("pts", [
+    np.array([[0.0, 1.0], [0.0, 1.0], [2.0, 0.0], [0.0, 1.0], [2.0, 0.0]]),
+    np.zeros((5, 3)),
+], ids=["duplicate-rows", "all-equal-rows"])
+def test_trivial_counts_give_the_trivial_labels(algo, pts):
+    # the engine skips clustering at 1 and at |Omega| clusters and uses these
+    # labels, also for scenarios whose duals coincide
+    n = len(pts)
+    assert algo(pts, 1).labels == (0,) * n
+    assert algo(pts, n).labels == tuple(range(n))

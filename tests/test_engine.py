@@ -9,7 +9,7 @@ import pytest
 
 from sucbenders.backend import HighsSolver, solve_milp
 from sucbenders.cuts import CutMode, CutPool, aggregate_and_add
-from sucbenders import engine
+from sucbenders import clustering, engine
 from sucbenders.engine import (BendersConfig, EngineError, RunStatus,
                                compute_bounds, recourse_solvers, run, solve_subproblems)
 from sucbenders.formulations import (FEAS_TOL, RecourseSolver, build_extensive,
@@ -407,3 +407,47 @@ def test_multi_cut_run_is_the_pinned_full_aggregated_run(toy_a):
     assert multi.final_master_rows == pinned.final_master_rows
     single = run(inst, scen, BendersConfig(mode=CutMode.SINGLE, max_iters=5))
     assert all(r.clusters == 1 for r in single.state.history)
+
+
+def test_pinned_cluster_count_of_each_mode():
+    n = 7
+    assert BendersConfig(mode=CutMode.SINGLE).pinned_clusters(n) == 1
+    assert BendersConfig(mode=CutMode.MULTI).pinned_clusters(n) == n
+    assert BendersConfig(mode=CutMode.AGGREGATED, adaptive=False,
+                         initial_clusters=3).pinned_clusters(n) == 3
+    assert BendersConfig(mode=CutMode.AGGREGATED, adaptive=True).pinned_clusters(n) is None
+
+
+@pytest.mark.parametrize("config", [
+    dict(mode=CutMode.SINGLE), dict(mode=CutMode.MULTI),
+    dict(mode=CutMode.AGGREGATED, adaptive=False, initial_clusters=1),
+    dict(mode=CutMode.AGGREGATED, adaptive=False, initial_clusters=3),
+], ids=["single-cut", "multi-cut", "aggregated-1", "aggregated-n"])
+def test_no_clustering_at_one_or_all_clusters(toy_a, monkeypatch, config):
+    # at 1 and at |Omega| clusters the labels need no features and no
+    # clusterer, in every mode
+    inst, scen = toy_a
+    assert scen.n_scenarios == 3
+
+    def boom(*args, **kwargs):
+        raise AssertionError("clustering called")
+
+    monkeypatch.setattr(engine, "select_attributes", boom)
+    monkeypatch.setattr(clustering, "hierarchical", boom)
+    monkeypatch.setattr(clustering, "kmeans", boom)
+    sol = run(inst, scen, BendersConfig(**config))
+    assert sol.status is RunStatus.CONVERGED
+
+
+def test_consolidation_is_honoured_in_multi_cut_mode(toy_a):
+    inst, scen = toy_a
+    eps = 1e-6
+    oracle = solve_milp(build_extensive(inst, scen)).objective
+    sol = run(inst, scen, BendersConfig(mode=CutMode.MULTI, consolidate=True, kappa=2,
+                                        eps=eps))
+    assert sol.status is RunStatus.CONVERGED
+    removed = sum(r.cuts_removed for r in sol.state.history)
+    assert removed > 0 and sol.pool.consolidated_iters
+    added = sum(r.cuts_added for r in sol.state.history)
+    assert sol.pool.row_contribution == added - removed
+    assert sol.objective == pytest.approx(oracle, abs=2 * eps * max(1.0, abs(oracle)))

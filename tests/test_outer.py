@@ -3,6 +3,7 @@
 import json
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from sucbenders.backend import solve_milp
 from sucbenders.clustering import ClusterAssignment
 from sucbenders.cuts import CutMode
 from sucbenders.data import ScenarioSet
-from sucbenders.engine import BendersConfig, RunStatus, solve_subproblems
+from sucbenders import outer
+from sucbenders.engine import BendersConfig, EngineError, RunStatus, solve_subproblems
 from sucbenders.formulations import build_extensive, sample_feasible_first_stage
 from sucbenders.outer import (OuterError, SubsetOutcome, SubsetStatus,
                               form_subsets, intersect_commitments,
@@ -221,3 +223,27 @@ def test_outer_trace_reaches_the_sink_one_record_at_a_time(toy_a):
     docs = [json.loads(line) for line in text.splitlines()]
     assert len(docs) == (sum(o.iterations for o in result.outcomes)
                          + result.solution.iterations)
+
+
+def test_a_failed_subset_cancels_the_others(med_b, monkeypatch):
+    # subset 0 fails after 50 ms; the other subset polls its stop flag for up
+    # to 3 s and must see it set well before then
+    inst, scen = med_b
+    plan = form_subsets(inst, scen, 2)
+    waited = []
+
+    def stub_run(instance, sub_scen, config, should_stop=None, trace=None, **kwargs):
+        if sub_scen.scenario_ids == plan.subsets[0]:
+            time.sleep(0.05)
+            raise EngineError("subset 0 failed")
+        t0 = time.perf_counter()
+        while time.perf_counter() - t0 < 3.0 and not should_stop():
+            time.sleep(0.005)
+        waited.append(time.perf_counter() - t0)
+        return SimpleNamespace(status=RunStatus.CANCELED, iterations=1,
+                               final_master_rows=0)
+
+    monkeypatch.setattr(outer, "run", stub_run)
+    with pytest.raises(EngineError, match="subset 0 failed"):
+        solve_subsets(inst, plan, scen, BendersConfig(mode=CutMode.MULTI), workers=2)
+    assert len(waited) == 1 and waited[0] < 1.0
