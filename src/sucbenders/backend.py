@@ -41,6 +41,19 @@ those of a column-wise pass bit for bit.
 Both run with the dual simplex and output off, and with presolve on unless
 the instance is built with ``presolve=False`` (the scenario subproblems:
 small LPs that solve faster without it).
+
+Every MILP instance (the Benders masters of every cut mode, the outer
+subsets and pass 2, and the extensive form) also takes ``_MILP_OPTIONS``:
+no restart, which presolves the root a second time, and none of six primal
+heuristics that HiGHS runs at the root (feasibility jump, RINS, RENS, root
+reduced cost, zero-one rounding and shifting; each has its own switch).
+These MILPs close at the root node, where the restarts and the heuristics
+only spend time; with the set, they keep their objective and their single
+node, and the med-b masters and extensive form solve 2-3x faster.  When an
+optimum is tied, the incumbent may be another optimal point.  A
+feasibility search (``sample_feasible_first_stage``: a random objective at
+a loose gap) keeps HiGHS's defaults with ``heuristics=True``.  No LP solve
+reads these options, so LP iterates do not depend on them.
 """
 
 from __future__ import annotations
@@ -54,7 +67,8 @@ import scipy.sparse as sp
 # bench/layers.py wraps backend.linprog and backend.milp by name; nothing
 # here calls them
 from scipy.optimize import linprog, milp  # noqa: F401
-# scipy's bundled HiGHS bindings (scipy >= 1.15); a private API, used only here
+# scipy's bundled HiGHS bindings (scipy >= 1.15; >= 1.17, HiGHS 1.12.0, for the
+# names in _MILP_OPTIONS); a private API, used only here
 from scipy.optimize._highspy import _core as highs
 
 # the optimal basis of a solve, as ``HighsInstance.basis`` returns it
@@ -145,6 +159,15 @@ _HIGHS_STATUS = {
 _OPTIONS = (("output_flag", False), ("log_to_console", False),
             ("simplex_strategy",
              int(highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)))
+
+# a MILP instance's, unless ``heuristics`` keeps HiGHS's search (see above)
+_MILP_OPTIONS = (("mip_allow_restart", False),
+                 ("mip_heuristic_run_feasibility_jump", False),
+                 ("mip_heuristic_run_rins", False),
+                 ("mip_heuristic_run_rens", False),
+                 ("mip_heuristic_run_root_reduced_cost", False),
+                 ("mip_heuristic_run_zi_round", False),
+                 ("mip_heuristic_run_shifting", False))
 
 
 @dataclass(frozen=True)
@@ -275,11 +298,13 @@ class HighsInstance:
 
     A model passed with an integrality mask is a MILP, solved within
     ``mip_gap``; one passed without is an LP, solved for row and column
-    duals.  ``run`` clears the solver and starts cold or from a given
-    basis, so a model passed to a used instance solves as on a fresh one
-    loaded with the same model and given the same basis, bit for bit; a
-    basis that HiGHS rejects raises ``BackendError`` and is never replaced
-    by a cold start.  The arrays are not checked: the
+    duals.  An instance with a ``mip_gap`` takes ``_MILP_OPTIONS``, unless
+    ``heuristics`` keeps HiGHS's default restarts and primal heuristics;
+    neither acts on an LP solve.  ``run`` clears the solver and starts cold
+    or from a given basis, so a model passed to a used instance solves as
+    on a fresh one loaded with the same model and given the same basis, bit
+    for bit; a basis that HiGHS rejects raises ``BackendError`` and is
+    never replaced by a cold start.  The arrays are not checked: the
     caller passes finite costs and matrix entries and no NaN bound.  One
     instance must not be used from two threads at once; ``run`` releases
     the interpreter lock, so instances in different threads run in
@@ -288,13 +313,16 @@ class HighsInstance:
     ``BackendError``.
     """
 
-    def __init__(self, mip_gap: float | None = None, presolve: bool = True):
+    def __init__(self, mip_gap: float | None = None, presolve: bool = True,
+                 heuristics: bool = False):
         self._highs = highs._Highs()
         options = _OPTIONS + (("presolve", "on" if presolve else "off"),)
         if mip_gap is not None:
             if not np.isfinite(mip_gap):
                 raise BackendError(f"mip_gap must be finite, got {mip_gap}")
             options += (("mip_rel_gap", float(mip_gap)),)
+            if not heuristics:
+                options += _MILP_OPTIONS
         for option, value in options:
             if self._highs.setOptionValue(option, value) == highs.HighsStatus.kError:
                 raise BackendError(f"HiGHS refused the option {option}={value!r}")
@@ -377,14 +405,14 @@ class HighsSolver:
     solve starts cold, or from the basis it is given, on the same matrix,
     so its results equal those of a fresh instance on a model with the same
     bounds, started the same way, bit for bit; so does each solve of a
-    ``solve_batch``.  A model
+    ``solve_batch``.  ``heuristics`` is ``HighsInstance``'s.  A model
     with a non-finite cost or matrix entry or a NaN bound, and a NaN bound
     passed to ``solve``, raise ``BackendError``; so do the ``mip_gap``
     values that ``HighsInstance`` refuses.
     """
 
     def __init__(self, model: LinearModel, mip_gap: float | None = None,
-                 presolve: bool = True):
+                 presolve: bool = True, heuristics: bool = False):
         _check_finite(model)
         self.row_count = model.row_count
         self._n_cols = model.c.size
@@ -393,9 +421,10 @@ class HighsSolver:
             raise BackendError("LP solve called on a model with integrality flags")
         self._rows = _RowLayout(model, stacked=not mip)
         arrays = self._rows.arrays(model)
-        # the current bounds of the HiGHS rows
+        # the current bounds of the HiGHS columns and rows
+        self._col_lb, self._col_ub = model.lb.astype(float), model.ub.astype(float)
         self._lo, self._hi = arrays.lo, arrays.hi
-        self._instance = HighsInstance(mip_gap, presolve)
+        self._instance = HighsInstance(mip_gap, presolve, heuristics)
         self._instance.load(model.c, model.lb, model.ub, arrays,
                             model.integral if mip else None)
         self._highs = self._instance._highs
@@ -405,14 +434,16 @@ class HighsSolver:
         """Set the bounds of columns ``cols`` and rows ``rows`` (model
         indices) and solve from scratch, or from the start ``basis``
         (``HighsInstance.run``); every other bound keeps its value from the
-        previous solve.  In the stacked layout a row keeps its sense: an
-        equality stays an equality, and a one-sided row keeps its infinite
-        side."""
+        previous solve, and only the bounds that differ from it reach HiGHS.
+        In the stacked layout a row keeps its sense: an equality stays an
+        equality, and a one-sided row keeps its infinite side."""
         cols = np.asarray(cols, dtype=np.int32)
         lb, ub, row_lo, row_hi = _float_bounds(lb, ub, row_lo, row_hi)
-        if cols.size:
-            self._highs.changeColsBounds(cols.size, cols, lb, ub)
         pos, new_lo, new_hi = self._row_bounds(rows, row_lo, row_hi)
+        ch = (lb != self._col_lb[cols]) | (ub != self._col_ub[cols])
+        if ch.any():
+            self._highs.changeColsBounds(int(ch.sum()), cols[ch], lb[ch], ub[ch])
+        self._col_lb[cols], self._col_ub[cols] = lb, ub
         changed = np.flatnonzero((new_lo != self._lo[pos]) | (new_hi != self._hi[pos]))
         for k in changed:
             self._highs.changeRowBounds(int(pos[k]), float(new_lo[k]), float(new_hi[k]))
@@ -435,11 +466,13 @@ class HighsSolver:
             raise BackendError("a batch solve needs an LP")
         cols = np.asarray(cols, dtype=np.int32)
         lb, ub, row_lo, row_hi = _float_bounds(lb, ub, row_lo, row_hi)
+        lb = np.broadcast_to(lb, ub.shape)
         pos, lo, hi = self._row_bounds(rows, row_lo, row_hi)
         n = len(ub)
-        # the rows whose bounds differ from the solve before (or from HiGHS's)
-        changed = ((lo != np.vstack([self._lo[pos], lo[:-1]]))
-                   | (hi != np.vstack([self._hi[pos], hi[:-1]])))
+        # the columns and rows whose bounds differ from the solve before (or
+        # from HiGHS's)
+        col_changed = (_changes(self._col_lb[cols], lb) | _changes(self._col_ub[cols], ub))
+        changed = _changes(self._lo[pos], lo) | _changes(self._hi[pos], hi)
         status = []
         objective = np.full(n, np.nan)
         raw_row_dual = np.full((n, self._instance._rows.count), np.nan)
@@ -449,8 +482,9 @@ class HighsSolver:
         done = -1
         try:
             for k in range(n):
-                if cols.size:
-                    h.changeColsBounds(cols.size, cols, lb, ub[k])
+                ch = np.flatnonzero(col_changed[k])
+                if ch.size:
+                    h.changeColsBounds(ch.size, cols[ch], lb[k, ch], ub[k, ch])
                 ch = np.flatnonzero(changed[k])
                 for p, a, b in zip(pos[ch].tolist(), lo[k, ch].tolist(), hi[k, ch].tolist()):
                     h.changeRowBounds(p, a, b)
@@ -470,6 +504,7 @@ class HighsSolver:
                     iters[k] = h.getInfoValue("simplex_iteration_count")[1]
         finally:
             if done >= 0:
+                self._col_lb[cols], self._col_ub[cols] = lb[done], ub[done]
                 self._lo[pos], self._hi[pos] = lo[done], hi[done]
         return BatchResult(status, objective, self._instance._rows.model_duals(raw_row_dual),
                            col_dual, iters)
@@ -493,6 +528,12 @@ class HighsSolver:
         return pos, new_lo, new_hi
 
 
+def _changes(current: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Per solve of a batch (row of ``new``), which bounds differ from the
+    solve before it, the first solve's from ``current``."""
+    return new != np.vstack([current, new[:-1]])
+
+
 def _float_bounds(*bounds) -> list[np.ndarray]:
     arrays = [np.asarray(b, dtype=float) for b in bounds]
     if any(np.isnan(b).any() for b in arrays):
@@ -506,6 +547,8 @@ def solve_lp(model: LinearModel) -> SolveResult:
     return HighsSolver(model).solve()
 
 
-def solve_milp(model: LinearModel, mip_gap: float = 1e-6) -> SolveResult:
-    """Solve a MILP within the given relative gap."""
-    return HighsSolver(model, mip_gap=mip_gap).solve()
+def solve_milp(model: LinearModel, mip_gap: float = 1e-6,
+               heuristics: bool = False) -> SolveResult:
+    """Solve a MILP within the given relative gap; ``heuristics`` keeps
+    HiGHS's default restarts and primal heuristics (``HighsInstance``)."""
+    return HighsSolver(model, mip_gap=mip_gap, heuristics=heuristics).solve()

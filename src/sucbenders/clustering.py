@@ -88,21 +88,27 @@ def _farthest_first(pts: np.ndarray, k: int) -> np.ndarray:
 
 
 def kmeans(points: np.ndarray, k: int) -> ClusterAssignment:
-    """Lloyd iterations from farthest-first seeding at point 0."""
+    """Lloyd iterations from farthest-first seeding at point 0, until the
+    labels, each empty cluster repaired, repeat those of an earlier pass.
+
+    When k exceeds the distinct points, unrepaired labels never settle (the
+    duplicates that fill empty clusters go back to the lowest-index one of
+    equal centres), and repaired ones can cycle through a few labellings,
+    which the first repeat ends.
+    """
     pts = np.asarray(points, dtype=float)
     n = len(pts)
     _check_k(n, k)
     centers = _farthest_first(pts, k)
-    labels = _assign_nearest(pts, centers)
+    labels = _repair_empty(pts, _assign_nearest(pts, centers), centers, k)
+    seen = {labels.tobytes()}
     for _ in range(KMEANS_MAX_ITER):
-        labels = _repair_empty(pts, labels, centers, k)
         for c in range(k):
             centers[c] = pts[labels == c].mean(axis=0)
-        new_labels = _assign_nearest(pts, centers)
-        if np.array_equal(new_labels, labels):
+        labels = _repair_empty(pts, _assign_nearest(pts, centers), centers, k)
+        if labels.tobytes() in seen:
             break
-        labels = new_labels
-    labels = _repair_empty(pts, labels, centers, k)
+        seen.add(labels.tobytes())
     groups = [list(np.flatnonzero(labels == c)) for c in range(k)]
     return ClusterAssignment(k, _canonical_labels(groups))
 

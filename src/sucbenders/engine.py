@@ -2,7 +2,7 @@
 convergence, and cut-pool updates.
 
 Per iteration: solve the master, read the lower bound and the candidate
-first-stage point, solve all scenario subproblems in parallel, update the
+first-stage point, solve all scenario subproblems on the workers, update the
 upper bound, test convergence, then add one pi-weighted aggregate cut per
 cluster of scenarios.  Every cut mode solves one master, with one theta per
 scenario, and makes its cuts in this one step: a mode decides only the
@@ -229,9 +229,11 @@ def solve_subproblems(instance: SystemInstance, scenarios: ScenarioSet,
     or on the points solved before.  Each solver takes one contiguous chunk
     of the other scenarios in its own thread and solves it as one batch
     (``RecourseSolver.solve_warm``); HiGHS releases the interpreter lock
-    while it solves, so the chunks run in parallel.  Without ``solvers``,
-    ``workers`` of them are built here (``recourse_solvers``); a run builds
-    them once and passes them in.
+    while it solves, so the chunks can run in parallel; whether that pays
+    depends on the host (on shared 2-vCPU hosts, 2 workers have solved
+    from no more to about 1.4 times as many scenarios per second as 1).
+    Without ``solvers``, ``workers`` of them are built here
+    (``recourse_solvers``); a run builds them once and passes them in.
     """
     t0 = time.perf_counter()
     if solvers is None:

@@ -825,9 +825,12 @@ def first_stage_violation(instance: SystemInstance, sol: FirstStageSolution) -> 
 
 def sample_feasible_first_stage(instance: SystemInstance, rng: np.random.Generator,
                                 mip_gap: float = 1e-6) -> FirstStageSolution:
-    """A random feasible day-ahead point, via a randomized-objective MILP solve."""
+    """A random feasible day-ahead point, via a randomized-objective MILP
+    solve.  It is a feasibility search, so it keeps HiGHS's restarts and
+    primal heuristics (``solve_milp``'s ``heuristics``)."""
     model, X = _first_stage_model(instance)
-    res = solve_milp(replace(model, c=rng.uniform(-1.0, 1.0, X.n)), mip_gap=mip_gap)
+    res = solve_milp(replace(model, c=rng.uniform(-1.0, 1.0, X.n)), mip_gap=mip_gap,
+                     heuristics=True)
     if res.status is not SolveStatus.OPTIMAL:
         raise ModelBuildError(f"first-stage sampling solve returned {res.status.value}")
     return extract_first_stage(instance, res)

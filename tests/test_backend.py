@@ -13,14 +13,15 @@ from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from scipy.optimize._highspy import _core as highs
 
 import sucbenders
-from sucbenders.backend import (BackendError, HighsSolver, LinearModel, SolveStatus,
-                                solve_lp, solve_milp)
+from sucbenders import backend, formulations
+from sucbenders.backend import (BackendError, HighsInstance, HighsSolver, LinearModel,
+                                SolveStatus, solve_lp, solve_milp)
 from sucbenders.cuts import CutMode
 from sucbenders.engine import BendersConfig, run
-from sucbenders.formulations import (RecourseSolver, build_master, build_subproblem,
-                                     default_theta_min, master_template,
-                                     recourse_template, sample_feasible_first_stage,
-                                     solve_subproblem)
+from sucbenders.formulations import (MasterSolver, RecourseSolver, build_extensive,
+                                     build_master, build_subproblem, default_theta_min,
+                                     master_template, recourse_template,
+                                     sample_feasible_first_stage, solve_subproblem)
 
 INF = np.inf
 
@@ -124,6 +125,63 @@ def test_a_gap_that_highs_would_ignore_is_rejected(gap):
     m = model([1.0], ub=[1.0], integral=[True])
     with pytest.raises(BackendError):
         solve_milp(m, mip_gap=gap)
+
+
+# what every optimality MILP sets: no restart, and none of these heuristics
+ROOT_CLOSING = {"mip_allow_restart": False,
+                "mip_heuristic_run_feasibility_jump": False,
+                "mip_heuristic_run_rins": False,
+                "mip_heuristic_run_rens": False,
+                "mip_heuristic_run_root_reduced_cost": False,
+                "mip_heuristic_run_zi_round": False,
+                "mip_heuristic_run_shifting": False}
+
+
+def _mip_options(h) -> dict:
+    return {name: h.getOptionValue(name)[1] for name in ROOT_CLOSING}
+
+
+@pytest.fixture
+def made_instances(monkeypatch):
+    """Every ``HighsInstance`` made while the test runs."""
+    made = []
+
+    class Recorded(HighsInstance):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(backend, "HighsInstance", Recorded)
+    monkeypatch.setattr(formulations, "HighsInstance", Recorded)
+    return made
+
+
+def test_milp_instances_close_the_root_without_restarts_or_heuristics(toy_a, made_instances):
+    inst, scen = toy_a
+    defaults = _mip_options(highs._Highs())
+    assert defaults != ROOT_CLOSING
+    assert _mip_options(HighsInstance(mip_gap=1e-6)._highs) == ROOT_CLOSING
+    # an LP instance, and a MILP one that keeps HiGHS's search, keep its defaults
+    assert _mip_options(HighsInstance()._highs) == defaults
+    assert _mip_options(HighsInstance(mip_gap=1e-6, heuristics=True)._highs) == defaults
+    # the masters of every cut mode and the extensive MILP take the set; the
+    # sampler's feasibility search keeps the defaults
+    master = MasterSolver(master_template(inst, scen, default_theta_min(inst)), 1e-6)
+    assert _mip_options(master.highs._highs) == ROOT_CLOSING
+    made_instances.clear()
+    assert solve_milp(build_extensive(inst, scen)).status is SolveStatus.OPTIMAL
+    assert [_mip_options(h._highs) for h in made_instances] == [ROOT_CLOSING]
+    made_instances.clear()
+    sample_feasible_first_stage(inst, np.random.default_rng(3))
+    assert [_mip_options(h._highs) for h in made_instances] == [defaults]
+
+
+def test_a_milp_option_that_highs_refuses_raises(monkeypatch):
+    monkeypatch.setattr(backend, "_MILP_OPTIONS",
+                        backend._MILP_OPTIONS + (("mip_heuristic_run_nothing", False),))
+    with pytest.raises(BackendError, match="mip_heuristic_run_nothing"):
+        HighsInstance(mip_gap=1e-6)
+    HighsInstance()     # an LP instance does not take the set
 
 
 def test_milp_fixed_vars_dominate():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from sucbenders import clustering
 from sucbenders.clustering import hierarchical, kmeans, kmedoids
 
 LINE = np.array([[0.0], [1.0], [10.0]])
@@ -85,6 +86,26 @@ def test_kmeans_identical_points_repair_rule():
     a = kmeans(pts, 2)
     assert a.k == 2
     assert all(len(a.members(c)) >= 1 for c in range(2))
+
+
+def _few_distinct_rows():
+    rng = np.random.default_rng(0)
+    return rng.normal(size=(24, 30))[rng.integers(0, 24, 200)]
+
+
+@pytest.mark.parametrize("pts, k", [(np.ones((5, 3)), 3), (_few_distinct_rows(), 50)],
+                         ids=["5-equal-rows", "200-rows-of-24"])
+def test_kmeans_ends_when_k_exceeds_the_distinct_points(monkeypatch, pts, k):
+    # duplicates that fill empty clusters move between equal centres, and the
+    # loop must still end well before KMEANS_MAX_ITER
+    passes = []
+    assign = clustering._assign_nearest
+    monkeypatch.setattr(clustering, "_assign_nearest",
+                        lambda *args: passes.append(1) or assign(*args))
+    a = kmeans(pts, k)
+    assert len(passes) <= 15
+    assert sorted(set(a.labels)) == list(range(k))
+    assert kmeans(pts, k).labels == a.labels
 
 
 def test_hierarchical_first_merge_is_cheapest_pair():

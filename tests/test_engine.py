@@ -451,3 +451,13 @@ def test_consolidation_is_honoured_in_multi_cut_mode(toy_a):
     added = sum(r.cuts_added for r in sol.state.history)
     assert sol.pool.row_contribution == added - removed
     assert sol.objective == pytest.approx(oracle, abs=2 * eps * max(1.0, abs(oracle)))
+
+
+def test_every_milp_master_on_med_b_closes_at_the_root(med_b):
+    # the premise of the MILP options (backend._MILP_OPTIONS): a master
+    # solve never branches, so restarts and primal heuristics buy nothing
+    inst, scen = med_b
+    sol = run(inst, scen, BendersConfig(mode=CutMode.MULTI))
+    milp = [r for r in sol.state.history if r.phase == "milp"]
+    assert sol.status is RunStatus.CONVERGED and milp
+    assert [r.master_mip_nodes for r in milp] == [1] * len(milp)
