@@ -2,15 +2,13 @@
 
 Every solve goes through a ``HighsInstance``: one ``_Highs`` instance of
 scipy's bundled HiGHS bindings with its options set once, to which a model
-is passed as row arrays (``RowArrays``) and solved from scratch, cold or
-from a given start basis.
-``HighsSolver`` holds one ``LinearModel`` in an instance and re-solves it
-after bound changes: ``solve_lp`` and ``solve_milp`` solve a fresh one
-once, and the scenario subproblems keep one per worker, which solves a
-chunk of scenarios as one batch (``HighsSolver.solve_batch``).  A Benders run
-keeps one instance for its masters and passes each master's arrays:
-``GeRowJoiner`` holds the master's static rows, prepared once in both
-layouts below, and joins them with the cut rows.
+is passed as a ``RowBlock`` of its rows, with any extra rows, and solved
+from scratch, cold or from a given start basis.  ``solve_lp`` and
+``solve_milp`` solve a model once on a fresh instance.  ``HighsSolver``
+holds one LP in an instance and solves it as batches of bound changes
+(``HighsSolver.solve_batch``): the scenario subproblems keep one per
+worker.  A Benders run keeps one instance for its masters and passes each
+master as the static block of the run with the cut rows as extra rows.
 
 The dual convention is pinned here: for an LP solved to optimality, the dual
 value reported for a row (``row_dual``) is the derivative of the optimal
@@ -25,19 +23,25 @@ with dual ``lam``, ``Q(b') >= Q(b) + lam * (b' - b)``.  HiGHS row duals
 follow this convention for every row it holds; a row that the loader
 negated is negated back.  Columns are never negated.
 
-Each entry point passes rows in the layout that ``scipy.optimize`` used to
-give HiGHS, because HiGHS's iterates depend on the layout and the Benders
-runs' iterates, cuts and row counts depend on those:
+Rows reach HiGHS in the layout that ``scipy.optimize`` used to give it,
+because HiGHS's iterates depend on the layout and the Benders runs'
+iterates, cuts and row counts depend on those.  ``RowBlock`` holds both
+layouts of one model's rows, and ``HighsInstance.load`` is the one place
+that picks one, from whether the model is passed with an integrality mask:
 
-* LPs take ``linprog``'s stacked form: the inequality rows in model order,
-  >= rows negated into <= rows, then the equality rows;
-* MILPs take ``milp``'s native two-sided rows, in model order.
+* LPs take ``linprog``'s stacked form (``RowBlock.lp_rows``): the
+  inequality rows in model order, >= rows negated into <= rows, then the
+  equality rows; extra rows, which are >= rows, are negated and sit
+  between the model's inequality and equality rows, where they belong in
+  model order;
+* MILPs take ``milp``'s native two-sided rows in model order
+  (``RowBlock.rows``), the extra rows last.
 
-The rows reach HiGHS row-wise, straight from CSR arrays (for a
-``LinearModel``, its own arrays or a permuted, negated copy of them in the
-stacked layout), with no conversion to columns; HiGHS builds the same
-column-wise matrix that a column-wise pass gives it, so the iterates are
-those of a column-wise pass bit for bit.
+The rows reach HiGHS row-wise, straight from CSR arrays (a model's own
+arrays or a permuted, negated copy of them in the stacked layout), with no
+conversion to columns; HiGHS builds the same column-wise matrix that a
+column-wise pass gives it, so the iterates are those of a column-wise pass
+bit for bit.
 Both run with the dual simplex and output off, and with presolve on unless
 the instance is built with ``presolve=False`` (the scenario subproblems:
 small LPs that solve faster without it).
@@ -61,6 +65,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -195,51 +200,6 @@ class RowArrays:
         return duals if self.pos is None else self.sign * duals[..., self.pos]
 
 
-class _RowLayout:
-    """Where each row of a ``LinearModel`` sits in HiGHS, and its sign there.
-
-    Native: model row i is HiGHS row i.  Stacked: the inequality rows in
-    model order, >= rows negated, then the equality rows.
-    """
-
-    def __init__(self, model: LinearModel, stacked: bool):
-        n = model.row_count
-        self.stacked = stacked
-        self.order = np.arange(n)             # model row of each HiGHS row
-        self.sign = np.ones(n)                # per model row
-        self.n_ineq = 0
-        if stacked:
-            eq = model.row_lo == model.row_hi
-            ge = ~eq & ~np.isneginf(model.row_lo)
-            if np.isfinite(model.row_hi[ge]).any():
-                raise BackendError("LP solve called on a model with two-sided inequality rows")
-            self.order = np.concatenate([np.flatnonzero(~eq), np.flatnonzero(eq)])
-            self.sign = np.where(ge, -1.0, 1.0)
-            self.n_ineq = n - int(eq.sum())
-        self.pos = np.argsort(self.order)     # HiGHS row of each model row
-
-    def arrays(self, model: LinearModel) -> RowArrays:
-        """``model``'s rows in HiGHS order with their signs applied: the
-        model's own CSR arrays in the native layout, new ones in the stacked
-        layout."""
-        A = model.A
-        lo, hi = self.bounds(self.order, model.row_lo[self.order], model.row_hi[self.order])
-        if not self.stacked:
-            return RowArrays(A.indptr, A.indices, A.data, lo, hi)
-        sizes = np.diff(A.indptr)[self.order]
-        start = np.concatenate([[0], np.cumsum(sizes)])
-        take = np.repeat(A.indptr[self.order] - start[:-1], sizes) + np.arange(start[-1])
-        return RowArrays(start, A.indices[take],
-                         A.data[take] * np.repeat(self.sign[self.order], sizes),
-                         lo, hi, self.pos, self.sign)
-
-    def bounds(self, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-        """HiGHS (lower, upper) bounds of model rows ``rows`` with model
-        bounds ``lo``/``hi``."""
-        neg = self.sign[rows] < 0
-        return np.where(neg, -hi, lo), np.where(neg, -lo, hi)
-
-
 def _check_finite(model: LinearModel) -> None:
     """Reject what HiGHS would not: it solves a model with a NaN or
     infinite cost to "optimal"."""
@@ -249,43 +209,68 @@ def _check_finite(model: LinearModel) -> None:
         raise BackendError("model has a NaN bound")
 
 
-class GeRowJoiner:
-    """A model's rows, checked and prepared once in both layouts, joined
-    per solve with extra rows ``a.x >= b`` that follow the model's own rows.
+def _join(extra: list):
+    """The extra rows' end offsets, columns, values and right-hand sides."""
+    return (np.cumsum([cols.size for cols, _, _ in extra], dtype=np.int64),
+            [cols for cols, _, _ in extra], [vals for _, vals, _ in extra],
+            np.array([b for _, _, b in extra]))
 
-    The native layout appends them.  The stacked layout takes them negated
-    between the model's inequality and equality rows, where they belong in
-    model order; its arrays are kept split there.  Each extra row comes as
-    (sorted columns, values, negated values, b), so a caller that keeps a
-    row across solves negates it once.
+
+class RowBlock:
+    """A model's rows, checked once (``_check_finite``), joined per load
+    with extra rows ``a.x >= b`` given as (sorted columns, values, b).
+
+    ``rows`` is the MILP layout, which is model order: the model's rows,
+    then the extra rows.  ``lp_rows`` is the LP layout, prepared on first
+    use: the model's inequality rows in model order with >= rows negated,
+    then the extra rows negated, then the equality rows.  An LP layout of a
+    model with a two-sided inequality row raises ``BackendError``.
     """
 
     def __init__(self, model: LinearModel):
         _check_finite(model)
         self.model = model
-        self._stacked = _RowLayout(model, stacked=True).arrays(model)
-        n = self._n_ineq = int((model.row_lo != model.row_hi).sum())
-        self._nnz = int(self._stacked.start[n])
-        self._tail = self._stacked.start[n + 1:] - self._nnz
 
-    def join(self, rows: list, stacked: bool) -> RowArrays:
-        k = len(rows)
-        ends = np.cumsum([cols.size for cols, _, _, _ in rows], dtype=np.int64)
-        rhs = np.array([b for _, _, _, b in rows])
-        cols = [cols for cols, _, _, _ in rows]
-        if not stacked:
-            m = self.model
-            return RowArrays(np.concatenate([m.A.indptr, m.A.indptr[-1] + ends]),
-                             np.concatenate([m.A.indices] + cols),
-                             np.concatenate([m.A.data] + [vals for _, vals, _, _ in rows]),
-                             np.append(m.row_lo, rhs), np.append(m.row_hi, np.full(k, np.inf)))
-        a, n, nnz = self._stacked, self._n_ineq, self._nnz
+    def rows(self, extra: list = ()) -> RowArrays:
+        m = self.model
+        ends, cols, vals, rhs = _join(extra)
+        return RowArrays(np.concatenate([m.A.indptr, m.A.indptr[-1] + ends]),
+                         np.concatenate([m.A.indices] + cols),
+                         np.concatenate([m.A.data] + vals), np.append(m.row_lo, rhs),
+                         np.append(m.row_hi, np.full(rhs.size, np.inf)))
+
+    @cached_property
+    def _stacked(self) -> tuple[RowArrays, int]:
+        """The model's own rows in the LP layout, and how many are
+        inequalities."""
+        m = self.model
+        eq = m.row_lo == m.row_hi
+        ge = ~eq & ~np.isneginf(m.row_lo)
+        if np.isfinite(m.row_hi[ge]).any():
+            raise BackendError("LP solve called on a model with two-sided inequality rows")
+        order = np.concatenate([np.flatnonzero(~eq), np.flatnonzero(eq)])
+        sign = np.where(ge, -1.0, 1.0)
+        neg = ge[order]
+        lo, hi = m.row_lo[order], m.row_hi[order]
+        A = m.A
+        sizes = np.diff(A.indptr)[order]
+        start = np.concatenate([[0], np.cumsum(sizes)])
+        take = np.repeat(A.indptr[order] - start[:-1], sizes) + np.arange(start[-1])
+        return RowArrays(start, A.indices[take], A.data[take] * np.repeat(sign[order], sizes),
+                         np.where(neg, -hi, lo), np.where(neg, -lo, hi),
+                         np.argsort(order), sign), int((~eq).sum())
+
+    def lp_rows(self, extra: list = ()) -> RowArrays:
+        a, n = self._stacked
+        nnz = int(a.start[n])
+        ends, cols, vals, rhs = _join(extra)
+        k = rhs.size
+        extra_nnz = int(ends[-1]) if k else 0
+        value = np.concatenate([a.value[:nnz]] + vals + [a.value[nnz:]])
+        np.negative(value[nnz:nnz + extra_nnz], out=value[nnz:nnz + extra_nnz])
         return RowArrays(
-            np.concatenate([a.start[:n + 1], nnz + ends,
-                            nnz + (ends[-1] if k else 0) + self._tail]),
-            np.concatenate([a.index[:nnz]] + cols + [a.index[nnz:]]),
-            np.concatenate([a.value[:nnz]] + [neg for _, _, neg, _ in rows]
-                           + [a.value[nnz:]]),
+            np.concatenate([a.start[:n + 1], nnz + ends, extra_nnz + a.start[n + 1:]]),
+            np.concatenate([a.index[:nnz]] + cols + [a.index[nnz:]]), value,
             np.concatenate([a.lo[:n], np.full(k, -np.inf), a.lo[n:]]),
             np.concatenate([a.hi[:n], -rhs, a.hi[n:]]),
             np.concatenate([np.where(a.pos < n, a.pos, a.pos + k), n + np.arange(k)]),
@@ -294,7 +279,7 @@ class GeRowJoiner:
 
 class HighsInstance:
     """One persistent HiGHS instance, its options set once, to which whole
-    models are passed as arrays and solved.
+    models are passed as a ``RowBlock`` and solved.
 
     A model passed with an integrality mask is a MILP, solved within
     ``mip_gap``; one passed without is an LP, solved for row and column
@@ -304,13 +289,11 @@ class HighsInstance:
     or from a given basis, so a model passed to a used instance solves as
     on a fresh one loaded with the same model and given the same basis, bit
     for bit; a basis that HiGHS rejects raises ``BackendError`` and is
-    never replaced by a cold start.  The arrays are not checked: the
-    caller passes finite costs and matrix entries and no NaN bound.  One
-    instance must not be used from two threads at once; ``run`` releases
-    the interpreter lock, so instances in different threads run in
-    parallel.  A non-finite ``mip_gap`` (HiGHS takes NaN and infinity) or
-    an option that HiGHS refuses (such as a negative gap) raises
-    ``BackendError``.
+    never replaced by a cold start.  One instance must not be used from two
+    threads at once; ``run`` releases the interpreter lock, so instances in
+    different threads run in parallel.  A non-finite ``mip_gap`` (HiGHS
+    takes NaN and infinity) or an option that HiGHS refuses (such as a
+    negative gap) raises ``BackendError``.
     """
 
     def __init__(self, mip_gap: float | None = None, presolve: bool = True,
@@ -332,12 +315,15 @@ class HighsInstance:
         self._integral = None       # the mask of the last MILP, and its HiGHS types
         self._var_types: list = []
 
-    def load(self, c: np.ndarray, lb: np.ndarray, ub: np.ndarray, rows: RowArrays,
-             integral: np.ndarray | None = None) -> None:
-        """Pass the model ``min c.x`` over ``rows`` and the column bounds,
-        with ``integral`` flagging the integer columns of a MILP."""
+    def load(self, c: np.ndarray, lb: np.ndarray, ub: np.ndarray, block: RowBlock,
+             extra: list = (), integral: np.ndarray | None = None) -> None:
+        """Pass the model ``min c.x`` over ``block``'s rows joined with the
+        ``extra`` rows, and the column bounds, with ``integral`` flagging
+        the integer columns of a MILP.  This is where the layout is chosen:
+        a MILP takes ``block.rows``, an LP ``block.lp_rows``."""
         if integral is not None and self._mip_gap is None:
             raise BackendError("a MILP needs an instance with a mip_gap")
+        rows = block.lp_rows(extra) if integral is None else block.rows(extra)
         n, m = c.size, rows.count
         lp = highs.HighsLp()
         lp.num_col_, lp.num_row_ = n, m
@@ -396,74 +382,52 @@ class HighsInstance:
 
 
 class HighsSolver:
-    """One ``LinearModel`` held in a ``HighsInstance`` and re-solved after
-    bound changes.
+    """One LP held in a ``HighsInstance`` in the LP layout and re-solved
+    after bound changes, for row and column duals.
 
-    With ``mip_gap`` None the model must be an LP, passed in the stacked
-    layout and solved for row and column duals; otherwise it is a MILP,
-    passed with native rows and solved within that relative gap.  Every
-    solve starts cold, or from the basis it is given, on the same matrix,
-    so its results equal those of a fresh instance on a model with the same
-    bounds, started the same way, bit for bit; so does each solve of a
-    ``solve_batch``.  ``heuristics`` is ``HighsInstance``'s.  A model
-    with a non-finite cost or matrix entry or a NaN bound, and a NaN bound
-    passed to ``solve``, raise ``BackendError``; so do the ``mip_gap``
-    values that ``HighsInstance`` refuses.
+    Every solve starts cold, or from the basis it is given, on the same
+    matrix, so its results equal those of a fresh instance on a model with
+    the same bounds, started the same way, bit for bit; so does each solve
+    of a ``solve_batch``.  A model with integrality flags, a non-finite
+    cost or matrix entry, a NaN bound or a two-sided inequality row raises
+    ``BackendError``.
     """
 
-    def __init__(self, model: LinearModel, mip_gap: float | None = None,
-                 presolve: bool = True, heuristics: bool = False):
-        _check_finite(model)
-        self.row_count = model.row_count
-        self._n_cols = model.c.size
-        mip = mip_gap is not None
-        if not mip and model.integral.any():
+    def __init__(self, model: LinearModel, presolve: bool = True):
+        if model.integral.any():
             raise BackendError("LP solve called on a model with integrality flags")
-        self._rows = _RowLayout(model, stacked=not mip)
-        arrays = self._rows.arrays(model)
+        self._instance = HighsInstance(presolve=presolve)
+        self._instance.load(model.c, model.lb, model.ub, RowBlock(model))
+        self._highs = self._instance._highs
+        self._rows = self._instance._rows
+        self._one_sided = model.row_lo != model.row_hi      # per model row
         # the current bounds of the HiGHS columns and rows
         self._col_lb, self._col_ub = model.lb.astype(float), model.ub.astype(float)
-        self._lo, self._hi = arrays.lo, arrays.hi
-        self._instance = HighsInstance(mip_gap, presolve, heuristics)
-        self._instance.load(model.c, model.lb, model.ub, arrays,
-                            model.integral if mip else None)
-        self._highs = self._instance._highs
+        self._lo, self._hi = self._rows.lo, self._rows.hi
 
-    def solve(self, cols=(), lb=(), ub=(), rows=(), row_lo=(), row_hi=(),
-              basis: HighsBasis | None = None) -> SolveResult:
-        """Set the bounds of columns ``cols`` and rows ``rows`` (model
-        indices) and solve from scratch, or from the start ``basis``
-        (``HighsInstance.run``); every other bound keeps its value from the
-        previous solve, and only the bounds that differ from it reach HiGHS.
-        In the stacked layout a row keeps its sense: an equality stays an
-        equality, and a one-sided row keeps its infinite side."""
-        cols = np.asarray(cols, dtype=np.int32)
-        lb, ub, row_lo, row_hi = _float_bounds(lb, ub, row_lo, row_hi)
-        pos, new_lo, new_hi = self._row_bounds(rows, row_lo, row_hi)
-        ch = (lb != self._col_lb[cols]) | (ub != self._col_ub[cols])
-        if ch.any():
-            self._highs.changeColsBounds(int(ch.sum()), cols[ch], lb[ch], ub[ch])
-        self._col_lb[cols], self._col_ub[cols] = lb, ub
-        changed = np.flatnonzero((new_lo != self._lo[pos]) | (new_hi != self._hi[pos]))
-        for k in changed:
-            self._highs.changeRowBounds(int(pos[k]), float(new_lo[k]), float(new_hi[k]))
-        self._lo[pos], self._hi[pos] = new_lo, new_hi
+    def solve(self, basis: HighsBasis | None = None) -> SolveResult:
+        """Solve the model with its current bounds from scratch, or from the
+        start ``basis`` (``HighsInstance.run``)."""
         return self._instance.run(basis)
 
-    def solve_batch(self, basis: HighsBasis, cols, lb, ub, rows, row_lo, row_hi
-                    ) -> BatchResult:
-        """One LP solve per row k of ``ub``, ``row_lo`` and ``row_hi``, each
-        as ``solve(cols, lb, ub[k], rows, row_lo[k], row_hi[k], basis)``
-        gives it, bit for bit, with the same HiGHS calls in the same order.
+    def solve_batch(self, cols, lb, ub, rows, row_lo, row_hi,
+                    basis: HighsBasis | None = None) -> BatchResult:
+        """One LP solve per row k of ``ub``, ``row_lo`` and ``row_hi``: set
+        the bounds of columns ``cols`` to ``lb`` and ``ub[k]`` and those of
+        rows ``rows`` (model indices) to ``row_lo[k]`` and ``row_hi[k]``,
+        and solve from scratch, or from the start ``basis``.  Every other
+        bound keeps its value from the solve before, and only the bounds
+        that differ from it reach HiGHS.  A row keeps its sense: an
+        equality stays an equality, and a one-sided row keeps its infinite
+        side.
 
-        Every bound of the batch is checked before the first HiGHS call, as
-        ``solve`` checks it.  The results are copied into arrays, and the
-        model-order duals are read off them after the last solve.  A basis
-        that HiGHS rejects raises ``BackendError``; the solver keeps the
-        bounds it was given last and stays usable.
+        Every bound of the batch is checked before the first HiGHS call; a
+        NaN bound or a change of sense raises ``BackendError``.  The
+        results are copied into arrays, and the model-order duals are read
+        off them after the last solve.  A basis that HiGHS rejects raises
+        ``BackendError``; the solver keeps the bounds it was given last and
+        stays usable.
         """
-        if self._instance._mip:
-            raise BackendError("a batch solve needs an LP")
         cols = np.asarray(cols, dtype=np.int32)
         lb, ub, row_lo, row_hi = _float_bounds(lb, ub, row_lo, row_hi)
         lb = np.broadcast_to(lb, ub.shape)
@@ -475,8 +439,8 @@ class HighsSolver:
         changed = _changes(self._lo[pos], lo) | _changes(self._hi[pos], hi)
         status = []
         objective = np.full(n, np.nan)
-        raw_row_dual = np.full((n, self._instance._rows.count), np.nan)
-        col_dual = np.full((n, self._n_cols), np.nan)
+        raw_row_dual = np.full((n, self._rows.count), np.nan)
+        col_dual = np.full((n, self._col_lb.size), np.nan)
         iters = np.zeros(n, dtype=np.int64)
         h = self._highs
         done = -1
@@ -490,7 +454,7 @@ class HighsSolver:
                     h.changeRowBounds(p, a, b)
                 done = k
                 h.clearSolver()
-                if h.setBasis(basis) == highs.HighsStatus.kError:
+                if basis is not None and h.setBasis(basis) == highs.HighsStatus.kError:
                     raise BackendError("HiGHS rejected the start basis")
                 if h.run() == highs.HighsStatus.kError:
                     status.append(SolveStatus.ERROR)
@@ -506,7 +470,7 @@ class HighsSolver:
             if done >= 0:
                 self._col_lb[cols], self._col_ub[cols] = lb[done], ub[done]
                 self._lo[pos], self._hi[pos] = lo[done], hi[done]
-        return BatchResult(status, objective, self._instance._rows.model_duals(raw_row_dual),
+        return BatchResult(status, objective, self._rows.model_duals(raw_row_dual),
                            col_dual, iters)
 
     def basis(self) -> HighsBasis:
@@ -514,24 +478,23 @@ class HighsSolver:
 
     def _row_bounds(self, rows, lo: np.ndarray, hi: np.ndarray):
         """The HiGHS positions of model rows ``rows`` and their HiGHS
-        (lower, upper) bounds for model bounds ``lo``/``hi`` (one row of
-        bounds per solve in a batch).  In the stacked layout a bound change
-        may not change the sense of a row."""
+        (lower, upper) bounds for model bounds ``lo``/``hi``, one row of
+        bounds per solve; a bound change may not change the sense of a
+        row."""
         rows = np.asarray(rows, dtype=np.int64)
-        pos = self._rows.pos[rows]
-        new_lo, new_hi = self._rows.bounds(rows, lo, hi)
-        if self._rows.stacked:
-            one_sided = pos < self._rows.n_ineq
-            if not (np.isneginf(new_lo[..., one_sided]).all()
-                    and (lo == hi)[..., ~one_sided].all()):
-                raise BackendError("a bound change may not change the sense of a row")
-        return pos, new_lo, new_hi
+        one_sided = self._one_sided[rows]
+        neg = self._rows.sign[rows] < 0
+        new_lo, new_hi = np.where(neg, -hi, lo), np.where(neg, -lo, hi)
+        if not (np.isneginf(new_lo[..., one_sided]).all()
+                and (lo == hi)[..., ~one_sided].all()):
+            raise BackendError("a bound change may not change the sense of a row")
+        return self._rows.pos[rows], new_lo, new_hi
 
 
 def _changes(current: np.ndarray, new: np.ndarray) -> np.ndarray:
     """Per solve of a batch (row of ``new``), which bounds differ from the
     solve before it, the first solve's from ``current``."""
-    return new != np.vstack([current, new[:-1]])
+    return new != np.concatenate((current[None], new[:-1]))
 
 
 def _float_bounds(*bounds) -> list[np.ndarray]:
@@ -551,4 +514,6 @@ def solve_milp(model: LinearModel, mip_gap: float = 1e-6,
                heuristics: bool = False) -> SolveResult:
     """Solve a MILP within the given relative gap; ``heuristics`` keeps
     HiGHS's default restarts and primal heuristics (``HighsInstance``)."""
-    return HighsSolver(model, mip_gap=mip_gap, heuristics=heuristics).solve()
+    h = HighsInstance(mip_gap, heuristics=heuristics)
+    h.load(model.c, model.lb, model.ub, RowBlock(model), integral=model.integral)
+    return h.run()

@@ -117,15 +117,15 @@ def _repair_empty(pts, labels, centers, k):
     """Give each empty cluster the point farthest from its current centroid
     (lowest index on ties, and never emptying a donor cluster)."""
     labels = labels.copy()
-    for c in range(k):
-        if np.any(labels == c):
-            continue
+    sizes = np.bincount(labels, minlength=k)
+    # a repair fills one empty cluster and empties none
+    for c in np.flatnonzero(sizes == 0):
         resid = ((pts - centers[labels]) ** 2).sum(axis=1)
-        order = sorted(range(len(pts)), key=lambda i: (-resid[i], i))
-        for i in order:
-            if np.sum(labels == labels[i]) > 1:
-                labels[i] = c
-                break
+        order = np.lexsort((np.arange(len(pts)), -resid))
+        i = order[sizes[labels[order]] > 1][0]
+        sizes[labels[i]] -= 1
+        sizes[c] += 1
+        labels[i] = c
     return labels
 
 

@@ -62,7 +62,7 @@ class Generator:
                 f"got p_min={self.p_min}, p_max={self.p_max}"
             )
         for name in ("ramp_up", "ramp_down", "res_up_cap", "res_down_cap"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValidationError(f"generator {self.id}: {name} must be >= 0")
         if self.min_up < 1 or self.min_down < 1:
             raise ValidationError(f"generator {self.id}: min up/down times must be >= 1")
@@ -87,9 +87,9 @@ class Line:
     capacity: float     # MW
 
     def validate(self) -> None:
-        if self.capacity <= 0:
+        if not self.capacity > 0:
             raise ValidationError(f"line {self.id}: capacity must be > 0")
-        if self.susceptance <= 0:
+        if not self.susceptance > 0:
             raise ValidationError(f"line {self.id}: susceptance must be > 0")
         if self.from_node == self.to_node:
             raise ValidationError(f"line {self.id}: from and to nodes coincide")
@@ -102,7 +102,7 @@ class WindFarm:
     capacity: float  # MW
 
     def validate(self) -> None:
-        if self.capacity < 0:
+        if not self.capacity >= 0:
             raise ValidationError(f"wind farm {self.id}: capacity must be >= 0")
 
 
@@ -161,9 +161,9 @@ class SystemInstance:
                 raise ReferentialError(f"load entry references unknown node {node!r}")
             if not (1 <= t <= self.horizon):
                 raise ValidationError(f"load entry at period {t} outside horizon 1..{self.horizon}")
-            if mw < 0:
+            if not mw >= 0:
                 raise ValidationError(f"load at ({node}, {t}) must be >= 0")
-        if self.shed_cost < 0:
+        if not self.shed_cost >= 0:
             raise ValidationError("shed_cost must be >= 0")
         self._check_connected()
 
@@ -222,9 +222,9 @@ class ScenarioSet:
         if not self.scenario_ids:
             raise ValidationError("scenario set is empty")
         total = sum(self.probabilities)
-        if abs(total - 1.0) > PROB_TOL:
+        if not abs(total - 1.0) <= PROB_TOL:
             raise ValidationError(f"scenario probabilities sum to {total!r}, expected 1")
-        if any(p <= 0 for p in self.probabilities):
+        if not all(p > 0 for p in self.probabilities):
             raise ValidationError("scenario probabilities must be > 0")
         caps = {w.id: w.capacity for w in instance.wind_farms}
         farm_ids = set(caps)
@@ -241,7 +241,7 @@ class ScenarioSet:
                 raise ReferentialError(f"scenario {sc} references unknown farm {farm!r}")
             if not (1 <= t <= instance.horizon):
                 raise ValidationError(f"scenario {sc}: period {t} outside horizon")
-            if val < 0 or val > caps[farm] + 1e-9:
+            if not 0 <= val <= caps[farm] + 1e-9:
                 raise ValidationError(
                     f"scenario {sc}: W*={val} for farm {farm} exceeds capacity {caps[farm]}"
                 )
@@ -250,16 +250,24 @@ class ScenarioSet:
 def _field(record, key: str, ctx: str, cast=None, default=None):
     """``record[key]`` through ``cast``, or ``default`` if missing or null;
     InstanceError names the record ``ctx`` and the field otherwise, and for
-    a record that is not an object or a value that ``cast`` rejects."""
+    a record that is not an object, a value that ``cast`` rejects or a
+    non-finite number (JSON's NaN and Infinity)."""
     if not isinstance(record, dict):
         raise InstanceError(f"{ctx}: expected an object, got {type(record).__name__}")
     value = default if record.get(key) is None else record[key]
     if value is None:
         raise InstanceError(f"{ctx}: missing field {key!r}")
     try:
-        return value if cast is None else cast(value)
-    except (TypeError, ValueError) as exc:
+        return value if cast is None else _finite(cast(value))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InstanceError(f"{ctx}: bad field {key!r}: {exc}") from exc
+
+
+def _finite(value):
+    """``value``, unless it is a non-finite float."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{value} is not a finite number")
+    return value
 
 
 def _records(doc, key: str) -> list:
@@ -332,8 +340,10 @@ def load_scenarios(path: str | Path, instance: SystemInstance) -> ScenarioSet:
     """Load a long-format scenario CSV and validate it against ``instance``.
 
     Columns: scenario, farm, period, value_mw and an optional probability
-    column (read from the first row of each scenario).  Missing probabilities
-    default to equiprobable 1/|Omega|.
+    column (read from the first row of each scenario that has one).  Only an
+    empty cell is a missing probability; if every one is missing, the
+    scenarios are equiprobable, 1/|Omega|.  A number that is not finite
+    raises InstanceError naming its line and column.
     """
     realizations: dict = {}
     probs: dict[str, float] = {}
@@ -349,27 +359,27 @@ def load_scenarios(path: str | Path, instance: SystemInstance) -> ScenarioSet:
             )
         has_prob = "probability" in reader.fieldnames
         for row in reader:
+            where = f"scenario file {path}, line {reader.line_num}"
             if any(row[c] is None for c in required):    # a short row
-                raise InstanceError(f"scenario file {path}, line {reader.line_num}: "
-                                    "missing cells")
+                raise InstanceError(f"{where}: missing cells")
             sc = row["scenario"].strip()
             if sc not in probs:
                 order.append(sc)
-                probs[sc] = math.nan
+                probs[sc] = None
             if has_prob and row["probability"] not in (None, ""):
-                p = float(row["probability"])
-                if not math.isnan(probs[sc]) and probs[sc] != p:
+                p = _field(row, "probability", where, float)
+                if probs[sc] is not None and probs[sc] != p:
                     raise InstanceError(f"scenario {sc}: conflicting probabilities")
                 probs[sc] = p
-            key = (sc, row["farm"].strip(), int(row["period"]))
+            key = (sc, row["farm"].strip(), _field(row, "period", where, int))
             if key in realizations:
                 raise InstanceError(f"duplicate scenario row {key}")
-            realizations[key] = float(row["value_mw"])
+            realizations[key] = _field(row, "value_mw", where, float)
 
     if not order:
         raise InstanceError(f"scenario file {path} contains no rows")
 
-    given = [p for p in probs.values() if not math.isnan(p)]
+    given = [p for p in probs.values() if p is not None]
     if not given:
         prob_list = [1.0 / len(order)] * len(order)
     elif len(given) == len(order):

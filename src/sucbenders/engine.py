@@ -228,7 +228,7 @@ def solve_subproblems(instance: SystemInstance, scenarios: ScenarioSet,
     result then depends only on x_hat and its scenario, not on the chunking
     or on the points solved before.  Each solver takes one contiguous chunk
     of the other scenarios in its own thread and solves it as one batch
-    (``RecourseSolver.solve_warm``); HiGHS releases the interpreter lock
+    (``RecourseSolver.solve``); HiGHS releases the interpreter lock
     while it solves, so the chunks can run in parallel; whether that pays
     depends on the host (on shared 2-vCPU hosts, 2 workers have solved
     from no more to about 1.4 times as many scenarios per second as 1).
@@ -245,7 +245,7 @@ def solve_subproblems(instance: SystemInstance, scenarios: ScenarioSet,
     basis = solvers[0].lp.basis()
 
     def solve_chunk(solver, chunk):
-        return solver.solve_warm(chunk, point, basis)
+        return solver.solve(chunk, point, basis)
 
     rest = np.arange(1, len(ids))
     n_chunks = min(len(solvers), rest.size)

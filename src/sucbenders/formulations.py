@@ -2,15 +2,15 @@
 
 The two models that a Benders run solves again and again are built once per
 run: ``master_template`` builds the master's static block (first stage,
-theta columns and rows, fixed commitments), prepares its HiGHS row arrays
-in both layouts and renders each cut's row when the cut first appears;
-``MasterSolver`` passes the joined arrays to one HiGHS instance per run, and
-``build_master`` gives the same master as a model.  ``recourse_template``
-builds the subproblem LP, the scenarios' spill bounds and balance
-right-hand sides as stacked arrays, and the map that carries a first-stage
-point into the balance right-hand sides, which ``RecourseTemplate.point``
-applies once per point.  The models equal those of a from-scratch build
-bit for bit.
+theta columns and rows, fixed commitments), checked once as a
+``backend.RowBlock``, and renders each cut's row when the cut first
+appears; ``MasterSolver`` passes the block and the cut rows to one HiGHS
+instance per run, and ``build_master`` gives the same master as a model.
+``recourse_template`` builds the subproblem LP, the scenarios' spill bounds
+and balance right-hand sides as arrays with one row per scenario, and the
+map that carries a first-stage point into the balance right-hand sides,
+which ``RecourseTemplate.point`` applies once per point.  The models equal
+those of a from-scratch build bit for bit.
 
 Every model made here is a ``backend.LinearModel`` whose columns and rows are
 laid out as follows:
@@ -75,9 +75,9 @@ import scipy.sparse as sp
 
 # solve_lp is no longer called here; it stays bound because bench/layers.py
 # wraps formulations.solve_lp by name
-from .backend import (BatchResult, GeRowJoiner, HighsBasis, HighsInstance,  # noqa: F401
-                      HighsSolver, LinearModel, RowArrays, SolveResult, SolveStatus,
-                      solve_lp, solve_milp)
+from .backend import (BatchResult, HighsBasis, HighsInstance, HighsSolver,  # noqa: F401
+                      LinearModel, RowBlock, SolveResult, SolveStatus, solve_lp,
+                      solve_milp)
 from .cuts import CutPool
 from .data import ScenarioSet, SystemInstance
 
@@ -496,16 +496,15 @@ def build_extensive(instance: SystemInstance, scenarios: ScenarioSet) -> LinearM
 
 
 class MasterTemplate:
-    """The Benders master of one run, built once, with its HiGHS row arrays
-    prepared once.
+    """The Benders master of one run, built once.
 
     ``static`` holds what no iteration changes: the first stage, the theta
     columns and rows and any fixed commitments, with a canonical CSR matrix.
     Its arrays are read-only, because every master assembled from it shares
-    them; a ``backend.GeRowJoiner`` checks them once and holds its rows in
-    both layouts.  Each cut's row -- sorted columns, values, the values
-    negated for the stacked layout and the right-hand side -- is rendered
-    when the cut is first seen and kept while the cut is live.
+    them; ``block``, a ``backend.RowBlock`` of them, checks them once.  Each
+    cut's row -- sorted columns, values and the right-hand side of
+    ``a.x >= b`` -- is rendered when the cut is first seen and kept while
+    the cut is live.
     """
 
     def __init__(self, static: LinearModel, theta_of: dict, link: np.ndarray):
@@ -516,8 +515,8 @@ class MasterTemplate:
         self.theta_of = theta_of    # scenario id -> its theta column
         self.link = link            # master column of each link position
         self.binaries = np.flatnonzero(static.integral)
-        self._block = GeRowJoiner(static)
-        self._rows: dict = {}       # live cut -> (columns, values, -values, rhs)
+        self.block = RowBlock(static)
+        self._rows: dict = {}       # live cut -> (columns, values, rhs)
 
     def cut_rows(self, cuts: list) -> list:
         """The rows of ``cuts``, in order; rows of other cuts are dropped."""
@@ -525,11 +524,6 @@ class MasterTemplate:
                 for cut in cuts]
         self._rows = dict(zip(cuts, rows))
         return rows
-
-    def rows(self, cuts: list, stacked: bool) -> RowArrays:
-        """The master's rows over ``cuts`` in HiGHS order, in the stacked
-        (LP) or native (MILP) layout."""
-        return self._block.join(self.cut_rows(cuts), stacked)
 
     def _render(self, cut) -> tuple:
         if not set(cut.members).issubset(self.theta_of):
@@ -548,7 +542,7 @@ class MasterTemplate:
         theta_cols = sorted(weights)
         cols = np.concatenate([self.link[nz], theta_cols]).astype(self.static.A.indices.dtype)
         vals = np.concatenate([-cut.lam[nz], [weights[j] for j in theta_cols]])
-        return cols, vals, -vals, float(rhs)
+        return cols, vals, float(rhs)
 
 
 def master_template(instance: SystemInstance, scenarios: ScenarioSet,
@@ -579,9 +573,9 @@ def master_template(instance: SystemInstance, scenarios: ScenarioSet,
 
 def build_master(template: MasterTemplate, pool: CutPool) -> LinearModel:
     """The master over ``pool`` as a model: the template's static columns
-    and its native rows over the live cuts, in pool order.  The model
+    and rows, then the rows of the live cuts in pool order.  The model
     shares the block's read-only column arrays."""
-    rows = template.rows(pool.live_cuts(), stacked=False)
+    rows = template.block.rows(template.cut_rows(pool.live_cuts()))
     s = template.static
     A = sp.csr_matrix((rows.value, rows.index, rows.start),
                       shape=(rows.count, s.A.shape[1]))
@@ -590,10 +584,10 @@ def build_master(template: MasterTemplate, pool: CutPool) -> LinearModel:
 
 class MasterSolver:
     """A template's masters solved on one persistent ``HighsInstance``,
-    its options set once: each solve passes the template's prepared arrays
-    over the pool's live cuts, which equals solving ``build_master`` of the
-    pool with ``solve_milp``, or its relaxation with ``solve_lp``, bit for
-    bit.  Not for concurrent use."""
+    its options set once: each solve passes the template's block and the
+    rows of the pool's live cuts, which equals solving ``build_master`` of
+    the pool with ``solve_milp``, or its relaxation with ``solve_lp``, bit
+    for bit.  Not for concurrent use."""
 
     def __init__(self, template: MasterTemplate, mip_gap: float):
         self.template = template
@@ -609,7 +603,7 @@ class MasterSolver:
         s = t.static
         if relax and binaries is not None:
             s = s.fixed(t.binaries, binaries[t.binaries], relax=True)
-        self.highs.load(s.c, s.lb, s.ub, t.rows(pool.live_cuts(), stacked=relax),
+        self.highs.load(s.c, s.lb, s.ub, t.block, t.cut_rows(pool.live_cuts()),
                         None if relax else s.integral)
         return self.highs.run()
 
@@ -670,8 +664,8 @@ class RecourseTemplate:
     Scenarios and first-stage points differ only in the upper bounds of p+,
     p- and spill and in the balance right-hand sides, so a subproblem is
     the template's model with those replaced; the cycle (Kirchhoff
-    voltage-law) rows never change.  The per-scenario data are stacked,
-    row k for the scenario at position k of ``scenario_ids``.
+    voltage-law) rows never change.  The per-scenario data have one row
+    per scenario, row k for the scenario at position k of ``scenario_ids``.
     """
     model: LinearModel
     n_deploy: int            # p+/p- columns, which are the r+/r- link positions
@@ -700,14 +694,14 @@ class RecourseTemplate:
         link = np.clip(x_hat.link(), self.link_lo, self.link_hi)
         return RecoursePoint(link[:self.n_deploy], self.link_map @ link)
 
-    def lam(self, res: SolveResult | BatchResult) -> np.ndarray:
-        """The slope of Q at the solved point, in link order (one row per
-        solve of a batch): for w and f the balance-row duals mapped back
+    def lam(self, batch: BatchResult) -> np.ndarray:
+        """The slope of Q at each solved point of ``batch``, in link order,
+        one row per solve: for w and f the balance-row duals mapped back
         through ``A_link``, and for r+ and r- the duals of the active p+/p-
         upper bounds (0 where a column sits at its lower bound, as a column
         fixed at 0 with a positive reduced cost does)."""
-        lam = (self.link_map_t @ -res.row_dual[..., :self.link_map.shape[0]].T).T
-        lam[..., :self.n_deploy] = np.minimum(res.col_dual[..., :self.n_deploy], 0.0)
+        lam = (self.link_map_t @ -batch.row_dual[:, :self.link_map.shape[0]].T).T
+        lam[:, :self.n_deploy] = np.minimum(batch.col_dual[:, :self.n_deploy], 0.0)
         return lam
 
 
@@ -734,58 +728,46 @@ class RecourseSolver:
         self.template = template
         self.lp = HighsSolver(template.model, presolve=False)
 
-    def solve_warm(self, positions: np.ndarray, point: RecoursePoint,
-                   basis: HighsBasis) -> list[SubproblemResult]:
-        """The scenarios at ``positions`` at ``point``, each started from
-        ``basis`` (``HighsSolver.solve_batch``): the results, bit for bit,
-        of ``solve_subproblem`` given this solver, ``point`` and ``basis``
-        for each scenario in turn."""
+    def solve(self, positions: np.ndarray, point: RecoursePoint,
+              basis: HighsBasis | None = None) -> list[SubproblemResult]:
+        """The scenarios at ``positions`` at ``point``, solved as one batch
+        (``HighsSolver.solve_batch``), each cold or from ``basis``, the
+        optimal basis of another scenario at the same point
+        (``self.lp.basis()``)."""
         t = self.template
         rhs = t.balance_rhs[positions] - point.link_rhs
         ub = np.hstack([np.broadcast_to(point.deploy_ub, (len(positions), t.n_deploy)),
                         t.spill_ub[positions]])
-        batch = self.lp.solve_batch(basis, t.cols, t.cols_lb, ub, t.balance_rows, rhs, rhs)
+        batch = self.lp.solve_batch(t.cols, t.cols_lb, ub, t.balance_rows, rhs, rhs, basis)
         for k, status in zip(positions, batch.status):
             if status is not SolveStatus.OPTIMAL:
-                raise _not_optimal(t.scenario_ids[k], status)
+                raise SubproblemInfeasibleError(
+                    f"subproblem for scenario {t.scenario_ids[k]} returned {status.value}; "
+                    "complete recourse should make this impossible")
         lam = t.lam(batch)
         return [SubproblemResult(t.scenario_ids[k], q, slope.copy(), iters)
                 for k, q, slope, iters in zip(positions, batch.objective.tolist(), lam,
                                               batch.simplex_iters.tolist())]
 
 
-def _not_optimal(omega: str, status: SolveStatus) -> SubproblemInfeasibleError:
-    return SubproblemInfeasibleError(
-        f"subproblem for scenario {omega} returned {status.value}; "
-        "complete recourse should make this impossible")
-
-
 def solve_subproblem(instance: SystemInstance, scenarios: ScenarioSet, omega: str,
                      x_hat: FirstStageSolution,
                      solver: RecourseSolver | None = None,
-                     point: RecoursePoint | None = None,
-                     basis: HighsBasis | None = None) -> SubproblemResult:
+                     point: RecoursePoint | None = None) -> SubproblemResult:
     """Recourse cost of ``omega`` at ``x_hat`` and its slope ``lam`` in the
-    link values (``RecourseTemplate.lam``).
+    link values (``RecourseTemplate.lam``), solved cold.
 
     ``solver`` must hold the template of ``instance`` and ``scenarios``; a
     one-shot call builds its own.  ``point``, the template's
     ``RecourseTemplate.point`` of ``x_hat``, saves computing it again for
-    each scenario.  The LP starts cold, or from ``basis``, the optimal basis
-    of another scenario at the same point (``solver.lp.basis()``).
+    each scenario.
     """
     if solver is None:
         solver = RecourseSolver(recourse_template(instance, scenarios))
-    t = solver.template
     if point is None:
-        point = t.point(x_hat)
-    k = t.scenario_ids.index(omega)
-    rhs = t.balance_rhs[k] - point.link_rhs
-    res = solver.lp.solve(t.cols, t.cols_lb, np.concatenate([point.deploy_ub, t.spill_ub[k]]),
-                          t.balance_rows, rhs, rhs, basis)
-    if res.status is not SolveStatus.OPTIMAL:
-        raise _not_optimal(omega, res.status)
-    return SubproblemResult(omega, res.objective, t.lam(res), res.simplex_iters)
+        point = solver.template.point(x_hat)
+    [result] = solver.solve([solver.template.scenario_ids.index(omega)], point)
+    return result
 
 
 # -- solution extraction ---------------------------------------------------

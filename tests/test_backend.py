@@ -1,6 +1,6 @@
 """LP/MILP adapter: statuses, dual-sign convention, determinism, input
 checks, the row layouts against scipy's own HiGHS entry points, and the
-persistent solver against the one-shot solve."""
+persistent solver's batches against one-shot solves."""
 
 import ast
 from dataclasses import replace
@@ -14,8 +14,8 @@ from scipy.optimize._highspy import _core as highs
 
 import sucbenders
 from sucbenders import backend, formulations
-from sucbenders.backend import (BackendError, HighsInstance, HighsSolver, LinearModel,
-                                SolveStatus, solve_lp, solve_milp)
+from sucbenders.backend import (BackendError, BatchResult, HighsInstance, HighsSolver,
+                                LinearModel, RowBlock, SolveStatus, solve_lp, solve_milp)
 from sucbenders.cuts import CutMode
 from sucbenders.engine import BendersConfig, run
 from sucbenders.formulations import (MasterSolver, RecourseSolver, build_extensive,
@@ -294,6 +294,22 @@ def _assert_same(got, want):
     assert np.array_equal(got.col_dual, want.col_dual)
 
 
+def _assert_solve_k(got: BatchResult, k: int, want):
+    """Solve ``k`` of a batch gave the bits of the single solve ``want``."""
+    assert got.status[k] is want.status is SolveStatus.OPTIMAL
+    assert got.objective[k] == want.objective
+    assert np.array_equal(got.row_dual[k], want.row_dual)
+    assert np.array_equal(got.col_dual[k], want.col_dual)
+    assert got.simplex_iters[k] == want.simplex_iters
+
+
+def _solve_once(solver: HighsSolver, cols=(), lb=(), ub=(), rows=(), row_lo=(), row_hi=(),
+                basis=None) -> BatchResult:
+    """A batch of one solve with these bounds."""
+    return solver.solve_batch(cols, lb, np.reshape(ub, (1, -1)), rows,
+                              np.reshape(row_lo, (1, -1)), np.reshape(row_hi, (1, -1)), basis)
+
+
 def test_solve_lp_matches_linprog_bit_for_bit():
     # solve_lp passes linprog's stacked layout: <= rows, >= rows negated,
     # then = rows; the duals come back in model row order
@@ -328,18 +344,21 @@ def test_solve_milp_matches_scipy_milp_bit_for_bit(toy_a):
     assert np.array_equal(got.x, want.x)
 
 
-def _passed_column_wise(m: LinearModel, mip_gap=None) -> HighsSolver:
-    """A solver holding ``m`` whose matrix reached HiGHS column-wise: scipy's
-    CSC of the loader's rows (negated and reordered in the stacked layout)."""
-    solver = HighsSolver(m, mip_gap)
-    rows = solver._rows
-    A = sp.csc_array((sp.diags(rows.sign) @ m.A)[rows.order] if rows.stacked else m.A)
-    lp = solver._highs.getLp()
+def _passed_column_wise(m: LinearModel, relax: bool) -> HighsInstance:
+    """An instance holding ``m`` whose matrix reached HiGHS column-wise:
+    scipy's CSC of the loaded rows (negated and reordered in the LP
+    layout)."""
+    h = HighsInstance(None if relax else 1e-6)
+    h.load(m.c, m.lb, m.ub, RowBlock(m), integral=None if relax else m.integral)
+    rows = h._rows
+    A = sp.csc_array(m.A if rows.pos is None
+                     else (sp.diags(rows.sign) @ m.A)[np.argsort(rows.pos)])
+    lp = h._highs.getLp()
     lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
     lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = \
         A.indptr, A.indices, A.data
-    assert solver._highs.passModel(lp) != highs.HighsStatus.kError
-    return solver
+    assert h._highs.passModel(lp) != highs.HighsStatus.kError
+    return h
 
 
 @pytest.mark.parametrize("relax", [True, False], ids=["lp-stacked", "milp-native"])
@@ -351,15 +370,33 @@ def test_row_wise_load_matches_a_column_wise_pass(toy_a, relax):
     m = build_master(master_template(inst, scen, default_theta_min(inst)), pool)
     if relax:
         m = replace(m, integral=np.zeros_like(m.integral))
-    gap = None if relax else 1e-6
-    got = HighsSolver(m, gap).solve()
-    want = _passed_column_wise(m, gap).solve()
+    got = solve_lp(m) if relax else solve_milp(m, mip_gap=1e-6)
+    want = _passed_column_wise(m, relax).run()
     assert got.status is want.status is SolveStatus.OPTIMAL
     assert got.objective == want.objective
     assert np.array_equal(got.x, want.x)
     if relax:
         assert np.array_equal(got.row_dual, want.row_dual)
         assert np.array_equal(got.col_dual, want.col_dual)
+
+
+def test_lp_join_of_the_master_block_equals_the_lp_layout_of_its_model(toy_a):
+    # the cut rows join the static block between its inequality and
+    # equality rows, so the equality rows' positions move by the cut count
+    inst, scen = toy_a
+    pool = run(inst, scen, BendersConfig(mode=CutMode.MULTI, max_iters=6)).pool
+    t = master_template(inst, scen, default_theta_min(inst))
+    cuts = t.cut_rows(pool.live_cuts())
+    got = t.block.lp_rows(cuts)
+    want = RowBlock(build_master(t, pool)).lp_rows()
+    for field in ("start", "index", "value", "lo", "hi", "pos", "sign"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    static = t.static
+    n_eq = int((static.row_lo == static.row_hi).sum())
+    assert len(cuts) > 0 and n_eq > 0
+    assert np.array_equal(got.pos[static.row_count:],
+                          static.row_count - n_eq + np.arange(len(cuts)))
+    assert (got.sign[static.row_count:] == -1.0).all()
 
 
 def test_lp_solver_matches_solve_lp_after_bound_changes_in_any_order():
@@ -380,7 +417,8 @@ def test_lp_solver_matches_solve_lp_after_bound_changes_in_any_order():
             want_lb, want_ub = m.lb.copy(), m.ub.copy()
             want_lb[cols], want_ub[cols] = lb, ub
             want = solve_lp(replace(m, lb=want_lb, ub=want_ub, row_lo=lo, row_hi=hi))
-            _assert_same(solver.solve(cols, lb, ub, np.arange(sense.size), lo, hi), want)
+            _assert_solve_k(_solve_once(solver, cols, lb, ub, np.arange(sense.size), lo, hi),
+                            0, want)
             objectives.add(want.objective)
     assert len(objectives) == len(steps)
 
@@ -398,15 +436,16 @@ def test_lp_solver_from_a_basis_matches_a_fresh_instance_given_it(presolve):
     for _ in range(3):
         lo, hi = _bounds_around(rows, x0 + rng.uniform(-0.5, 0.5, x0.size), sense,
                                 rng.uniform(0.0, 2.0, sense.size))
-        got = solver.solve(rows=np.arange(sense.size), row_lo=lo, row_hi=hi, basis=start)
+        got = _solve_once(solver, rows=np.arange(sense.size), row_lo=lo, row_hi=hi,
+                          basis=start)
         moved = replace(m, row_lo=lo, row_hi=hi)
-        _assert_same(got, HighsSolver(moved, presolve=presolve).solve(basis=start))
+        _assert_solve_k(got, 0, HighsSolver(moved, presolve=presolve).solve(basis=start))
         cold = HighsSolver(moved, presolve=presolve).solve()
-        assert got.objective == pytest.approx(cold.objective, rel=1e-9)
+        assert got.objective[0] == pytest.approx(cold.objective, rel=1e-9)
         cold_iters.append(cold.simplex_iters)
     # from its own optimal basis a solve takes no simplex iteration
     again = solver.solve(basis=solver.basis())
-    assert again.simplex_iters == 0 and again.objective == got.objective
+    assert again.simplex_iters == 0 and again.objective == got.objective[0]
     assert min(cold_iters) > 0
 
 
@@ -427,21 +466,21 @@ def test_lp_solver_rejects_a_start_basis_that_highs_rejects():
 def test_lp_solver_recovers_from_infeasible_bounds():
     m = model([1.0, 1.0], [[1.0, 1.0]], [2.0], [INF], ub=[5.0, 5.0])
     solver = HighsSolver(m)
-    assert solver.solve([0, 1], [0.0, 0.0], [0.5, 0.5]).status is SolveStatus.INFEASIBLE
-    res = solver.solve([0, 1], [0.0, 0.0], [5.0, 5.0])
-    assert res.status is SolveStatus.OPTIMAL
-    assert res.objective == pytest.approx(2.0)
+    assert _solve_once(solver, [0, 1], [0.0, 0.0], [0.5, 0.5]).status == [SolveStatus.INFEASIBLE]
+    res = _solve_once(solver, [0, 1], [0.0, 0.0], [5.0, 5.0])
+    assert res.status == [SolveStatus.OPTIMAL]
+    assert res.objective[0] == pytest.approx(2.0)
 
 
 def test_lp_solver_rejects_a_change_of_row_sense():
     m, _, _, _ = _mixed_senses()
     solver = HighsSolver(m)
-    with pytest.raises(BackendError):
-        solver.solve(rows=[2], row_lo=[0.0], row_hi=[1.0])      # = row made two-sided
-    with pytest.raises(BackendError):
-        solver.solve(rows=[0], row_lo=[1.0], row_hi=[1.0])      # <= row made =
-    with pytest.raises(BackendError):
-        solver.solve(rows=[1], row_lo=[-INF], row_hi=[1.0])     # >= row made <=
+    with pytest.raises(BackendError, match="sense"):
+        _solve_once(solver, rows=[2], row_lo=[0.0], row_hi=[1.0])      # = row made two-sided
+    with pytest.raises(BackendError, match="sense"):
+        _solve_once(solver, rows=[0], row_lo=[1.0], row_hi=[1.0])      # <= row made =
+    with pytest.raises(BackendError, match="sense"):
+        _solve_once(solver, rows=[1], row_lo=[-INF], row_hi=[1.0])     # >= row made <=
 
 
 class _CallLog:
@@ -489,27 +528,44 @@ def _batch_bounds(seed: int, n: int):
         np.array(lo), np.array(hi)
 
 
+def _moved(m: LinearModel, cols, lb, ub, lo, hi) -> LinearModel:
+    """``m`` with the bounds of columns ``cols`` and every row's replaced."""
+    new_lb, new_ub = m.lb.copy(), m.ub.copy()
+    new_lb[cols], new_ub[cols] = lb, ub
+    return replace(m, lb=new_lb, ub=new_ub, row_lo=lo, row_hi=hi)
+
+
 def test_batch_makes_the_calls_and_gives_the_bits_of_one_solve_at_a_time():
+    # each solve of a batch equals a fresh solver of the changed model,
+    # started from the same basis
     m, cols, lb, ub, rows, lo, hi = _batch_bounds(8, 4)
-    batch, single = HighsSolver(m), HighsSolver(m)
-    for solver in (batch, single):
-        assert solver.solve().status is SolveStatus.OPTIMAL
-    start = batch.basis()
-    batch_log, single_log = _log_calls(batch), _log_calls(single)
-    got = batch.solve_batch(start, cols, lb, ub, rows, lo, hi)
-    want = [single.solve(cols, lb, ub[k], rows, lo[k], hi[k], start) for k in range(4)]
-    assert batch_log.calls == single_log.calls
+    solver = HighsSolver(m)
+    assert solver.solve().status is SolveStatus.OPTIMAL
+    start = solver.basis()
+    log = _log_calls(solver)
+    got = solver.solve_batch(cols, lb, ub, rows, lo, hi, start)
+    want = [HighsSolver(_moved(m, cols, lb, ub[k], lo[k], hi[k])).solve(start)
+            for k in range(4)]
+    names = [c[0] for c in log.calls]
+    assert [n for n in names if n != "changeRowBounds"] == \
+        ["changeColsBounds", "clearSolver", "setBasis", "run"] * 4
     # every row changed in three solves; the second, which repeats the
     # first's row bounds, changed none
-    assert [c[0] for c in batch_log.calls].count("changeRowBounds") == 3 * rows.size
-    assert got.status == [SolveStatus.OPTIMAL] * 4
+    assert names.count("changeRowBounds") == 3 * rows.size
     for k, w in enumerate(want):
-        assert got.objective[k] == w.objective
-        assert np.array_equal(got.row_dual[k], w.row_dual)
-        assert np.array_equal(got.col_dual[k], w.col_dual)
-        assert got.simplex_iters[k] == w.simplex_iters
-    # the solver holds the last solve's bounds, as after one solve at a time
-    _assert_same(batch.solve(basis=start), single.solve(basis=start))
+        _assert_solve_k(got, k, w)
+    # the solver holds the last solve's bounds
+    _assert_same(solver.solve(start), want[-1])
+
+
+def test_a_cold_batch_gives_the_bits_of_fresh_cold_solves():
+    m, cols, lb, ub, rows, lo, hi = _batch_bounds(11, 3)
+    solver = HighsSolver(m)
+    log = _log_calls(solver)
+    got = solver.solve_batch(cols, lb, ub, rows, lo, hi)
+    assert "setBasis" not in [c[0] for c in log.calls]
+    for k in range(3):
+        _assert_solve_k(got, k, HighsSolver(_moved(m, cols, lb, ub[k], lo[k], hi[k])).solve())
 
 
 def test_batch_checks_every_bound_before_it_calls_highs():
@@ -524,9 +580,9 @@ def test_batch_checks_every_bound_before_it_calls_highs():
     two_sided[2, 0] = hi[2, 0] - 1.0      # the last solve's <= row made two-sided
     for bad in ((nan_ub, lo), (ub, nan_lo)):
         with pytest.raises(BackendError, match="NaN"):
-            solver.solve_batch(start, cols, lb, bad[0], rows, bad[1], hi)
+            solver.solve_batch(cols, lb, bad[0], rows, bad[1], hi, start)
     with pytest.raises(BackendError, match="sense"):
-        solver.solve_batch(start, cols, lb, ub, rows, two_sided, hi)
+        solver.solve_batch(cols, lb, ub, rows, two_sided, hi, start)
     assert log.calls == []
     _assert_same(solver.solve(), want)
 
@@ -541,17 +597,17 @@ def test_batch_rejects_a_start_basis_that_highs_rejects():
     other.solve()
     for basis in (highs.HighsBasis(), other.basis()):
         with pytest.raises(BackendError, match="basis"):
-            solver.solve_batch(basis, cols, lb, ub, rows, lo, hi)
-    _assert_same(solver.solve(cols, m.lb[cols], m.ub[cols], rows, m.row_lo, m.row_hi),
-                 HighsSolver(m).solve())
+            solver.solve_batch(cols, lb, ub, rows, lo, hi, basis)
+    _assert_solve_k(_solve_once(solver, cols, m.lb[cols], m.ub[cols], rows, m.row_lo,
+                                m.row_hi), 0, HighsSolver(m).solve())
 
 
 def test_batch_reports_a_solve_that_is_not_optimal():
     m = model([1.0, 1.0], [[1.0, 1.0]], [2.0], [INF], ub=[5.0, 5.0])
     solver = HighsSolver(m)
     start = (solver.solve(), solver.basis())[1]
-    got = solver.solve_batch(start, [0, 1], [0.0, 0.0], [[5.0, 5.0], [0.5, 0.5], [4.0, 5.0]],
-                             [], np.empty((3, 0)), np.empty((3, 0)))
+    got = solver.solve_batch([0, 1], [0.0, 0.0], [[5.0, 5.0], [0.5, 0.5], [4.0, 5.0]],
+                             [], np.empty((3, 0)), np.empty((3, 0)), start)
     assert got.status == [SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE, SolveStatus.OPTIMAL]
     assert np.isnan(got.objective[1]) and got.objective[[0, 2]] == pytest.approx([2.0, 2.0])
 
@@ -570,10 +626,16 @@ def test_recourse_template_solve_matches_a_model_built_from_scratch(med_b):
         want = HighsSolver(model, presolve=False).solve()
         got = solve_subproblem(inst, scen, omega, x, solver)
         assert got.objective == want.objective
-        assert np.array_equal(got.lam, template.lam(want))
+        assert np.array_equal(got.lam, template.lam(_as_batch(want))[0])
         presolved = solve_lp(model)
         assert got.objective == pytest.approx(presolved.objective, rel=1e-12, abs=1e-9)
-        np.testing.assert_allclose(got.lam, template.lam(presolved), atol=1e-9)
+        np.testing.assert_allclose(got.lam, template.lam(_as_batch(presolved))[0], atol=1e-9)
+
+
+def _as_batch(res) -> BatchResult:
+    """A single solve's result as a batch of one."""
+    return BatchResult([res.status], np.array([res.objective]), res.row_dual[None],
+                       res.col_dual[None], np.array([res.simplex_iters]))
 
 
 @pytest.mark.parametrize("family", ["w", "r_plus"])

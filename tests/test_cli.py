@@ -146,6 +146,19 @@ MALFORMED_INSTANCES = {
     "meta-not-an-object": (lambda d: d.update(meta=[]), "meta", "object"),
     "generators-not-a-list":
         (lambda d: d.update(generators=3), "generators", "list"),
+    # JSON's NaN and Infinity, which json.load reads
+    "nan-line-capacity":
+        (lambda d: d["lines"][0].update(capacity=float("nan")), "lines[0]", "capacity"),
+    "nan-line-susceptance":
+        (lambda d: d["lines"][0].update(susceptance=float("nan")), "lines[0]",
+         "susceptance"),
+    "infinite-cost":
+        (lambda d: d["generators"][0].update(energy_cost=float("inf")), "generators[0]",
+         "energy_cost"),
+    "infinite-integer-field":
+        (lambda d: d["generators"][0].update(min_up=float("inf")), "generators[0]",
+         "min_up"),
+    "nan-load": (lambda d: d["load"][0].update(mw=float("nan")), "load[0]", "mw"),
 }
 
 
@@ -172,6 +185,35 @@ def test_solve_short_scenario_row_exits_one(tmp_path):
                    "--scenarios", str(bad), "--method", "extensive"])
     assert res.exit_code == 1
     assert "error:" in res.output and "line 4" in res.output
+
+
+@pytest.mark.parametrize("method", ["extensive", "multi-cut", "outer"])
+def test_solve_nan_probabilities_exit_one(tmp_path, method):
+    # a NaN probability is not a missing one: the run must not go on as
+    # equiprobable
+    lines = fixture_path("toy-a.csv").read_text().splitlines()
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join([lines[0] + ",probability"]
+                             + [line + ",nan" for line in lines[1:]]) + "\n")
+    res = _invoke(["solve", "--instance", str(fixture_path("toy-a.json")),
+                   "--scenarios", str(bad), "--method", method])
+    assert res.exit_code == 1
+    assert "error:" in res.output and "line 2" in res.output and "probability" in res.output
+
+
+@pytest.mark.parametrize("column, value", [("value_mw", "nan"), ("value_mw", "inf"),
+                                           ("value_mw", "-inf"), ("period", "x")])
+def test_solve_bad_scenario_cell_exits_one_naming_its_line(tmp_path, column, value):
+    lines = fixture_path("toy-a.csv").read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[lines[0].split(",").index(column)] = value
+    lines[5] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    res = _invoke(["solve", "--instance", str(fixture_path("toy-a.json")),
+                   "--scenarios", str(bad), "--method", "extensive"])
+    assert res.exit_code == 1
+    assert "error:" in res.output and "line 6" in res.output and column in res.output
 
 
 def test_trace_file_is_json_lines(tmp_path):
@@ -208,6 +250,11 @@ def test_outer_report_carries_t1_t2(tmp_path):
     assert res.exit_code == 0
     doc = json.loads(report.read_text())
     assert "T1" in doc and "T2" in doc and "fixed_count" in doc
+    # the extras are OuterResult.summary's, and the wall time is measured
+    # around the whole call: at one worker the subsets run in turn
+    assert {"subsets", "free_count", "seeded_cuts"} <= set(doc)
+    assert len(doc["subsets"]) == 2
+    assert doc["wall_time_s"] >= sum(s["tau_s"] for s in doc["subsets"]) + doc["T2"]
 
 
 PHASE_KEYS = {"iterations", "build_time_s", "master_time_s", "sub_time_s",

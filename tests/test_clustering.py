@@ -108,6 +108,46 @@ def test_kmeans_ends_when_k_exceeds_the_distinct_points(monkeypatch, pts, k):
     assert kmeans(pts, k).labels == a.labels
 
 
+def _repair_empty_reference(pts, labels, centers, k):
+    """The repair as first written: a Python sort of every point and a
+    recount of a cluster's size per candidate, for each empty cluster."""
+    labels = labels.copy()
+    for c in range(k):
+        if np.any(labels == c):
+            continue
+        resid = ((pts - centers[labels]) ** 2).sum(axis=1)
+        order = sorted(range(len(pts)), key=lambda i: (-resid[i], i))
+        for i in order:
+            if np.sum(labels == labels[i]) > 1:
+                labels[i] = c
+                break
+    return labels
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_repair_empty_matches_the_reference_on_duplicated_points(seed):
+    # few distinct rows, so residuals tie; labels that leave clusters empty
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(2, 60)), int(rng.integers(1, 4))
+    k = int(rng.integers(1, n + 1))
+    distinct = rng.integers(0, 3, (int(rng.integers(1, 6)), d)).astype(float)
+    pts = distinct[rng.integers(0, len(distinct), n)]
+    used = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
+    labels = used[rng.integers(0, used.size, n)]
+    centers = pts[rng.integers(0, n, k)]
+    got = clustering._repair_empty(pts, labels, centers, k)
+    assert np.array_equal(got, _repair_empty_reference(pts, labels, centers, k))
+    assert np.array_equal(np.unique(got), np.arange(k))
+
+
+@pytest.mark.parametrize("k", [20, 100, 200])
+def test_kmeans_at_large_k_keeps_the_reference_labels(monkeypatch, k):
+    pts = _few_distinct_rows()
+    got = kmeans(pts, k)
+    monkeypatch.setattr(clustering, "_repair_empty", _repair_empty_reference)
+    assert kmeans(pts, k) == got
+
+
 def test_hierarchical_first_merge_is_cheapest_pair():
     # Ward merge cost between singletons is d^2/2: 0-1 merge first
     a = hierarchical(LINE, 2)

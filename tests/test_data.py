@@ -1,5 +1,6 @@
 """Instance/scenario ingestion and validation."""
 
+import dataclasses
 import json
 
 import pytest
@@ -114,3 +115,21 @@ def test_wind_matrix_shape(toy_a):
     mat = scen.wind_matrix(inst)
     assert mat.shape == (3, inst.n_farms * inst.horizon)
     assert mat[0, 0] == scen.value("s1", "w1", 1)
+
+
+def test_validators_reject_nan_values(toy_a):
+    # NaN fails every comparison, so a check written as "x < 0 raises"
+    # passes it; objects built in code, not read from a file, meet these
+    inst, scen = toy_a
+    key = next(iter(scen.realizations))
+    nan_value = dataclasses.replace(scen, realizations={**scen.realizations,
+                                                        key: float("nan")})
+    with pytest.raises(ValidationError, match="W\\*=nan"):
+        nan_value.validate(inst)
+    nan_probs = dataclasses.replace(scen, probabilities=(float("nan"),) * scen.n_scenarios)
+    with pytest.raises(ValidationError, match="sum"):
+        nan_probs.validate(inst)
+    for field in ("capacity", "susceptance"):
+        line = dataclasses.replace(inst.lines[0], **{field: float("nan")})
+        with pytest.raises(ValidationError, match=field):
+            line.validate()

@@ -171,27 +171,26 @@ def test_batched_warm_solves_equal_one_solve_at_a_time_from_the_anchor_basis(med
     point = solver.template.point(x)
     want = [solve_subproblem(inst, scen, ids[0], x, solver, point)]
     basis = solver.lp.basis()
-    want += [solve_subproblem(inst, scen, omega, x, solver, point, basis) for omega in ids[1:]]
+    want += [r for k in range(1, len(ids)) for r in solver.solve([k], point, basis)]
     for workers in (1, 2, 3):
         _assert_bit_identical(solve_subproblems(inst, scen, x, workers=workers)[0], want)
 
 
 def _count_solves(monkeypatch):
-    """Record whether each one-at-a-time subproblem solve starts cold (True)
-    or from a basis, the number of warm solves in each batch, and the
-    thread count of each pool that solve_subproblems starts."""
-    starts, batches, pools = [], [], []
+    """Record the scenario of each anchor solve, whether each batch starts
+    cold (True) or from a basis with its solve count, and the thread count
+    of each pool that solve_subproblems starts."""
+    anchors, batches, pools = [], [], []
 
-    def counted(instance, scenarios, omega, x_hat, solver=None, point=None, basis=None):
-        starts.append(basis is None)
-        return solve_subproblem(instance, scenarios, omega, x_hat, solver, point, basis)
+    def counted(instance, scenarios, omega, x_hat, solver=None, point=None):
+        anchors.append(omega)
+        return solve_subproblem(instance, scenarios, omega, x_hat, solver, point)
 
     solve_batch = HighsSolver.solve_batch
 
-    def counted_batch(self, basis, cols, lb, ub, rows, row_lo, row_hi):
-        assert basis is not None
-        batches.append(len(ub))
-        return solve_batch(self, basis, cols, lb, ub, rows, row_lo, row_hi)
+    def counted_batch(self, cols, lb, ub, rows, row_lo, row_hi, basis=None):
+        batches.append((basis is None, len(ub)))
+        return solve_batch(self, cols, lb, ub, rows, row_lo, row_hi, basis)
 
     class Pool(engine.ThreadPoolExecutor):
         def __init__(self, max_workers):
@@ -201,7 +200,7 @@ def _count_solves(monkeypatch):
     monkeypatch.setattr(engine, "solve_subproblem", counted)
     monkeypatch.setattr(HighsSolver, "solve_batch", counted_batch)
     monkeypatch.setattr(engine, "ThreadPoolExecutor", Pool)
-    return starts, batches, pools
+    return anchors, batches, pools
 
 
 def test_one_scenario_set_solves_only_the_anchor(toy_a, monkeypatch):
@@ -209,10 +208,10 @@ def test_one_scenario_set_solves_only_the_anchor(toy_a, monkeypatch):
     one = scen.restrict(["s2"])
     x = sample_feasible_first_stage(inst, np.random.default_rng(34))
     assert len(recourse_solvers(inst, one, 4)) == 1
-    starts, batches, pools = _count_solves(monkeypatch)
+    anchors, batches, pools = _count_solves(monkeypatch)
     results, _ = solve_subproblems(inst, one, x, workers=4)
     assert [r.scenario_id for r in results] == ["s2"]
-    assert starts == [True] and batches == [] and pools == []
+    assert anchors == ["s2"] and batches == [(True, 1)] and pools == []
     assert results[0].objective == solve_subproblem(inst, one, "s2", x).objective
 
 
@@ -222,10 +221,11 @@ def test_workers_beyond_the_scenarios_start_no_idle_chunk(toy_a, monkeypatch):
     inst, scen = toy_a
     x = sample_feasible_first_stage(inst, np.random.default_rng(35))
     assert len(recourse_solvers(inst, scen, 8)) == 2
-    starts, batches, pools = _count_solves(monkeypatch)
+    anchors, batches, pools = _count_solves(monkeypatch)
     results, _ = solve_subproblems(inst, scen, x, workers=8)
     assert [r.scenario_id for r in results] == list(scen.scenario_ids)
-    assert starts == [True] and batches == [1, 1] and pools == [2]
+    assert anchors == [scen.scenario_ids[0]] and pools == [2]
+    assert batches == [(True, 1), (False, 1), (False, 1)]
 
 
 def test_exactly_one_result_per_scenario(toy_a):

@@ -652,7 +652,7 @@ def test_a_warm_scenario_that_is_not_optimal_is_named(med_b):
     solve_subproblem(inst, scen, ids[0], x, solver, point)
     with pytest.raises(SubproblemInfeasibleError,
                        match=f"scenario {ids[4]} returned infeasible"):
-        solver.solve_warm(np.arange(1, len(ids)), point, solver.lp.basis())
+        solver.solve(np.arange(1, len(ids)), point, solver.lp.basis())
 
 
 def test_recourse_template_stacks_each_scenarios_bounds(med_b):
