@@ -6,8 +6,11 @@ is passed as a ``RowBlock`` of its rows, with any extra rows, and solved
 from scratch, cold or from a given start basis.  ``solve_lp`` and
 ``solve_milp`` solve a model once on a fresh instance.  ``HighsSolver``
 holds one LP in an instance and solves it as batches of bound changes
-(``HighsSolver.solve_batch``): the scenario subproblems keep one per
-worker.  A Benders run keeps one instance for its masters and passes each
+(``HighsSolver.solve_batch``): the scenario subproblems keep one per run.
+A batch may be bunched: a ``cover`` test given the optimal basis of each
+solve (a ``Vertex``, which reads HiGHS's factor of it) names later solves
+that the basis is optimal for, and those take its duals without a HiGHS
+call.  A Benders run keeps one instance for its masters and passes each
 master as the static block of the run with the cut rows as extra rows.
 
 The dual convention is pinned here: for an LP solved to optimality, the dual
@@ -109,12 +112,18 @@ class SolveResult:
 @dataclass(frozen=True)
 class BatchResult:
     """The LP solves of one ``HighsSolver.solve_batch``, row k for solve k;
-    a solve that is not optimal has NaN values and 0 iterations."""
+    a solve that is not optimal has NaN values and 0 iterations.  Solve k
+    took the optimal basis of solve ``leader[k]``: k itself when HiGHS
+    solved it, an earlier solve when a ``cover`` test found that solve's
+    basis optimal for it (-1: the solve before the batch).  A covered solve
+    made no HiGHS call: it has its leader's duals, the objective that the
+    test gave and 0 iterations."""
     status: list                 # SolveStatus per solve
     objective: np.ndarray
     row_dual: np.ndarray         # solves x rows, in model order
     col_dual: np.ndarray         # solves x columns
     simplex_iters: np.ndarray
+    leader: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -193,11 +202,11 @@ class RowArrays:
     def count(self) -> int:
         return self.lo.size
 
-    def model_duals(self, duals: np.ndarray) -> np.ndarray:
-        """Model-order duals from the duals of the HiGHS rows: HiGHS reports
-        dObj/dRHS of the row it holds, so a negated row's dual is negated
-        back."""
-        return duals if self.pos is None else self.sign * duals[..., self.pos]
+    def to_model(self, values: np.ndarray) -> np.ndarray:
+        """Model-order values or duals from those of the HiGHS rows (along
+        the last axis): a negated row's activity is negated back, and so is
+        its dual, because HiGHS reports dObj/dRHS of the row it holds."""
+        return values if self.pos is None else self.sign * values[..., self.pos]
 
 
 def _check_finite(model: LinearModel) -> None:
@@ -367,7 +376,7 @@ class HighsInstance:
         objective = float(info.objective_function_value)
         return SolveResult(
             SolveStatus.OPTIMAL, objective, np.array(solution.col_value),
-            None if self._mip else self._rows.model_duals(np.array(solution.row_dual)),
+            None if self._mip else self._rows.to_model(np.array(solution.row_dual)),
             None if self._mip else np.array(solution.col_dual),
             self._rows.count, time.perf_counter() - t0,
             simplex_iters=int(info.simplex_iteration_count),
@@ -379,6 +388,94 @@ class HighsInstance:
                 status: SolveStatus = SolveStatus.ERROR) -> SolveResult:
         return SolveResult(status, None, None, None, None, self._rows.count,
                            time.perf_counter() - t0, message=message)
+
+
+class Vertex:
+    """The optimal basis of the solve that a ``HighsSolver`` holds, with the
+    objective, values, column duals and bounds of that solve (rows in model
+    order), for a ``solve_batch`` ``cover`` test.  It reads HiGHS's basis
+    and factor and the solver's bounds, so it is valid only while the
+    solver holds that solve: during the ``cover`` call that receives it.
+    """
+
+    def __init__(self, solver: "HighsSolver", objective: float, solution):
+        self._solver = solver
+        self._solution = solution
+        self.objective = objective
+        self.col_lb, self.col_ub = solver._col_lb, solver._col_ub
+
+    @cached_property
+    def col_value(self) -> np.ndarray:
+        return np.array(self._solution.col_value)
+
+    @cached_property
+    def col_dual(self) -> np.ndarray:
+        return np.array(self._solution.col_dual)
+
+    @cached_property
+    def row_value(self) -> np.ndarray:
+        return self._solver._rows.to_model(np.array(self._solution.row_value))
+
+    @cached_property
+    def row_lo(self) -> np.ndarray:
+        """The rows' lower bounds."""
+        rows = self._solver._rows
+        return np.where(rows.sign < 0, -self._solver._hi[rows.pos], self._solver._lo[rows.pos])
+
+    @cached_property
+    def _basic(self) -> np.ndarray:
+        """The basic variables in basis order: column j as j, HiGHS row p
+        as -1 - p."""
+        status, basic = self._solver._highs.getBasicVariables()
+        if status == highs.HighsStatus.kError:
+            raise BackendError("HiGHS holds no basis")
+        return np.asarray(basic, dtype=np.int64)
+
+    @cached_property
+    def _nonbasic_col(self) -> np.ndarray:
+        mask = np.ones(self.col_lb.size, dtype=bool)
+        mask[self._basic[self._basic >= 0]] = False
+        return mask
+
+    def at_upper(self, cols: np.ndarray) -> np.ndarray:
+        """Which of columns ``cols`` are nonbasic at their upper bounds.  A
+        fixed column counts as at its upper bound when its reduced cost is
+        negative: of its two bounds, the one at which the duals stay
+        optimal when a later solve moves them apart (a column at its lower
+        bound needs a reduced cost >= 0, one at its upper bound <= 0)."""
+        ub = self.col_ub[cols]
+        return self._nonbasic_col[cols] & np.where(self.col_lb[cols] == ub,
+                                                   self.col_dual[cols] < 0,
+                                                   self.col_value[cols] == ub)
+
+    def follow(self, col_step: np.ndarray, row_step: np.ndarray):
+        """How the basic variables move when the nonbasic columns and rows
+        move by ``col_step`` and ``row_step`` (directions x columns,
+        directions x model rows; the entries of basic variables are not
+        read), so that each row's value stays its activity: the basic
+        columns, their moves (directions x basic columns), the model rows
+        whose values are basic and their moves.  One solve with HiGHS's
+        factor per direction that moves a basic variable."""
+        s = self._solver
+        rows = s._rows
+        basic = self._basic
+        is_col = basic >= 0
+        cols, held = basic[is_col], -1 - basic[~is_col]
+        step = row_step[:, s._model_row] * rows.sign[s._model_row]   # HiGHS row order
+        step[:, held] = 0.0
+        # HiGHS's logical variable of a row is its activity negated, so the
+        # basis matrix B spans A's basic columns and the basic rows' unit
+        # columns, and B (dx_B, -dr_B) = dr_N - A dx_N
+        col_step = col_step * self._nonbasic_col
+        rhs = step - (s._matrix @ col_step.T).T if col_step.any() else step
+        move = np.zeros((len(rhs), basic.size))
+        for i in np.flatnonzero(rhs.any(axis=1)):
+            status, move[i] = s._highs.getBasisSolve(rhs[i])
+            if status == highs.HighsStatus.kError:
+                raise BackendError("HiGHS could not solve with the basis factor")
+        model_rows = s._model_row[held]
+        return (cols, move[:, is_col], model_rows,
+                -rows.sign[model_rows] * move[:, ~is_col])
 
 
 class HighsSolver:
@@ -404,22 +501,44 @@ class HighsSolver:
         # the current bounds of the HiGHS columns and rows
         self._col_lb, self._col_ub = model.lb.astype(float), model.ub.astype(float)
         self._lo, self._hi = self._rows.lo, self._rows.hi
+        self._solved = False    # HiGHS holds an optimal solve of the current bounds
+
+    @cached_property
+    def _matrix(self) -> sp.csr_matrix:
+        """The matrix as HiGHS holds it (``Vertex.follow``)."""
+        r = self._rows
+        return sp.csr_matrix((r.value, r.index, r.start), shape=(r.count, self._col_lb.size))
+
+    @cached_property
+    def _model_row(self) -> np.ndarray:
+        """The model row of each HiGHS row."""
+        return np.argsort(self._rows.pos)
 
     def solve(self, basis: HighsBasis | None = None) -> SolveResult:
         """Solve the model with its current bounds from scratch, or from the
         start ``basis`` (``HighsInstance.run``)."""
-        return self._instance.run(basis)
+        self._solved = False
+        result = self._instance.run(basis)
+        self._solved = result.status is SolveStatus.OPTIMAL
+        return result
 
     def solve_batch(self, cols, lb, ub, rows, row_lo, row_hi,
-                    basis: HighsBasis | None = None) -> BatchResult:
+                    basis: HighsBasis | None = None, cover=None) -> BatchResult:
         """One LP solve per row k of ``ub``, ``row_lo`` and ``row_hi``: set
         the bounds of columns ``cols`` to ``lb`` and ``ub[k]`` and those of
         rows ``rows`` (model indices) to ``row_lo[k]`` and ``row_hi[k]``,
         and solve from scratch, or from the start ``basis``.  Every other
-        bound keeps its value from the solve before, and only the bounds
-        that differ from it reach HiGHS.  A row keeps its sense: an
-        equality stays an equality, and a one-sided row keeps its infinite
-        side.
+        bound keeps its value, and only the bounds that differ from those
+        HiGHS holds reach it.  A row keeps its sense: an equality stays an
+        equality, and a one-sided row keeps its infinite side.
+
+        With ``cover``, solves are bunched.  The optimal basis of the solve
+        before the batch, if the solver holds one, and then that of each
+        optimal solve is offered as a ``Vertex`` to ``cover(vertex, todo)``
+        while solves are left, with ``todo`` those solves, in order.  It returns the
+        solves of ``todo`` for which that basis is optimal and their
+        objectives, which are then not solved (``BatchResult.leader``), or
+        None, after which no basis is offered again.
 
         Every bound of the batch is checked before the first HiGHS call; a
         NaN bound or a change of sense raises ``BackendError``.  The
@@ -433,45 +552,80 @@ class HighsSolver:
         lb = np.broadcast_to(lb, ub.shape)
         pos, lo, hi = self._row_bounds(rows, row_lo, row_hi)
         n = len(ub)
-        # the columns and rows whose bounds differ from the solve before (or
-        # from HiGHS's)
-        col_changed = (_changes(self._col_lb[cols], lb) | _changes(self._col_ub[cols], ub))
-        changed = _changes(self._lo[pos], lo) | _changes(self._hi[pos], hi)
-        status = []
+        status = [None] * n
         objective = np.full(n, np.nan)
         raw_row_dual = np.full((n, self._rows.count), np.nan)
         col_dual = np.full((n, self._col_lb.size), np.nan)
         iters = np.zeros(n, dtype=np.int64)
+        leader = np.arange(n)
+        todo = np.ones(n, dtype=bool)
         h = self._highs
-        done = -1
+
+        # the bounds HiGHS held before the batch; then those of solve last
+        before = self._col_lb[cols], self._col_ub[cols], self._lo[pos], self._hi[pos]
+        last = -1
+
+        def held():
+            """The bounds that HiGHS holds."""
+            return before if last < 0 else (lb[last], ub[last], lo[last], hi[last])
+
+        def sync():
+            """Give the solver the bounds that HiGHS holds."""
+            self._col_lb[cols], self._col_ub[cols], self._lo[pos], self._hi[pos] = held()
+
+        def offer(k: int, solution) -> bool:
+            sync()
+            vertex = Vertex(self, h.getObjectiveValue(), solution)
+            got = cover(vertex, np.flatnonzero(todo))
+            if got is None:
+                return False
+            covered, q = got
+            todo[covered] = False
+            leader[covered], objective[covered] = k, q
+            raw_row_dual[covered] = solution.row_dual
+            col_dual[covered] = solution.col_dual
+            for j in covered.tolist():
+                status[j] = SolveStatus.OPTIMAL
+            return True
+
+        bunching = cover is not None
         try:
+            if bunching and self._solved and n:
+                bunching = offer(-1, h.getSolution())
             for k in range(n):
-                ch = np.flatnonzero(col_changed[k])
+                if not todo[k]:
+                    continue
+                todo[k] = False
+                now = held()
+                ch = np.flatnonzero((lb[k] != now[0]) | (ub[k] != now[1]))
                 if ch.size:
                     h.changeColsBounds(ch.size, cols[ch], lb[k, ch], ub[k, ch])
-                ch = np.flatnonzero(changed[k])
+                ch = np.flatnonzero((lo[k] != now[2]) | (hi[k] != now[3]))
                 for p, a, b in zip(pos[ch].tolist(), lo[k, ch].tolist(), hi[k, ch].tolist()):
                     h.changeRowBounds(p, a, b)
-                done = k
+                last = k
+                self._solved = False
                 h.clearSolver()
                 if basis is not None and h.setBasis(basis) == highs.HighsStatus.kError:
                     raise BackendError("HiGHS rejected the start basis")
                 if h.run() == highs.HighsStatus.kError:
-                    status.append(SolveStatus.ERROR)
+                    status[k] = SolveStatus.ERROR
                     continue
-                status.append(_HIGHS_STATUS.get(h.getModelStatus(), SolveStatus.ERROR))
-                if status[-1] is SolveStatus.OPTIMAL:
+                status[k] = _HIGHS_STATUS.get(h.getModelStatus(), SolveStatus.ERROR)
+                if status[k] is SolveStatus.OPTIMAL:
+                    self._solved = True
                     objective[k] = h.getObjectiveValue()
                     solution = h.getSolution()
                     raw_row_dual[k] = solution.row_dual
                     col_dual[k] = solution.col_dual
                     iters[k] = h.getInfoValue("simplex_iteration_count")[1]
+                    if bunching and todo[k + 1:].any():
+                        bunching = offer(k, solution)
         finally:
-            if done >= 0:
-                self._col_lb[cols], self._col_ub[cols] = lb[done], ub[done]
-                self._lo[pos], self._hi[pos] = lo[done], hi[done]
-        return BatchResult(status, objective, self._rows.model_duals(raw_row_dual),
-                           col_dual, iters)
+            if last >= 0:
+                sync()
+        return BatchResult(status, objective, self._rows.to_model(raw_row_dual),
+                           col_dual, iters, leader)
 
     def basis(self) -> HighsBasis:
         return self._instance.basis()
@@ -489,12 +643,6 @@ class HighsSolver:
                 and (lo == hi)[..., ~one_sided].all()):
             raise BackendError("a bound change may not change the sense of a row")
         return self._rows.pos[rows], new_lo, new_hi
-
-
-def _changes(current: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Per solve of a batch (row of ``new``), which bounds differ from the
-    solve before it, the first solve's from ``current``."""
-    return new != np.concatenate((current[None], new[:-1]))
 
 
 def _float_bounds(*bounds) -> list[np.ndarray]:

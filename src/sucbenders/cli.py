@@ -79,7 +79,6 @@ def _config_from_options(opts: dict) -> BendersConfig:
         max_iters=opts["max_iters"], alpha=opts["alpha"], zeta=opts["zeta"],
         rho=opts["rho"], kappa=opts["kappa"],
         clustering_method=opts["clustering"], attribute=opts["attribute"],
-        workers=opts["workers"],
     )
 
 
@@ -87,6 +86,8 @@ def execute_method(method: str, instance, scenarios, opts: dict,
                    trace_sink=None) -> RunReport:
     config = _config_from_options(opts)
     config.validate(scenarios.n_scenarios)    # every method, extensive too
+    if opts["workers"] < 1:                   # outer's concurrent subsets
+        raise ValueError("workers must be >= 1")
     cfg_echo = {k: opts[k] for k in
                 ("eps", "mip_gap", "theta_min", "zeta", "rho", "alpha", "kappa",
                  "clustering", "attribute", "subsets", "gamma", "workers",

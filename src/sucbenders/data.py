@@ -277,8 +277,17 @@ def _records(doc, key: str) -> list:
     return recs
 
 
+def _integer(value) -> int:
+    """``value`` as an int: an integer, an integral float or a string of an
+    integer; a bool or a fractional number raises ValueError (``int`` would
+    truncate 2.7 to 2)."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 # the casts of Generator's field annotations, which are strings here
-_CASTS = {"str": str, "float": float, "int": int}
+_CASTS = {"str": str, "float": float, "int": _integer}
 
 
 def load_instance(path: str | Path) -> SystemInstance:
@@ -319,10 +328,10 @@ def load_instance(path: str | Path) -> SystemInstance:
     for i, rec in enumerate(_records(doc, "load")):
         ctx = f"load[{i}]"
         load[(_field(rec, "node", ctx, str),
-              _field(rec, "period", ctx, int))] = _field(rec, "mw", ctx, float)
+              _field(rec, "period", ctx, _integer))] = _field(rec, "mw", ctx, float)
     inst = SystemInstance(
         name=_field(meta, "name", "meta", str, Path(path).stem),
-        horizon=_field(meta, "horizon", "meta", int),
+        horizon=_field(meta, "horizon", "meta", _integer),
         ref_node=_field(meta, "ref_node", "meta", str),
         nodes=tuple(str(n) for n in _records(doc, "nodes")),
         lines=tuple(lines),
@@ -371,7 +380,7 @@ def load_scenarios(path: str | Path, instance: SystemInstance) -> ScenarioSet:
                 if probs[sc] is not None and probs[sc] != p:
                     raise InstanceError(f"scenario {sc}: conflicting probabilities")
                 probs[sc] = p
-            key = (sc, row["farm"].strip(), _field(row, "period", where, int))
+            key = (sc, row["farm"].strip(), _field(row, "period", where, _integer))
             if key in realizations:
                 raise InstanceError(f"duplicate scenario row {key}")
             realizations[key] = _field(row, "value_mw", where, float)

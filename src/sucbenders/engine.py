@@ -1,10 +1,11 @@
-"""Benders iteration driver: master solve, parallel subproblems, bounds,
+"""Benders iteration driver: master solve, bunched subproblems, bounds,
 convergence, and cut-pool updates.
 
 Per iteration: solve the master, read the lower bound and the candidate
-first-stage point, solve all scenario subproblems on the workers, update the
-upper bound, test convergence, then add one pi-weighted aggregate cut per
-cluster of scenarios.  Every cut mode solves one master, with one theta per
+first-stage point, solve all scenario subproblems in bunches that share an
+optimal basis (``solve_subproblems``), update the upper bound, test
+convergence, then add one pi-weighted aggregate cut per cluster of
+scenarios.  Every cut mode solves one master, with one theta per
 scenario, and makes its cuts in this one step: a mode decides only the
 cluster count (``BendersConfig.pinned_clusters``), and at 1 and at |Omega|
 clusters no clustering runs.  So single-cut and multi-cut runs are the
@@ -29,7 +30,8 @@ from __future__ import annotations
 import enum
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
+# not used here; bench/spans.py wraps engine.ThreadPoolExecutor by name
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -78,6 +80,8 @@ class BendersConfig:
     clustering_method: str = "hierarchical"   # or "kmeans"
     attribute: str = "duals"          # or "objective", "wind"
     consolidate: bool = False
+    # not read by run, whose subproblem phase is serial; only
+    # bench/workloads.py passes it (the CLI's --workers goes to outer)
     workers: int = 1
 
     def validate(self, n_scenarios: int) -> None:
@@ -133,6 +137,7 @@ class IterationRecord:
     master_mip_nodes: int     # 0 in the LP phase
     master_dual_bound: float  # HiGHS's MILP dual bound; the LP optimum in the LP phase
     sub_simplex_iters: int    # summed over the scenario subproblems
+    sub_solves: int           # HiGHS solves of the subproblem phase (bunch leaders)
     cuts_added: int           # cut rows this iteration added to the pool
     cuts_removed: int         # cut rows its consolidation merged away
     cluster_sizes: tuple      # scenarios behind each added cut, in cut order
@@ -148,7 +153,7 @@ class IterationRecord:
             "master_simplex_iters": self.master_simplex_iters,
             "master_mip_nodes": self.master_mip_nodes,
             "master_dual_bound": finite(self.master_dual_bound),
-            "sub_simplex_iters": self.sub_simplex_iters,
+            "sub_simplex_iters": self.sub_simplex_iters, "sub_solves": self.sub_solves,
             "cuts_added": self.cuts_added, "cuts_removed": self.cuts_removed,
             "cluster_sizes": list(self.cluster_sizes),
             "build_time_s": self.build_time, "master_time_s": self.master_time,
@@ -161,7 +166,8 @@ class IterationRecord:
 
 # the trace fields that a report's per-phase totals sum
 PHASE_TOTALS = ("build_time_s", "master_time_s", "sub_time_s", "master_simplex_iters",
-                "sub_simplex_iters", "master_mip_nodes", "cuts_added", "cuts_removed")
+                "sub_simplex_iters", "sub_solves", "master_mip_nodes", "cuts_added",
+                "cuts_removed")
 
 
 def phase_totals(history: list) -> dict:
@@ -205,58 +211,37 @@ def compute_bounds(c_da: float, results: list, pi: dict) -> float:
     return float(c_da + sum(pi[r.scenario_id] * r.objective for r in results))
 
 
-def recourse_solvers(instance: SystemInstance, scenarios: ScenarioSet,
-                     workers: int) -> list[RecourseSolver]:
-    """One persistent recourse LP per worker, over one shared template, and
-    no more than there are scenarios after the anchor (at least one)."""
-    template = recourse_template(instance, scenarios)
-    return [RecourseSolver(template)
-            for _ in range(min(max(workers, 1), max(scenarios.n_scenarios - 1, 1)))]
-
-
 def solve_subproblems(instance: SystemInstance, scenarios: ScenarioSet,
                       x_hat: FirstStageSolution, workers: int = 1,
-                      solvers: list[RecourseSolver] | None = None
+                      solver: RecourseSolver | None = None
                       ) -> tuple[list[SubproblemResult], float]:
-    """All scenario recourse LPs at x_hat; returns (results in scenario
-    order, phase wall time).
+    """All scenario recourse LPs at x_hat, solved in bunches of scenarios
+    that share an optimal basis; returns (results in scenario order, phase
+    wall time).
 
-    The first scenario, the anchor, solves cold on the first solver.  The
-    scenarios' LPs differ only in bounds and right-hand sides, so its
-    optimal basis is dual feasible for every other scenario at x_hat, and
-    each of them starts from it (bunching, Birge & Louveaux 1997, 5.4).  A
-    result then depends only on x_hat and its scenario, not on the chunking
-    or on the points solved before.  Each solver takes one contiguous chunk
-    of the other scenarios in its own thread and solves it as one batch
-    (``RecourseSolver.solve``); HiGHS releases the interpreter lock
-    while it solves, so the chunks can run in parallel; whether that pays
-    depends on the host (on shared 2-vCPU hosts, 2 workers have solved
-    from no more to about 1.4 times as many scenarios per second as 1).
-    Without ``solvers``, ``workers`` of them are built here
-    (``recourse_solvers``); a run builds them once and passes them in.
+    The first scenario, the anchor, solves cold.  The scenarios' LPs differ
+    only in bounds and right-hand sides, so its optimal basis is dual
+    feasible for every other scenario at x_hat.  Its basis, and then that
+    of each later HiGHS solve, is tested against the scenarios not yet
+    solved: one that it keeps primal feasible is covered, needs no solve
+    and takes that solve's duals (bunching, Birge & Louveaux 1997, 5.4;
+    ``RecourseSolver.solve``).  The first scenario left uncovered is solved
+    from the anchor's basis and tested in turn.  The phase is serial, so a
+    result depends only on x_hat and the scenarios, not on the points
+    solved before; ``workers`` is not read (the benchmark passes it).
+    Without ``solver`` one is built here; a run builds it once and passes
+    it in.
     """
     t0 = time.perf_counter()
-    if solvers is None:
-        solvers = recourse_solvers(instance, scenarios, workers)
+    if solver is None:
+        solver = RecourseSolver(recourse_template(instance, scenarios))
     ids = scenarios.scenario_ids
     # what x_hat changes in every subproblem, computed once
-    point = solvers[0].template.point(x_hat)
-    anchor = solve_subproblem(instance, scenarios, ids[0], x_hat, solvers[0], point)
-    basis = solvers[0].lp.basis()
-
-    def solve_chunk(solver, chunk):
-        return solver.solve(chunk, point, basis)
-
-    rest = np.arange(1, len(ids))
-    n_chunks = min(len(solvers), rest.size)
-    if n_chunks == 0:
-        parts = []
-    elif n_chunks == 1:
-        parts = [solve_chunk(solvers[0], rest)]
-    else:
-        with ThreadPoolExecutor(max_workers=n_chunks) as pool:
-            parts = list(pool.map(solve_chunk, solvers, np.array_split(rest, n_chunks)))
-    return [anchor] + [r for part in parts for r in part], time.perf_counter() - t0
+    point = solver.template.point(x_hat)
+    results = [solve_subproblem(instance, scenarios, ids[0], x_hat, solver, point)]
+    if len(ids) > 1:
+        results += solver.solve(np.arange(1, len(ids)), point, solver.lp.basis())
+    return results, time.perf_counter() - t0
 
 
 def _cluster_labels(config: BendersConfig, count: int, results, families,
@@ -302,7 +287,7 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
     state = BendersState(cluster_count=pinned or scenarios.n_scenarios)
     attr_cache: dict = {}
     t_start = time.perf_counter()
-    solvers = recourse_solvers(instance, scenarios, config.workers)
+    solver = RecourseSolver(recourse_template(instance, scenarios))
     master = MasterSolver(master_template(instance, scenarios, theta_min,
                                           fixed_commitments), config.mip_gap)
     status = RunStatus.NOT_CONVERGED
@@ -340,7 +325,7 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
                 config.alpha, config.zeta, config.rho, scenarios.n_scenarios)
 
         results, sub_time = solve_subproblems(instance, scenarios, x_hat,
-                                              solvers=solvers)
+                                              solver=solver)
         if lp_phase:
             # a fractional point gives no upper bound; the LP gap takes the
             # first-stage cost from the master's columns (x_hat rounds u, y, z)
@@ -377,6 +362,7 @@ def run(instance: SystemInstance, scenarios: ScenarioSet, config: BendersConfig,
                                  mres.solve_time, sub_time, mres.simplex_iters,
                                  mres.mip_nodes, mres.dual_bound,
                                  sum(r.simplex_iters for r in results),
+                                 sum(not r.covered for r in results),
                                  added, removed, sizes)
         state.history.append(record)
         if trace is not None:

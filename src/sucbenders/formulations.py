@@ -9,8 +9,10 @@ instance per run, and ``build_master`` gives the same master as a model.
 ``recourse_template`` builds the subproblem LP, the scenarios' spill bounds
 and balance right-hand sides as arrays with one row per scenario, and the
 map that carries a first-stage point into the balance right-hand sides,
-which ``RecourseTemplate.point`` applies once per point.  The models equal
-those of a from-scratch build bit for bit.
+which ``RecourseTemplate.point`` applies once per point; ``RecourseSolver``
+solves a point's scenarios in bunches that share an optimal basis
+(``_Bunching``).  The models equal those of a from-scratch build bit for
+bit.
 
 Every model made here is a ``backend.LinearModel`` whose columns and rows are
 laid out as follows:
@@ -75,13 +77,15 @@ import scipy.sparse as sp
 
 # solve_lp is no longer called here; it stays bound because bench/layers.py
 # wraps formulations.solve_lp by name
-from .backend import (BatchResult, HighsBasis, HighsInstance, HighsSolver,  # noqa: F401
+from .backend import (HighsBasis, HighsInstance, HighsSolver,  # noqa: F401
                       LinearModel, RowBlock, SolveResult, SolveStatus, solve_lp,
                       solve_milp)
 from .cuts import CutPool
 from .data import ScenarioSet, SystemInstance
 
 FEAS_TOL = 1e-6
+# HiGHS's small_matrix_value: it ignores a matrix entry of no larger magnitude
+SMALL_MATRIX_VALUE = 1e-9
 
 
 class ModelBuildError(ValueError):
@@ -124,6 +128,9 @@ class SubproblemResult:
     objective: float        # Q_omega, $
     lam: np.ndarray         # slope of Q_omega in the link values, link order
     simplex_iters: int = 0  # of the HiGHS solve
+    # another scenario's optimal basis covered it: no HiGHS solve ran, and
+    # its lam is that scenario's (bunching, RecourseSolver.solve)
+    covered: bool = False
 
 
 @dataclass(frozen=True)
@@ -537,8 +544,11 @@ class MasterTemplate:
         if not (np.isfinite(cut.lam).all() and np.isfinite(rhs)):
             raise ModelBuildError(f"cut {cut.row_name()} has a non-finite slope or "
                                   "right-hand side")
-        # link columns ascend and precede the theta columns
-        nz = np.flatnonzero(cut.lam)
+        # link columns ascend and precede the theta columns; HiGHS drops a
+        # coefficient of magnitude <= 1e-9 (its small_matrix_value), such as
+        # the cancellation noise of a slope summed over scenarios, so the
+        # row keeps only the others (the right-hand side keeps every term)
+        nz = np.flatnonzero(np.abs(cut.lam) > SMALL_MATRIX_VALUE)
         theta_cols = sorted(weights)
         cols = np.concatenate([self.link[nz], theta_cols]).astype(self.static.A.indices.dtype)
         vals = np.concatenate([-cut.lam[nz], [weights[j] for j in theta_cols]])
@@ -682,6 +692,25 @@ class RecourseTemplate:
         return self.model.lb[self.cols]
 
     @cached_property
+    def spill(self) -> np.ndarray:
+        """The spill columns, one per wind value of a scenario."""
+        return self.cols[self.n_deploy:]
+
+    @cached_property
+    def wind_of(self) -> np.ndarray:
+        """Per column, the wind value whose spill column it is, or -1."""
+        at = np.full(self.model.c.size, -1)
+        at[self.spill] = np.arange(self.spill.size)
+        return at
+
+    @cached_property
+    def wind_rows(self) -> np.ndarray:
+        """The change of every row's right-hand side per unit of each wind
+        value (wind values x rows): -1 in its farm's balance row, which is
+        the spill column's coefficient there."""
+        return self.model.A[:, self.spill].T.toarray()
+
+    @cached_property
     def balance_rows(self) -> np.ndarray:
         return np.arange(self.link_map.shape[0])
 
@@ -694,14 +723,14 @@ class RecourseTemplate:
         link = np.clip(x_hat.link(), self.link_lo, self.link_hi)
         return RecoursePoint(link[:self.n_deploy], self.link_map @ link)
 
-    def lam(self, batch: BatchResult) -> np.ndarray:
-        """The slope of Q at each solved point of ``batch``, in link order,
-        one row per solve: for w and f the balance-row duals mapped back
-        through ``A_link``, and for r+ and r- the duals of the active p+/p-
-        upper bounds (0 where a column sits at its lower bound, as a column
-        fixed at 0 with a positive reduced cost does)."""
-        lam = (self.link_map_t @ -batch.row_dual[:, :self.link_map.shape[0]].T).T
-        lam[:, :self.n_deploy] = np.minimum(batch.col_dual[:, :self.n_deploy], 0.0)
+    def lam(self, row_dual: np.ndarray, col_dual: np.ndarray) -> np.ndarray:
+        """The slope of Q at solved points, in link order, one row per row
+        of the model-order duals: for w and f the balance-row duals mapped
+        back through ``A_link``, and for r+ and r- the duals of the active
+        p+/p- upper bounds (0 where a column sits at its lower bound, as a
+        column fixed at 0 with a positive reduced cost does)."""
+        lam = (self.link_map_t @ -row_dual[:, :self.link_map.shape[0]].T).T
+        lam[:, :self.n_deploy] = np.minimum(col_dual[:, :self.n_deploy], 0.0)
         return lam
 
 
@@ -720,9 +749,80 @@ def recourse_template(instance: SystemInstance, scenarios: ScenarioSet) -> Recou
         wind, rhs.reshape(scenarios.n_scenarios, -1))
 
 
+# a scenario is covered when the basic solution that another scenario's
+# optimal basis gives it leaves none of its bounds by more than this: an
+# absolute tolerance, tighter than HiGHS's primal feasibility tolerance (1e-7)
+BUNCH_TOL = 1e-9
+# no basis is tested against fewer scenarios (_Bunching)
+BUNCH_MIN = 3
+
+
+class _Bunching:
+    """The ``cover`` test (``HighsSolver.solve_batch``) of one batch of
+    scenarios at one point.
+
+    Scenarios differ only in their wind values: these are the upper bounds
+    of their spill columns, and the balance right-hand sides are affine in
+    them.  So the basic solution that a leader's optimal basis gives a
+    member is the leader's plus a linear map of the wind difference, read
+    off the basis factor with one solve per wind value
+    (``Vertex.follow``); a spill column at its upper bound moves with it,
+    one fixed at 0 sits at the bound its reduced cost picks
+    (``Vertex.at_upper``).  A member is covered when that solution keeps
+    every column within its bounds and every row at its right-hand side,
+    within ``BUNCH_TOL``: the basis is optimal for it with the leader's
+    duals, because the costs are the same, and its objective is the
+    leader's plus the cost change of the solution.  A leader whose
+    p+/p- bounds or balance right-hand sides are not those of the batch's
+    point at its wind covers nothing.
+
+    A test costs about as much as two to four warm HiGHS solves (on toy-a
+    and on med-b), and late in a run almost every scenario is its own
+    bunch.  So no basis is tested against fewer than ``BUNCH_MIN`` (three)
+    scenarios, and
+    once two or more tests have covered fewer scenarios than there were
+    tests, no basis is tested again.
+    """
+
+    def __init__(self, template: RecourseTemplate, point: RecoursePoint, ub: np.ndarray):
+        self.template, self.point = template, point
+        self.ub = ub                    # the batch's column bounds
+        self.tests = self.covered = 0
+
+    def __call__(self, vertex, todo: np.ndarray):
+        if todo.size < BUNCH_MIN or (self.tests >= 2 and self.covered < self.tests):
+            return None
+        t = self.template
+        n_bal = t.balance_rows.size
+        wind = vertex.col_ub[t.spill]
+        if not (np.array_equal(vertex.col_ub[:t.n_deploy], self.point.deploy_ub)
+                and np.abs(vertex.row_lo[:n_bal] - wind @ t.wind_rows[:, :n_bal]
+                           + self.point.link_rhs).max() <= BUNCH_TOL):
+            return todo[:0], np.empty(0)
+        self.tests += 1
+        # per wind value: its spill column moves with it at its upper bound,
+        # and its balance row's right-hand side moves with it
+        step = np.zeros((wind.size, t.model.c.size))
+        step[np.arange(wind.size), t.spill] = vertex.at_upper(t.spill)
+        cols, x_move, rows, r_move = vertex.follow(step, t.wind_rows)
+        member_wind = self.ub[todo, t.n_deploy:]
+        dw = member_wind - wind
+        x = vertex.col_value[cols] + dw @ x_move
+        at = t.wind_of[cols]
+        x_hi = np.where(at >= 0, member_wind[:, at], vertex.col_ub[cols])
+        ok = ((x >= vertex.col_lb[cols] - BUNCH_TOL) & (x <= x_hi + BUNCH_TOL)).all(axis=1)
+        if rows.size:
+            # a basic row's value must follow its right-hand side
+            off = vertex.row_value[rows] - vertex.row_lo[rows]
+            ok &= (np.abs(off + dw @ (r_move - t.wind_rows[:, rows])) <= BUNCH_TOL).all(axis=1)
+        self.covered += int(ok.sum())
+        c = t.model.c
+        return todo[ok], vertex.objective + dw[ok] @ (x_move @ c[cols] + step @ c)
+
+
 class RecourseSolver:
     """A template's LP held by a persistent ``backend.HighsSolver``, with
-    presolve off.  Not for concurrent use: each worker thread owns one."""
+    presolve off.  Not for concurrent use."""
 
     def __init__(self, template: RecourseTemplate):
         self.template = template
@@ -731,23 +831,39 @@ class RecourseSolver:
     def solve(self, positions: np.ndarray, point: RecoursePoint,
               basis: HighsBasis | None = None) -> list[SubproblemResult]:
         """The scenarios at ``positions`` at ``point``, solved as one batch
-        (``HighsSolver.solve_batch``), each cold or from ``basis``, the
-        optimal basis of another scenario at the same point
-        (``self.lp.basis()``)."""
+        (``HighsSolver.solve_batch``), each cold, or bunched from
+        ``basis``: the optimal basis of another scenario at the same point,
+        whose solve the solver holds (``self.lp.basis()``).  Bunched, that
+        solve's basis and each later solve's is tested against the
+        scenarios not yet solved (``_Bunching``); a covered scenario makes
+        no HiGHS call and shares its leader's ``lam``, and the others are
+        solved from ``basis`` in order.  Every ``lam`` is read-only."""
         t = self.template
         rhs = t.balance_rhs[positions] - point.link_rhs
         ub = np.hstack([np.broadcast_to(point.deploy_ub, (len(positions), t.n_deploy)),
                         t.spill_ub[positions]])
-        batch = self.lp.solve_batch(t.cols, t.cols_lb, ub, t.balance_rows, rhs, rhs, basis)
+        cover = (None if basis is None or len(positions) < BUNCH_MIN
+                 else _Bunching(t, point, ub))
+        batch = self.lp.solve_batch(t.cols, t.cols_lb, ub, t.balance_rows, rhs, rhs,
+                                    basis, cover)
         for k, status in zip(positions, batch.status):
             if status is not SolveStatus.OPTIMAL:
                 raise SubproblemInfeasibleError(
                     f"subproblem for scenario {t.scenario_ids[k]} returned {status.value}; "
                     "complete recourse should make this impossible")
-        lam = t.lam(batch)
-        return [SubproblemResult(t.scenario_ids[k], q, slope.copy(), iters)
-                for k, q, slope, iters in zip(positions, batch.objective.tolist(), lam,
-                                              batch.simplex_iters.tolist())]
+        # one slope per bunch, from the duals of its first solve: a covered
+        # scenario shares its leader's, and those that the solve before the
+        # batch covered share the first one's
+        leader = batch.leader.tolist()
+        first = [j if j >= 0 else leader.index(-1) for j in leader]
+        bunches = sorted(set(first))
+        lam = t.lam(batch.row_dual[bunches], batch.col_dual[bunches])
+        lam.setflags(write=False)
+        slope = dict(zip(bunches, lam))
+        return [SubproblemResult(t.scenario_ids[p], q, slope[b], iters, j != k)
+                for k, (p, q, iters, j, b) in enumerate(zip(
+                    positions, batch.objective.tolist(), batch.simplex_iters.tolist(),
+                    leader, first))]
 
 
 def solve_subproblem(instance: SystemInstance, scenarios: ScenarioSet, omega: str,

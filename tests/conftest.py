@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             f"criterion {num:2d} ({name.replace('_', ' ')}): {verdict}")
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "sucbenders" / "fixtures"
+# the benchmark's scenario generator (bench/scengen.py) feeds the bunching tests
+sys.path.insert(1, str(Path(__file__).resolve().parent.parent / "bench"))
 
 
 def fixture_path(name: str) -> Path:

@@ -626,16 +626,11 @@ def test_recourse_template_solve_matches_a_model_built_from_scratch(med_b):
         want = HighsSolver(model, presolve=False).solve()
         got = solve_subproblem(inst, scen, omega, x, solver)
         assert got.objective == want.objective
-        assert np.array_equal(got.lam, template.lam(_as_batch(want))[0])
+        assert np.array_equal(got.lam, template.lam(want.row_dual[None], want.col_dual[None])[0])
         presolved = solve_lp(model)
         assert got.objective == pytest.approx(presolved.objective, rel=1e-12, abs=1e-9)
-        np.testing.assert_allclose(got.lam, template.lam(_as_batch(presolved))[0], atol=1e-9)
-
-
-def _as_batch(res) -> BatchResult:
-    """A single solve's result as a batch of one."""
-    return BatchResult([res.status], np.array([res.objective]), res.row_dual[None],
-                       res.col_dual[None], np.array([res.simplex_iters]))
+        np.testing.assert_allclose(got.lam, template.lam(presolved.row_dual[None],
+                                                         presolved.col_dual[None])[0], atol=1e-9)
 
 
 @pytest.mark.parametrize("family", ["w", "r_plus"])
@@ -673,3 +668,103 @@ def test_one_solver_path():
                 assert name not in ("linprog", "milp"), f"{path.name} calls {name}"
             elif path.name != "backend.py":
                 assert "_highspy" not in name, f"{path.name} imports {name}"
+
+
+def test_a_cover_takes_the_solves_it_covers_and_gives_them_the_vertex_duals():
+    # the solve before the batch and each solve are offered while solves
+    # are left; a covered solve makes no HiGHS call and takes
+    # its leader's duals, and a solve that is made gives the bits of a
+    # one-at-a-time solve
+    m, cols, lb, ub, rows, lo, hi = _batch_bounds(12, 4)
+    # the last solve repeats the second's bounds, which all differ from
+    # those of the solve before the batch
+    ub[3], lo[3], hi[3] = ub[1], lo[1], hi[1]
+    solver = HighsSolver(m)
+    prior = solver.solve()
+    start = solver.basis()
+    offers = []
+
+    def cover(vertex, todo):
+        offers.append((vertex.objective, todo.tolist()))
+        return (todo[:1], [42.0]) if len(offers) == 1 else (todo[1:], [7.0])
+
+    log = _log_calls(solver)
+    got = solver.solve_batch(cols, lb, ub, rows, lo, hi, start, cover)
+    assert [c[0] for c in log.calls].count("run") == 2
+    assert got.leader.tolist() == [-1, 1, 2, 1]
+    assert offers[0] == (prior.objective, [0, 1, 2, 3])
+    assert offers[1] == (got.objective[1], [2, 3])
+    assert len(offers) == 2
+    assert got.status == [SolveStatus.OPTIMAL] * 4
+    assert got.objective[[0, 3]].tolist() == [42.0, 7.0]
+    assert got.simplex_iters[[0, 3]].tolist() == [0, 0]
+    assert np.array_equal(got.row_dual[0], prior.row_dual)
+    assert np.array_equal(got.col_dual[0], prior.col_dual)
+    assert np.array_equal(got.row_dual[3], got.row_dual[1])
+    assert np.array_equal(got.col_dual[3], got.col_dual[1])
+    for k in (1, 2):
+        _assert_solve_k(got, k, HighsSolver(_moved(m, cols, lb, ub[k], lo[k], hi[k])).solve(start))
+
+
+def test_a_cover_that_stops_is_not_offered_again():
+    m, cols, lb, ub, rows, lo, hi = _batch_bounds(13, 4)
+    fresh = HighsSolver(m)
+    offers = []
+
+    def cover(vertex, todo):
+        offers.append(todo.tolist())
+        return None
+
+    # a solver that holds no solve offers none before its batch
+    got = fresh.solve_batch(cols, lb, ub, rows, lo, hi, None, cover)
+    assert offers == [[1, 2, 3]] and got.leader.tolist() == [0, 1, 2, 3]
+    for k in range(4):
+        _assert_solve_k(got, k, HighsSolver(_moved(m, cols, lb, ub[k], lo[k], hi[k])).solve())
+
+
+def test_vertex_follow_gives_the_basic_solution_of_moved_bounds():
+    # on the mixed-senses LP (negated >= rows, equalities moved last) the
+    # basic variables that follow a move of the nonbasic ones are those of
+    # the moved LP, solved from the same basis without a pivot
+    m, _, _, _ = _mixed_senses()
+    solver = HighsSolver(m)
+    solver.solve()
+    start = solver.basis()
+    rng = np.random.default_rng(4)
+    col_step, row_step = rng.uniform(-1.0, 1.0, (1, m.c.size)), rng.uniform(-1.0, 1.0, (1, 9))
+    seen = {}
+
+    def cover(vertex, todo):
+        seen["x"], seen["r"], seen["lo"] = vertex.col_value, vertex.row_value, vertex.row_lo
+        seen["nonbasic"] = vertex._nonbasic_col.copy()
+        seen["cols"], seen["dx"], seen["rows"], seen["dr"] = vertex.follow(col_step, row_step)
+        return None
+
+    solver.solve_batch([], [], np.empty((2, 0)), [], np.empty((2, 0)), np.empty((2, 0)),
+                       start, cover)
+    x, r, nonbasic = seen["x"], seen["r"], seen["nonbasic"]
+    assert np.array_equal(seen["lo"], m.row_lo)
+    np.testing.assert_allclose(r, m.A @ x, rtol=0, atol=1e-12)
+    assert (~nonbasic).sum() + seen["rows"].size == 9
+    assert seen["rows"].size and not nonbasic.all()
+    step = 1e-3
+    lb, ub, lo, hi = m.lb.copy(), m.ub.copy(), m.row_lo.copy(), m.row_hi.copy()
+    for j in np.flatnonzero(nonbasic):
+        for b in (lb, ub):
+            if b[j] == x[j]:
+                b[j] += step * col_step[0, j]
+    basic_rows = np.zeros(9, dtype=bool)
+    basic_rows[seen["rows"]] = True
+    for i in np.flatnonzero(~basic_rows):
+        for b in (lo, hi):
+            if abs(b[i] - r[i]) <= 1e-9:
+                b[i] += step * row_step[0, i]
+    moved = HighsSolver(replace(m, lb=lb, ub=ub, row_lo=lo, row_hi=hi))
+    want = moved.solve(start)
+    assert want.simplex_iters == 0
+    x_want = x + step * np.where(nonbasic, col_step[0], 0.0)
+    x_want[seen["cols"]] = x[seen["cols"]] + step * seen["dx"][0]
+    np.testing.assert_allclose(want.x, x_want, rtol=0, atol=1e-12)
+    r_want = np.where(basic_rows, 0.0, r + step * row_step[0])
+    r_want[seen["rows"]] = r[seen["rows"]] + step * seen["dr"][0]
+    np.testing.assert_allclose(m.A @ want.x, r_want, rtol=0, atol=1e-12)

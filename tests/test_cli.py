@@ -159,6 +159,15 @@ MALFORMED_INSTANCES = {
         (lambda d: d["generators"][0].update(min_up=float("inf")), "generators[0]",
          "min_up"),
     "nan-load": (lambda d: d["load"][0].update(mw=float("nan")), "load[0]", "mw"),
+    # integer fields take integral numbers only, never truncated or a bool
+    "fractional-min-up":
+        (lambda d: d["generators"][0].update(min_up=2.7), "generators[0]", "min_up"),
+    "boolean-init-status":
+        (lambda d: d["generators"][1].update(init_status=True), "generators[1]",
+         "init_status"),
+    "fractional-horizon": (lambda d: d["meta"].update(horizon=4.5), "meta", "horizon"),
+    "fractional-load-period":
+        (lambda d: d["load"][0].update(period=1.5), "load[0]", "period"),
 }
 
 
@@ -258,8 +267,8 @@ def test_outer_report_carries_t1_t2(tmp_path):
 
 
 PHASE_KEYS = {"iterations", "build_time_s", "master_time_s", "sub_time_s",
-              "master_simplex_iters", "sub_simplex_iters", "master_mip_nodes",
-              "cuts_added", "cuts_removed"}
+              "master_simplex_iters", "sub_simplex_iters", "sub_solves",
+              "master_mip_nodes", "cuts_added", "cuts_removed"}
 
 
 @pytest.mark.parametrize("method", ["aggregated+consolidation", "outer"])

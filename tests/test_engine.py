@@ -11,7 +11,7 @@ from sucbenders.backend import HighsSolver, solve_milp
 from sucbenders.cuts import CutMode, CutPool, aggregate_and_add
 from sucbenders import clustering, engine
 from sucbenders.engine import (BendersConfig, EngineError, RunStatus,
-                               compute_bounds, recourse_solvers, run, solve_subproblems)
+                               compute_bounds, run, solve_subproblems)
 from sucbenders.formulations import (FEAS_TOL, RecourseSolver, build_extensive,
                                      build_master, default_theta_min,
                                      first_stage_violation, master_template,
@@ -98,8 +98,7 @@ def test_single_scenario_modes_identical(toy_a):
 
 
 def test_subproblem_worker_count_invariance(toy_a):
-    # every scenario starts from the anchor's basis at this point, so the
-    # chunking cannot change a bit; 8 workers exceed toy-a's 3 scenarios
+    # the phase is serial and reads no worker count
     inst, scen = toy_a
     x = sample_feasible_first_stage(inst, np.random.default_rng(13))
     serial, _ = solve_subproblems(inst, scen, x, workers=1)
@@ -120,8 +119,7 @@ def _assert_bit_identical(got, want):
 
 
 def test_subproblems_are_bit_identical_at_1_2_3_workers(med_b):
-    # the threads share the anchor's basis; 5 workers exceed the cores, and a
-    # short switch interval interleaves them often
+    # no worker count reaches the bunched phase, whatever the switch interval
     inst, scen = med_b
     x = sample_feasible_first_stage(inst, np.random.default_rng(31))
     serial, _ = solve_subproblems(inst, scen, x, workers=1)
@@ -139,16 +137,16 @@ def test_persistent_solvers_do_not_carry_one_point_into_the_next(med_b):
     inst, scen = med_b
     rng = np.random.default_rng(32)
     x1, x2 = (sample_feasible_first_stage(inst, rng) for _ in range(2))
-    for workers in (1, 2):
-        solvers = recourse_solvers(inst, scen, workers)
-        solve_subproblems(inst, scen, x1, solvers=solvers)
-        _assert_bit_identical(solve_subproblems(inst, scen, x2, solvers=solvers)[0],
-                              solve_subproblems(inst, scen, x2, workers=workers)[0])
+    solver = RecourseSolver(recourse_template(inst, scen))
+    solve_subproblems(inst, scen, x1, solver=solver)
+    _assert_bit_identical(solve_subproblems(inst, scen, x2, solver=solver)[0],
+                          solve_subproblems(inst, scen, x2)[0])
 
 
 def test_warm_subproblems_match_cold_solves(med_b):
-    # the anchor is a cold solve; every other scenario starts from its basis
-    # and reaches the cold optimum (lam may be another optimal dual: see
+    # the anchor is a cold solve; every other scenario is covered by a
+    # solved scenario's basis or starts from the anchor's, and reaches the
+    # cold optimum (lam may be another optimal dual: see
     # test_warm_subproblem_lam_is_the_slope_of_q)
     inst, scen = med_b
     x = sample_feasible_first_stage(inst, np.random.default_rng(33))
@@ -162,18 +160,28 @@ def test_warm_subproblems_match_cold_solves(med_b):
 
 
 def test_batched_warm_solves_equal_one_solve_at_a_time_from_the_anchor_basis(med_b):
-    # each chunk's scenarios are solved as one batch; every result equals
-    # the one-at-a-time solve from the anchor's basis, bit for bit
+    # every scenario that no basis covers is a HiGHS solve from the anchor's
+    # basis, equal bit for bit to the one-at-a-time solve on a solver that
+    # holds no other solve to bunch with
     inst, scen = med_b
     ids = scen.scenario_ids
     x = sample_feasible_first_stage(inst, np.random.default_rng(36))
-    solver = RecourseSolver(recourse_template(inst, scen))
-    point = solver.template.point(x)
+    template = recourse_template(inst, scen)
+    solver = RecourseSolver(template)
+    point = template.point(x)
     want = [solve_subproblem(inst, scen, ids[0], x, solver, point)]
     basis = solver.lp.basis()
-    want += [r for k in range(1, len(ids)) for r in solver.solve([k], point, basis)]
-    for workers in (1, 2, 3):
-        _assert_bit_identical(solve_subproblems(inst, scen, x, workers=workers)[0], want)
+    want += [r for k in range(1, len(ids))
+             for r in RecourseSolver(template).solve([k], point, basis)]
+    assert not any(r.covered for r in want)
+    got = solve_subproblems(inst, scen, x, solver=solver)[0]
+    solved = [k for k, r in enumerate(got) if not r.covered]
+    assert 1 < len(solved) < len(ids)
+    _assert_bit_identical([got[k] for k in solved], [want[k] for k in solved])
+    for r, w in zip(got, want):
+        if r.covered:
+            assert r.simplex_iters == 0
+            assert r.objective == pytest.approx(w.objective, rel=1e-9)
 
 
 def _count_solves(monkeypatch):
@@ -188,9 +196,9 @@ def _count_solves(monkeypatch):
 
     solve_batch = HighsSolver.solve_batch
 
-    def counted_batch(self, cols, lb, ub, rows, row_lo, row_hi, basis=None):
+    def counted_batch(self, cols, lb, ub, rows, row_lo, row_hi, basis=None, cover=None):
         batches.append((basis is None, len(ub)))
-        return solve_batch(self, cols, lb, ub, rows, row_lo, row_hi, basis)
+        return solve_batch(self, cols, lb, ub, rows, row_lo, row_hi, basis, cover)
 
     class Pool(engine.ThreadPoolExecutor):
         def __init__(self, max_workers):
@@ -207,7 +215,6 @@ def test_one_scenario_set_solves_only_the_anchor(toy_a, monkeypatch):
     inst, scen = toy_a
     one = scen.restrict(["s2"])
     x = sample_feasible_first_stage(inst, np.random.default_rng(34))
-    assert len(recourse_solvers(inst, one, 4)) == 1
     anchors, batches, pools = _count_solves(monkeypatch)
     results, _ = solve_subproblems(inst, one, x, workers=4)
     assert [r.scenario_id for r in results] == ["s2"]
@@ -216,16 +223,15 @@ def test_one_scenario_set_solves_only_the_anchor(toy_a, monkeypatch):
 
 
 def test_workers_beyond_the_scenarios_start_no_idle_chunk(toy_a, monkeypatch):
-    # 3 scenarios at 8 workers: the cold anchor, then 2 warm scenarios in 2
-    # chunks of one
+    # 3 scenarios at 8 workers: the cold anchor, then one bunched batch of
+    # the 2 others from its basis, in this thread
     inst, scen = toy_a
     x = sample_feasible_first_stage(inst, np.random.default_rng(35))
-    assert len(recourse_solvers(inst, scen, 8)) == 2
     anchors, batches, pools = _count_solves(monkeypatch)
     results, _ = solve_subproblems(inst, scen, x, workers=8)
     assert [r.scenario_id for r in results] == list(scen.scenario_ids)
-    assert anchors == [scen.scenario_ids[0]] and pools == [2]
-    assert batches == [(True, 1), (False, 1), (False, 1)]
+    assert anchors == [scen.scenario_ids[0]] and pools == []
+    assert batches == [(True, 1), (False, 2)]
 
 
 def test_exactly_one_result_per_scenario(toy_a):
@@ -262,9 +268,11 @@ def test_trace_lines_are_json_with_stable_keys(toy_a):
     docs = [json.loads(line) for line in lines]
     keys = {"iter", "phase", "lb", "ub", "gap", "clusters", "master_rows",
             "master_simplex_iters", "master_mip_nodes", "master_dual_bound",
-            "sub_simplex_iters", "build_time_s", "master_time_s", "sub_time_s",
-            "cuts_added", "cuts_removed", "cluster_sizes"}
+            "sub_simplex_iters", "sub_solves", "build_time_s", "master_time_s",
+            "sub_time_s", "cuts_added", "cuts_removed", "cluster_sizes"}
     assert all(set(d) == keys for d in docs)
+    # the anchor is always solved; a bunch member is not
+    assert all(1 <= d["sub_solves"] <= scen.n_scenarios for d in docs)
     # every iteration but the last of each phase adds one cut per cluster,
     # and the clusters partition the scenarios
     for d in docs:

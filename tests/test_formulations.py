@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from sucbenders import formulations
 from sucbenders.backend import HighsSolver, SolveStatus, solve_lp, solve_milp
 from sucbenders.cuts import (Cut, CutKind, CutMode, CutPool,
                              make_full_aggregate_cut, make_per_scenario_cuts,
                              track_and_consolidate)
 from sucbenders.backend import LinearModel
 from sucbenders.data import Line, ScenarioSet
-from sucbenders.engine import (BendersConfig, _cut_duals, recourse_solvers, run,
+from sucbenders.engine import (BendersConfig, _cut_duals, run,
                                solve_subproblems)
 from sucbenders.formulations import (FirstStageSolution, MasterSolver, ModelBuildError,
                                      RecourseSolver, SubproblemInfeasibleError,
@@ -404,11 +405,11 @@ def test_warm_subproblem_lam_is_the_slope_of_q(med_b):
     # may differ from a cold solve's, but it must still be a slope of Q
     inst, scen = med_b
     x = sample_feasible_first_stage(inst, np.random.default_rng(21))
-    solvers = recourse_solvers(inst, scen, 2)
+    solver = RecourseSolver(recourse_template(inst, scen))
     k = scen.scenario_ids.index("s06")
     assert k > 0
     _assert_lam_is_the_slope_of_q(
-        inst, scen, x, lambda x_at: solve_subproblems(inst, scen, x_at, solvers=solvers)[0][k])
+        inst, scen, x, lambda x_at: solve_subproblems(inst, scen, x_at, solver=solver)[0][k])
 
 
 def test_master_cut_rows_read_back_as_the_cuts(toy_a):
@@ -439,6 +440,32 @@ def test_master_cut_rows_read_back_as_the_cuts(toy_a):
             assert master.row_lo[first + k] - row[:X.n] @ x == \
                 pytest.approx(cut.evaluate(point), rel=1e-12, abs=1e-9)
             assert row[X.n:].tolist() == theta
+
+
+def test_cut_rows_keep_no_coefficient_that_highs_would_ignore(toy_a):
+    # slopes summed over scenarios carry cancellation noise; a cut row keeps
+    # only the coefficients of magnitude > 1e-9 (HiGHS's small_matrix_value)
+    # and its right-hand side every term
+    inst, scen = toy_a
+    ids = scen.scenario_ids
+    anchor = sample_feasible_first_stage(inst, np.random.default_rng(8))
+    results = [solve_subproblem(inst, scen, om, anchor) for om in ids]
+    cut = make_full_aggregate_cut(results, dict(zip(ids, scen.probabilities)), anchor, 1)
+    lam = cut.lam.copy()
+    zeros = np.flatnonzero(lam == 0.0)
+    assert zeros.size >= 4
+    lam[zeros[:4]] = [5.7e-15, -1e-12, 1e-9, -2e-9]
+    noisy = dataclasses.replace(cut, lam=lam)
+    template = master_template(inst, scen, default_theta_min(inst))
+    [(cols, vals, rhs)] = template.cut_rows([noisy])
+    assert np.abs(vals).min() > 1e-9
+    kept = np.flatnonzero(np.abs(lam) > 1e-9)
+    assert cols[:kept.size].tolist() == template.link[kept].tolist()
+    assert rhs == pytest.approx(noisy.intercept - lam @ noisy.anchor, rel=1e-12)
+    pool = CutPool()
+    pool.add(noisy)
+    master = build_master(template, pool)
+    assert np.abs(master.A[master.row_count - 1].data).min() > 1e-9
 
 
 def test_master_rejects_cuts_it_cannot_render(toy_a):
@@ -666,3 +693,107 @@ def test_recourse_template_stacks_each_scenarios_bounds(med_b):
         model = build_subproblem(inst, scen, omega, None)
         assert np.array_equal(t.spill_ub[k], model.ub[t.cols[t.n_deploy:]])
         assert np.array_equal(t.balance_rhs[k], model.row_lo[t.balance_rows])
+
+
+# -- bunching ------------------------------------------------------------------
+
+def _recorded_batches(solver: RecourseSolver) -> list:
+    """Record the BatchResult of each batch that ``solver`` runs."""
+    batches = []
+    solve_batch = solver.lp.solve_batch
+
+    def recorded(*args):
+        batches.append(solve_batch(*args))
+        return batches[-1]
+    solver.lp.solve_batch = recorded
+    return batches
+
+
+def test_a_bunch_member_has_its_leaders_duals_and_the_cold_objective(med_b):
+    # a member made no HiGHS solve: 0 iterations, the duals and the very lam
+    # of the solve whose basis covered it, and the objective of a cold solve
+    inst, scen = med_b
+    x = sample_feasible_first_stage(inst, np.random.default_rng(33))
+    solver = RecourseSolver(recourse_template(inst, scen))
+    batches = _recorded_batches(solver)
+    results, _ = solve_subproblems(inst, scen, x, solver=solver)
+    anchor, rest = batches
+    members = [k for k, r in enumerate(results) if r.covered]
+    assert 0 < len(members) < len(results) - 1
+    for k in members:
+        r, leader = results[k], rest.leader[k - 1]
+        assert r.simplex_iters == 0 and not r.lam.flags.writeable
+        cold = solve_subproblem(inst, scen, r.scenario_id, x)
+        assert r.objective == pytest.approx(cold.objective, rel=1e-9)
+        if leader < 0:      # the anchor's basis
+            assert np.array_equal(rest.row_dual[k - 1], anchor.row_dual[0])
+            assert np.array_equal(r.lam, results[0].lam)
+        else:
+            assert not results[leader + 1].covered
+            assert np.array_equal(rest.row_dual[k - 1], rest.row_dual[leader])
+            assert r.lam is results[leader + 1].lam
+
+
+def test_a_spill_column_that_zero_wind_fixes_is_unfixed_at_the_bound_its_reduced_cost_picks(
+        toy_a):
+    # scenario a has no wind at w1 in period 1, so its spill column there is
+    # fixed at 0, with a positive reduced cost (the wind is worth having);
+    # b, c and d unfix it.  Their basic solution keeps it at 0, its lower
+    # bound: taken at its upper bound, it would spill their extra wind and
+    # report a's cost for them
+    inst, base = toy_a
+    values = {(omega, "w1", t): base.value("s1", "w1", t)
+              for omega in "abcd" for t in range(1, inst.horizon + 1)}
+    values.update({("a", "w1", 1): 0.0, ("b", "w1", 1): 1.0, ("c", "w1", 1): 1.5,
+                   ("d", "w1", 1): 2.0})
+    scen = ScenarioSet(("a", "b", "c", "d"), (0.25,) * 4, values)
+    x = sample_feasible_first_stage(inst, np.random.default_rng(5))
+    template = recourse_template(inst, scen)
+    at_a = HighsSolver(build_subproblem(inst, scen, "a", x), presolve=False).solve()
+    spill = template.spill[0]
+    assert at_a.x[spill] == 0.0 and at_a.col_dual[spill] > 0
+    results, _ = solve_subproblems(inst, scen, x)
+    assert [r.covered for r in results] == [False, True, True, True]
+    for r in results[1:]:
+        cold = solve_subproblem(inst, scen, r.scenario_id, x)
+        assert r.objective == pytest.approx(cold.objective, rel=1e-9)
+        assert r.objective < results[0].objective - 1.0
+
+
+def test_bunching_that_stops_still_solves_every_scenario_from_the_anchor_basis(
+        med_b, monkeypatch):
+    # at this point the anchor's basis covers three scenarios, the next
+    # three tests cover none, and testing stops: every scenario left is
+    # solved from the anchor's basis, with the bits of a solver that
+    # bunches nothing
+    import scengen
+    inst, base = med_b
+    rng = np.random.default_rng(4)
+    scen = scengen.generate(inst, base, 12, rng)
+    sample_feasible_first_stage(inst, rng, 0.05)
+    x = sample_feasible_first_stage(inst, rng, 0.05)
+    outcomes = []
+    test = formulations._Bunching.__call__
+
+    def logged(self, vertex, todo):
+        got = test(self, vertex, todo)
+        outcomes.append(None if got is None else got[0].size)
+        return got
+    monkeypatch.setattr(formulations._Bunching, "__call__", logged)
+    template = recourse_template(inst, scen)
+    solver = RecourseSolver(template)
+    results, _ = solve_subproblems(inst, scen, x, solver=solver)
+    assert outcomes == [3, 0, 0, 0, None]
+    assert [r.scenario_id for r in results] == list(scen.scenario_ids)
+    point = template.point(x)
+    solver = RecourseSolver(template)
+    solve_subproblem(inst, scen, scen.scenario_ids[0], x, solver, point)
+    basis = solver.lp.basis()
+    for k, r in enumerate(results[1:], start=1):
+        [want] = RecourseSolver(template).solve([k], point, basis)
+        if r.covered:
+            assert r.objective == pytest.approx(want.objective, rel=1e-9)
+        else:
+            assert (r.objective, r.simplex_iters) == (want.objective, want.simplex_iters)
+            assert np.array_equal(r.lam, want.lam)
+    assert sum(r.covered for r in results) == 3

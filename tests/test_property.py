@@ -1,12 +1,20 @@
-"""Property: on generated instances of one to three buses, with and without
+"""Properties: on generated instances of one to three buses, with and without
 a cycle in the network, every method reaches the extensive form's optimum
-within 2*eps relative."""
+within 2*eps relative; on generated med-b scenarios, every bunched
+subproblem's slope is a subgradient of its recourse cost."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scengen
+from conftest import fixture_path
 from sucbenders.cli import METHODS, execute_method
-from sucbenders.data import Generator, Line, ScenarioSet, SystemInstance, WindFarm
+from sucbenders.data import (Generator, Line, ScenarioSet, SystemInstance, WindFarm,
+                             load_instance, load_scenarios)
+from sucbenders.engine import solve_subproblems
+from sucbenders.formulations import (RecourseSolver, recourse_template,
+                                     sample_feasible_first_stage, solve_subproblem)
 
 EPS = 1e-6
 OPTIONS = dict(eps=EPS, mip_gap=1e-6, theta_min=None, max_iters=500, alpha=0.01,
@@ -82,3 +90,27 @@ def test_every_method_reaches_the_extensive_optimum(problem):
         assert rep.converged, method
         assert abs(rep.objective - oracle) <= 2 * EPS * max(1.0, abs(oracle)), \
             (method, rep.objective, oracle)
+
+
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_every_bunched_slope_is_a_subgradient_at_other_points(seed):
+    # Q(x') >= Q(x) + lam . (link' - link) for every scenario's result at x,
+    # bunch leaders and members alike, against cold solves at two other
+    # sampled points
+    inst = load_instance(fixture_path("med-b.json"))
+    rng = np.random.default_rng(seed)
+    scen = scengen.generate(inst, load_scenarios(fixture_path("med-b.csv"), inst), 40, rng)
+    x, *others = (sample_feasible_first_stage(inst, rng, 0.05) for _ in range(3))
+    template = recourse_template(inst, scen)
+    solver = RecourseSolver(template)
+    results, _ = solve_subproblems(inst, scen, x, solver=solver)
+    assert any(r.covered for r in results)
+
+    def link(point):
+        return np.clip(point.link(), template.link_lo, template.link_hi)
+    for other in others:
+        step = link(other) - link(x)
+        for r in results:
+            q = solve_subproblem(inst, scen, r.scenario_id, other, solver).objective
+            assert q >= r.objective + r.lam @ step - 1e-6 * max(1.0, abs(q)), r.scenario_id
