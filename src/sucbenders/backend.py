@@ -2,16 +2,17 @@
 
 Every solve goes through a ``HighsInstance``: one ``_Highs`` instance of
 scipy's bundled HiGHS bindings with its options set once, to which a model
-is passed as a ``RowBlock`` of its rows, with any extra rows, and solved
-from scratch, cold or from a given start basis.  ``solve_lp`` and
-``solve_milp`` solve a model once on a fresh instance.  ``HighsSolver``
-holds one LP in an instance and solves it as batches of bound changes
-(``HighsSolver.solve_batch``): the scenario subproblems keep one per run.
-A batch may be bunched: a ``cover`` test given the optimal basis of each
-solve (a ``Vertex``, which reads HiGHS's factor of it) names later solves
-that the basis is optimal for, and those take its duals without a HiGHS
-call.  A Benders run keeps one instance for its masters and passes each
-master as the static block of the run with the cut rows as extra rows.
+is passed and solved from scratch, cold or from a given start basis.
+``solve_lp`` and ``solve_milp`` pass a model as a ``RowBlock`` of its rows
+to a fresh instance and solve it once.  A Benders run keeps one instance
+for its masters and passes each master as the static block of the run
+with the cut rows as extra rows.  ``HighsSolver`` holds one LP of equality
+rows in an instance and solves it as batches of changes of column upper
+bounds and right-hand sides (``HighsSolver.solve_batch``): the scenario
+subproblems keep one per run.  A batch may be bunched: a ``cover`` test
+given the optimal basis of each solve (a ``Vertex``, which reads HiGHS's
+factor of it) names later solves that the basis is optimal for, and those
+take its duals without a HiGHS call.
 
 The dual convention is pinned here: for an LP solved to optimality, the dual
 value reported for a row (``row_dual``) is the derivative of the optimal
@@ -26,11 +27,13 @@ with dual ``lam``, ``Q(b') >= Q(b) + lam * (b' - b)``.  HiGHS row duals
 follow this convention for every row it holds; a row that the loader
 negated is negated back.  Columns are never negated.
 
-Rows reach HiGHS in the layout that ``scipy.optimize`` used to give it,
-because HiGHS's iterates depend on the layout and the Benders runs'
-iterates, cuts and row counts depend on those.  ``RowBlock`` holds both
-layouts of one model's rows, and ``HighsInstance.load`` is the one place
-that picks one, from whether the model is passed with an integrality mask:
+A whole model reaches HiGHS in the layout that ``scipy.optimize`` used to
+give it, because HiGHS's iterates depend on the layout and the Benders
+runs' iterates, cuts and row counts depend on those: master LPs passed in
+model order take other iterates, and on toy-a consolidation then removes
+no cut.  ``RowBlock`` holds both layouts of one model's rows, and
+``HighsInstance.load`` is the one place that picks one, from whether the
+model is passed with an integrality mask:
 
 * LPs take ``linprog``'s stacked form (``RowBlock.lp_rows``): the
   inequality rows in model order, >= rows negated into <= rows, then the
@@ -40,14 +43,15 @@ that picks one, from whether the model is passed with an integrality mask:
 * MILPs take ``milp``'s native two-sided rows in model order
   (``RowBlock.rows``), the extra rows last.
 
-The rows reach HiGHS row-wise, straight from CSR arrays (a model's own
-arrays or a permuted, negated copy of them in the stacked layout), with no
-conversion to columns; HiGHS builds the same column-wise matrix that a
-column-wise pass gives it, so the iterates are those of a column-wise pass
-bit for bit.
-Both run with the dual simplex and output off, and with presolve on unless
-the instance is built with ``presolve=False`` (the scenario subproblems:
-small LPs that solve faster without it).
+A ``HighsSolver``'s rows are equalities, whose stacked layout is model
+order, so it passes them as they are.  The rows reach HiGHS row-wise,
+straight from CSR arrays (a model's own arrays or a permuted, negated copy
+of them in the stacked layout), with no conversion to columns; HiGHS
+builds the same column-wise matrix that a column-wise pass gives it, so
+the iterates are those of a column-wise pass bit for bit.  Every instance
+runs the dual simplex with output off, and with presolve on except a
+``HighsSolver``'s (the scenario subproblems: small LPs that solve faster
+without it).
 
 Every MILP instance (the Benders masters of every cut mode, the outer
 subsets and pass 2, and the extensive form) also takes ``_MILP_OPTIONS``:
@@ -332,7 +336,13 @@ class HighsInstance:
         a MILP takes ``block.rows``, an LP ``block.lp_rows``."""
         if integral is not None and self._mip_gap is None:
             raise BackendError("a MILP needs an instance with a mip_gap")
-        rows = block.lp_rows(extra) if integral is None else block.rows(extra)
+        self._pass(c, lb, ub, block.lp_rows(extra) if integral is None else block.rows(extra),
+                   integral)
+
+    def _pass(self, c: np.ndarray, lb: np.ndarray, ub: np.ndarray, rows: RowArrays,
+              integral: np.ndarray | None = None) -> None:
+        """Pass the model ``min c.x`` over ``rows`` as they are: ``load``'s
+        layout, or a ``HighsSolver``'s equality rows in model order."""
         n, m = c.size, rows.count
         lp = highs.HighsLp()
         lp.num_col_, lp.num_row_ = n, m
@@ -392,9 +402,9 @@ class HighsInstance:
 
 class Vertex:
     """The optimal basis of the solve that a ``HighsSolver`` holds, with the
-    objective, values, column duals and bounds of that solve (rows in model
-    order), for a ``solve_batch`` ``cover`` test.  It reads HiGHS's basis
-    and factor and the solver's bounds, so it is valid only while the
+    objective, values, column duals and bounds of that solve, for a
+    ``solve_batch`` ``cover`` test.  It reads HiGHS's basis and factor and
+    the solver's bounds and right-hand sides, so it is valid only while the
     solver holds that solve: during the ``cover`` call that receives it.
     """
 
@@ -402,7 +412,7 @@ class Vertex:
         self._solver = solver
         self._solution = solution
         self.objective = objective
-        self.col_lb, self.col_ub = solver._col_lb, solver._col_ub
+        self.col_lb, self.col_ub, self.rhs = solver._col_lb, solver._col_ub, solver._rhs
 
     @cached_property
     def col_value(self) -> np.ndarray:
@@ -414,18 +424,12 @@ class Vertex:
 
     @cached_property
     def row_value(self) -> np.ndarray:
-        return self._solver._rows.to_model(np.array(self._solution.row_value))
-
-    @cached_property
-    def row_lo(self) -> np.ndarray:
-        """The rows' lower bounds."""
-        rows = self._solver._rows
-        return np.where(rows.sign < 0, -self._solver._hi[rows.pos], self._solver._lo[rows.pos])
+        return np.array(self._solution.row_value)
 
     @cached_property
     def _basic(self) -> np.ndarray:
-        """The basic variables in basis order: column j as j, HiGHS row p
-        as -1 - p."""
+        """The basic variables in basis order: column j as j, row i as
+        -1 - i."""
         status, basic = self._solver._highs.getBasicVariables()
         if status == highs.HighsStatus.kError:
             raise BackendError("HiGHS holds no basis")
@@ -451,86 +455,66 @@ class Vertex:
     def follow(self, col_step: np.ndarray, row_step: np.ndarray):
         """How the basic variables move when the nonbasic columns and rows
         move by ``col_step`` and ``row_step`` (directions x columns,
-        directions x model rows; the entries of basic variables are not
-        read), so that each row's value stays its activity: the basic
-        columns, their moves (directions x basic columns), the model rows
-        whose values are basic and their moves.  One solve with HiGHS's
-        factor per direction that moves a basic variable."""
+        directions x rows; the entries of basic variables are not read), so
+        that each row's value stays its activity: the basic columns, their
+        moves (directions x basic columns), the rows whose values are basic
+        and their moves.  One solve with HiGHS's factor per direction that
+        moves a basic variable."""
         s = self._solver
-        rows = s._rows
         basic = self._basic
         is_col = basic >= 0
-        cols, held = basic[is_col], -1 - basic[~is_col]
-        step = row_step[:, s._model_row] * rows.sign[s._model_row]   # HiGHS row order
-        step[:, held] = 0.0
+        cols, rows = basic[is_col], -1 - basic[~is_col]
+        step = row_step.copy()
+        step[:, rows] = 0.0
         # HiGHS's logical variable of a row is its activity negated, so the
         # basis matrix B spans A's basic columns and the basic rows' unit
         # columns, and B (dx_B, -dr_B) = dr_N - A dx_N
         col_step = col_step * self._nonbasic_col
-        rhs = step - (s._matrix @ col_step.T).T if col_step.any() else step
+        rhs = step - (s._A @ col_step.T).T if col_step.any() else step
         move = np.zeros((len(rhs), basic.size))
         for i in np.flatnonzero(rhs.any(axis=1)):
             status, move[i] = s._highs.getBasisSolve(rhs[i])
             if status == highs.HighsStatus.kError:
                 raise BackendError("HiGHS could not solve with the basis factor")
-        model_rows = s._model_row[held]
-        return (cols, move[:, is_col], model_rows,
-                -rows.sign[model_rows] * move[:, ~is_col])
+        return cols, move[:, is_col], rows, -move[:, ~is_col]
 
 
 class HighsSolver:
-    """One LP held in a ``HighsInstance`` in the LP layout and re-solved
-    after bound changes, for row and column duals.
+    """One LP of equality rows held in a ``HighsInstance`` with presolve
+    off, its rows in model order, and re-solved after changes of column
+    upper bounds and right-hand sides, for row and column duals.
 
     Every solve starts cold, or from the basis it is given, on the same
-    matrix, so its results equal those of a fresh instance on a model with
-    the same bounds, started the same way, bit for bit; so does each solve
-    of a ``solve_batch``.  A model with integrality flags, a non-finite
-    cost or matrix entry, a NaN bound or a two-sided inequality row raises
-    ``BackendError``.
+    matrix, so each solve of a ``solve_batch`` equals, bit for bit, the
+    first solve of a fresh solver of a model with the same bounds, started
+    the same way.  A model with integrality flags, a row whose bounds
+    differ (an inequality), a non-finite cost or matrix entry or a NaN
+    bound raises ``BackendError``.
     """
 
-    def __init__(self, model: LinearModel, presolve: bool = True):
+    def __init__(self, model: LinearModel):
+        block = RowBlock(model)
         if model.integral.any():
             raise BackendError("LP solve called on a model with integrality flags")
-        self._instance = HighsInstance(presolve=presolve)
-        self._instance.load(model.c, model.lb, model.ub, RowBlock(model))
+        if (model.row_lo != model.row_hi).any():
+            raise BackendError("a batch LP has equality rows only")
+        self._instance = HighsInstance(presolve=False)
+        rows = block.rows()
+        self._instance._pass(model.c, model.lb, model.ub, rows)
         self._highs = self._instance._highs
-        self._rows = self._instance._rows
-        self._one_sided = model.row_lo != model.row_hi      # per model row
-        # the current bounds of the HiGHS columns and rows
+        self._A = model.A
+        # the current column bounds and right-hand sides that HiGHS holds
         self._col_lb, self._col_ub = model.lb.astype(float), model.ub.astype(float)
-        self._lo, self._hi = self._rows.lo, self._rows.hi
+        self._rhs = rows.lo
         self._solved = False    # HiGHS holds an optimal solve of the current bounds
 
-    @cached_property
-    def _matrix(self) -> sp.csr_matrix:
-        """The matrix as HiGHS holds it (``Vertex.follow``)."""
-        r = self._rows
-        return sp.csr_matrix((r.value, r.index, r.start), shape=(r.count, self._col_lb.size))
-
-    @cached_property
-    def _model_row(self) -> np.ndarray:
-        """The model row of each HiGHS row."""
-        return np.argsort(self._rows.pos)
-
-    def solve(self, basis: HighsBasis | None = None) -> SolveResult:
-        """Solve the model with its current bounds from scratch, or from the
-        start ``basis`` (``HighsInstance.run``)."""
-        self._solved = False
-        result = self._instance.run(basis)
-        self._solved = result.status is SolveStatus.OPTIMAL
-        return result
-
-    def solve_batch(self, cols, lb, ub, rows, row_lo, row_hi,
-                    basis: HighsBasis | None = None, cover=None) -> BatchResult:
-        """One LP solve per row k of ``ub``, ``row_lo`` and ``row_hi``: set
-        the bounds of columns ``cols`` to ``lb`` and ``ub[k]`` and those of
-        rows ``rows`` (model indices) to ``row_lo[k]`` and ``row_hi[k]``,
-        and solve from scratch, or from the start ``basis``.  Every other
-        bound keeps its value, and only the bounds that differ from those
-        HiGHS holds reach it.  A row keeps its sense: an equality stays an
-        equality, and a one-sided row keeps its infinite side.
+    def solve_batch(self, cols, ub, rows, rhs, basis: HighsBasis | None = None,
+                    cover=None) -> BatchResult:
+        """One LP solve per row k of ``ub`` and ``rhs``: set the upper
+        bounds of columns ``cols`` to ``ub[k]`` and the right-hand sides of
+        rows ``rows`` to ``rhs[k]``, and solve from scratch, or from the
+        start ``basis``.  Every other bound and right-hand side keeps its
+        value, and only those that differ from what HiGHS holds reach it.
 
         With ``cover``, solves are bunched.  The optimal basis of the solve
         before the batch, if the solver holds one, and then that of each
@@ -541,20 +525,20 @@ class HighsSolver:
         None, after which no basis is offered again.
 
         Every bound of the batch is checked before the first HiGHS call; a
-        NaN bound or a change of sense raises ``BackendError``.  The
-        results are copied into arrays, and the model-order duals are read
-        off them after the last solve.  A basis that HiGHS rejects raises
-        ``BackendError``; the solver keeps the bounds it was given last and
-        stays usable.
+        NaN raises ``BackendError``.  The results are copied into arrays.
+        A basis that HiGHS rejects raises ``BackendError``; the solver
+        keeps the bounds it was given last and stays usable.
         """
         cols = np.asarray(cols, dtype=np.int32)
-        lb, ub, row_lo, row_hi = _float_bounds(lb, ub, row_lo, row_hi)
-        lb = np.broadcast_to(lb, ub.shape)
-        pos, lo, hi = self._row_bounds(rows, row_lo, row_hi)
+        rows = np.asarray(rows, dtype=np.int64)
+        ub, rhs = np.asarray(ub, dtype=float), np.asarray(rhs, dtype=float)
+        if np.isnan(ub).any() or np.isnan(rhs).any():
+            raise BackendError("a column or row bound is NaN")
+        lb = self._col_lb[cols]
         n = len(ub)
         status = [None] * n
         objective = np.full(n, np.nan)
-        raw_row_dual = np.full((n, self._rows.count), np.nan)
+        row_dual = np.full((n, self._rhs.size), np.nan)
         col_dual = np.full((n, self._col_lb.size), np.nan)
         iters = np.zeros(n, dtype=np.int64)
         leader = np.arange(n)
@@ -562,16 +546,16 @@ class HighsSolver:
         h = self._highs
 
         # the bounds HiGHS held before the batch; then those of solve last
-        before = self._col_lb[cols], self._col_ub[cols], self._lo[pos], self._hi[pos]
+        before = self._col_ub[cols], self._rhs[rows]
         last = -1
 
         def held():
             """The bounds that HiGHS holds."""
-            return before if last < 0 else (lb[last], ub[last], lo[last], hi[last])
+            return before if last < 0 else (ub[last], rhs[last])
 
         def sync():
             """Give the solver the bounds that HiGHS holds."""
-            self._col_lb[cols], self._col_ub[cols], self._lo[pos], self._hi[pos] = held()
+            self._col_ub[cols], self._rhs[rows] = held()
 
         def offer(k: int, solution) -> bool:
             sync()
@@ -582,7 +566,7 @@ class HighsSolver:
             covered, q = got
             todo[covered] = False
             leader[covered], objective[covered] = k, q
-            raw_row_dual[covered] = solution.row_dual
+            row_dual[covered] = solution.row_dual
             col_dual[covered] = solution.col_dual
             for j in covered.tolist():
                 status[j] = SolveStatus.OPTIMAL
@@ -596,13 +580,13 @@ class HighsSolver:
                 if not todo[k]:
                     continue
                 todo[k] = False
-                now = held()
-                ch = np.flatnonzero((lb[k] != now[0]) | (ub[k] != now[1]))
+                now_ub, now_rhs = held()
+                ch = np.flatnonzero(ub[k] != now_ub)
                 if ch.size:
-                    h.changeColsBounds(ch.size, cols[ch], lb[k, ch], ub[k, ch])
-                ch = np.flatnonzero((lo[k] != now[2]) | (hi[k] != now[3]))
-                for p, a, b in zip(pos[ch].tolist(), lo[k, ch].tolist(), hi[k, ch].tolist()):
-                    h.changeRowBounds(p, a, b)
+                    h.changeColsBounds(ch.size, cols[ch], lb[ch], ub[k, ch])
+                ch = np.flatnonzero(rhs[k] != now_rhs)
+                for i, b in zip(rows[ch].tolist(), rhs[k, ch].tolist()):
+                    h.changeRowBounds(i, b, b)
                 last = k
                 self._solved = False
                 h.clearSolver()
@@ -616,7 +600,7 @@ class HighsSolver:
                     self._solved = True
                     objective[k] = h.getObjectiveValue()
                     solution = h.getSolution()
-                    raw_row_dual[k] = solution.row_dual
+                    row_dual[k] = solution.row_dual
                     col_dual[k] = solution.col_dual
                     iters[k] = h.getInfoValue("simplex_iteration_count")[1]
                     if bunching and todo[k + 1:].any():
@@ -624,38 +608,20 @@ class HighsSolver:
         finally:
             if last >= 0:
                 sync()
-        return BatchResult(status, objective, self._rows.to_model(raw_row_dual),
-                           col_dual, iters, leader)
+        return BatchResult(status, objective, row_dual, col_dual, iters, leader)
 
     def basis(self) -> HighsBasis:
         return self._instance.basis()
-
-    def _row_bounds(self, rows, lo: np.ndarray, hi: np.ndarray):
-        """The HiGHS positions of model rows ``rows`` and their HiGHS
-        (lower, upper) bounds for model bounds ``lo``/``hi``, one row of
-        bounds per solve; a bound change may not change the sense of a
-        row."""
-        rows = np.asarray(rows, dtype=np.int64)
-        one_sided = self._one_sided[rows]
-        neg = self._rows.sign[rows] < 0
-        new_lo, new_hi = np.where(neg, -hi, lo), np.where(neg, -lo, hi)
-        if not (np.isneginf(new_lo[..., one_sided]).all()
-                and (lo == hi)[..., ~one_sided].all()):
-            raise BackendError("a bound change may not change the sense of a row")
-        return self._rows.pos[rows], new_lo, new_hi
-
-
-def _float_bounds(*bounds) -> list[np.ndarray]:
-    arrays = [np.asarray(b, dtype=float) for b in bounds]
-    if any(np.isnan(b).any() for b in arrays):
-        raise BackendError("a column or row bound is NaN")
-    return arrays
 
 
 def solve_lp(model: LinearModel) -> SolveResult:
     """Solve an LP to optimality, returning primal values and row and column
     duals."""
-    return HighsSolver(model).solve()
+    if model.integral.any():
+        raise BackendError("LP solve called on a model with integrality flags")
+    h = HighsInstance()
+    h.load(model.c, model.lb, model.ub, RowBlock(model))
+    return h.run()
 
 
 def solve_milp(model: LinearModel, mip_gap: float = 1e-6,

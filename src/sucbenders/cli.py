@@ -22,7 +22,7 @@ from .data import InstanceError, load_instance, load_scenarios
 from .engine import BendersConfig, EngineError, RunStatus, phase_totals, run
 from .formulations import (ModelBuildError, SubproblemInfeasibleError,
                            build_extensive)
-from .outer import OuterError, run_outer
+from .outer import OuterError, check_subsets, run_outer
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -257,7 +257,10 @@ def compare(methods, **opts):
         if unknown:
             raise InstanceError(f"unknown methods: {unknown}")
         instance, scenarios = _load(opts)
-        reports = [execute_method(m, instance, scenarios, opts) for m in names]
+        if "outer" in names:    # before any method runs
+            check_subsets(opts["subsets"], opts["gamma"], scenarios.n_scenarios)
+        with _stdout_to_stderr():
+            reports = [execute_method(m, instance, scenarios, opts) for m in names]
         table, doc = emit_comparison_table(reports, opts["eps"])
         if opts["report_path"]:
             with open(opts["report_path"], "w") as out:

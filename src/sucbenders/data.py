@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from itertools import product
 from pathlib import Path
@@ -144,6 +145,11 @@ class SystemInstance:
         node_set = set(self.nodes)
         if len(node_set) != len(self.nodes):
             raise ValidationError("duplicate node ids")
+        for kind, records in (("generator", self.generators), ("line", self.lines),
+                              ("wind farm", self.wind_farms)):
+            repeated = [i for i, n in Counter(r.id for r in records).items() if n > 1]
+            if repeated:
+                raise ValidationError(f"duplicate {kind} id {repeated[0]!r}")
         if self.ref_node not in node_set:
             raise ReferentialError(f"reference node {self.ref_node!r} not in node list")
         for g in self.generators:

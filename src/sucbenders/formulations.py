@@ -688,10 +688,6 @@ class RecourseTemplate:
     balance_rhs: np.ndarray  # |Omega| x |N|T: balance right-hand sides at a zero link
 
     @cached_property
-    def cols_lb(self) -> np.ndarray:
-        return self.model.lb[self.cols]
-
-    @cached_property
     def spill(self) -> np.ndarray:
         """The spill columns, one per wind value of a scenario."""
         return self.cols[self.n_deploy:]
@@ -796,7 +792,7 @@ class _Bunching:
         n_bal = t.balance_rows.size
         wind = vertex.col_ub[t.spill]
         if not (np.array_equal(vertex.col_ub[:t.n_deploy], self.point.deploy_ub)
-                and np.abs(vertex.row_lo[:n_bal] - wind @ t.wind_rows[:, :n_bal]
+                and np.abs(vertex.rhs[:n_bal] - wind @ t.wind_rows[:, :n_bal]
                            + self.point.link_rhs).max() <= BUNCH_TOL):
             return todo[:0], np.empty(0)
         self.tests += 1
@@ -813,7 +809,7 @@ class _Bunching:
         ok = ((x >= vertex.col_lb[cols] - BUNCH_TOL) & (x <= x_hi + BUNCH_TOL)).all(axis=1)
         if rows.size:
             # a basic row's value must follow its right-hand side
-            off = vertex.row_value[rows] - vertex.row_lo[rows]
+            off = vertex.row_value[rows] - vertex.rhs[rows]
             ok &= (np.abs(off + dw @ (r_move - t.wind_rows[:, rows])) <= BUNCH_TOL).all(axis=1)
         self.covered += int(ok.sum())
         c = t.model.c
@@ -821,12 +817,12 @@ class _Bunching:
 
 
 class RecourseSolver:
-    """A template's LP held by a persistent ``backend.HighsSolver``, with
-    presolve off.  Not for concurrent use."""
+    """A template's LP held by a persistent ``backend.HighsSolver``.  Not
+    for concurrent use."""
 
     def __init__(self, template: RecourseTemplate):
         self.template = template
-        self.lp = HighsSolver(template.model, presolve=False)
+        self.lp = HighsSolver(template.model)
 
     def solve(self, positions: np.ndarray, point: RecoursePoint,
               basis: HighsBasis | None = None) -> list[SubproblemResult]:
@@ -844,8 +840,7 @@ class RecourseSolver:
                         t.spill_ub[positions]])
         cover = (None if basis is None or len(positions) < BUNCH_MIN
                  else _Bunching(t, point, ub))
-        batch = self.lp.solve_batch(t.cols, t.cols_lb, ub, t.balance_rows, rhs, rhs,
-                                    basis, cover)
+        batch = self.lp.solve_batch(t.cols, ub, t.balance_rows, rhs, basis, cover)
         for k, status in zip(positions, batch.status):
             if status is not SolveStatus.OPTIMAL:
                 raise SubproblemInfeasibleError(

@@ -109,14 +109,19 @@ def plan_from_assignment(scenarios: ScenarioSet, assignment: ClusterAssignment,
     return SubsetPlan(medoids, clusters, tuple(subsets), gamma)
 
 
+def check_subsets(n_clusters: int, gamma: float, n_scenarios: int) -> None:
+    """Raise ``OuterError`` unless ``n_clusters`` subsets can be formed from
+    ``n_scenarios`` scenarios and ``gamma`` is a completion fraction."""
+    if not (2 <= n_clusters <= n_scenarios):
+        raise OuterError(f"subset count {n_clusters} out of range [2, {n_scenarios}]")
+    if not (0.0 < gamma <= 1.0):
+        raise OuterError(f"gamma {gamma} out of range (0, 1]")
+
+
 def form_subsets(instance: SystemInstance, scenarios: ScenarioSet,
                  n_clusters: int, gamma: float = 1.0) -> SubsetPlan:
     """k-medoids over wind-realization vectors, then one subset per cluster."""
-    if not (2 <= n_clusters <= scenarios.n_scenarios):
-        raise OuterError(
-            f"subset count {n_clusters} out of range [2, {scenarios.n_scenarios}]")
-    if not (0.0 < gamma <= 1.0):
-        raise OuterError(f"gamma {gamma} out of range (0, 1]")
+    check_subsets(n_clusters, gamma, scenarios.n_scenarios)
     features = scenarios.wind_matrix(instance)
     assignment = kmedoids(features, n_clusters)
     return plan_from_assignment(scenarios, assignment, gamma)

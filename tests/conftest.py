@@ -5,8 +5,10 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from sucbenders.backend import BatchResult, HighsSolver
 from sucbenders.data import load_instance, load_scenarios
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)_(\w+)")
@@ -42,6 +44,12 @@ def untimed_records(sol) -> list[dict]:
     runs of the same iterates."""
     return [{k: v for k, v in json.loads(r.trace_line()).items()
              if not k.endswith("_time_s")} for r in sol.state.history]
+
+
+def solve_held(model, basis=None) -> BatchResult:
+    """``model`` solved once on a fresh ``HighsSolver``, cold or from
+    ``basis``: a batch of one solve that changes no bound."""
+    return HighsSolver(model).solve_batch([], np.empty((1, 0)), [], np.empty((1, 0)), basis)
 
 
 @pytest.fixture(scope="session")

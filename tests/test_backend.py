@@ -1,6 +1,6 @@
 """LP/MILP adapter: statuses, dual-sign convention, determinism, input
 checks, the row layouts against scipy's own HiGHS entry points, and the
-persistent solver's batches against one-shot solves."""
+persistent solver's batches against one-solve batches of fresh solvers."""
 
 import ast
 from dataclasses import replace
@@ -22,6 +22,7 @@ from sucbenders.formulations import (MasterSolver, RecourseSolver, build_extensi
                                      build_master, build_subproblem, default_theta_min,
                                      master_template, recourse_template,
                                      sample_feasible_first_stage, solve_subproblem)
+from conftest import solve_held
 
 INF = np.inf
 
@@ -80,17 +81,21 @@ def test_col_dual_at_upper_bound():
 @pytest.mark.parametrize("presolve", [True, False])
 @pytest.mark.parametrize("cost, reduced", [(3.0, 2.0), (-1.0, -2.0)])
 def test_col_dual_of_a_column_fixed_at_zero(presolve, cost, reduced):
-    # min cost*x + y s.t. x + y >= 1, x fixed at 0: the reduced cost of x is
+    # min cost*x + y s.t. x + y = 1, x fixed at 0: the reduced cost of x is
     # cost - 1 with either sign, and min(col_dual, 0) is the slope of the
-    # optimum in x's upper bound
+    # optimum in x's upper bound; solve_lp presolves, a HighsSolver does not
     def q(ub):
-        return HighsSolver(model([cost, 1.0], [[1.0, 1.0]], [1.0], [INF], ub=[ub, INF]),
-                           presolve=presolve).solve()
+        m = model([cost, 1.0], [[1.0, 1.0]], [1.0], [1.0], ub=[ub, INF])
+        if presolve:
+            res = solve_lp(m)
+            return res.objective, res.col_dual
+        res = solve_held(m)
+        return res.objective[0], res.col_dual[0]
 
-    res = q(0.0)
-    assert res.col_dual[0] == pytest.approx(reduced)
+    objective, col_dual = q(0.0)
+    assert col_dual[0] == pytest.approx(reduced)
     h = 1e-3
-    assert (q(h).objective - res.objective) / h == pytest.approx(min(reduced, 0.0))
+    assert (q(h)[0] - objective) / h == pytest.approx(min(reduced, 0.0))
 
 
 def test_duals_follow_row_order_across_senses():
@@ -286,28 +291,33 @@ def _mixed_senses():
             rows, sense, x0)
 
 
-def _assert_same(got, want):
-    assert got.status is want.status is SolveStatus.OPTIMAL
-    assert got.objective == want.objective
-    assert np.array_equal(got.x, want.x)
-    assert np.array_equal(got.row_dual, want.row_dual)
-    assert np.array_equal(got.col_dual, want.col_dual)
+def _equalities():
+    """A bounded LP of equality rows, the last the sum of the first two, so
+    that an optimal basis keeps a row basic, with the row matrix and a
+    point inside the box that meets every row."""
+    rng = np.random.default_rng(3)
+    n = 12
+    x0 = rng.uniform(1.0, 9.0, n)
+    rows = rng.uniform(-1.0, 1.0, (8, n))
+    rows = np.vstack([rows, rows[0] + rows[1]])
+    rhs = rows @ x0
+    return model(rng.uniform(-1.0, 1.0, n), rows, rhs, rhs, ub=np.full(n, 10.0)), rows, x0
 
 
-def _assert_solve_k(got: BatchResult, k: int, want):
-    """Solve ``k`` of a batch gave the bits of the single solve ``want``."""
-    assert got.status[k] is want.status is SolveStatus.OPTIMAL
-    assert got.objective[k] == want.objective
-    assert np.array_equal(got.row_dual[k], want.row_dual)
-    assert np.array_equal(got.col_dual[k], want.col_dual)
-    assert got.simplex_iters[k] == want.simplex_iters
+def _assert_solve_k(got: BatchResult, k: int, want: BatchResult):
+    """Solve ``k`` of a batch gave the bits of the one solve of ``want``."""
+    assert got.status[k] is want.status[0] is SolveStatus.OPTIMAL
+    assert got.objective[k] == want.objective[0]
+    assert np.array_equal(got.row_dual[k], want.row_dual[0])
+    assert np.array_equal(got.col_dual[k], want.col_dual[0])
+    assert got.simplex_iters[k] == want.simplex_iters[0]
 
 
-def _solve_once(solver: HighsSolver, cols=(), lb=(), ub=(), rows=(), row_lo=(), row_hi=(),
+def _solve_once(solver: HighsSolver, cols=(), ub=(), rows=(), rhs=(),
                 basis=None) -> BatchResult:
     """A batch of one solve with these bounds."""
-    return solver.solve_batch(cols, lb, np.reshape(ub, (1, -1)), rows,
-                              np.reshape(row_lo, (1, -1)), np.reshape(row_hi, (1, -1)), basis)
+    return solver.solve_batch(cols, np.reshape(ub, (1, -1)), rows, np.reshape(rhs, (1, -1)),
+                              basis)
 
 
 def test_solve_lp_matches_linprog_bit_for_bit():
@@ -401,86 +411,108 @@ def test_lp_join_of_the_master_block_equals_the_lp_layout_of_its_model(toy_a):
 
 def test_lp_solver_matches_solve_lp_after_bound_changes_in_any_order():
     # every step sets the same columns and rows, so the model it solves does
-    # not depend on the steps before it
-    m, rows, sense, x0 = _mixed_senses()
+    # not depend on the steps before it: it gives the bits of a fresh
+    # solver, and solve_lp's objective
+    m, rows, x0 = _equalities()
     rng = np.random.default_rng(4)
     cols = np.array([0, 5, 7])
     steps = []
     for _ in range(4):
         x1 = x0 + rng.uniform(-0.5, 0.5, x0.size)
-        steps.append((x1[cols] - 0.5, x1[cols] + rng.uniform(0.5, 3.0, cols.size),
-                      *_bounds_around(rows, x1, sense, rng.uniform(0.0, 2.0, sense.size))))
+        steps.append((x1[cols] + rng.uniform(0.5, 3.0, cols.size), rows @ x1))
     objectives = set()
     for order in (steps, steps[::-1]):
         solver = HighsSolver(m)
-        for lb, ub, lo, hi in order:
-            want_lb, want_ub = m.lb.copy(), m.ub.copy()
-            want_lb[cols], want_ub[cols] = lb, ub
-            want = solve_lp(replace(m, lb=want_lb, ub=want_ub, row_lo=lo, row_hi=hi))
-            _assert_solve_k(_solve_once(solver, cols, lb, ub, np.arange(sense.size), lo, hi),
-                            0, want)
-            objectives.add(want.objective)
+        for ub, rhs in order:
+            moved = _moved(m, cols, ub, rhs)
+            got = _solve_once(solver, cols, ub, np.arange(rhs.size), rhs)
+            _assert_solve_k(got, 0, solve_held(moved))
+            assert got.objective[0] == pytest.approx(solve_lp(moved).objective, rel=1e-9)
+            objectives.add(got.objective[0])
     assert len(objectives) == len(steps)
 
 
-@pytest.mark.parametrize("presolve", [True, False])
-def test_lp_solver_from_a_basis_matches_a_fresh_instance_given_it(presolve):
+def test_lp_solver_from_a_basis_matches_a_fresh_instance_given_it():
     # a solve from a start basis depends only on the model and the basis,
     # not on what the instance solved before
-    m, rows, sense, x0 = _mixed_senses()
+    m, rows, x0 = _equalities()
     rng = np.random.default_rng(7)
-    solver = HighsSolver(m, presolve=presolve)
-    assert solver.solve().status is SolveStatus.OPTIMAL
+    solver = HighsSolver(m)
+    assert _solve_once(solver).status == [SolveStatus.OPTIMAL]
     start = solver.basis()
     cold_iters = []
     for _ in range(3):
-        lo, hi = _bounds_around(rows, x0 + rng.uniform(-0.5, 0.5, x0.size), sense,
-                                rng.uniform(0.0, 2.0, sense.size))
-        got = _solve_once(solver, rows=np.arange(sense.size), row_lo=lo, row_hi=hi,
-                          basis=start)
-        moved = replace(m, row_lo=lo, row_hi=hi)
-        _assert_solve_k(got, 0, HighsSolver(moved, presolve=presolve).solve(basis=start))
-        cold = HighsSolver(moved, presolve=presolve).solve()
-        assert got.objective[0] == pytest.approx(cold.objective, rel=1e-9)
-        cold_iters.append(cold.simplex_iters)
+        rhs = rows @ (x0 + rng.uniform(-0.5, 0.5, x0.size))
+        got = _solve_once(solver, rows=np.arange(rhs.size), rhs=rhs, basis=start)
+        moved = replace(m, row_lo=rhs, row_hi=rhs)
+        _assert_solve_k(got, 0, solve_held(moved, start))
+        cold = solve_held(moved)
+        assert got.objective[0] == pytest.approx(cold.objective[0], rel=1e-9)
+        cold_iters.append(cold.simplex_iters[0])
     # from its own optimal basis a solve takes no simplex iteration
-    again = solver.solve(basis=solver.basis())
-    assert again.simplex_iters == 0 and again.objective == got.objective[0]
+    again = _solve_once(solver, basis=solver.basis())
+    assert again.simplex_iters[0] == 0 and again.objective[0] == got.objective[0]
     assert min(cold_iters) > 0
 
 
 def test_lp_solver_rejects_a_start_basis_that_highs_rejects():
     # never a silent cold solve: an invalid basis, or one of another shape,
     # raises, and the solver still solves afterwards
-    m, _, _, _ = _mixed_senses()
+    m, _, _ = _equalities()
     solver = HighsSolver(m)
-    want = solver.solve()
-    other = HighsSolver(model([1.0, 1.0], [[1.0, 1.0]], [1.0], [INF]))
-    other.solve()
+    want = _solve_once(solver)
+    other = HighsSolver(model([1.0, 1.0], [[1.0, 1.0]], [1.0], [1.0]))
+    _solve_once(other)
     for basis in (highs.HighsBasis(), other.basis()):
         with pytest.raises(BackendError, match="basis"):
-            solver.solve(basis=basis)
-    _assert_same(solver.solve(), want)
+            _solve_once(solver, basis=basis)
+    _assert_solve_k(_solve_once(solver), 0, want)
 
 
 def test_lp_solver_recovers_from_infeasible_bounds():
-    m = model([1.0, 1.0], [[1.0, 1.0]], [2.0], [INF], ub=[5.0, 5.0])
+    m = model([1.0, 1.0], [[1.0, 1.0]], [2.0], [2.0], ub=[5.0, 5.0])
     solver = HighsSolver(m)
-    assert _solve_once(solver, [0, 1], [0.0, 0.0], [0.5, 0.5]).status == [SolveStatus.INFEASIBLE]
-    res = _solve_once(solver, [0, 1], [0.0, 0.0], [5.0, 5.0])
+    assert _solve_once(solver, [0, 1], [0.5, 0.5]).status == [SolveStatus.INFEASIBLE]
+    res = _solve_once(solver, [0, 1], [5.0, 5.0])
     assert res.status == [SolveStatus.OPTIMAL]
     assert res.objective[0] == pytest.approx(2.0)
 
 
-def test_lp_solver_rejects_a_change_of_row_sense():
-    m, _, _, _ = _mixed_senses()
-    solver = HighsSolver(m)
-    with pytest.raises(BackendError, match="sense"):
-        _solve_once(solver, rows=[2], row_lo=[0.0], row_hi=[1.0])      # = row made two-sided
-    with pytest.raises(BackendError, match="sense"):
-        _solve_once(solver, rows=[0], row_lo=[1.0], row_hi=[1.0])      # <= row made =
-    with pytest.raises(BackendError, match="sense"):
-        _solve_once(solver, rows=[1], row_lo=[-INF], row_hi=[1.0])     # >= row made <=
+def test_lp_solver_rejects_inequality_rows_and_integrality():
+    for lo, hi in ((1.0, INF), (-INF, 1.0), (1.0, 2.0)):
+        with pytest.raises(BackendError, match="equality rows only"):
+            HighsSolver(model([1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], [0.0, lo], [0.0, hi]))
+    with pytest.raises(BackendError, match="integrality"):
+        HighsSolver(model([1.0], [[1.0]], [1.0], [1.0], ub=[1.0], integral=[True]))
+
+
+def test_lp_solver_passes_the_model_rows_to_highs_as_they_are(monkeypatch):
+    # in model order and none negated: HiGHS gets model.A's own CSR arrays
+    # and the right-hand sides as both row bounds
+    m, _, _ = _equalities()
+    passed = []
+    real = highs._Highs
+
+    class Recording:
+        def __init__(self):
+            self._h = real()
+
+        def __getattr__(self, name):
+            return getattr(self._h, name)
+
+        def passModel(self, lp):
+            passed.append(lp)
+            return self._h.passModel(lp)
+
+    monkeypatch.setattr(backend.highs, "_Highs", Recording)
+    HighsSolver(m)
+    [lp] = passed
+    a = lp.a_matrix_
+    assert a.format_ == highs.MatrixFormat.kRowwise
+    assert (a.num_row_, a.num_col_) == m.A.shape
+    for got, want in ((a.start_, m.A.indptr), (a.index_, m.A.indices), (a.value_, m.A.data),
+                      (lp.row_lower_, m.row_lo), (lp.row_upper_, m.row_hi)):
+        assert np.array_equal(got, want)
 
 
 class _CallLog:
@@ -510,112 +542,109 @@ def _log_calls(solver: HighsSolver) -> _CallLog:
 
 
 def _batch_bounds(seed: int, n: int):
-    """The mixed-senses LP and ``n`` solves' worth of bounds around points
-    near its inner point: upper bounds of columns ``cols``, then row bounds;
-    the second solve repeats the first's row bounds."""
-    m, rows, sense, x0 = _mixed_senses()
+    """The equality LP and ``n`` solves' worth of bounds around points near
+    its inner point: upper bounds of columns ``cols``, then right-hand
+    sides; the second solve repeats the first's right-hand sides."""
+    m, rows, x0 = _equalities()
     rng = np.random.default_rng(seed)
     cols = np.array([0, 5, 7])
-    ub, lo, hi = [], [], []
+    ub, rhs = [], []
     for _ in range(n):
         x1 = x0 + rng.uniform(-0.5, 0.5, x0.size)
         ub.append(x1[cols] + rng.uniform(0.5, 3.0, cols.size))
-        bounds = _bounds_around(rows, x1, sense, rng.uniform(0.0, 2.0, sense.size))
-        lo.append(bounds[0])
-        hi.append(bounds[1])
-    lo[1], hi[1] = lo[0], hi[0]
-    return m, cols, np.zeros(cols.size), np.array(ub), np.arange(sense.size), \
-        np.array(lo), np.array(hi)
+        rhs.append(rows @ x1)
+    rhs[1] = rhs[0]
+    return m, cols, np.array(ub), np.arange(len(rows)), np.array(rhs)
 
 
-def _moved(m: LinearModel, cols, lb, ub, lo, hi) -> LinearModel:
-    """``m`` with the bounds of columns ``cols`` and every row's replaced."""
-    new_lb, new_ub = m.lb.copy(), m.ub.copy()
-    new_lb[cols], new_ub[cols] = lb, ub
-    return replace(m, lb=new_lb, ub=new_ub, row_lo=lo, row_hi=hi)
+def _moved(m: LinearModel, cols, ub, rhs) -> LinearModel:
+    """``m`` with the upper bounds of columns ``cols`` and every right-hand
+    side replaced."""
+    new_ub = m.ub.copy()
+    new_ub[cols] = ub
+    return replace(m, ub=new_ub, row_lo=rhs, row_hi=rhs)
 
 
 def test_batch_makes_the_calls_and_gives_the_bits_of_one_solve_at_a_time():
     # each solve of a batch equals a fresh solver of the changed model,
     # started from the same basis
-    m, cols, lb, ub, rows, lo, hi = _batch_bounds(8, 4)
+    m, cols, ub, rows, rhs = _batch_bounds(8, 4)
     solver = HighsSolver(m)
-    assert solver.solve().status is SolveStatus.OPTIMAL
+    assert _solve_once(solver).status == [SolveStatus.OPTIMAL]
     start = solver.basis()
     log = _log_calls(solver)
-    got = solver.solve_batch(cols, lb, ub, rows, lo, hi, start)
-    want = [HighsSolver(_moved(m, cols, lb, ub[k], lo[k], hi[k])).solve(start)
-            for k in range(4)]
+    got = solver.solve_batch(cols, ub, rows, rhs, start)
+    want = [solve_held(_moved(m, cols, ub[k], rhs[k]), start) for k in range(4)]
     names = [c[0] for c in log.calls]
     assert [n for n in names if n != "changeRowBounds"] == \
         ["changeColsBounds", "clearSolver", "setBasis", "run"] * 4
     # every row changed in three solves; the second, which repeats the
-    # first's row bounds, changed none
+    # first's right-hand sides, changed none.  A row's two bounds are its
+    # right-hand side, and no column's lower bound moves
     assert names.count("changeRowBounds") == 3 * rows.size
+    assert all(c[2] == c[3] for c in log.calls if c[0] == "changeRowBounds")
+    assert all(c[3] == m.lb[c[2]].tolist() for c in log.calls if c[0] == "changeColsBounds")
     for k, w in enumerate(want):
         _assert_solve_k(got, k, w)
     # the solver holds the last solve's bounds
-    _assert_same(solver.solve(start), want[-1])
+    _assert_solve_k(_solve_once(solver, basis=start), 0, want[-1])
 
 
 def test_a_cold_batch_gives_the_bits_of_fresh_cold_solves():
-    m, cols, lb, ub, rows, lo, hi = _batch_bounds(11, 3)
+    m, cols, ub, rows, rhs = _batch_bounds(11, 3)
     solver = HighsSolver(m)
     log = _log_calls(solver)
-    got = solver.solve_batch(cols, lb, ub, rows, lo, hi)
+    got = solver.solve_batch(cols, ub, rows, rhs)
     assert "setBasis" not in [c[0] for c in log.calls]
     for k in range(3):
-        _assert_solve_k(got, k, HighsSolver(_moved(m, cols, lb, ub[k], lo[k], hi[k])).solve())
+        _assert_solve_k(got, k, solve_held(_moved(m, cols, ub[k], rhs[k])))
 
 
 def test_batch_checks_every_bound_before_it_calls_highs():
-    m, cols, lb, ub, rows, lo, hi = _batch_bounds(9, 3)
+    m, cols, ub, rows, rhs = _batch_bounds(9, 3)
     solver = HighsSolver(m)
-    want = solver.solve()
+    want = _solve_once(solver)
     start = solver.basis()
     log = _log_calls(solver)
-    nan_ub, nan_lo, two_sided = ub.copy(), lo.copy(), lo.copy()
+    nan_ub, nan_rhs = ub.copy(), rhs.copy()
     nan_ub[2, 1] = np.nan
-    nan_lo[2, 2] = np.nan
-    two_sided[2, 0] = hi[2, 0] - 1.0      # the last solve's <= row made two-sided
-    for bad in ((nan_ub, lo), (ub, nan_lo)):
+    nan_rhs[2, 2] = np.nan
+    for bad in ((nan_ub, rhs), (ub, nan_rhs)):
         with pytest.raises(BackendError, match="NaN"):
-            solver.solve_batch(cols, lb, bad[0], rows, bad[1], hi, start)
-    with pytest.raises(BackendError, match="sense"):
-        solver.solve_batch(cols, lb, ub, rows, two_sided, hi, start)
+            solver.solve_batch(cols, bad[0], rows, bad[1], start)
     assert log.calls == []
-    _assert_same(solver.solve(), want)
+    _assert_solve_k(_solve_once(solver), 0, want)
 
 
 def test_batch_rejects_a_start_basis_that_highs_rejects():
     # never a silent cold solve; the solver keeps the bounds it was given
     # and solves afterwards
-    m, cols, lb, ub, rows, lo, hi = _batch_bounds(10, 2)
+    m, cols, ub, rows, rhs = _batch_bounds(10, 2)
     solver = HighsSolver(m)
-    solver.solve()
-    other = HighsSolver(model([1.0, 1.0], [[1.0, 1.0]], [1.0], [INF]))
-    other.solve()
+    _solve_once(solver)
+    other = HighsSolver(model([1.0, 1.0], [[1.0, 1.0]], [1.0], [1.0]))
+    _solve_once(other)
     for basis in (highs.HighsBasis(), other.basis()):
         with pytest.raises(BackendError, match="basis"):
-            solver.solve_batch(cols, lb, ub, rows, lo, hi, basis)
-    _assert_solve_k(_solve_once(solver, cols, m.lb[cols], m.ub[cols], rows, m.row_lo,
-                                m.row_hi), 0, HighsSolver(m).solve())
+            solver.solve_batch(cols, ub, rows, rhs, basis)
+    _assert_solve_k(_solve_once(solver, cols, m.ub[cols], rows, m.row_lo), 0, solve_held(m))
 
 
 def test_batch_reports_a_solve_that_is_not_optimal():
-    m = model([1.0, 1.0], [[1.0, 1.0]], [2.0], [INF], ub=[5.0, 5.0])
+    m = model([1.0, 1.0], [[1.0, 1.0]], [2.0], [2.0], ub=[5.0, 5.0])
     solver = HighsSolver(m)
-    start = (solver.solve(), solver.basis())[1]
-    got = solver.solve_batch([0, 1], [0.0, 0.0], [[5.0, 5.0], [0.5, 0.5], [4.0, 5.0]],
-                             [], np.empty((3, 0)), np.empty((3, 0)), start)
+    _solve_once(solver)
+    start = solver.basis()
+    got = solver.solve_batch([0, 1], [[5.0, 5.0], [0.5, 0.5], [4.0, 5.0]],
+                             [], np.empty((3, 0)), start)
     assert got.status == [SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE, SolveStatus.OPTIMAL]
     assert np.isnan(got.objective[1]) and got.objective[[0, 2]] == pytest.approx([2.0, 2.0])
 
 
 def test_recourse_template_solve_matches_a_model_built_from_scratch(med_b):
-    # the template's solver runs without presolve, so the from-scratch model
-    # is solved the same way for a bit-for-bit match; a presolved solve
-    # (solve_lp) may differ in the last bits
+    # the template's solver, like every HighsSolver, runs without presolve,
+    # so a fresh solver of the from-scratch model gives the same bits; a
+    # presolved solve (solve_lp) may differ in the last bits
     inst, scen = med_b
     x = sample_feasible_first_stage(inst, np.random.default_rng(21))
     template = recourse_template(inst, scen)
@@ -623,10 +652,10 @@ def test_recourse_template_solve_matches_a_model_built_from_scratch(med_b):
     for omega in scen.scenario_ids[3:7]:
         model = build_subproblem(inst, scen, omega, x)
         assert model.row_count == 96 and model.c.size == 324
-        want = HighsSolver(model, presolve=False).solve()
+        want = solve_held(model)
         got = solve_subproblem(inst, scen, omega, x, solver)
-        assert got.objective == want.objective
-        assert np.array_equal(got.lam, template.lam(want.row_dual[None], want.col_dual[None])[0])
+        assert got.objective == want.objective[0]
+        assert np.array_equal(got.lam, template.lam(want.row_dual, want.col_dual)[0])
         presolved = solve_lp(model)
         assert got.objective == pytest.approx(presolved.objective, rel=1e-12, abs=1e-9)
         np.testing.assert_allclose(got.lam, template.lam(presolved.row_dual[None],
@@ -675,12 +704,12 @@ def test_a_cover_takes_the_solves_it_covers_and_gives_them_the_vertex_duals():
     # are left; a covered solve makes no HiGHS call and takes
     # its leader's duals, and a solve that is made gives the bits of a
     # one-at-a-time solve
-    m, cols, lb, ub, rows, lo, hi = _batch_bounds(12, 4)
+    m, cols, ub, rows, rhs = _batch_bounds(12, 4)
     # the last solve repeats the second's bounds, which all differ from
     # those of the solve before the batch
-    ub[3], lo[3], hi[3] = ub[1], lo[1], hi[1]
+    ub[3], rhs[3] = ub[1], rhs[1]
     solver = HighsSolver(m)
-    prior = solver.solve()
+    prior = _solve_once(solver)
     start = solver.basis()
     offers = []
 
@@ -689,25 +718,25 @@ def test_a_cover_takes_the_solves_it_covers_and_gives_them_the_vertex_duals():
         return (todo[:1], [42.0]) if len(offers) == 1 else (todo[1:], [7.0])
 
     log = _log_calls(solver)
-    got = solver.solve_batch(cols, lb, ub, rows, lo, hi, start, cover)
+    got = solver.solve_batch(cols, ub, rows, rhs, start, cover)
     assert [c[0] for c in log.calls].count("run") == 2
     assert got.leader.tolist() == [-1, 1, 2, 1]
-    assert offers[0] == (prior.objective, [0, 1, 2, 3])
+    assert offers[0] == (prior.objective[0], [0, 1, 2, 3])
     assert offers[1] == (got.objective[1], [2, 3])
     assert len(offers) == 2
     assert got.status == [SolveStatus.OPTIMAL] * 4
     assert got.objective[[0, 3]].tolist() == [42.0, 7.0]
     assert got.simplex_iters[[0, 3]].tolist() == [0, 0]
-    assert np.array_equal(got.row_dual[0], prior.row_dual)
-    assert np.array_equal(got.col_dual[0], prior.col_dual)
+    assert np.array_equal(got.row_dual[0], prior.row_dual[0])
+    assert np.array_equal(got.col_dual[0], prior.col_dual[0])
     assert np.array_equal(got.row_dual[3], got.row_dual[1])
     assert np.array_equal(got.col_dual[3], got.col_dual[1])
     for k in (1, 2):
-        _assert_solve_k(got, k, HighsSolver(_moved(m, cols, lb, ub[k], lo[k], hi[k])).solve(start))
+        _assert_solve_k(got, k, solve_held(_moved(m, cols, ub[k], rhs[k]), start))
 
 
 def test_a_cover_that_stops_is_not_offered_again():
-    m, cols, lb, ub, rows, lo, hi = _batch_bounds(13, 4)
+    m, cols, ub, rows, rhs = _batch_bounds(13, 4)
     fresh = HighsSolver(m)
     offers = []
 
@@ -716,55 +745,51 @@ def test_a_cover_that_stops_is_not_offered_again():
         return None
 
     # a solver that holds no solve offers none before its batch
-    got = fresh.solve_batch(cols, lb, ub, rows, lo, hi, None, cover)
+    got = fresh.solve_batch(cols, ub, rows, rhs, None, cover)
     assert offers == [[1, 2, 3]] and got.leader.tolist() == [0, 1, 2, 3]
     for k in range(4):
-        _assert_solve_k(got, k, HighsSolver(_moved(m, cols, lb, ub[k], lo[k], hi[k])).solve())
+        _assert_solve_k(got, k, solve_held(_moved(m, cols, ub[k], rhs[k])))
 
 
 def test_vertex_follow_gives_the_basic_solution_of_moved_bounds():
-    # on the mixed-senses LP (negated >= rows, equalities moved last) the
-    # basic variables that follow a move of the nonbasic ones are those of
-    # the moved LP, solved from the same basis without a pivot
-    m, _, _, _ = _mixed_senses()
+    # on the equality LP, whose dependent row keeps a row basic, the basic
+    # variables that follow a move of the nonbasic ones are those of the
+    # moved LP, solved from the same basis without a pivot, when each basic
+    # row's right-hand side moves with its value
+    m, _, _ = _equalities()
+    n_rows = m.row_count
     solver = HighsSolver(m)
-    solver.solve()
+    _solve_once(solver)
     start = solver.basis()
     rng = np.random.default_rng(4)
-    col_step, row_step = rng.uniform(-1.0, 1.0, (1, m.c.size)), rng.uniform(-1.0, 1.0, (1, 9))
+    col_step = rng.uniform(-1.0, 1.0, (1, m.c.size))
+    row_step = rng.uniform(-1.0, 1.0, (1, n_rows))
     seen = {}
 
     def cover(vertex, todo):
-        seen["x"], seen["r"], seen["lo"] = vertex.col_value, vertex.row_value, vertex.row_lo
+        seen["x"], seen["r"], seen["rhs"] = vertex.col_value, vertex.row_value, vertex.rhs.copy()
         seen["nonbasic"] = vertex._nonbasic_col.copy()
         seen["cols"], seen["dx"], seen["rows"], seen["dr"] = vertex.follow(col_step, row_step)
         return None
 
-    solver.solve_batch([], [], np.empty((2, 0)), [], np.empty((2, 0)), np.empty((2, 0)),
-                       start, cover)
+    solver.solve_batch([], np.empty((2, 0)), [], np.empty((2, 0)), start, cover)
     x, r, nonbasic = seen["x"], seen["r"], seen["nonbasic"]
-    assert np.array_equal(seen["lo"], m.row_lo)
+    assert np.array_equal(seen["rhs"], m.row_lo)
     np.testing.assert_allclose(r, m.A @ x, rtol=0, atol=1e-12)
-    assert (~nonbasic).sum() + seen["rows"].size == 9
+    assert (~nonbasic).sum() + seen["rows"].size == n_rows
     assert seen["rows"].size and not nonbasic.all()
     step = 1e-3
-    lb, ub, lo, hi = m.lb.copy(), m.ub.copy(), m.row_lo.copy(), m.row_hi.copy()
+    lb, ub = m.lb.copy(), m.ub.copy()
     for j in np.flatnonzero(nonbasic):
         for b in (lb, ub):
             if b[j] == x[j]:
                 b[j] += step * col_step[0, j]
-    basic_rows = np.zeros(9, dtype=bool)
-    basic_rows[seen["rows"]] = True
-    for i in np.flatnonzero(~basic_rows):
-        for b in (lo, hi):
-            if abs(b[i] - r[i]) <= 1e-9:
-                b[i] += step * row_step[0, i]
-    moved = HighsSolver(replace(m, lb=lb, ub=ub, row_lo=lo, row_hi=hi))
-    want = moved.solve(start)
-    assert want.simplex_iters == 0
+    rhs = r + step * row_step[0]
+    rhs[seen["rows"]] = r[seen["rows"]] + step * seen["dr"][0]
+    moved = HighsSolver(replace(m, lb=lb, ub=ub, row_lo=rhs, row_hi=rhs))
+    assert _solve_once(moved, basis=start).simplex_iters[0] == 0
+    got_x = np.array(moved._highs.getSolution().col_value)
     x_want = x + step * np.where(nonbasic, col_step[0], 0.0)
     x_want[seen["cols"]] = x[seen["cols"]] + step * seen["dx"][0]
-    np.testing.assert_allclose(want.x, x_want, rtol=0, atol=1e-12)
-    r_want = np.where(basic_rows, 0.0, r + step * row_step[0])
-    r_want[seen["rows"]] = r[seen["rows"]] + step * seen["dr"][0]
-    np.testing.assert_allclose(m.A @ want.x, r_want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got_x, x_want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(m.A @ got_x, rhs, rtol=0, atol=1e-12)

@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import sucbenders
+from sucbenders import cli
 from sucbenders.cli import (REPORT_SCHEMA_VERSION, RunReport,
                             emit_comparison_table, main)
 from sucbenders.data import InstanceError
@@ -67,6 +68,20 @@ def test_solve_stdout_is_one_json_document_despite_raw_prints():
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["method"] == "multi-cut"
     assert "noise" in proc.stderr
+
+
+def test_compare_stdout_is_the_table_alone_despite_raw_prints():
+    src = str(Path(sucbenders.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", NOISY_SOLVE, "compare", *TOY,
+                           "--methods", "extensive,multi-cut"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("Method") and len(lines) == 4
+    assert [line.split()[0] for line in lines[2:]] == ["extensive", "multi-cut"]
+    assert proc.stderr.count("noise") == 2
 
 
 def test_solve_iteration_limit_exits_two():
@@ -315,6 +330,19 @@ def test_solve_outer_subset_count_out_of_range_exits_one():
     res = _invoke(["solve", *TOY, "--method", "outer", "--subsets", "5"])
     assert res.exit_code == 1
     assert "error:" in res.output and "subset count" in res.output
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--subsets", "4", "subset count"),      # toy-a has 3 scenarios
+    ("--gamma", "0", "gamma"),
+])
+def test_compare_checks_outers_options_before_any_method(monkeypatch, option, value, message):
+    ran = []
+    monkeypatch.setattr(cli, "execute_method", lambda method, *args, **kw: ran.append(method))
+    res = _invoke(["compare", *TOY, "--methods", "all", option, value])
+    assert res.exit_code == 1
+    assert "error:" in res.output and message in res.output
+    assert ran == []
 
 
 def test_compare_without_a_converged_objective_exits_two(tmp_path):

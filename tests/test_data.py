@@ -49,6 +49,17 @@ def test_pmin_above_pmax_names_generator(tmp_path):
         load_instance(_write(tmp_path, doc))
 
 
+@pytest.mark.parametrize("records, kind", [("generators", "generator"), ("lines", "line"),
+                                           ("wind_farms", "wind farm")])
+def test_duplicate_id_is_rejected_naming_it(tmp_path, records, kind):
+    # a second record under the first's id, otherwise a copy of the last:
+    # model layouts and scenario rows are keyed by id
+    doc = _toy_doc()
+    doc[records].append({**doc[records][-1], "id": doc[records][0]["id"]})
+    with pytest.raises(ValidationError, match=f"duplicate {kind} id '{doc[records][0]['id']}'"):
+        load_instance(_write(tmp_path, doc))
+
+
 def test_disconnected_network_rejected(tmp_path):
     doc = _toy_doc()
     doc["nodes"].append("n3")

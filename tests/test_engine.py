@@ -196,9 +196,9 @@ def _count_solves(monkeypatch):
 
     solve_batch = HighsSolver.solve_batch
 
-    def counted_batch(self, cols, lb, ub, rows, row_lo, row_hi, basis=None, cover=None):
+    def counted_batch(self, cols, ub, rows, rhs, basis=None, cover=None):
         batches.append((basis is None, len(ub)))
-        return solve_batch(self, cols, lb, ub, rows, row_lo, row_hi, basis, cover)
+        return solve_batch(self, cols, ub, rows, rhs, basis, cover)
 
     class Pool(engine.ThreadPoolExecutor):
         def __init__(self, max_workers):

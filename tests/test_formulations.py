@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 from sucbenders import formulations
-from sucbenders.backend import HighsSolver, SolveStatus, solve_lp, solve_milp
+from sucbenders.backend import SolveStatus, solve_lp, solve_milp
 from sucbenders.cuts import (Cut, CutKind, CutMode, CutPool,
                              make_full_aggregate_cut, make_per_scenario_cuts,
                              track_and_consolidate)
@@ -28,6 +28,7 @@ from sucbenders.formulations import (FirstStageSolution, MasterSolver, ModelBuil
                                      master_template, recourse_template,
                                      sample_feasible_first_stage,
                                      second_stage_row_count, solve_subproblem)
+from conftest import solve_held
 
 # -- row census --------------------------------------------------------------
 # toy-a by hand: per generator (no enforced initial periods)
@@ -177,15 +178,14 @@ def _angle_form_recourse(inst, scen, omega, x):
     ub[angle] = np.where(free, np.inf, 0.0)
     lb[flow], ub[flow] = -cap, cap
     row = np.concatenate([rhs.ravel(), np.zeros(L * T)])
-    res = HighsSolver(LinearModel(c, lb, ub, np.zeros(n_cols, dtype=bool), A, row, row),
-                      presolve=False).solve()
-    assert res.status is SolveStatus.OPTIMAL
+    res = solve_held(LinearModel(c, lb, ub, np.zeros(n_cols, dtype=bool), A, row, row))
+    assert res.status == [SolveStatus.OPTIMAL]
     # dQ/d(rhs) is the balance-row dual y: w enters its node's rhs with +1,
     # f its from-node's with -1 and its to-node's with +1; r+ and r- are
     # read from the duals of the active p+/p- upper bounds
-    y = res.row_dual[:N * T].reshape(N, T)
-    lam_r = np.minimum(res.col_dual[np.stack([pp, pm], axis=-1)], 0.0)
-    return res.objective, np.concatenate([lam_r.ravel(), y[farm_at].ravel(),
+    y = res.row_dual[0, :N * T].reshape(N, T)
+    lam_r = np.minimum(res.col_dual[0, np.stack([pp, pm], axis=-1)], 0.0)
+    return res.objective[0], np.concatenate([lam_r.ravel(), y[farm_at].ravel(),
                                           (y[to] - y[fr]).ravel()])
 
 
@@ -658,10 +658,10 @@ def test_per_point_recourse_data_gives_the_same_results(med_b):
         assert got.objective == want.objective
         assert np.array_equal(got.lam, want.lam)
         assert got.simplex_iters == want.simplex_iters > 0
-        res = HighsSolver(build_subproblem(inst, scen, omega, x), presolve=False).solve()
-        lam = t.link_map.T @ -res.row_dual[:t.link_map.shape[0]]
-        lam[:t.n_deploy] = np.minimum(res.col_dual[:t.n_deploy], 0.0)
-        assert res.objective == got.objective
+        res = solve_held(build_subproblem(inst, scen, omega, x))
+        lam = t.link_map.T @ -res.row_dual[0, :t.link_map.shape[0]]
+        lam[:t.n_deploy] = np.minimum(res.col_dual[0, :t.n_deploy], 0.0)
+        assert res.objective[0] == got.objective
         assert np.array_equal(lam, got.lam)
 
 
@@ -749,7 +749,7 @@ def test_a_spill_column_that_zero_wind_fixes_is_unfixed_at_the_bound_its_reduced
     scen = ScenarioSet(("a", "b", "c", "d"), (0.25,) * 4, values)
     x = sample_feasible_first_stage(inst, np.random.default_rng(5))
     template = recourse_template(inst, scen)
-    at_a = HighsSolver(build_subproblem(inst, scen, "a", x), presolve=False).solve()
+    at_a = solve_lp(build_subproblem(inst, scen, "a", x))
     spill = template.spill[0]
     assert at_a.x[spill] == 0.0 and at_a.col_dual[spill] > 0
     results, _ = solve_subproblems(inst, scen, x)
