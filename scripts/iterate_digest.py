@@ -24,6 +24,13 @@ run's grouped by subset).  Equal lines mean equal bounds, cluster counts
 and master sizes in every iteration.  The trace's timings, HiGHS
 statistics and gap (a function of the bounds in the MILP phase) are left
 out, so trees that trace different statistics can be compared.
+
+A last line covers the bunched subproblem phase at scale: the SHA-256 of
+every (scenario, Q, simplex iterations, covered, lambda bytes) that
+``engine.solve_subproblems`` returns at the three first-stage points of the
+``recourse-200`` workload (``RecourseEval().setup(1)``: 200 generated med-b
+scenarios).  The phase is serial, so this line does not depend on
+``--workers``.
 """
 
 from __future__ import annotations
@@ -38,9 +45,9 @@ from pathlib import Path
 sys.path.insert(1, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import sucbenders  # noqa: E402  (from PYTHONPATH, not from this checkout)
-from sucbenders import cli  # noqa: E402
+from sucbenders import cli, engine  # noqa: E402
 
-from workloads import load_fixture, solver_options  # noqa: E402
+from workloads import RecourseEval, load_fixture, solver_options  # noqa: E402
 
 RUNS = (("toy-a", 1), ("med-b", 2))
 DIGEST_KEYS = ("subset_id", "iter", "phase", "lb", "ub", "clusters", "master_rows")
@@ -53,6 +60,20 @@ def digest(records: list[str]) -> str:
     # (pass 2, which has no subset id, last), keeping each run's own order
     docs.sort(key=lambda d: d.get("subset_id", math.inf))
     return hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+
+
+def recourse_digest() -> str:
+    """The SHA-256 of every subproblem result at recourse-200's points."""
+    workload = RecourseEval()
+    workload.setup(1)
+    h = hashlib.sha256()
+    for point in workload.points:
+        results, _ = engine.solve_subproblems(workload.instance, workload.scenarios, point)
+        for r in results:
+            h.update(repr((r.scenario_id, r.objective, r.simplex_iters,
+                           r.covered)).encode())
+            h.update(r.lam.tobytes())
+    return h.hexdigest()
 
 
 def main() -> None:
@@ -73,6 +94,8 @@ def main() -> None:
                                      solver_options(workers), records.append)
             print(f"{fixture} {method} iters={rep.iterations} rows={rep.master_rows} "
                   f"objective={rep.objective!r} trace={digest(records)}", flush=True)
+    print(f"recourse-200 points={RecourseEval.n_points} "
+          f"scenarios={RecourseEval.n_scenarios} results={recourse_digest()}")
 
 
 if __name__ == "__main__":

@@ -2,17 +2,19 @@
 
 Every solve goes through a ``HighsInstance``: one ``_Highs`` instance of
 scipy's bundled HiGHS bindings with its options set once, to which a model
-is passed and solved from scratch, cold or from a given start basis.
-``solve_lp`` and ``solve_milp`` pass a model as a ``RowBlock`` of its rows
-to a fresh instance and solve it once.  A Benders run keeps one instance
-for its masters and passes each master as the static block of the run
-with the cut rows as extra rows.  ``HighsSolver`` holds one LP of equality
-rows in an instance and solves it as batches of changes of column upper
-bounds and right-hand sides (``HighsSolver.solve_batch``): the scenario
-subproblems keep one per run.  A batch may be bunched: a ``cover`` test
-given the optimal basis of each solve (a ``Vertex``, which reads HiGHS's
-factor of it) names later solves that the basis is optimal for, and those
-take its duals without a HiGHS call.
+is passed and solved from scratch, cold or from a given start basis, in
+one run step (``HighsInstance._start``) that every master and recourse
+solve shares.  ``solve_lp`` and ``solve_milp`` pass a model as a
+``RowBlock`` of its rows to a fresh instance and solve it once.  A Benders
+run keeps one instance for its masters and passes each master as the
+static block of the run with the cut rows as extra rows.  ``HighsSolver``,
+an instance loaded once with an LP of equality rows, solves it as batches
+of changes of column upper bounds and right-hand sides
+(``HighsSolver.solve_batch``): the scenario subproblems keep one per run.
+A batch may be bunched: a ``cover`` test given the optimal basis of each
+solve (a ``Vertex``, which reads HiGHS's factor of it) names later solves
+that the basis is optimal for, and those take its duals without a HiGHS
+call.
 
 The dual convention is pinned here: for an LP solved to optimality, the dual
 value reported for a row (``row_dual``) is the derivative of the optimal
@@ -298,11 +300,12 @@ class HighsInstance:
     ``mip_gap``; one passed without is an LP, solved for row and column
     duals.  An instance with a ``mip_gap`` takes ``_MILP_OPTIONS``, unless
     ``heuristics`` keeps HiGHS's default restarts and primal heuristics;
-    neither acts on an LP solve.  ``run`` clears the solver and starts cold
-    or from a given basis, so a model passed to a used instance solves as
-    on a fresh one loaded with the same model and given the same basis, bit
-    for bit; a basis that HiGHS rejects raises ``BackendError`` and is
-    never replaced by a cold start.  One instance must not be used from two
+    neither acts on an LP solve.  Every solve (``run``, and each solve of a
+    ``HighsSolver`` batch) clears the solver and starts cold or from a given
+    basis (``_start``), so a model passed to a used instance solves as on a
+    fresh one loaded with the same model and given the same basis, bit for
+    bit; a basis that HiGHS rejects raises ``BackendError`` and is never
+    replaced by a cold start.  One instance must not be used from two
     threads at once; ``run`` releases the interpreter lock, so instances in
     different threads run in parallel.  A non-finite ``mip_gap`` (HiGHS
     takes NaN and infinity) or an option that HiGHS refuses (such as a
@@ -366,21 +369,28 @@ class HighsInstance:
         """A copy of the basis of the last solve, to start another from."""
         return self._highs.getBasis()
 
-    def run(self, basis: HighsBasis | None = None) -> SolveResult:
-        """Solve the loaded model from scratch, or from the start ``basis``
-        (an instance's ``basis`` over a model of the same shape);
-        ``solve_time`` is this call's."""
-        t0 = time.perf_counter()
+    def _start(self, basis: HighsBasis | None = None) -> SolveStatus:
+        """The one place that runs HiGHS: solve what the instance holds
+        from scratch, or from the start ``basis`` (an instance's ``basis``
+        over a model of the same shape), and map HiGHS's status."""
         h = self._highs
         h.clearSolver()
         if basis is not None and h.setBasis(basis) == highs.HighsStatus.kError:
             raise BackendError("HiGHS rejected the start basis")
         if h.run() == highs.HighsStatus.kError:
-            return self._failed(t0, "HiGHS run failed")
-        model_status = h.getModelStatus()
-        status = _HIGHS_STATUS.get(model_status, SolveStatus.ERROR)
+            return SolveStatus.ERROR
+        return _HIGHS_STATUS.get(h.getModelStatus(), SolveStatus.ERROR)
+
+    def run(self) -> SolveResult:
+        """Solve the loaded model from scratch; ``solve_time`` is this
+        call's."""
+        t0 = time.perf_counter()
+        h = self._highs
+        status = self._start()
         if status is not SolveStatus.OPTIMAL:
-            return self._failed(t0, h.modelStatusToString(model_status), status)
+            return SolveResult(status, None, None, None, None, self._rows.count,
+                               time.perf_counter() - t0,
+                               message=h.modelStatusToString(h.getModelStatus()))
         solution = h.getSolution()
         info = h.getInfo()
         objective = float(info.objective_function_value)
@@ -393,11 +403,6 @@ class HighsInstance:
             # an LP optimum is its own dual bound, and has no search tree
             mip_nodes=int(info.mip_node_count) if self._mip else 0,
             dual_bound=float(info.mip_dual_bound) if self._mip else objective)
-
-    def _failed(self, t0: float, message: str,
-                status: SolveStatus = SolveStatus.ERROR) -> SolveResult:
-        return SolveResult(status, None, None, None, None, self._rows.count,
-                           time.perf_counter() - t0, message=message)
 
 
 class Vertex:
@@ -479,9 +484,9 @@ class Vertex:
         return cols, move[:, is_col], rows, -move[:, ~is_col]
 
 
-class HighsSolver:
-    """One LP of equality rows held in a ``HighsInstance`` with presolve
-    off, its rows in model order, and re-solved after changes of column
+class HighsSolver(HighsInstance):
+    """An instance loaded once with one LP of equality rows, presolve off
+    and its rows in model order, and re-solved after changes of column
     upper bounds and right-hand sides, for row and column duals.
 
     Every solve starts cold, or from the basis it is given, on the same
@@ -498,15 +503,13 @@ class HighsSolver:
             raise BackendError("LP solve called on a model with integrality flags")
         if (model.row_lo != model.row_hi).any():
             raise BackendError("a batch LP has equality rows only")
-        self._instance = HighsInstance(presolve=False)
+        super().__init__(presolve=False)
         rows = block.rows()
-        self._instance._pass(model.c, model.lb, model.ub, rows)
-        self._highs = self._instance._highs
+        self._pass(model.c, model.lb, model.ub, rows)
         self._A = model.A
         # the current column bounds and right-hand sides that HiGHS holds
         self._col_lb, self._col_ub = model.lb.astype(float), model.ub.astype(float)
         self._rhs = rows.lo
-        self._solved = False    # HiGHS holds an optimal solve of the current bounds
 
     def solve_batch(self, cols, ub, rows, rhs, basis: HighsBasis | None = None,
                     cover=None) -> BatchResult:
@@ -545,20 +548,7 @@ class HighsSolver:
         todo = np.ones(n, dtype=bool)
         h = self._highs
 
-        # the bounds HiGHS held before the batch; then those of solve last
-        before = self._col_ub[cols], self._rhs[rows]
-        last = -1
-
-        def held():
-            """The bounds that HiGHS holds."""
-            return before if last < 0 else (ub[last], rhs[last])
-
-        def sync():
-            """Give the solver the bounds that HiGHS holds."""
-            self._col_ub[cols], self._rhs[rows] = held()
-
         def offer(k: int, solution) -> bool:
-            sync()
             vertex = Vertex(self, h.getObjectiveValue(), solution)
             got = cover(vertex, np.flatnonzero(todo))
             if got is None:
@@ -572,46 +562,39 @@ class HighsSolver:
                 status[j] = SolveStatus.OPTIMAL
             return True
 
-        bunching = cover is not None
-        try:
-            if bunching and self._solved and n:
-                bunching = offer(-1, h.getSolution())
-            for k in range(n):
-                if not todo[k]:
-                    continue
-                todo[k] = False
-                now_ub, now_rhs = held()
-                ch = np.flatnonzero(ub[k] != now_ub)
-                if ch.size:
-                    h.changeColsBounds(ch.size, cols[ch], lb[ch], ub[k, ch])
-                ch = np.flatnonzero(rhs[k] != now_rhs)
-                for i, b in zip(rows[ch].tolist(), rhs[k, ch].tolist()):
+        # the bounds that HiGHS holds: the solver's, then the last solve's
+        held_ub, held_rhs = self._col_ub[cols], self._rhs[rows]
+        # HiGHS resets its model status on every change of a bound and on
+        # clearSolver, so an optimal status is that of the bounds it holds
+        bunching = cover is not None and n > 0
+        if bunching and h.getModelStatus() == highs.HighsModelStatus.kOptimal:
+            bunching = offer(-1, h.getSolution())
+        for k in range(n):
+            if not todo[k]:
+                continue
+            todo[k] = False
+            ch = np.flatnonzero(ub[k] != held_ub)
+            if ch.size:
+                at, to = cols[ch], ub[k, ch]
+                h.changeColsBounds(ch.size, at, lb[ch], to)
+                self._col_ub[at] = to
+            ch = np.flatnonzero(rhs[k] != held_rhs)
+            if ch.size:
+                at, to = rows[ch], rhs[k, ch]
+                for i, b in zip(at.tolist(), to.tolist()):
                     h.changeRowBounds(i, b, b)
-                last = k
-                self._solved = False
-                h.clearSolver()
-                if basis is not None and h.setBasis(basis) == highs.HighsStatus.kError:
-                    raise BackendError("HiGHS rejected the start basis")
-                if h.run() == highs.HighsStatus.kError:
-                    status[k] = SolveStatus.ERROR
-                    continue
-                status[k] = _HIGHS_STATUS.get(h.getModelStatus(), SolveStatus.ERROR)
-                if status[k] is SolveStatus.OPTIMAL:
-                    self._solved = True
-                    objective[k] = h.getObjectiveValue()
-                    solution = h.getSolution()
-                    row_dual[k] = solution.row_dual
-                    col_dual[k] = solution.col_dual
-                    iters[k] = h.getInfoValue("simplex_iteration_count")[1]
-                    if bunching and todo[k + 1:].any():
-                        bunching = offer(k, solution)
-        finally:
-            if last >= 0:
-                sync()
+                self._rhs[at] = to
+            held_ub, held_rhs = ub[k], rhs[k]
+            status[k] = self._start(basis)
+            if status[k] is SolveStatus.OPTIMAL:
+                objective[k] = h.getObjectiveValue()
+                solution = h.getSolution()
+                row_dual[k] = solution.row_dual
+                col_dual[k] = solution.col_dual
+                iters[k] = h.getInfoValue("simplex_iteration_count")[1]
+                if bunching and todo[k + 1:].any():
+                    bunching = offer(k, solution)
         return BatchResult(status, objective, row_dual, col_dual, iters, leader)
-
-    def basis(self) -> HighsBasis:
-        return self._instance.basis()
 
 
 def solve_lp(model: LinearModel) -> SolveResult:

@@ -71,6 +71,13 @@ class Generator:
             raise ValidationError(f"generator {self.id}: init_status must be 0 or 1")
         if self.init_up_periods < 0 or self.init_down_periods < 0:
             raise ValidationError(f"generator {self.id}: initial enforced periods must be >= 0")
+        # the first stage pins u to init_status over all enforced periods
+        contradicting = self.init_down_periods if self.init_status else self.init_up_periods
+        if contradicting > 0:
+            raise ValidationError(
+                f"generator {self.id}: enforced initial "
+                f"{'off' if self.init_status else 'on'}-periods contradict "
+                f"init_status={self.init_status}")
         warnings = []
         if not (self.deploy_down_price <= self.energy_cost <= self.deploy_up_price):
             warnings.append(
@@ -333,8 +340,10 @@ def load_instance(path: str | Path) -> SystemInstance:
     load = {}
     for i, rec in enumerate(_records(doc, "load")):
         ctx = f"load[{i}]"
-        load[(_field(rec, "node", ctx, str),
-              _field(rec, "period", ctx, _integer))] = _field(rec, "mw", ctx, float)
+        key = (_field(rec, "node", ctx, str), _field(rec, "period", ctx, _integer))
+        if key in load:
+            raise InstanceError(f"{ctx}: duplicate load entry {key}")
+        load[key] = _field(rec, "mw", ctx, float)
     inst = SystemInstance(
         name=_field(meta, "name", "meta", str, Path(path).stem),
         horizon=_field(meta, "horizon", "meta", _integer),

@@ -930,8 +930,10 @@ def sample_feasible_first_stage(instance: SystemInstance, rng: np.random.Generat
 
 
 def default_theta_min(instance: SystemInstance) -> float:
-    """Provable recourse lower bound: only the -C^- p^- terms can be negative,
-    and p^- is capped by the reserve offer limit."""
+    """Provable recourse lower bound: the recourse cost is C^+ p^+ - C^- p^-
+    plus a shed cost >= 0, with 0 <= p^+- <= the reserve offer limits, so
+    each term is bounded below whatever the signs of the prices."""
     T = instance.horizon
-    return -float(sum(g.deploy_down_price * g.res_down_cap
-                      for g in instance.generators)) * T
+    return float(sum(min(g.deploy_up_price, 0.0) * g.res_up_cap
+                     - max(g.deploy_down_price, 0.0) * g.res_down_cap
+                     for g in instance.generators)) * T

@@ -537,7 +537,7 @@ class _CallLog:
 
 def _log_calls(solver: HighsSolver) -> _CallLog:
     log = _CallLog(solver._highs)
-    solver._highs = solver._instance._highs = log
+    solver._highs = log
     return log
 
 
@@ -639,6 +639,39 @@ def test_batch_reports_a_solve_that_is_not_optimal():
                              [], np.empty((3, 0)), start)
     assert got.status == [SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE, SolveStatus.OPTIMAL]
     assert np.isnan(got.objective[1]) and got.objective[[0, 2]] == pytest.approx([2.0, 2.0])
+
+
+@pytest.mark.parametrize("change", [
+    lambda h: h.changeColsBounds(1, np.array([0], dtype=np.int32), np.zeros(1), np.ones(1)),
+    lambda h: h.changeRowBounds(0, 3.0, 3.0),
+    lambda h: h.clearSolver(),
+])
+def test_highs_forgets_an_optimal_status_on_a_change_or_a_clear(change):
+    # solve_batch offers the held basis only while HiGHS reports it optimal,
+    # which holds because each of these calls resets the status
+    solver = HighsSolver(model([1.0, 2.0], [[1.0, 1.0]], [2.0], [2.0], ub=[5.0, 5.0]))
+    _solve_once(solver)
+    h = solver._highs
+    assert h.getModelStatus() == highs.HighsModelStatus.kOptimal
+    change(h)
+    assert h.getModelStatus() == highs.HighsModelStatus.kNotset
+
+
+def test_a_batch_after_an_infeasible_solve_offers_no_basis_first():
+    m = model([1.0, 1.0], [[1.0, 1.0]], [2.0], [2.0], ub=[5.0, 5.0])
+    solver = HighsSolver(m)
+    _solve_once(solver)
+    assert _solve_once(solver, [0, 1], [0.5, 0.5]).status == [SolveStatus.INFEASIBLE]
+    offers = []
+
+    def cover(vertex, todo):
+        offers.append(todo.tolist())
+        return None
+
+    got = solver.solve_batch([0, 1], [[5.0, 5.0], [4.0, 5.0]], [], np.empty((2, 0)),
+                             None, cover)
+    assert offers == [[1]] and got.leader.tolist() == [0, 1]
+    assert got.status == [SolveStatus.OPTIMAL] * 2
 
 
 def test_recourse_template_solve_matches_a_model_built_from_scratch(med_b):

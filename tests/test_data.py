@@ -4,7 +4,9 @@ import dataclasses
 import json
 
 import pytest
+from click.testing import CliRunner
 
+from sucbenders.cli import main
 from sucbenders.data import (InstanceError, ReferentialError, ValidationError,
                              load_instance, load_scenarios)
 from conftest import fixture_path
@@ -57,6 +59,30 @@ def test_duplicate_id_is_rejected_naming_it(tmp_path, records, kind):
     doc = _toy_doc()
     doc[records].append({**doc[records][-1], "id": doc[records][0]["id"]})
     with pytest.raises(ValidationError, match=f"duplicate {kind} id '{doc[records][0]['id']}'"):
+        load_instance(_write(tmp_path, doc))
+
+
+def test_duplicate_load_entry_is_rejected_naming_it(tmp_path):
+    # a second entry for a (node, period) would silently replace the first
+    doc = _toy_doc()
+    doc["load"].append({"node": "n1", "period": 1, "mw": 999.0})
+    path = _write(tmp_path, doc)
+    with pytest.raises(InstanceError, match=r"duplicate load entry \('n1', 1\)"):
+        load_instance(path)
+    res = CliRunner().invoke(main, ["solve", "--instance", str(path), "--scenarios",
+                                    str(fixture_path("toy-a.csv")), "--method", "extensive"])
+    assert res.exit_code == 1 and "duplicate load entry" in res.output
+
+
+@pytest.mark.parametrize("gen, status, up, down", [(0, 1, 0, 2), (1, 0, 2, 0)])
+def test_enforced_initial_periods_must_agree_with_the_initial_status(tmp_path, gen, status,
+                                                                    up, down):
+    # a unit that starts on cannot be held off, nor one that starts off on:
+    # the first stage pins u to init_status over all enforced periods
+    doc = _toy_doc()
+    g = doc["generators"][gen]
+    g.update(init_status=status, init_up_periods=up, init_down_periods=down)
+    with pytest.raises(ValidationError, match=f"generator {g['id']}: enforced initial"):
         load_instance(_write(tmp_path, doc))
 
 

@@ -10,6 +10,7 @@ import scipy.sparse as sp
 
 from sucbenders import formulations
 from sucbenders.backend import SolveStatus, solve_lp, solve_milp
+from sucbenders.cli import METHODS, execute_method
 from sucbenders.cuts import (Cut, CutKind, CutMode, CutPool,
                              make_full_aggregate_cut, make_per_scenario_cuts,
                              track_and_consolidate)
@@ -82,6 +83,25 @@ def test_default_theta_min_toy_a(toy_a):
     inst, _ = toy_a
     # -(C-_g1 * R-_g1 + C-_g2 * R-_g2) * T = -(8*20 + 25*15) * 4
     assert default_theta_min(inst) == pytest.approx(-2140.0)
+
+
+def test_theta_min_holds_when_down_deployment_is_paid(toy_a):
+    # a negative C- pays for p-, so -C- p- >= 0 and the bound is 0; the
+    # old -T * sum C- R- was +2140 and cut the recourse's optimum off
+    inst, scen = toy_a
+    paid = dataclasses.replace(inst, generators=tuple(
+        dataclasses.replace(g, deploy_down_price=price)
+        for g, price in zip(inst.generators, (-8.0, -25.0))))
+    assert default_theta_min(paid) == 0.0
+    options = dict(eps=1e-6, mip_gap=1e-6, theta_min=None, max_iters=100, alpha=0.01,
+                   zeta=0.75, rho=5, kappa=5, clustering="hierarchical",
+                   attribute="duals", subsets=2, gamma=1.0, workers=1)
+    reports = {m: execute_method(m, paid, scen, options) for m in METHODS}
+    want = reports["extensive"].objective
+    assert want == pytest.approx(2460.0)
+    for method, rep in reports.items():
+        assert rep.converged, method
+        assert rep.objective == pytest.approx(want, rel=2e-6), method
 
 
 # -- cycle form --------------------------------------------------------------
