@@ -8,13 +8,13 @@ solve shares.  ``solve_lp`` and ``solve_milp`` pass a model as a
 ``RowBlock`` of its rows to a fresh instance and solve it once.  A Benders
 run keeps one instance for its masters and passes each master as the
 static block of the run with the cut rows as extra rows.  ``HighsSolver``,
-an instance loaded once with an LP of equality rows, solves it as batches
-of changes of column upper bounds and right-hand sides
-(``HighsSolver.solve_batch``): the scenario subproblems keep one per run.
-A batch may be bunched: a ``cover`` test given the optimal basis of each
-solve (a ``Vertex``, which reads HiGHS's factor of it) names later solves
-that the basis is optimal for, and those take its duals without a HiGHS
-call.
+an instance loaded once with an LP of equality rows, solves it once per
+``HighsSolver.solve`` call after changes of column upper bounds and
+right-hand sides: the scenario subproblems keep one per run.  While its
+solve is optimal, ``HighsSolver.vertex`` gives it as a ``Vertex``, which
+also reads HiGHS's basis factor; the bunching of scenarios that share an
+optimal basis is decided from it outside this module
+(``formulations.RecourseSolver``).
 
 The dual convention is pinned here: for an LP solved to optimality, the dual
 value reported for a row (``row_dual``) is the derivative of the optimal
@@ -113,23 +113,6 @@ class SolveResult:
     simplex_iters: int = 0        # HiGHS simplex iterations (of every LP of a MILP)
     mip_nodes: int = 0            # branch-and-bound nodes (MILP solves only)
     dual_bound: float | None = None   # MILP: HiGHS's dual bound; LP: the objective
-
-
-@dataclass(frozen=True)
-class BatchResult:
-    """The LP solves of one ``HighsSolver.solve_batch``, row k for solve k;
-    a solve that is not optimal has NaN values and 0 iterations.  Solve k
-    took the optimal basis of solve ``leader[k]``: k itself when HiGHS
-    solved it, an earlier solve when a ``cover`` test found that solve's
-    basis optimal for it (-1: the solve before the batch).  A covered solve
-    made no HiGHS call: it has its leader's duals, the objective that the
-    test gave and 0 iterations."""
-    status: list                 # SolveStatus per solve
-    objective: np.ndarray
-    row_dual: np.ndarray         # solves x rows, in model order
-    col_dual: np.ndarray         # solves x columns
-    simplex_iters: np.ndarray
-    leader: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -236,10 +219,10 @@ class RowBlock:
     with extra rows ``a.x >= b`` given as (sorted columns, values, b).
 
     ``rows`` is the MILP layout, which is model order: the model's rows,
-    then the extra rows.  ``lp_rows`` is the LP layout, prepared on first
-    use: the model's inequality rows in model order with >= rows negated,
-    then the extra rows negated, then the equality rows.  An LP layout of a
-    model with a two-sided inequality row raises ``BackendError``.
+    then the extra rows.  ``lp_rows`` is the LP layout, a permutation of
+    those rows: the inequality rows in order with >= rows negated (the
+    model's, then the extra rows), then the equality rows.  An LP layout of
+    a model with a two-sided inequality row raises ``BackendError``.
     """
 
     def __init__(self, model: LinearModel):
@@ -254,42 +237,24 @@ class RowBlock:
                          np.concatenate([m.A.data] + vals), np.append(m.row_lo, rhs),
                          np.append(m.row_hi, np.full(rhs.size, np.inf)))
 
-    @cached_property
-    def _stacked(self) -> tuple[RowArrays, int]:
-        """The model's own rows in the LP layout, and how many are
-        inequalities."""
-        m = self.model
-        eq = m.row_lo == m.row_hi
-        ge = ~eq & ~np.isneginf(m.row_lo)
-        if np.isfinite(m.row_hi[ge]).any():
+    def lp_rows(self, extra: list = ()) -> RowArrays:
+        a = self.rows(extra)
+        eq = a.lo == a.hi
+        ge = ~eq & ~np.isneginf(a.lo)
+        if np.isfinite(a.hi[ge]).any():
             raise BackendError("LP solve called on a model with two-sided inequality rows")
+        # the extra rows are >= rows after the model's, so they land between
+        # its inequality and equality rows
         order = np.concatenate([np.flatnonzero(~eq), np.flatnonzero(eq)])
         sign = np.where(ge, -1.0, 1.0)
         neg = ge[order]
-        lo, hi = m.row_lo[order], m.row_hi[order]
-        A = m.A
-        sizes = np.diff(A.indptr)[order]
+        lo, hi = a.lo[order], a.hi[order]
+        sizes = np.diff(a.start)[order]
         start = np.concatenate([[0], np.cumsum(sizes)])
-        take = np.repeat(A.indptr[order] - start[:-1], sizes) + np.arange(start[-1])
-        return RowArrays(start, A.indices[take], A.data[take] * np.repeat(sign[order], sizes),
+        take = np.repeat(a.start[order] - start[:-1], sizes) + np.arange(start[-1])
+        return RowArrays(start, a.index[take], a.value[take] * np.repeat(sign[order], sizes),
                          np.where(neg, -hi, lo), np.where(neg, -lo, hi),
-                         np.argsort(order), sign), int((~eq).sum())
-
-    def lp_rows(self, extra: list = ()) -> RowArrays:
-        a, n = self._stacked
-        nnz = int(a.start[n])
-        ends, cols, vals, rhs = _join(extra)
-        k = rhs.size
-        extra_nnz = int(ends[-1]) if k else 0
-        value = np.concatenate([a.value[:nnz]] + vals + [a.value[nnz:]])
-        np.negative(value[nnz:nnz + extra_nnz], out=value[nnz:nnz + extra_nnz])
-        return RowArrays(
-            np.concatenate([a.start[:n + 1], nnz + ends, extra_nnz + a.start[n + 1:]]),
-            np.concatenate([a.index[:nnz]] + cols + [a.index[nnz:]]), value,
-            np.concatenate([a.lo[:n], np.full(k, -np.inf), a.lo[n:]]),
-            np.concatenate([a.hi[:n], -rhs, a.hi[n:]]),
-            np.concatenate([np.where(a.pos < n, a.pos, a.pos + k), n + np.arange(k)]),
-            np.concatenate([a.sign, np.full(k, -1.0)]))
+                         np.argsort(order), sign)
 
 
 class HighsInstance:
@@ -300,8 +265,8 @@ class HighsInstance:
     ``mip_gap``; one passed without is an LP, solved for row and column
     duals.  An instance with a ``mip_gap`` takes ``_MILP_OPTIONS``, unless
     ``heuristics`` keeps HiGHS's default restarts and primal heuristics;
-    neither acts on an LP solve.  Every solve (``run``, and each solve of a
-    ``HighsSolver`` batch) clears the solver and starts cold or from a given
+    neither acts on an LP solve.  Every solve (``run``, and
+    ``HighsSolver.solve``) clears the solver and starts cold or from a given
     basis (``_start``), so a model passed to a used instance solves as on a
     fresh one loaded with the same model and given the same basis, bit for
     bit; a basis that HiGHS rejects raises ``BackendError`` and is never
@@ -406,17 +371,21 @@ class HighsInstance:
 
 
 class Vertex:
-    """The optimal basis of the solve that a ``HighsSolver`` holds, with the
-    objective, values, column duals and bounds of that solve, for a
-    ``solve_batch`` ``cover`` test.  It reads HiGHS's basis and factor and
-    the solver's bounds and right-hand sides, so it is valid only while the
-    solver holds that solve: during the ``cover`` call that receives it.
+    """The optimal solve that a ``HighsSolver`` holds (``HighsSolver.vertex``).
+
+    Its objective, simplex iterations, values and duals are read when it is
+    made and stay valid.  Its basis, the basis factor and the bounds and
+    right-hand sides it reads (``col_lb``, ``col_ub``, ``rhs``: the
+    solver's) are valid only while the solver holds that solve, until its
+    next ``solve``.
     """
 
-    def __init__(self, solver: "HighsSolver", objective: float, solution):
+    def __init__(self, solver: "HighsSolver"):
+        h = solver._highs
         self._solver = solver
-        self._solution = solution
-        self.objective = objective
+        self.objective = h.getObjectiveValue()
+        self.simplex_iters = int(h.getInfoValue("simplex_iteration_count")[1])
+        self._solution = h.getSolution()
         self.col_lb, self.col_ub, self.rhs = solver._col_lb, solver._col_ub, solver._rhs
 
     @cached_property
@@ -430,6 +399,11 @@ class Vertex:
     @cached_property
     def row_value(self) -> np.ndarray:
         return np.array(self._solution.row_value)
+
+    @cached_property
+    def row_dual(self) -> np.ndarray:
+        """Per row, in model order."""
+        return np.array(self._solution.row_dual)
 
     @cached_property
     def _basic(self) -> np.ndarray:
@@ -490,11 +464,10 @@ class HighsSolver(HighsInstance):
     upper bounds and right-hand sides, for row and column duals.
 
     Every solve starts cold, or from the basis it is given, on the same
-    matrix, so each solve of a ``solve_batch`` equals, bit for bit, the
-    first solve of a fresh solver of a model with the same bounds, started
-    the same way.  A model with integrality flags, a row whose bounds
-    differ (an inequality), a non-finite cost or matrix entry or a NaN
-    bound raises ``BackendError``.
+    matrix, so each solve equals, bit for bit, the first solve of a fresh
+    solver of a model with the same bounds, started the same way.  A model
+    with integrality flags, a row whose bounds differ (an inequality), a
+    non-finite cost or matrix entry or a NaN bound raises ``BackendError``.
     """
 
     def __init__(self, model: LinearModel):
@@ -502,7 +475,7 @@ class HighsSolver(HighsInstance):
         if model.integral.any():
             raise BackendError("LP solve called on a model with integrality flags")
         if (model.row_lo != model.row_hi).any():
-            raise BackendError("a batch LP has equality rows only")
+            raise BackendError("a HighsSolver LP has equality rows only")
         super().__init__(presolve=False)
         rows = block.rows()
         self._pass(model.c, model.lb, model.ub, rows)
@@ -511,90 +484,40 @@ class HighsSolver(HighsInstance):
         self._col_lb, self._col_ub = model.lb.astype(float), model.ub.astype(float)
         self._rhs = rows.lo
 
-    def solve_batch(self, cols, ub, rows, rhs, basis: HighsBasis | None = None,
-                    cover=None) -> BatchResult:
-        """One LP solve per row k of ``ub`` and ``rhs``: set the upper
-        bounds of columns ``cols`` to ``ub[k]`` and the right-hand sides of
-        rows ``rows`` to ``rhs[k]``, and solve from scratch, or from the
-        start ``basis``.  Every other bound and right-hand side keeps its
-        value, and only those that differ from what HiGHS holds reach it.
-
-        With ``cover``, solves are bunched.  The optimal basis of the solve
-        before the batch, if the solver holds one, and then that of each
-        optimal solve is offered as a ``Vertex`` to ``cover(vertex, todo)``
-        while solves are left, with ``todo`` those solves, in order.  It returns the
-        solves of ``todo`` for which that basis is optimal and their
-        objectives, which are then not solved (``BatchResult.leader``), or
-        None, after which no basis is offered again.
-
-        Every bound of the batch is checked before the first HiGHS call; a
-        NaN raises ``BackendError``.  The results are copied into arrays.
-        A basis that HiGHS rejects raises ``BackendError``; the solver
-        keeps the bounds it was given last and stays usable.
-        """
-        cols = np.asarray(cols, dtype=np.int32)
-        rows = np.asarray(rows, dtype=np.int64)
+    def solve(self, cols, ub, rows, rhs, basis: HighsBasis | None = None) -> SolveStatus:
+        """Set the upper bounds of columns ``cols`` to ``ub`` and the
+        right-hand sides of rows ``rows`` to ``rhs``, and solve from
+        scratch, or from the start ``basis``.  Every other bound and
+        right-hand side keeps its value, and only those that differ from
+        what HiGHS holds reach it.  A NaN raises ``BackendError`` before
+        any HiGHS call, and so does a basis that HiGHS rejects, after the
+        bounds are set; the solver stays usable."""
+        cols, rows = np.asarray(cols, dtype=np.int64), np.asarray(rows, dtype=np.int64)
         ub, rhs = np.asarray(ub, dtype=float), np.asarray(rhs, dtype=float)
         if np.isnan(ub).any() or np.isnan(rhs).any():
             raise BackendError("a column or row bound is NaN")
-        lb = self._col_lb[cols]
-        n = len(ub)
-        status = [None] * n
-        objective = np.full(n, np.nan)
-        row_dual = np.full((n, self._rhs.size), np.nan)
-        col_dual = np.full((n, self._col_lb.size), np.nan)
-        iters = np.zeros(n, dtype=np.int64)
-        leader = np.arange(n)
-        todo = np.ones(n, dtype=bool)
         h = self._highs
+        ch = np.flatnonzero(ub != self._col_ub[cols])
+        if ch.size:
+            at, to = cols[ch], ub[ch]
+            h.changeColsBounds(ch.size, at, self._col_lb[at], to)
+            self._col_ub[at] = to
+        ch = np.flatnonzero(rhs != self._rhs[rows])
+        if ch.size:
+            at, to = rows[ch], rhs[ch]
+            for i, b in zip(at.tolist(), to.tolist()):
+                h.changeRowBounds(i, b, b)
+            self._rhs[at] = to
+        return self._start(basis)
 
-        def offer(k: int, solution) -> bool:
-            vertex = Vertex(self, h.getObjectiveValue(), solution)
-            got = cover(vertex, np.flatnonzero(todo))
-            if got is None:
-                return False
-            covered, q = got
-            todo[covered] = False
-            leader[covered], objective[covered] = k, q
-            row_dual[covered] = solution.row_dual
-            col_dual[covered] = solution.col_dual
-            for j in covered.tolist():
-                status[j] = SolveStatus.OPTIMAL
-            return True
-
-        # the bounds that HiGHS holds: the solver's, then the last solve's
-        held_ub, held_rhs = self._col_ub[cols], self._rhs[rows]
-        # HiGHS resets its model status on every change of a bound and on
-        # clearSolver, so an optimal status is that of the bounds it holds
-        bunching = cover is not None and n > 0
-        if bunching and h.getModelStatus() == highs.HighsModelStatus.kOptimal:
-            bunching = offer(-1, h.getSolution())
-        for k in range(n):
-            if not todo[k]:
-                continue
-            todo[k] = False
-            ch = np.flatnonzero(ub[k] != held_ub)
-            if ch.size:
-                at, to = cols[ch], ub[k, ch]
-                h.changeColsBounds(ch.size, at, lb[ch], to)
-                self._col_ub[at] = to
-            ch = np.flatnonzero(rhs[k] != held_rhs)
-            if ch.size:
-                at, to = rows[ch], rhs[k, ch]
-                for i, b in zip(at.tolist(), to.tolist()):
-                    h.changeRowBounds(i, b, b)
-                self._rhs[at] = to
-            held_ub, held_rhs = ub[k], rhs[k]
-            status[k] = self._start(basis)
-            if status[k] is SolveStatus.OPTIMAL:
-                objective[k] = h.getObjectiveValue()
-                solution = h.getSolution()
-                row_dual[k] = solution.row_dual
-                col_dual[k] = solution.col_dual
-                iters[k] = h.getInfoValue("simplex_iteration_count")[1]
-                if bunching and todo[k + 1:].any():
-                    bunching = offer(k, solution)
-        return BatchResult(status, objective, row_dual, col_dual, iters, leader)
+    def vertex(self) -> Vertex | None:
+        """The solve that the solver holds, or None unless HiGHS reports it
+        optimal: HiGHS resets its model status on every change of a bound
+        and on ``clearSolver``, so an optimal status is that of the bounds
+        it holds."""
+        if self._highs.getModelStatus() != highs.HighsModelStatus.kOptimal:
+            return None
+        return Vertex(self)
 
 
 def solve_lp(model: LinearModel) -> SolveResult:

@@ -109,11 +109,15 @@ def execute_method(method: str, instance, scenarios, opts: dict,
                            gamma=opts["gamma"], workers=opts["workers"],
                            trace=trace_sink)
         wall_time = time.perf_counter() - t0
+        # pass 2's run, if it ran (a subset that hits the iteration limit
+        # ends the scheme before it)
         sol = result.solution
-        return RunReport("outer", instance.name, True, sol.objective, wall_time,
-                         sol.iterations, result.max_rows, cfg_echo,
+        return RunReport("outer", instance.name, result.converged,
+                         sol.objective if sol else None, wall_time,
+                         sol.iterations if sol else 0,
+                         result.max_rows, cfg_echo,
                          extra={**result.summary(instance),
-                                "phases": phase_totals(sol.state.history)})
+                                "phases": phase_totals(sol.state.history if sol else [])})
     if method not in _METHOD_CONFIG:
         raise InstanceError(f"unknown method {method!r}")
     sol = run(instance, scenarios, replace(config, **_METHOD_CONFIG[method]),

@@ -299,7 +299,16 @@ def _integer(value) -> int:
     return int(value)
 
 
-# the casts of Generator's field annotations, which are strings here
+def _ident(value) -> str:
+    """``value`` as an id; an empty or blank one raises ValueError."""
+    text = str(value)
+    if not text.strip():
+        raise ValueError("an id must not be empty")
+    return text
+
+
+# the casts of Generator's field annotations, which are strings here; an
+# id is a non-empty string
 _CASTS = {"str": str, "float": float, "int": _integer}
 
 
@@ -315,7 +324,8 @@ def load_instance(path: str | Path) -> SystemInstance:
     gens = []
     warnings: list[str] = []
     for i, rec in enumerate(_records(doc, "generators")):
-        g = Generator(**{f.name: _field(rec, f.name, f"generators[{i}]", _CASTS[f.type])
+        g = Generator(**{f.name: _field(rec, f.name, f"generators[{i}]",
+                                        _ident if f.name == "id" else _CASTS[f.type])
                          for f in fields(Generator)})
         warnings.extend(g.validate())
         gens.append(g)
@@ -324,7 +334,7 @@ def load_instance(path: str | Path) -> SystemInstance:
     for i, rec in enumerate(_records(doc, "lines")):
         ctx = f"lines[{i}]"
         lines.append(Line(
-            id=_field(rec, "id", ctx, str),
+            id=_field(rec, "id", ctx, _ident),
             # "from"/"to", or their long forms
             from_node=_field(rec, "from" if "from" in rec else "from_node", ctx, str),
             to_node=_field(rec, "to" if "to" in rec else "to_node", ctx, str),
@@ -334,7 +344,7 @@ def load_instance(path: str | Path) -> SystemInstance:
     farms = []
     for i, rec in enumerate(_records(doc, "wind_farms")):
         ctx = f"wind_farms[{i}]"
-        farms.append(WindFarm(id=_field(rec, "id", ctx, str), node=_field(rec, "node", ctx, str),
+        farms.append(WindFarm(id=_field(rec, "id", ctx, _ident), node=_field(rec, "node", ctx, str),
                               capacity=_field(rec, "capacity", ctx, float)))
         farms[-1].validate()
     load = {}
@@ -348,7 +358,8 @@ def load_instance(path: str | Path) -> SystemInstance:
         name=_field(meta, "name", "meta", str, Path(path).stem),
         horizon=_field(meta, "horizon", "meta", _integer),
         ref_node=_field(meta, "ref_node", "meta", str),
-        nodes=tuple(str(n) for n in _records(doc, "nodes")),
+        nodes=tuple(_field({"id": n}, "id", f"nodes[{i}]", _ident)
+                    for i, n in enumerate(_records(doc, "nodes"))),
         lines=tuple(lines),
         generators=tuple(gens),
         wind_farms=tuple(farms),
@@ -386,7 +397,10 @@ def load_scenarios(path: str | Path, instance: SystemInstance) -> ScenarioSet:
             where = f"scenario file {path}, line {reader.line_num}"
             if any(row[c] is None for c in required):    # a short row
                 raise InstanceError(f"{where}: missing cells")
-            sc = row["scenario"].strip()
+            sc, farm = row["scenario"].strip(), row["farm"].strip()
+            for column, cell in (("scenario", sc), ("farm", farm)):
+                if not cell:
+                    raise InstanceError(f"{where}: empty {column} id")
             if sc not in probs:
                 order.append(sc)
                 probs[sc] = None
@@ -395,7 +409,7 @@ def load_scenarios(path: str | Path, instance: SystemInstance) -> ScenarioSet:
                 if probs[sc] is not None and probs[sc] != p:
                     raise InstanceError(f"scenario {sc}: conflicting probabilities")
                 probs[sc] = p
-            key = (sc, row["farm"].strip(), _field(row, "period", where, _integer))
+            key = (sc, farm, _field(row, "period", where, _integer))
             if key in realizations:
                 raise InstanceError(f"duplicate scenario row {key}")
             realizations[key] = _field(row, "value_mw", where, float)

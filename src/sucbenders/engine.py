@@ -74,9 +74,9 @@ class BendersConfig:
     zeta: float = 0.75                # dead-band width fraction
     rho: int = 5                      # cluster increment
     kappa: int = 5                    # consolidation inactivity threshold
-    initial_clusters: int = 1         # the pinned count when adaptive is off
-    # dead-band control of the cluster count in the MILP phase, from |Omega|
-    adaptive: bool = True
+    # an aggregated run's pinned cluster count; None: the dead-band
+    # controller steers it in the MILP phase, from |Omega|
+    clusters: int | None = None
     clustering_method: str = "hierarchical"   # or "kmeans"
     attribute: str = "duals"          # or "objective", "wind"
     consolidate: bool = False
@@ -103,8 +103,8 @@ class BendersConfig:
             raise ValueError("rho must be >= 1")
         if self.kappa < 1:
             raise ValueError("kappa must be >= 1")
-        if not (1 <= self.initial_clusters <= n_scenarios):
-            raise ValueError("initial_clusters must be in [1, |Omega|]")
+        if self.clusters is not None and not (1 <= self.clusters <= n_scenarios):
+            raise ValueError("clusters must be in [1, |Omega|]")
         if self.clustering_method not in ("hierarchical", "kmeans"):
             raise ValueError(f"unknown clustering method {self.clustering_method!r}")
         if self.attribute not in ("duals", "objective", "wind"):
@@ -117,7 +117,7 @@ class BendersConfig:
             return 1
         if self.mode is CutMode.MULTI:
             return n_scenarios
-        return None if self.adaptive else self.initial_clusters
+        return self.clusters
 
 
 @dataclass

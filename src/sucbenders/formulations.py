@@ -749,13 +749,13 @@ def recourse_template(instance: SystemInstance, scenarios: ScenarioSet) -> Recou
 # optimal basis gives it leaves none of its bounds by more than this: an
 # absolute tolerance, tighter than HiGHS's primal feasibility tolerance (1e-7)
 BUNCH_TOL = 1e-9
-# no basis is tested against fewer scenarios (_Bunching)
+# no basis is tested against fewer scenarios (_Bunching.open)
 BUNCH_MIN = 3
 
 
 class _Bunching:
-    """The ``cover`` test (``HighsSolver.solve_batch``) of one batch of
-    scenarios at one point.
+    """The bunching test of one batch of scenarios at one point
+    (``RecourseSolver.solve``).
 
     Scenarios differ only in their wind values: these are the upper bounds
     of their spill columns, and the balance right-hand sides are affine in
@@ -775,9 +775,8 @@ class _Bunching:
     A test costs about as much as two to four warm HiGHS solves (on toy-a
     and on med-b), and late in a run almost every scenario is its own
     bunch.  So no basis is tested against fewer than ``BUNCH_MIN`` (three)
-    scenarios, and
-    once two or more tests have covered fewer scenarios than there were
-    tests, no basis is tested again.
+    scenarios, and once two or more tests have covered fewer scenarios
+    than there were tests, no basis is tested again (``open``).
     """
 
     def __init__(self, template: RecourseTemplate, point: RecoursePoint, ub: np.ndarray):
@@ -785,9 +784,14 @@ class _Bunching:
         self.ub = ub                    # the batch's column bounds
         self.tests = self.covered = 0
 
-    def __call__(self, vertex, todo: np.ndarray):
-        if todo.size < BUNCH_MIN or (self.tests >= 2 and self.covered < self.tests):
-            return None
+    def open(self, left: int) -> bool:
+        """Whether a basis is still worth testing against ``left``
+        scenarios."""
+        return left >= BUNCH_MIN and not (self.tests >= 2 and self.covered < self.tests)
+
+    def cover(self, vertex, todo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The scenarios of ``todo`` (batch positions) for which
+        ``vertex``'s basis is optimal, and their objectives."""
         t = self.template
         n_bal = t.balance_rows.size
         wind = vertex.col_ub[t.spill]
@@ -826,39 +830,58 @@ class RecourseSolver:
 
     def solve(self, positions: np.ndarray, point: RecoursePoint,
               basis: HighsBasis | None = None) -> list[SubproblemResult]:
-        """The scenarios at ``positions`` at ``point``, solved as one batch
-        (``HighsSolver.solve_batch``), each cold, or bunched from
-        ``basis``: the optimal basis of another scenario at the same point,
-        whose solve the solver holds (``self.lp.basis()``).  Bunched, that
-        solve's basis and each later solve's is tested against the
-        scenarios not yet solved (``_Bunching``); a covered scenario makes
-        no HiGHS call and shares its leader's ``lam``, and the others are
-        solved from ``basis`` in order.  Every ``lam`` is read-only."""
+        """The scenarios at ``positions`` at ``point``, in order, each
+        solved cold, or bunched from ``basis``: the optimal basis of another
+        scenario at the same point, whose solve the solver holds
+        (``self.lp.basis()``).  Bunched, that held solve and then each
+        optimal solve is tested against the scenarios left while
+        ``_Bunching`` is open; a covered scenario makes no HiGHS call and
+        takes that solve's duals, and the others are solved from ``basis``.
+        The first scenario whose solve is not optimal raises
+        ``SubproblemInfeasibleError``.  Each bunch has one ``lam``,
+        read-only, which its members share."""
         t = self.template
+        n = len(positions)
         rhs = t.balance_rhs[positions] - point.link_rhs
-        ub = np.hstack([np.broadcast_to(point.deploy_ub, (len(positions), t.n_deploy)),
+        ub = np.hstack([np.broadcast_to(point.deploy_ub, (n, t.n_deploy)),
                         t.spill_ub[positions]])
-        cover = (None if basis is None or len(positions) < BUNCH_MIN
-                 else _Bunching(t, point, ub))
-        batch = self.lp.solve_batch(t.cols, ub, t.balance_rows, rhs, basis, cover)
-        for k, status in zip(positions, batch.status):
+        bunching = None if basis is None else _Bunching(t, point, ub)
+        todo = np.ones(n, dtype=bool)
+        left = n
+        # per scenario: the vertex whose duals it takes, its objective, its
+        # simplex iterations and whether it was covered
+        got = [None] * n
+        vertex = self.lp.vertex() if bunching is not None and bunching.open(n) else None
+        for k in range(n):
+            # the held solve, then the last solve, against the scenarios left
+            if vertex is not None:
+                covered, q = bunching.cover(vertex, np.flatnonzero(todo))
+                todo[covered] = False
+                left -= covered.size
+                for j, qj in zip(covered.tolist(), q.tolist()):
+                    got[j] = (vertex, qj, 0, True)
+                vertex = None
+            if not todo[k]:
+                continue
+            todo[k] = False
+            left -= 1
+            status = self.lp.solve(t.cols, ub[k], t.balance_rows, rhs[k], basis)
             if status is not SolveStatus.OPTIMAL:
                 raise SubproblemInfeasibleError(
-                    f"subproblem for scenario {t.scenario_ids[k]} returned {status.value}; "
-                    "complete recourse should make this impossible")
-        # one slope per bunch, from the duals of its first solve: a covered
-        # scenario shares its leader's, and those that the solve before the
-        # batch covered share the first one's
-        leader = batch.leader.tolist()
-        first = [j if j >= 0 else leader.index(-1) for j in leader]
-        bunches = sorted(set(first))
-        lam = t.lam(batch.row_dual[bunches], batch.col_dual[bunches])
+                    f"subproblem for scenario {t.scenario_ids[positions[k]]} returned "
+                    f"{status.value}; complete recourse should make this impossible")
+            solved = self.lp.vertex()
+            got[k] = (solved, solved.objective, solved.simplex_iters, False)
+            if bunching is not None and bunching.open(left):
+                vertex = solved
+        # one slope per bunch, from its leader's duals
+        leaders = list(dict.fromkeys(v for v, *_ in got))
+        lam = t.lam(np.array([v.row_dual for v in leaders]),
+                    np.array([v.col_dual for v in leaders]))
         lam.setflags(write=False)
-        slope = dict(zip(bunches, lam))
-        return [SubproblemResult(t.scenario_ids[p], q, slope[b], iters, j != k)
-                for k, (p, q, iters, j, b) in enumerate(zip(
-                    positions, batch.objective.tolist(), batch.simplex_iters.tolist(),
-                    leader, first))]
+        slope = dict(zip(leaders, lam))
+        return [SubproblemResult(t.scenario_ids[p], q, slope[v], iters, covered)
+                for p, (v, q, iters, covered) in zip(positions, got)]
 
 
 def solve_subproblem(instance: SystemInstance, scenarios: ScenarioSet, omega: str,

@@ -34,7 +34,7 @@ import numpy as np
 from .clustering import ClusterAssignment, kmedoids
 from .cuts import CutPool
 from .data import ScenarioSet, SystemInstance
-from .engine import BendersConfig, ConvergedSolution, EngineError, RunStatus, run
+from .engine import BendersConfig, ConvergedSolution, RunStatus, run
 
 
 class OuterError(RuntimeError):
@@ -44,6 +44,7 @@ class OuterError(RuntimeError):
 class SubsetStatus(enum.Enum):
     COMPLETED = "completed"
     CANCELED = "canceled"
+    NOT_CONVERGED = "not-converged"     # hit the iteration limit
 
 
 @dataclass(frozen=True)
@@ -72,13 +73,19 @@ class SubsetOutcome:
 
 @dataclass
 class OuterResult:
-    solution: ConvergedSolution
+    # pass 2's run; None when a subset run hit the iteration limit, after
+    # which pass 2 does not run
+    solution: ConvergedSolution | None
     outcomes: list
     fixed: dict                    # (gen id, t) -> 0/1
     t1: float
     t2: float
     max_rows: int
     seeded_cuts: int               # pass-1 cuts that pass 2 started from
+
+    @property
+    def converged(self) -> bool:
+        return self.solution is not None and self.solution.status is RunStatus.CONVERGED
 
     def summary(self, instance: SystemInstance) -> dict:
         free = instance.n_gens * instance.horizon - len(self.fixed)
@@ -155,14 +162,14 @@ def solve_subsets(instance: SystemInstance, plan: SubsetPlan,
         try:
             sol = run(instance, sub_scen, replace(config), should_stop=stop.is_set,
                       trace=_subset_trace(trace, idx))
-            if sol.status is RunStatus.NOT_CONVERGED:
-                raise EngineError(f"subset {idx} did not converge")
         except BaseException:
             stop.set()      # the pass has failed: cancel the other subsets
             raise
         elapsed = time.perf_counter() - t0
-        if sol.status is RunStatus.CANCELED:
-            return SubsetOutcome(idx, SubsetStatus.CANCELED, None, None,
+        if sol.status is RunStatus.NOT_CONVERGED:
+            stop.set()      # the pass cannot finish: cancel the other subsets
+        if sol.status is not RunStatus.CONVERGED:
+            return SubsetOutcome(idx, SubsetStatus(sol.status.value), None, None,
                                  elapsed, sol.iterations, sol.final_master_rows)
         with done_lock:
             completed += 1
@@ -178,7 +185,7 @@ def solve_subsets(instance: SystemInstance, plan: SubsetPlan,
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(solve_one, range(plan.n_subsets)))
-    if not any(o.status is SubsetStatus.COMPLETED for o in outcomes):
+    if all(o.status is SubsetStatus.CANCELED for o in outcomes):
         raise OuterError("all subset solves failed or were canceled")
     return outcomes
 
@@ -216,7 +223,9 @@ def run_outer(instance: SystemInstance, scenarios: ScenarioSet,
               workers: int = 1,
               trace=None) -> OuterResult:
     """The two passes.  ``trace`` receives the records of the subset runs
-    (with their ``subset_id``) and of the second pass, one call at a time."""
+    (with their ``subset_id``) and of the second pass, one call at a time.
+    A subset run or pass 2 that hits the iteration limit gives a result
+    that has not ``converged``."""
     if trace is not None:
         lock = threading.Lock()
         sink = trace
@@ -227,6 +236,9 @@ def run_outer(instance: SystemInstance, scenarios: ScenarioSet,
 
     plan = form_subsets(instance, scenarios, n_subsets, gamma)
     outcomes = solve_subsets(instance, plan, scenarios, config, workers, trace)
+    if any(o.status is SubsetStatus.NOT_CONVERGED for o in outcomes):
+        return OuterResult(None, outcomes, {}, max(o.wall_time for o in outcomes), 0.0,
+                           max(o.max_rows for o in outcomes), 0)
     t1 = max(o.wall_time for o in outcomes if o.status is SubsetStatus.COMPLETED)
     fixed = intersect_commitments(instance, outcomes)
     pool = seed_pool(outcomes)
@@ -236,10 +248,6 @@ def run_outer(instance: SystemInstance, scenarios: ScenarioSet,
     solution = run(instance, scenarios, replace(config),
                    fixed_commitments=fixed, trace=trace, pool=pool)
     t2 = time.perf_counter() - t0
-    if solution.status is not RunStatus.CONVERGED:
-        raise OuterError(
-            f"second pass did not converge (status {solution.status.value}); "
-            f"fixed commitments: {sorted(fixed)}")
     max_rows = max([solution.final_master_rows]
                    + [o.max_rows for o in outcomes])
     return OuterResult(solution, outcomes, fixed, t1, t2, max_rows, seeded)

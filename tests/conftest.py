@@ -5,10 +5,9 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from sucbenders.backend import BatchResult, HighsSolver
+from sucbenders.backend import HighsSolver
 from sucbenders.data import load_instance, load_scenarios
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)_(\w+)")
@@ -46,10 +45,13 @@ def untimed_records(sol) -> list[dict]:
              if not k.endswith("_time_s")} for r in sol.state.history]
 
 
-def solve_held(model, basis=None) -> BatchResult:
+def solve_held(model, basis=None):
     """``model`` solved once on a fresh ``HighsSolver``, cold or from
-    ``basis``: a batch of one solve that changes no bound."""
-    return HighsSolver(model).solve_batch([], np.empty((1, 0)), [], np.empty((1, 0)), basis)
+    ``basis``, with no bound changed: the solve's ``Vertex``, or None if it
+    is not optimal."""
+    solver = HighsSolver(model)
+    solver.solve([], [], [], [], basis)
+    return solver.vertex()
 
 
 @pytest.fixture(scope="session")

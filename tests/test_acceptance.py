@@ -152,8 +152,7 @@ def test_criterion_04_aggregation_identities(suite, toy_a, med_b):
     for tag, (inst, scen) in (("toy", toy_a), ("med", med_b)):
         for method, clusters in (("single", 1), ("multi", scen.n_scenarios)):
             sol = suite[tag, method]
-            pinned = _benders(inst, scen, CutMode.AGGREGATED, adaptive=False,
-                              initial_clusters=clusters)
+            pinned = _benders(inst, scen, CutMode.AGGREGATED, clusters=clusters)
             assert untimed_records(pinned) == untimed_records(sol), f"{tag}/{method}"
             assert pinned.objective == sol.objective
             assert pinned.final_master_rows == sol.final_master_rows

@@ -14,7 +14,7 @@ from scipy.optimize._highspy import _core as highs
 
 import sucbenders
 from sucbenders import backend, formulations
-from sucbenders.backend import (BackendError, BatchResult, HighsInstance, HighsSolver,
+from sucbenders.backend import (BackendError, HighsInstance, HighsSolver,
                                 LinearModel, RowBlock, SolveStatus, solve_lp, solve_milp)
 from sucbenders.cuts import CutMode
 from sucbenders.engine import BendersConfig, run
@@ -86,11 +86,8 @@ def test_col_dual_of_a_column_fixed_at_zero(presolve, cost, reduced):
     # optimum in x's upper bound; solve_lp presolves, a HighsSolver does not
     def q(ub):
         m = model([cost, 1.0], [[1.0, 1.0]], [1.0], [1.0], ub=[ub, INF])
-        if presolve:
-            res = solve_lp(m)
-            return res.objective, res.col_dual
-        res = solve_held(m)
-        return res.objective[0], res.col_dual[0]
+        res = solve_lp(m) if presolve else solve_held(m)
+        return res.objective, res.col_dual
 
     objective, col_dual = q(0.0)
     assert col_dual[0] == pytest.approx(reduced)
@@ -304,20 +301,20 @@ def _equalities():
     return model(rng.uniform(-1.0, 1.0, n), rows, rhs, rhs, ub=np.full(n, 10.0)), rows, x0
 
 
-def _assert_solve_k(got: BatchResult, k: int, want: BatchResult):
-    """Solve ``k`` of a batch gave the bits of the one solve of ``want``."""
-    assert got.status[k] is want.status[0] is SolveStatus.OPTIMAL
-    assert got.objective[k] == want.objective[0]
-    assert np.array_equal(got.row_dual[k], want.row_dual[0])
-    assert np.array_equal(got.col_dual[k], want.col_dual[0])
-    assert got.simplex_iters[k] == want.simplex_iters[0]
+def _assert_same_solve(got, want):
+    """Two optimal solves (``Vertex``es) gave the same bits."""
+    assert got is not None and want is not None
+    assert got.objective == want.objective
+    assert np.array_equal(got.row_dual, want.row_dual)
+    assert np.array_equal(got.col_dual, want.col_dual)
+    assert got.simplex_iters == want.simplex_iters
 
 
-def _solve_once(solver: HighsSolver, cols=(), ub=(), rows=(), rhs=(),
-                basis=None) -> BatchResult:
-    """A batch of one solve with these bounds."""
-    return solver.solve_batch(cols, np.reshape(ub, (1, -1)), rows, np.reshape(rhs, (1, -1)),
-                              basis)
+def _solve_once(solver: HighsSolver, cols=(), ub=(), rows=(), rhs=(), basis=None):
+    """One solve with these bounds: its ``Vertex``, or None if it is not
+    optimal."""
+    solver.solve(cols, ub, rows, rhs, basis)
+    return solver.vertex()
 
 
 def test_solve_lp_matches_linprog_bit_for_bit():
@@ -426,9 +423,9 @@ def test_lp_solver_matches_solve_lp_after_bound_changes_in_any_order():
         for ub, rhs in order:
             moved = _moved(m, cols, ub, rhs)
             got = _solve_once(solver, cols, ub, np.arange(rhs.size), rhs)
-            _assert_solve_k(got, 0, solve_held(moved))
-            assert got.objective[0] == pytest.approx(solve_lp(moved).objective, rel=1e-9)
-            objectives.add(got.objective[0])
+            _assert_same_solve(got, solve_held(moved))
+            assert got.objective == pytest.approx(solve_lp(moved).objective, rel=1e-9)
+            objectives.add(got.objective)
     assert len(objectives) == len(steps)
 
 
@@ -438,20 +435,20 @@ def test_lp_solver_from_a_basis_matches_a_fresh_instance_given_it():
     m, rows, x0 = _equalities()
     rng = np.random.default_rng(7)
     solver = HighsSolver(m)
-    assert _solve_once(solver).status == [SolveStatus.OPTIMAL]
+    assert _solve_once(solver) is not None
     start = solver.basis()
     cold_iters = []
     for _ in range(3):
         rhs = rows @ (x0 + rng.uniform(-0.5, 0.5, x0.size))
         got = _solve_once(solver, rows=np.arange(rhs.size), rhs=rhs, basis=start)
         moved = replace(m, row_lo=rhs, row_hi=rhs)
-        _assert_solve_k(got, 0, solve_held(moved, start))
+        _assert_same_solve(got, solve_held(moved, start))
         cold = solve_held(moved)
-        assert got.objective[0] == pytest.approx(cold.objective[0], rel=1e-9)
-        cold_iters.append(cold.simplex_iters[0])
+        assert got.objective == pytest.approx(cold.objective, rel=1e-9)
+        cold_iters.append(cold.simplex_iters)
     # from its own optimal basis a solve takes no simplex iteration
     again = _solve_once(solver, basis=solver.basis())
-    assert again.simplex_iters[0] == 0 and again.objective[0] == got.objective[0]
+    assert again.simplex_iters == 0 and again.objective == got.objective
     assert min(cold_iters) > 0
 
 
@@ -466,16 +463,15 @@ def test_lp_solver_rejects_a_start_basis_that_highs_rejects():
     for basis in (highs.HighsBasis(), other.basis()):
         with pytest.raises(BackendError, match="basis"):
             _solve_once(solver, basis=basis)
-    _assert_solve_k(_solve_once(solver), 0, want)
+    _assert_same_solve(_solve_once(solver), want)
 
 
 def test_lp_solver_recovers_from_infeasible_bounds():
     m = model([1.0, 1.0], [[1.0, 1.0]], [2.0], [2.0], ub=[5.0, 5.0])
     solver = HighsSolver(m)
-    assert _solve_once(solver, [0, 1], [0.5, 0.5]).status == [SolveStatus.INFEASIBLE]
-    res = _solve_once(solver, [0, 1], [5.0, 5.0])
-    assert res.status == [SolveStatus.OPTIMAL]
-    assert res.objective[0] == pytest.approx(2.0)
+    assert solver.solve([0, 1], [0.5, 0.5], [], []) is SolveStatus.INFEASIBLE
+    assert solver.solve([0, 1], [5.0, 5.0], [], []) is SolveStatus.OPTIMAL
+    assert solver.vertex().objective == pytest.approx(2.0)
 
 
 def test_lp_solver_rejects_inequality_rows_and_integrality():
@@ -566,14 +562,15 @@ def _moved(m: LinearModel, cols, ub, rhs) -> LinearModel:
 
 
 def test_batch_makes_the_calls_and_gives_the_bits_of_one_solve_at_a_time():
-    # each solve of a batch equals a fresh solver of the changed model,
-    # started from the same basis
+    # each of a series of solves equals a fresh solver of the changed
+    # model, started from the same basis, and HiGHS gets only the bounds
+    # that changed
     m, cols, ub, rows, rhs = _batch_bounds(8, 4)
     solver = HighsSolver(m)
-    assert _solve_once(solver).status == [SolveStatus.OPTIMAL]
+    assert _solve_once(solver) is not None
     start = solver.basis()
     log = _log_calls(solver)
-    got = solver.solve_batch(cols, ub, rows, rhs, start)
+    got = [_solve_once(solver, cols, ub[k], rows, rhs[k], start) for k in range(4)]
     want = [solve_held(_moved(m, cols, ub[k], rhs[k]), start) for k in range(4)]
     names = [c[0] for c in log.calls]
     assert [n for n in names if n != "changeRowBounds"] == \
@@ -584,36 +581,38 @@ def test_batch_makes_the_calls_and_gives_the_bits_of_one_solve_at_a_time():
     assert names.count("changeRowBounds") == 3 * rows.size
     assert all(c[2] == c[3] for c in log.calls if c[0] == "changeRowBounds")
     assert all(c[3] == m.lb[c[2]].tolist() for c in log.calls if c[0] == "changeColsBounds")
-    for k, w in enumerate(want):
-        _assert_solve_k(got, k, w)
+    for g, w in zip(got, want):
+        _assert_same_solve(g, w)
     # the solver holds the last solve's bounds
-    _assert_solve_k(_solve_once(solver, basis=start), 0, want[-1])
+    _assert_same_solve(_solve_once(solver, basis=start), want[-1])
 
 
 def test_a_cold_batch_gives_the_bits_of_fresh_cold_solves():
     m, cols, ub, rows, rhs = _batch_bounds(11, 3)
     solver = HighsSolver(m)
     log = _log_calls(solver)
-    got = solver.solve_batch(cols, ub, rows, rhs)
-    assert "setBasis" not in [c[0] for c in log.calls]
     for k in range(3):
-        _assert_solve_k(got, k, solve_held(_moved(m, cols, ub[k], rhs[k])))
+        _assert_same_solve(_solve_once(solver, cols, ub[k], rows, rhs[k]),
+                           solve_held(_moved(m, cols, ub[k], rhs[k])))
+    assert "setBasis" not in [c[0] for c in log.calls]
 
 
 def test_batch_checks_every_bound_before_it_calls_highs():
-    m, cols, ub, rows, rhs = _batch_bounds(9, 3)
+    # a NaN column bound or right-hand side raises before any HiGHS call,
+    # and the solver keeps what it held
+    m, cols, ub, rows, rhs = _batch_bounds(9, 2)
     solver = HighsSolver(m)
     want = _solve_once(solver)
     start = solver.basis()
     log = _log_calls(solver)
-    nan_ub, nan_rhs = ub.copy(), rhs.copy()
-    nan_ub[2, 1] = np.nan
-    nan_rhs[2, 2] = np.nan
-    for bad in ((nan_ub, rhs), (ub, nan_rhs)):
+    nan_ub, nan_rhs = ub[0].copy(), rhs[0].copy()
+    nan_ub[1] = np.nan
+    nan_rhs[2] = np.nan
+    for bad in ((nan_ub, rhs[0]), (ub[0], nan_rhs)):
         with pytest.raises(BackendError, match="NaN"):
-            solver.solve_batch(cols, bad[0], rows, bad[1], start)
+            solver.solve(cols, bad[0], rows, bad[1], start)
     assert log.calls == []
-    _assert_solve_k(_solve_once(solver), 0, want)
+    _assert_same_solve(_solve_once(solver), want)
 
 
 def test_batch_rejects_a_start_basis_that_highs_rejects():
@@ -626,19 +625,25 @@ def test_batch_rejects_a_start_basis_that_highs_rejects():
     _solve_once(other)
     for basis in (highs.HighsBasis(), other.basis()):
         with pytest.raises(BackendError, match="basis"):
-            solver.solve_batch(cols, ub, rows, rhs, basis)
-    _assert_solve_k(_solve_once(solver, cols, m.ub[cols], rows, m.row_lo), 0, solve_held(m))
+            solver.solve(cols, ub[0], rows, rhs[0], basis)
+    _assert_same_solve(_solve_once(solver, cols, m.ub[cols], rows, m.row_lo), solve_held(m))
 
 
 def test_batch_reports_a_solve_that_is_not_optimal():
+    # a solve that is not optimal reports its status and gives no vertex;
+    # the next solve is optimal again
     m = model([1.0, 1.0], [[1.0, 1.0]], [2.0], [2.0], ub=[5.0, 5.0])
     solver = HighsSolver(m)
     _solve_once(solver)
     start = solver.basis()
-    got = solver.solve_batch([0, 1], [[5.0, 5.0], [0.5, 0.5], [4.0, 5.0]],
-                             [], np.empty((3, 0)), start)
-    assert got.status == [SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE, SolveStatus.OPTIMAL]
-    assert np.isnan(got.objective[1]) and got.objective[[0, 2]] == pytest.approx([2.0, 2.0])
+    got = []
+    for ub in ([5.0, 5.0], [0.5, 0.5], [4.0, 5.0]):
+        status = solver.solve([0, 1], ub, [], [], start)
+        got.append((status, solver.vertex()))
+    assert [s for s, _ in got] == [SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE,
+                                   SolveStatus.OPTIMAL]
+    assert got[1][1] is None
+    assert [got[k][1].objective for k in (0, 2)] == pytest.approx([2.0, 2.0])
 
 
 @pytest.mark.parametrize("change", [
@@ -647,31 +652,29 @@ def test_batch_reports_a_solve_that_is_not_optimal():
     lambda h: h.clearSolver(),
 ])
 def test_highs_forgets_an_optimal_status_on_a_change_or_a_clear(change):
-    # solve_batch offers the held basis only while HiGHS reports it optimal,
-    # which holds because each of these calls resets the status
+    # HighsSolver.vertex gives the held solve only while HiGHS reports it
+    # optimal, which holds because each of these calls resets the status
     solver = HighsSolver(model([1.0, 2.0], [[1.0, 1.0]], [2.0], [2.0], ub=[5.0, 5.0]))
     _solve_once(solver)
     h = solver._highs
     assert h.getModelStatus() == highs.HighsModelStatus.kOptimal
     change(h)
     assert h.getModelStatus() == highs.HighsModelStatus.kNotset
+    assert solver.vertex() is None
 
 
 def test_a_batch_after_an_infeasible_solve_offers_no_basis_first():
+    # a solver whose last solve was not optimal holds no vertex, so a
+    # bunched batch (RecourseSolver.solve) offers no basis before its
+    # first solve; a fresh solver holds none either
     m = model([1.0, 1.0], [[1.0, 1.0]], [2.0], [2.0], ub=[5.0, 5.0])
     solver = HighsSolver(m)
-    _solve_once(solver)
-    assert _solve_once(solver, [0, 1], [0.5, 0.5]).status == [SolveStatus.INFEASIBLE]
-    offers = []
-
-    def cover(vertex, todo):
-        offers.append(todo.tolist())
-        return None
-
-    got = solver.solve_batch([0, 1], [[5.0, 5.0], [4.0, 5.0]], [], np.empty((2, 0)),
-                             None, cover)
-    assert offers == [[1]] and got.leader.tolist() == [0, 1]
-    assert got.status == [SolveStatus.OPTIMAL] * 2
+    assert solver.vertex() is None
+    assert _solve_once(solver) is not None
+    assert solver.vertex() is not None
+    assert solver.solve([0, 1], [0.5, 0.5], [], []) is SolveStatus.INFEASIBLE
+    assert solver.vertex() is None
+    assert _solve_once(solver, [0, 1], [4.0, 5.0]).objective == pytest.approx(2.0)
 
 
 def test_recourse_template_solve_matches_a_model_built_from_scratch(med_b):
@@ -687,8 +690,9 @@ def test_recourse_template_solve_matches_a_model_built_from_scratch(med_b):
         assert model.row_count == 96 and model.c.size == 324
         want = solve_held(model)
         got = solve_subproblem(inst, scen, omega, x, solver)
-        assert got.objective == want.objective[0]
-        assert np.array_equal(got.lam, template.lam(want.row_dual, want.col_dual)[0])
+        assert got.objective == want.objective
+        assert np.array_equal(got.lam, template.lam(want.row_dual[None],
+                                                    want.col_dual[None])[0])
         presolved = solve_lp(model)
         assert got.objective == pytest.approx(presolved.objective, rel=1e-12, abs=1e-9)
         np.testing.assert_allclose(got.lam, template.lam(presolved.row_dual[None],
@@ -732,56 +736,70 @@ def test_one_solver_path():
                 assert "_highspy" not in name, f"{path.name} imports {name}"
 
 
-def test_a_cover_takes_the_solves_it_covers_and_gives_them_the_vertex_duals():
-    # the solve before the batch and each solve are offered while solves
-    # are left; a covered solve makes no HiGHS call and takes
-    # its leader's duals, and a solve that is made gives the bits of a
-    # one-at-a-time solve
-    m, cols, ub, rows, rhs = _batch_bounds(12, 4)
-    # the last solve repeats the second's bounds, which all differ from
-    # those of the solve before the batch
-    ub[3], rhs[3] = ub[1], rhs[1]
-    solver = HighsSolver(m)
-    prior = _solve_once(solver)
-    start = solver.basis()
+def _held_and_point(med_b, seed: int = 21):
+    """A recourse solver of med-b that holds the cold solve of its first
+    scenario at a sampled point, the point and the solve's basis."""
+    inst, scen = med_b
+    x = sample_feasible_first_stage(inst, np.random.default_rng(seed))
+    solver = RecourseSolver(recourse_template(inst, scen))
+    point = solver.template.point(x)
+    [anchor] = solver.solve([0], point)
+    return solver, point, anchor, solver.lp.basis()
+
+
+def test_a_cover_takes_the_solves_it_covers_and_gives_them_the_vertex_duals(
+        med_b, monkeypatch):
+    # RecourseSolver.solve offers the held solve and then each solve while
+    # scenarios are left; a covered scenario makes no HiGHS call and takes
+    # its leader's lam, the objective the test gave and 0 iterations, and a
+    # scenario that is solved gives the bits of a one-at-a-time solve
+    solver, point, anchor, start = _held_and_point(med_b)
     offers = []
 
-    def cover(vertex, todo):
+    def cover(self, vertex, todo):
         offers.append((vertex.objective, todo.tolist()))
-        return (todo[:1], [42.0]) if len(offers) == 1 else (todo[1:], [7.0])
+        return (todo[:1], np.array([42.0])) if len(offers) == 1 else (todo[1:], np.array([7.0]))
 
-    log = _log_calls(solver)
-    got = solver.solve_batch(cols, ub, rows, rhs, start, cover)
+    monkeypatch.setattr(formulations, "BUNCH_MIN", 1)
+    monkeypatch.setattr(formulations._Bunching, "cover", cover)
+    log = _log_calls(solver.lp)
+    got = solver.solve([1, 2, 3, 4], point, start)
     assert [c[0] for c in log.calls].count("run") == 2
-    assert got.leader.tolist() == [-1, 1, 2, 1]
-    assert offers[0] == (prior.objective[0], [0, 1, 2, 3])
-    assert offers[1] == (got.objective[1], [2, 3])
-    assert len(offers) == 2
-    assert got.status == [SolveStatus.OPTIMAL] * 4
-    assert got.objective[[0, 3]].tolist() == [42.0, 7.0]
-    assert got.simplex_iters[[0, 3]].tolist() == [0, 0]
-    assert np.array_equal(got.row_dual[0], prior.row_dual[0])
-    assert np.array_equal(got.col_dual[0], prior.col_dual[0])
-    assert np.array_equal(got.row_dual[3], got.row_dual[1])
-    assert np.array_equal(got.col_dual[3], got.col_dual[1])
+    assert offers == [(anchor.objective, [0, 1, 2, 3]), (got[1].objective, [2, 3])]
+    assert [r.covered for r in got] == [True, False, False, True]
+    assert [got[k].objective for k in (0, 3)] == [42.0, 7.0]
+    assert [got[k].simplex_iters for k in (0, 3)] == [0, 0]
+    assert np.array_equal(got[0].lam, anchor.lam)
+    assert got[3].lam is got[1].lam and not got[3].lam.flags.writeable
+    template = solver.template
     for k in (1, 2):
-        _assert_solve_k(got, k, solve_held(_moved(m, cols, ub[k], rhs[k]), start))
+        [want] = RecourseSolver(template).solve([k + 1], point, start)
+        assert (got[k].objective, got[k].simplex_iters) == (want.objective, want.simplex_iters)
+        assert np.array_equal(got[k].lam, want.lam)
 
 
-def test_a_cover_that_stops_is_not_offered_again():
-    m, cols, ub, rows, rhs = _batch_bounds(13, 4)
-    fresh = HighsSolver(m)
+def test_a_cover_that_stops_is_not_offered_again(med_b, monkeypatch):
+    # a solver that holds no solve offers none before its batch, and once
+    # _Bunching closes, no solve is offered again: every scenario is then
+    # solved from the basis, with the bits of a one-at-a-time solve
+    donor, point, _, start = _held_and_point(med_b)
     offers = []
 
-    def cover(vertex, todo):
+    def cover(self, vertex, todo):
         offers.append(todo.tolist())
-        return None
+        return todo[:0], np.empty(0)
 
-    # a solver that holds no solve offers none before its batch
-    got = fresh.solve_batch(cols, ub, rows, rhs, None, cover)
-    assert offers == [[1, 2, 3]] and got.leader.tolist() == [0, 1, 2, 3]
-    for k in range(4):
-        _assert_solve_k(got, k, solve_held(_moved(m, cols, ub[k], rhs[k])))
+    monkeypatch.setattr(formulations._Bunching, "open", lambda self, left: not offers)
+    monkeypatch.setattr(formulations._Bunching, "cover", cover)
+    fresh = RecourseSolver(donor.template)
+    got = fresh.solve([1, 2, 3, 4], point, start)
+    assert offers == [[1, 2, 3]]
+    for k, r in enumerate(got, start=1):
+        [want] = RecourseSolver(donor.template).solve([k], point)
+        assert not r.covered and r.objective == pytest.approx(want.objective, rel=1e-9)
+        [want] = RecourseSolver(donor.template).solve([k], point, start)
+        assert (r.objective, r.simplex_iters) == (want.objective, want.simplex_iters)
+        assert np.array_equal(r.lam, want.lam)
 
 
 def test_vertex_follow_gives_the_basic_solution_of_moved_bounds():
@@ -797,20 +815,13 @@ def test_vertex_follow_gives_the_basic_solution_of_moved_bounds():
     rng = np.random.default_rng(4)
     col_step = rng.uniform(-1.0, 1.0, (1, m.c.size))
     row_step = rng.uniform(-1.0, 1.0, (1, n_rows))
-    seen = {}
-
-    def cover(vertex, todo):
-        seen["x"], seen["r"], seen["rhs"] = vertex.col_value, vertex.row_value, vertex.rhs.copy()
-        seen["nonbasic"] = vertex._nonbasic_col.copy()
-        seen["cols"], seen["dx"], seen["rows"], seen["dr"] = vertex.follow(col_step, row_step)
-        return None
-
-    solver.solve_batch([], np.empty((2, 0)), [], np.empty((2, 0)), start, cover)
-    x, r, nonbasic = seen["x"], seen["r"], seen["nonbasic"]
-    assert np.array_equal(seen["rhs"], m.row_lo)
+    vertex = _solve_once(solver, basis=start)
+    x, r, nonbasic = vertex.col_value, vertex.row_value, vertex._nonbasic_col
+    cols, dx, rows, dr = vertex.follow(col_step, row_step)
+    assert np.array_equal(vertex.rhs, m.row_lo)
     np.testing.assert_allclose(r, m.A @ x, rtol=0, atol=1e-12)
-    assert (~nonbasic).sum() + seen["rows"].size == n_rows
-    assert seen["rows"].size and not nonbasic.all()
+    assert (~nonbasic).sum() + rows.size == n_rows
+    assert rows.size and not nonbasic.all()
     step = 1e-3
     lb, ub = m.lb.copy(), m.ub.copy()
     for j in np.flatnonzero(nonbasic):
@@ -818,11 +829,11 @@ def test_vertex_follow_gives_the_basic_solution_of_moved_bounds():
             if b[j] == x[j]:
                 b[j] += step * col_step[0, j]
     rhs = r + step * row_step[0]
-    rhs[seen["rows"]] = r[seen["rows"]] + step * seen["dr"][0]
-    moved = HighsSolver(replace(m, lb=lb, ub=ub, row_lo=rhs, row_hi=rhs))
-    assert _solve_once(moved, basis=start).simplex_iters[0] == 0
-    got_x = np.array(moved._highs.getSolution().col_value)
+    rhs[rows] = r[rows] + step * dr[0]
+    moved = _solve_once(HighsSolver(replace(m, lb=lb, ub=ub, row_lo=rhs, row_hi=rhs)),
+                        basis=start)
+    assert moved.simplex_iters == 0
     x_want = x + step * np.where(nonbasic, col_step[0], 0.0)
-    x_want[seen["cols"]] = x[seen["cols"]] + step * seen["dx"][0]
-    np.testing.assert_allclose(got_x, x_want, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(m.A @ got_x, rhs, rtol=0, atol=1e-12)
+    x_want[cols] = x[cols] + step * dx[0]
+    np.testing.assert_allclose(moved.col_value, x_want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(m.A @ moved.col_value, rhs, rtol=0, atol=1e-12)

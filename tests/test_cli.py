@@ -92,6 +92,27 @@ def test_solve_iteration_limit_exits_two():
     assert doc["objective"] is None
 
 
+def test_outer_at_the_iteration_limit_exits_two():
+    # a subset run that hits the limit ends the scheme like any other
+    # Benders method: no objective, exit 2, and no error message
+    res = _invoke(["solve", *TOY, "--method", "outer", "--max-iters", "3"])
+    assert res.exit_code == 2
+    doc = json.loads(res.output.strip().splitlines()[-1])
+    assert doc["converged"] is False and doc["objective"] is None
+    assert "not-converged" in [s["status"] for s in doc["subsets"]]
+
+
+def test_compare_keeps_the_other_rows_when_outer_hits_the_limit(tmp_path):
+    report = tmp_path / "cmp.json"
+    res = _invoke(["compare", *TOY, "--methods", "extensive,outer",
+                   "--max-iters", "3", "--report", str(report)])
+    assert res.exit_code == 2
+    rows = {line.split()[0]: line.split()[1] for line in res.output.splitlines()[2:]}
+    assert rows["outer"] == "n/a" and float(rows["extensive"]) > 0
+    doc = json.loads(report.read_text())
+    assert [r["converged"] for r in doc["reports"]] == [True, False]
+
+
 @pytest.mark.parametrize("method, option, value", [
     ("multi-cut", "--eps", "nan"),          # would run to the iteration limit
     ("multi-cut", "--mip-gap", "-1"),       # HiGHS would keep its own gap

@@ -62,6 +62,43 @@ def test_duplicate_id_is_rejected_naming_it(tmp_path, records, kind):
         load_instance(_write(tmp_path, doc))
 
 
+@pytest.mark.parametrize("records, at, blank", [
+    ("nodes", 1, None), ("nodes", 1, ""), ("generators", 0, None),
+    ("generators", 0, " "), ("lines", 0, ""), ("wind_farms", 0, ""),
+])
+def test_null_or_empty_id_is_rejected_naming_its_record(tmp_path, records, at, blank):
+    # a null node would load as a node named "None" that a line can connect
+    # to; an empty id names nothing
+    doc = _toy_doc()
+    if records == "nodes":
+        doc["nodes"][at] = blank
+    else:
+        doc[records][at]["id"] = blank
+    path = _write(tmp_path, doc)
+    with pytest.raises(InstanceError, match=rf"{records}\[{at}\]"):
+        load_instance(path)
+    res = CliRunner().invoke(main, ["solve", "--instance", str(path), "--scenarios",
+                                    str(fixture_path("toy-a.csv")), "--method", "extensive"])
+    assert res.exit_code == 1 and f"{records}[{at}]" in res.output
+
+
+@pytest.mark.parametrize("column, at, blank", [("scenario", 0, ""), ("scenario", 0, "  "),
+                                              ("farm", 1, "")])
+def test_empty_scenario_id_is_rejected_naming_its_line(tmp_path, column, at, blank):
+    lines = fixture_path("toy-a.csv").read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[at] = blank
+    lines[3] = ",".join(cells)
+    path = tmp_path / "scen.csv"
+    path.write_text("\n".join(lines) + "\n")
+    message = f"line 4: empty {column} id"
+    with pytest.raises(InstanceError, match=message):
+        load_scenarios(path, load_instance(fixture_path("toy-a.json")))
+    res = CliRunner().invoke(main, ["solve", "--instance", str(fixture_path("toy-a.json")),
+                                    "--scenarios", str(path), "--method", "extensive"])
+    assert res.exit_code == 1 and message in res.output
+
+
 def test_duplicate_load_entry_is_rejected_naming_it(tmp_path):
     # a second entry for a (node, period) would silently replace the first
     doc = _toy_doc()

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sucbenders.backend import HighsSolver, solve_milp
+from sucbenders.backend import solve_milp
 from sucbenders.cuts import CutMode, CutPool, aggregate_and_add
 from sucbenders import clustering, engine
 from sucbenders.engine import (BendersConfig, EngineError, RunStatus,
@@ -48,7 +48,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         BendersConfig(zeta=1.5).validate(3)
     with pytest.raises(ValueError):
-        BendersConfig(initial_clusters=9).validate(3)
+        BendersConfig(clusters=9).validate(3)
     with pytest.raises(ValueError):
         BendersConfig(clustering_method="dbscan").validate(3)
     with pytest.raises(ValueError, match="attribute"):
@@ -91,7 +91,7 @@ def test_single_scenario_modes_identical(toy_a):
     only = scen.restrict(["s2"])
     histories = {}
     for mode in (CutMode.SINGLE, CutMode.MULTI, CutMode.AGGREGATED):
-        sol = run(inst, only, BendersConfig(mode=mode, adaptive=False))
+        sol = run(inst, only, BendersConfig(mode=mode, clusters=1))
         histories[mode] = [(r.lower_bound, r.ub_candidate) for r in sol.state.history]
     assert histories[CutMode.SINGLE] == histories[CutMode.MULTI]
     assert histories[CutMode.MULTI] == histories[CutMode.AGGREGATED]
@@ -194,11 +194,11 @@ def _count_solves(monkeypatch):
         anchors.append(omega)
         return solve_subproblem(instance, scenarios, omega, x_hat, solver, point)
 
-    solve_batch = HighsSolver.solve_batch
+    solve_batch = RecourseSolver.solve
 
-    def counted_batch(self, cols, ub, rows, rhs, basis=None, cover=None):
-        batches.append((basis is None, len(ub)))
-        return solve_batch(self, cols, ub, rows, rhs, basis, cover)
+    def counted_batch(self, positions, point, basis=None):
+        batches.append((basis is None, len(positions)))
+        return solve_batch(self, positions, point, basis)
 
     class Pool(engine.ThreadPoolExecutor):
         def __init__(self, max_workers):
@@ -206,7 +206,7 @@ def _count_solves(monkeypatch):
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(engine, "solve_subproblem", counted)
-    monkeypatch.setattr(HighsSolver, "solve_batch", counted_batch)
+    monkeypatch.setattr(RecourseSolver, "solve", counted_batch)
     monkeypatch.setattr(engine, "ThreadPoolExecutor", Pool)
     return anchors, batches, pools
 
@@ -300,7 +300,7 @@ def test_trace_lines_are_json_with_stable_keys(toy_a):
 
 def test_aggregated_adaptive_cluster_count_stays_in_range(toy_a):
     inst, scen = toy_a
-    sol = run(inst, scen, BendersConfig(mode=CutMode.AGGREGATED, adaptive=True))
+    sol = run(inst, scen, BendersConfig(mode=CutMode.AGGREGATED))
     assert sol.status is RunStatus.CONVERGED
     for rec in sol.state.history:
         assert 1 <= rec.clusters <= scen.n_scenarios
@@ -364,13 +364,12 @@ def test_lp_phase_cluster_count(toy_a):
     # phase; a pinned count holds in both phases
     inst, scen = toy_a
     n = scen.n_scenarios
-    adaptive = run(inst, scen, BendersConfig(mode=CutMode.AGGREGATED, adaptive=True))
+    adaptive = run(inst, scen, BendersConfig(mode=CutMode.AGGREGATED))
     lp = [r for r in adaptive.state.history if r.phase == "lp"]
     assert lp and all(r.clusters == n for r in lp)
     for r in lp[:-1]:                # the last LP iteration adds no cuts
         assert len(adaptive.pool.cuts_by_iter[r.iteration]) == n
-    pinned = run(inst, scen, BendersConfig(mode=CutMode.AGGREGATED, adaptive=False,
-                                           initial_clusters=2))
+    pinned = run(inst, scen, BendersConfig(mode=CutMode.AGGREGATED, clusters=2))
     assert "lp" in _phases(pinned) and "milp" in _phases(pinned)
     assert all(r.clusters == 2 for r in pinned.state.history)
     assert all(len(cuts) == 2 for cuts in pinned.pool.cuts_by_iter.values())
@@ -406,8 +405,7 @@ def test_multi_cut_run_is_the_pinned_full_aggregated_run(toy_a):
     inst, scen = toy_a
     n = scen.n_scenarios
     multi = run(inst, scen, BendersConfig(mode=CutMode.MULTI))
-    pinned = run(inst, scen, BendersConfig(mode=CutMode.AGGREGATED, adaptive=False,
-                                           initial_clusters=n))
+    pinned = run(inst, scen, BendersConfig(mode=CutMode.AGGREGATED, clusters=n))
     assert multi.status is pinned.status is RunStatus.CONVERGED
     assert all(r.clusters == n for r in multi.state.history)
     assert untimed_records(multi) == untimed_records(pinned)
@@ -421,15 +419,14 @@ def test_pinned_cluster_count_of_each_mode():
     n = 7
     assert BendersConfig(mode=CutMode.SINGLE).pinned_clusters(n) == 1
     assert BendersConfig(mode=CutMode.MULTI).pinned_clusters(n) == n
-    assert BendersConfig(mode=CutMode.AGGREGATED, adaptive=False,
-                         initial_clusters=3).pinned_clusters(n) == 3
-    assert BendersConfig(mode=CutMode.AGGREGATED, adaptive=True).pinned_clusters(n) is None
+    assert BendersConfig(mode=CutMode.AGGREGATED, clusters=3).pinned_clusters(n) == 3
+    assert BendersConfig(mode=CutMode.AGGREGATED).pinned_clusters(n) is None
 
 
 @pytest.mark.parametrize("config", [
     dict(mode=CutMode.SINGLE), dict(mode=CutMode.MULTI),
-    dict(mode=CutMode.AGGREGATED, adaptive=False, initial_clusters=1),
-    dict(mode=CutMode.AGGREGATED, adaptive=False, initial_clusters=3),
+    dict(mode=CutMode.AGGREGATED, clusters=1),
+    dict(mode=CutMode.AGGREGATED, clusters=3),
 ], ids=["single-cut", "multi-cut", "aggregated-1", "aggregated-n"])
 def test_no_clustering_at_one_or_all_clusters(toy_a, monkeypatch, config):
     # at 1 and at |Omega| clusters the labels need no features and no

@@ -199,14 +199,14 @@ def _angle_form_recourse(inst, scen, omega, x):
     lb[flow], ub[flow] = -cap, cap
     row = np.concatenate([rhs.ravel(), np.zeros(L * T)])
     res = solve_held(LinearModel(c, lb, ub, np.zeros(n_cols, dtype=bool), A, row, row))
-    assert res.status == [SolveStatus.OPTIMAL]
+    assert res is not None     # optimal
     # dQ/d(rhs) is the balance-row dual y: w enters its node's rhs with +1,
     # f its from-node's with -1 and its to-node's with +1; r+ and r- are
     # read from the duals of the active p+/p- upper bounds
-    y = res.row_dual[0, :N * T].reshape(N, T)
-    lam_r = np.minimum(res.col_dual[0, np.stack([pp, pm], axis=-1)], 0.0)
-    return res.objective[0], np.concatenate([lam_r.ravel(), y[farm_at].ravel(),
-                                          (y[to] - y[fr]).ravel()])
+    y = res.row_dual[:N * T].reshape(N, T)
+    lam_r = np.minimum(res.col_dual[np.stack([pp, pm], axis=-1)], 0.0)
+    return res.objective, np.concatenate([lam_r.ravel(), y[farm_at].ravel(),
+                                       (y[to] - y[fr]).ravel()])
 
 
 @pytest.mark.parametrize("capacity_scale", [1.0, 0.2])
@@ -679,9 +679,9 @@ def test_per_point_recourse_data_gives_the_same_results(med_b):
         assert np.array_equal(got.lam, want.lam)
         assert got.simplex_iters == want.simplex_iters > 0
         res = solve_held(build_subproblem(inst, scen, omega, x))
-        lam = t.link_map.T @ -res.row_dual[0, :t.link_map.shape[0]]
-        lam[:t.n_deploy] = np.minimum(res.col_dual[0, :t.n_deploy], 0.0)
-        assert res.objective[0] == got.objective
+        lam = t.link_map.T @ -res.row_dual[:t.link_map.shape[0]]
+        lam[:t.n_deploy] = np.minimum(res.col_dual[:t.n_deploy], 0.0)
+        assert res.objective == got.objective
         assert np.array_equal(lam, got.lam)
 
 
@@ -717,41 +717,49 @@ def test_recourse_template_stacks_each_scenarios_bounds(med_b):
 
 # -- bunching ------------------------------------------------------------------
 
-def _recorded_batches(solver: RecourseSolver) -> list:
-    """Record the BatchResult of each batch that ``solver`` runs."""
-    batches = []
-    solve_batch = solver.lp.solve_batch
-
-    def recorded(*args):
-        batches.append(solve_batch(*args))
-        return batches[-1]
-    solver.lp.solve_batch = recorded
-    return batches
-
-
 def test_a_bunch_member_has_its_leaders_duals_and_the_cold_objective(med_b):
-    # a member made no HiGHS solve: 0 iterations, the duals and the very lam
-    # of the solve whose basis covered it, and the objective of a cold solve
+    # a member made no HiGHS solve: 0 iterations, the very lam of the solve
+    # whose basis covered it (an earlier solve of the batch, or the anchor's,
+    # whose duals give the anchor's lam), and the objective of a cold solve
     inst, scen = med_b
     x = sample_feasible_first_stage(inst, np.random.default_rng(33))
     solver = RecourseSolver(recourse_template(inst, scen))
-    batches = _recorded_batches(solver)
     results, _ = solve_subproblems(inst, scen, x, solver=solver)
-    anchor, rest = batches
     members = [k for k, r in enumerate(results) if r.covered]
     assert 0 < len(members) < len(results) - 1
+    by_anchor = 0
     for k in members:
-        r, leader = results[k], rest.leader[k - 1]
+        r = results[k]
         assert r.simplex_iters == 0 and not r.lam.flags.writeable
         cold = solve_subproblem(inst, scen, r.scenario_id, x)
         assert r.objective == pytest.approx(cold.objective, rel=1e-9)
-        if leader < 0:      # the anchor's basis
-            assert np.array_equal(rest.row_dual[k - 1], anchor.row_dual[0])
+        leaders = [j for j in range(1, len(results))
+                   if not results[j].covered and results[j].lam is r.lam]
+        if leaders:
+            assert len(leaders) == 1 and leaders[0] < k
+        else:       # the anchor's basis
             assert np.array_equal(r.lam, results[0].lam)
-        else:
-            assert not results[leader + 1].covered
-            assert np.array_equal(rest.row_dual[k - 1], rest.row_dual[leader])
-            assert r.lam is results[leader + 1].lam
+            by_anchor += 1
+    assert 0 < by_anchor < len(members)
+
+
+def test_a_held_solve_at_another_point_covers_nothing(med_b):
+    # the solver holds the anchor's solve at one point, and a batch at
+    # another point starts from its basis: the held solve's p+/p- bounds
+    # and balance right-hand sides are not the batch's point, so no
+    # scenario takes its duals, and every Q is the cold one
+    inst, scen = med_b
+    rng = np.random.default_rng(33)
+    x1, x2 = (sample_feasible_first_stage(inst, rng) for _ in range(2))
+    solver = RecourseSolver(recourse_template(inst, scen))
+    solve_subproblem(inst, scen, scen.scenario_ids[0], x1, solver)
+    results = solver.solve(np.arange(1, scen.n_scenarios), solver.template.point(x2),
+                           solver.lp.basis())
+    solved = {id(r.lam) for r in results if not r.covered}
+    assert all(id(r.lam) in solved for r in results)
+    for r in results:
+        cold = solve_subproblem(inst, scen, r.scenario_id, x2)
+        assert r.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
 
 
 def test_a_spill_column_that_zero_wind_fixes_is_unfixed_at_the_bound_its_reduced_cost_picks(
@@ -793,17 +801,26 @@ def test_bunching_that_stops_still_solves_every_scenario_from_the_anchor_basis(
     sample_feasible_first_stage(inst, rng, 0.05)
     x = sample_feasible_first_stage(inst, rng, 0.05)
     outcomes = []
-    test = formulations._Bunching.__call__
+    test, is_open = formulations._Bunching.cover, formulations._Bunching.open
 
     def logged(self, vertex, todo):
         got = test(self, vertex, todo)
-        outcomes.append(None if got is None else got[0].size)
+        outcomes.append(got[0].size)
         return got
-    monkeypatch.setattr(formulations._Bunching, "__call__", logged)
+
+    def logged_open(self, left):
+        answer = is_open(self, left)
+        if not answer and left >= formulations.BUNCH_MIN:
+            outcomes.append(None)
+        return answer
+    monkeypatch.setattr(formulations._Bunching, "cover", logged)
+    monkeypatch.setattr(formulations._Bunching, "open", logged_open)
     template = recourse_template(inst, scen)
     solver = RecourseSolver(template)
     results, _ = solve_subproblems(inst, scen, x, solver=solver)
-    assert outcomes == [3, 0, 0, 0, None]
+    # None: the stop rule kept the bunching closed with scenarios enough
+    # left, after which no basis is tested again
+    assert outcomes[:4] == [3, 0, 0, 0] and set(outcomes[4:]) == {None}
     assert [r.scenario_id for r in results] == list(scen.scenario_ids)
     point = template.point(x)
     solver = RecourseSolver(template)

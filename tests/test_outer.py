@@ -3,6 +3,7 @@
 import json
 import sys
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -247,3 +248,31 @@ def test_a_failed_subset_cancels_the_others(med_b, monkeypatch):
     with pytest.raises(EngineError, match="subset 0 failed"):
         solve_subsets(inst, plan, scen, BendersConfig(mode=CutMode.MULTI), workers=2)
     assert len(waited) == 1 and waited[0] < 1.0
+
+
+def test_a_second_pass_at_the_iteration_limit_is_reported_not_converged(toy_a, monkeypatch):
+    # every subset converges, pass 2 stops at the limit: the result holds
+    # it, and has not converged
+    inst, scen = toy_a
+    real = outer.run
+
+    def limited_pass_2(instance, sub_scen, config, fixed_commitments=None, **kwargs):
+        if fixed_commitments is None:
+            return real(instance, sub_scen, config, **kwargs)
+        return real(instance, sub_scen, replace(config, max_iters=1),
+                    fixed_commitments=fixed_commitments, **kwargs)
+
+    monkeypatch.setattr(outer, "run", limited_pass_2)
+    result = run_outer(inst, scen, BendersConfig(mode=CutMode.MULTI), 2)
+    assert all(o.status is SubsetStatus.COMPLETED for o in result.outcomes)
+    assert result.solution.status is RunStatus.NOT_CONVERGED
+    assert not result.converged and result.solution.objective is None
+
+
+def test_a_subset_at_the_iteration_limit_cancels_the_others_and_skips_pass_2(toy_a):
+    inst, scen = toy_a
+    result = run_outer(inst, scen, BendersConfig(mode=CutMode.MULTI, max_iters=3), 2)
+    assert [o.status for o in result.outcomes] == [SubsetStatus.NOT_CONVERGED,
+                                                   SubsetStatus.CANCELED]
+    assert result.solution is None and not result.converged
+    assert result.fixed == {} and result.t2 == 0.0
