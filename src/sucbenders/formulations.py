@@ -20,13 +20,13 @@ laid out as follows:
 * generators/farms/lines/nodes keep instance order; periods run 1..T and map
   to array column t-1;
 * first-stage columns: u, y, z, p, r+, r- interleaved per (generator,
-  period), then w per (farm, period), f per (line, period) and delta per
-  (node, period).  ``first_stage_layout`` maps each family to an array of
-  column indices (|G| x T, |J| x T, |L| x T, |N| x T);
+  period), then w per (farm, period) and f per (line, period).
+  ``first_stage_layout`` maps each family to an array of column indices
+  (|G| x T, |J| x T, |L| x T);
 * first-stage rows: per generator and period, min-up and min-down (after
   the enforced initial periods), logic, exclusion, ramp-up, ramp-down,
-  p-min and p-max; then nodal balance per (node, period) and flow
-  definitions per (line, period);
+  p-min and p-max; then nodal balance per (node, period) and Kirchhoff's
+  voltage law per (fundamental cycle, period);
 * the master appends its theta columns, one per scenario with cost pi,
   their lower-bound rows, and one row per live cut in pool order; a cut's
   row weights each member's theta by its pi.  Every cut mode shares this
@@ -56,14 +56,15 @@ laid out as follows:
   commitment pins) are imposed as variable bounds, not rows -- except the
   theta lower bounds of the master, which are explicit rows so that the
   master row metric decomposes as first-stage rows + theta rows + cut rows;
-* the DC flow convention is f = B * (angle_from - angle_to) with the
-  reference node angle fixed to 0, and nodal balance reads
-  generation + wind - load = outgoing flow - incoming flow.  The first stage
-  keeps the angles; a recourse block has none and states the same law in
-  cycle form (``cycle_basis``): around each fundamental cycle C,
-  sum over l in C of s_l * f_l / B_l = 0, with s_l = +1 where C runs from
-  the line's from-node to its to-node and -1 against.  With free angles and
-  one reference node the two forms admit the same flows.
+* nodal balance reads generation + wind - load = outgoing flow - incoming
+  flow.  The DC law f = B * (angle_from - angle_to) is stated without
+  angles, in cycle form (``_kvl``), by the first stage on f and by each
+  recourse block on its flows: around each fundamental cycle C
+  (``cycle_basis``), sum over l in C of s_l * f_l / B_l = 0, with s_l = +1
+  where C runs from the line's from-node to its to-node and -1 against.
+  It admits the same flows as the angle form with free angles and one
+  reference node (Hörsch et al. 2018), with L - N + 1 rows per period on
+  a connected network instead of L rows and N angle columns.
 """
 
 from __future__ import annotations
@@ -107,7 +108,6 @@ class FirstStageSolution:
     r_minus: np.ndarray
     w: np.ndarray        # |J| x T
     f: np.ndarray        # |L| x T
-    delta: np.ndarray    # |N| x T
     c_da: float          # $
 
     def link(self) -> np.ndarray:
@@ -144,7 +144,6 @@ class FirstStageLayout:
     rm: np.ndarray
     w: np.ndarray        # |J| x T
     f: np.ndarray        # |L| x T
-    delta: np.ndarray    # |N| x T
     n: int               # first-stage column count
 
 
@@ -160,9 +159,7 @@ def first_stage_layout(instance: SystemInstance) -> FirstStageLayout:
     u, y, z, p, rp, rm = _grid(0, G, T, 6)
     [w] = _grid(6 * G * T, J, T)
     [f] = _grid(6 * G * T + J * T, L, T)
-    [delta] = _grid(6 * G * T + (J + L) * T, instance.n_nodes, T)
-    return FirstStageLayout(u, y, z, p, rp, rm, w, f, delta,
-                            (6 * G + J + L + instance.n_nodes) * T)
+    return FirstStageLayout(u, y, z, p, rp, rm, w, f, (6 * G + J + L) * T)
 
 
 def link_columns(instance: SystemInstance) -> list[np.ndarray]:
@@ -288,6 +285,19 @@ def cycle_basis(instance: SystemInstance) -> np.ndarray:
     return K
 
 
+def _kvl(instance: SystemInstance, start: int, flow: np.ndarray) -> tuple[int, tuple]:
+    """Kirchhoff's voltage law over the flow columns ``flow`` (|L| x T):
+    one row per fundamental cycle and period, numbered from ``start``, that
+    sums each line's flow over its susceptance, signed by the cycle's
+    direction (``cycle_basis``), to 0.  The row count and the rows' COO
+    triple."""
+    K = cycle_basis(instance)
+    [kvl] = _grid(start, len(K), instance.horizon)
+    cycle, line = np.nonzero(K)
+    susceptance = np.array([ln.susceptance for ln in instance.lines])
+    return kvl.size, (kvl[cycle], flow[line], _col(K[cycle, line] / susceptance[line]))
+
+
 def _bound_link(b: _ModelDraft, instance: SystemInstance, rp, rm, w, f) -> None:
     """Reserve offer caps on r+/r-, farm capacity on w, line capacity on f."""
     b.ub[rp] = _col([g.res_up_cap for g in instance.generators])
@@ -324,10 +334,6 @@ def _add_first_stage(b: _ModelDraft, instance: SystemInstance, X: FirstStageLayo
     b.c[X.rp] = per_gen("res_up_cost")
     b.c[X.rm] = per_gen("res_down_cost")
     _bound_link(b, instance, X.rp, X.rm, X.w, X.f)
-    # angles are free except at the reference node, where they are 0
-    free = _col([n != instance.ref_node for n in instance.nodes])
-    b.lb[X.delta] = np.where(free, -np.inf, 0.0)
-    b.ub[X.delta] = np.where(free, np.inf, 0.0)
 
     for i, g in enumerate(gens):
         u, y, z, p, rp, rm = (a[i].tolist() for a in (X.u, X.y, X.z, X.p, X.rp, X.rm))
@@ -367,17 +373,13 @@ def _add_first_stage(b: _ModelDraft, instance: SystemInstance, X: FirstStageLayo
                 b.row([p[t], rp[t], u[t]], [1.0, 1.0, -g.p_max], "<=", 0.0)
 
     gen_at, farm_at, from_at, to_at = _topology(instance)
-    N, L = instance.n_nodes, instance.n_lines
-    [bal] = _grid(0, N, T)
-    [flow] = _grid(N * T, L, T)
-    susceptance = _col([ln.susceptance for ln in instance.lines])
+    [bal] = _grid(0, instance.n_nodes, T)
+    n_kvl, kvl = _kvl(instance, bal.size, X.f)
     load = np.array([[instance.load_at(n, t) for t in range(1, T + 1)]
                      for n in instance.nodes])
-    rhs = np.concatenate([load.ravel(), np.zeros(L * T)])
+    rhs = np.concatenate([load.ravel(), np.zeros(n_kvl)])
     b.rows(*_coo([(bal[gen_at], X.p, 1.0), (bal[farm_at], X.w, 1.0),
-                  (bal[from_at], X.f, -1.0), (bal[to_at], X.f, 1.0),
-                  (flow, X.f, 1.0), (flow, X.delta[from_at], -susceptance),
-                  (flow, X.delta[to_at], susceptance)]), rhs, rhs)
+                  (bal[from_at], X.f, -1.0), (bal[to_at], X.f, 1.0), kvl]), rhs, rhs)
 
 
 def first_stage_row_count(instance: SystemInstance) -> int:
@@ -388,7 +390,7 @@ def first_stage_row_count(instance: SystemInstance) -> int:
         enforced = g.init_up_periods + g.init_down_periods
         rows += 2 * max(0, T - enforced)     # min up/down
         rows += 6 * T                        # logic, excl, 2 ramps, pmin, pmax
-    rows += T * (instance.n_nodes + instance.n_lines)
+    rows += T * (instance.n_nodes + len(cycle_basis(instance)))
     return rows
 
 
@@ -445,10 +447,8 @@ def _add_second_stage(b: _ModelDraft, instance: SystemInstance, scenarios: Scena
     their default bounds and the link terms of the balance rows are left
     out, for ``build_subproblem`` to substitute.
 
-    The recourse flows have no angles: after the balance rows, one
-    Kirchhoff voltage-law row per fundamental cycle and period
-    (``cycle_basis``) sums each line's flow over its susceptance, signed by
-    the cycle's direction, to 0.
+    After the balance rows come the recourse flows' Kirchhoff rows
+    (``_kvl``).
     """
     gens, farms, lines = instance.generators, instance.wind_farms, instance.lines
     G, N, T = instance.n_gens, instance.n_nodes, instance.horizon
@@ -468,15 +468,11 @@ def _add_second_stage(b: _ModelDraft, instance: SystemInstance, scenarios: Scena
     gen_at, farm_at, from_at, to_at = _topology(instance)
     n_deploy = 0 if link is None else 2 * G * T
     [bal] = _grid(n_deploy, N, T)
-    K = cycle_basis(instance)
-    [kvl] = _grid(n_deploy + N * T, len(K), T)
-    cycle, line = np.nonzero(K)
-    susceptance = np.array([ln.susceptance for ln in lines])
-    rhs = np.concatenate([_balance_rhs(instance, farm_at, wind).ravel(), np.zeros(kvl.size)])
+    n_kvl, kvl = _kvl(instance, n_deploy + N * T, ftil)
+    rhs = np.concatenate([_balance_rhs(instance, farm_at, wind).ravel(), np.zeros(n_kvl)])
     entries = [(bal, shed, 1.0), (bal[gen_at], pp, 1.0), (bal[gen_at], pm, -1.0),
                (bal[farm_at], spill, -1.0), (bal[from_at], ftil, -1.0),
-               (bal[to_at], ftil, 1.0),
-               (kvl[cycle], ftil[line], _col(K[cycle, line] / susceptance[line]))]
+               (bal[to_at], ftil, 1.0), kvl]
     if link is None:
         b.rows(*_coo(entries), rhs, rhs)
         return
@@ -915,7 +911,7 @@ def extract_first_stage(instance: SystemInstance, result: SolveResult,
     u, y, z = np.rint(x[X.u]), np.rint(x[X.y]), np.rint(x[X.z])
     p, rp, rm = x[X.p], x[X.rp], x[X.rm]
     c_da = day_ahead_cost(instance, p, y, rp, rm)
-    return FirstStageSolution(u, y, z, p, rp, rm, x[X.w], x[X.f], x[X.delta], c_da)
+    return FirstStageSolution(u, y, z, p, rp, rm, x[X.w], x[X.f], c_da)
 
 
 def _first_stage_model(instance: SystemInstance) -> tuple[LinearModel, FirstStageLayout]:
@@ -931,7 +927,7 @@ def first_stage_violation(instance: SystemInstance, sol: FirstStageSolution) -> 
     x = np.empty(X.n)
     for cols, vals in ((X.u, sol.u), (X.y, sol.y), (X.z, sol.z), (X.p, sol.p),
                        (X.rp, sol.r_plus), (X.rm, sol.r_minus), (X.w, sol.w),
-                       (X.f, sol.f), (X.delta, sol.delta)):
+                       (X.f, sol.f)):
         x[cols] = vals
     ax = model.A @ x
     return float(max(0.0, np.max(model.row_lo - ax, initial=0.0),

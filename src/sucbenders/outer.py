@@ -144,7 +144,8 @@ def _subset_trace(trace, idx: int):
 def solve_subsets(instance: SystemInstance, plan: SubsetPlan,
                   scenarios: ScenarioSet, config: BendersConfig,
                   workers: int = 1, trace=None) -> list[SubsetOutcome]:
-    """Solve each subset SUC in parallel with the gamma completion cutoff.
+    """Solve each subset SUC on ``workers`` threads with the gamma completion
+    cutoff.
 
     ``trace``, if given, receives every subset run's records with a
     ``subset_id``; it is called from the worker threads, so it must be
@@ -179,12 +180,9 @@ def solve_subsets(instance: SystemInstance, plan: SubsetPlan,
                              sol.first_stage.u.copy(), sol.objective,
                              elapsed, sol.iterations, sol.final_master_rows, sol.pool)
 
-    if workers <= 1:
-        # deterministic sequential order; the cutoff still cancels the tail
-        outcomes = [solve_one(i) for i in range(plan.n_subsets)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(solve_one, range(plan.n_subsets)))
+    # one worker runs the subsets in order, and the cutoff cancels the tail
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        outcomes = list(pool.map(solve_one, range(plan.n_subsets)))
     if all(o.status is SubsetStatus.CANCELED for o in outcomes):
         raise OuterError("all subset solves failed or were canceled")
     return outcomes

@@ -33,12 +33,10 @@ def _result(scenario, q, seed, n_link=N_LINK):
 def _x(shape_g=(2, 3), shape_w=(1, 3), shape_f=(1, 3), seed=0):
     rng = np.random.default_rng(seed)
     zeros_g = np.zeros(shape_g)
-    n_nodes = 2
     return FirstStageSolution(
         zeros_g, zeros_g, zeros_g, zeros_g,
         rng.uniform(0, 5, shape_g), rng.uniform(0, 5, shape_g),
-        rng.uniform(0, 5, shape_w), rng.uniform(-5, 5, shape_f),
-        np.zeros((n_nodes, shape_g[1])), 100.0)
+        rng.uniform(0, 5, shape_w), rng.uniform(-5, 5, shape_f), 100.0)
 
 
 # -- normalization (min-max mapping) -----------------------------------------
